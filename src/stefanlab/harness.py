@@ -10,6 +10,7 @@ scenario and reports one verdict per registry entry, never fewer.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field as dc_field, asdict
 from pathlib import Path
@@ -33,6 +34,10 @@ from stefanlab.potential import compute_w, obstacle_residual
 
 METHODS = ("particle", "grid", "both")
 DENSITY_FAMILIES = ("piecewise_constant", "power_gap", "oscillatory")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -63,8 +68,13 @@ class ScenarioConfig:
             raise ConfigError("alpha must be nonnegative")
         for name in ("dt", "dx", "t_end"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or v <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
+                raise ConfigError(f"{name} must be a positive number")
+        if not _is_int(self.n_particles):
+            raise ConfigError("n_particles must be an integer")
+        # the Philox key holds the seed as an unsigned 64-bit word
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must be an integer in [0, 2**64)")
         if self.n_particles < 1 or self.refinement_levels < 1:
             raise ConfigError("n_particles and refinement_levels must be >= 1")
         if not self.scenario_id or any(c in self.scenario_id for c in "/\\ "):

@@ -8,11 +8,17 @@ approximation.
 
 Randomness is counter-based: the Gaussian increments of step k are drawn from
 a Philox stream keyed by (seed, k), so the increment a particle receives
-depends only on (seed, its index, the step index).  Replays are bit-identical
-for a fixed (seed, dt, N) and independent of any update order.
+depends only on (seed, its index, the step index).  Because no step's draw
+depends on the state, run() draws the increments of the next few steps ahead
+on a small pool of worker threads while the current step is applied; the
+draws are still keyed on (seed, k), so results are bit-identical to a serial
+loop of step() calls and do not depend on the number of threads.  Replays are
+bit-identical for a fixed (seed, dt, N) and independent of any update order.
 """
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +30,78 @@ from stefanlab.jump_rule import cascade_jump
 # Stream tag for the initial uniform sample; step indices stay far below this.
 INIT_STREAM = 2 ** 62
 
-# Ensembles at or below this size resolve cascades through cascade_jump on a
-# sorted copy; larger ones use the equivalent counting fixed point (no sort).
-SORT_CASCADE_MAX = 4096
+# Upper bound on the threads that draw increments ahead of run()'s step loop.
+# At N = 1e5 drawing a step's normals takes about 4.5 times as long as
+# applying them (2.56 ms against 0.56 ms for move, absorption and cascade, on
+# a 2-core x86 VM), so beyond five drawers the one thread that applies the
+# steps is the bottleneck and more would only wait.
+DRAW_THREADS_MAX = 5
+
+# Below this many particles handing each step's draw to a worker costs more
+# in thread hand-offs than the overlap saves (the two broke even near 12 000
+# particles on 2 cores), and run() draws inline.
+POOL_MIN_PARTICLES = 16384
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
+
+
+def _draw(seed: int, step_index: int, scale: float, out: np.ndarray) -> np.ndarray:
+    """Increments of step step_index, scale * N(0, 1) per particle, into out.
+
+    Calls only _stream and numpy, so worker threads may run it.
+    """
+    _stream(seed, step_index).standard_normal(len(out), out=out)
+    out *= scale
+    return out
+
+
+def _draw_threads() -> int:
+    """Worker threads for drawing ahead: the usable CPUs, capped."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(DRAW_THREADS_MAX, cpus)
+
+
+def _increments_ahead(seed: int, first: int, n_steps: int, n: int, dt: float):
+    """Yield the increments of steps first .. first + n_steps - 1 in order.
+
+    With at least two usable CPUs and POOL_MIN_PARTICLES particles, a thread
+    pool draws up to threads + 1 steps ahead into a ring of preallocated
+    buffers; a buffer is refilled only after the caller asks for the next
+    step, so the caller must be done with the previous one by then.
+    Otherwise it yields None, and step() draws inline.  Close the generator
+    to shut the pool down.
+    """
+    threads = _draw_threads()
+    if threads < 2 or n < POOL_MIN_PARTICLES:
+        for _ in range(n_steps):
+            yield None
+        return
+    # imported here so that importing the package does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    scale = np.sqrt(dt)
+    ring = [np.empty(n) for _ in range(threads + 1)]
+    pending: deque = deque()
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="stefanlab-draw")
+
+    def submit(j: int) -> None:
+        if j < n_steps:
+            pending.append(pool.submit(_draw, seed, first + j, scale,
+                                       ring[j % len(ring)]))
+
+    try:
+        for j in range(len(ring)):
+            submit(j)
+        for j in range(n_steps):
+            yield pending.popleft().result()
+            submit(j + len(ring))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -101,65 +172,69 @@ def init_ensemble(d, n: int, seed: int, sampling: str = "stratified",
     )
 
 
+def _absorb(e: Ensemble, hit: np.ndarray) -> None:
+    e.alive[hit] = False
+    e.absorption_time[hit] = e.t
+    e.n_dead += len(hit)
+
+
+def _absorb_below_frontier(e: Ensemble) -> None:
+    """Absorb the alive particles at or below the frontier, then the cascade."""
+    crossed = np.flatnonzero(e.alive & (e.positions <= e.frontier))
+    if len(crossed):
+        _absorb(e, crossed)
+        _resolve_cascade(e, len(crossed))
+
+
 def _resolve_cascade(e: Ensemble, k0: int) -> int:
     """Absorb the cascade seeded by k0 just-dead particles; returns its size.
 
-    Semantics are exactly cascade_jump's least fixed point.  Small ensembles
-    call cascade_jump on a sorted copy; large ones run the equivalent
-    counting iteration m <- #{alive <= lam + alpha*(k0+m)/N} from m = 0,
-    which needs no sort (test_particle cross-checks the two paths).
+    Semantics are exactly cascade_jump's least fixed point, computed on a
+    window: the alive positions at or below lam_start + w are sorted and
+    handed to cascade_jump.  If the fixed point stays at or below the window
+    edge, particles beyond it cannot take part and the result is exact;
+    otherwise w doubles while alive particles remain beyond the edge.  The
+    first window is twice the k0 increment, so a cascade of m costs
+    O(m log m) plus one pass over the ensemble per doubling.
     """
     if k0 == 0 or e.alpha == 0.0:
         return 0
     lam_start = e.alpha * (e.n_dead - k0) / e.n_total
-    alive_idx = np.flatnonzero(e.alive)
-    pos = e.positions[alive_idx]
-    if len(pos) == 0:
-        return 0
-    if len(pos) <= SORT_CASCADE_MAX:
-        order = np.argsort(pos, kind="stable")
-        res = cascade_jump(pos[order], lam_start, k0, e.alpha, e.n_total)
-        hit = alive_idx[order[res.absorbed_indices]]
-    else:
-        m = 0
-        while True:
-            lam = lam_start + e.alpha * (k0 + m) / e.n_total
-            m_new = int(np.count_nonzero(pos <= lam))
-            if m_new == m:
-                break
-            m = m_new
-        hit = alive_idx[pos <= lam_start + e.alpha * (k0 + m) / e.n_total]
-    e.alive[hit] = False
-    e.absorption_time[hit] = e.t
-    e.n_dead += len(hit)
+    n_alive = e.n_total - e.n_dead
+    w = 2.0 * e.alpha * k0 / e.n_total
+    while True:
+        edge = lam_start + w
+        idx = np.flatnonzero(e.alive & (e.positions <= edge))
+        idx = idx[np.argsort(e.positions[idx], kind="stable")]
+        res = cascade_jump(e.positions[idx], lam_start, k0, e.alpha, e.n_total)
+        if res.new_frontier <= edge or len(idx) == n_alive:
+            break
+        w *= 2.0
+    hit = idx[res.absorbed_indices]
+    _absorb(e, hit)
     return len(hit)
 
 
-def step(e: Ensemble, dt: float) -> Ensemble:
+def step(e: Ensemble, dt: float, increments: np.ndarray | None = None) -> Ensemble:
     """One Euler step: Gaussian moves, end-of-step absorption, cascade.
 
-    Increments are drawn for all n_total indices from the (seed, step_index)
-    stream and applied to alive particles only, so a particle's move never
-    depends on which others are alive.  Particles at or below the frontier
-    after the move are absorbed, then cascade_jump semantics resolve the
-    induced cascade.  Between-step excursions below the frontier are not seen
-    (no bridge correction); the bias vanishes with sqrt(dt).
+    increments are sqrt(dt) * N(0, 1) for all n_total indices from the
+    (seed, step_index) stream; run() passes them in, drawn ahead on worker
+    threads, and without them step draws them inline, which is the serial
+    reference.  They are applied to alive particles only, so a particle's
+    move never depends on which others are alive.  Particles at or below the
+    frontier after the move are absorbed, then cascade_jump semantics
+    resolve the induced cascade.  Between-step excursions below the frontier
+    are not seen (no bridge correction); the bias vanishes with sqrt(dt).
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    xi = _stream(e.seed, e.step_index).standard_normal(e.n_total)
-    e.positions[e.alive] += np.sqrt(dt) * xi[e.alive]
+    if increments is None:
+        increments = _draw(e.seed, e.step_index, np.sqrt(dt), np.empty(e.n_total))
+    np.add(e.positions, increments, out=e.positions, where=e.alive)
     e.t += dt
     e.step_index += 1
-
-    lam = e.frontier
-    crossed = e.alive & (e.positions <= lam)
-    k0 = int(np.count_nonzero(crossed))
-    if k0:
-        e.alive[crossed] = False
-        e.absorption_time[crossed] = e.t
-        e.n_dead += k0
-        _resolve_cascade(e, k0)
+    _absorb_below_frontier(e)
     return e
 
 
@@ -190,13 +265,7 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     jumps: list[JumpRecord] = []
     lam_before = e.frontier
     if e.step_index == 0 and e.t == 0.0:
-        crossed = e.alive & (e.positions <= lam_before)
-        k0 = int(np.count_nonzero(crossed))
-        if k0:
-            e.alive[crossed] = False
-            e.absorption_time[crossed] = 0.0
-            e.n_dead += k0
-            _resolve_cascade(e, k0)
+        _absorb_below_frontier(e)
     if e.frontier - lam_before > threshold:
         jumps.append(JumpRecord(0.0, lam_before, e.frontier,
                                 mass=(e.frontier - lam_before) / e.alpha if e.alpha else 0.0))
@@ -207,18 +276,22 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     if snapshots_out is not None and snapshot_every:
         snapshots_out.append(_snapshot(e))
 
-    for k in range(1, n_steps + 1):
-        before = e.frontier
-        step(e, dt)
-        if e.frontier - before > threshold:
-            jumps.append(JumpRecord(e.t, before, e.frontier,
-                                    mass=(e.frontier - before) / e.alpha if e.alpha else 0.0))
-        if k % sample_every == 0 or k == n_steps:
-            times.append(e.t)
-            lams.append(e.frontier)
-            dead.append(e.n_dead)
-        if snapshots_out is not None and snapshot_every and (k % snapshot_every == 0 or k == n_steps):
-            snapshots_out.append(_snapshot(e))
+    increments = _increments_ahead(e.seed, e.step_index, n_steps, e.n_total, dt)
+    try:
+        for k in range(1, n_steps + 1):
+            before = e.frontier
+            step(e, dt, next(increments))
+            if e.frontier - before > threshold:
+                jumps.append(JumpRecord(e.t, before, e.frontier,
+                                        mass=(e.frontier - before) / e.alpha if e.alpha else 0.0))
+            if k % sample_every == 0 or k == n_steps:
+                times.append(e.t)
+                lams.append(e.frontier)
+                dead.append(e.n_dead)
+            if snapshots_out is not None and snapshot_every and (k % snapshot_every == 0 or k == n_steps):
+                snapshots_out.append(_snapshot(e))
+    finally:
+        increments.close()
 
     path = FrontierPath(
         times=np.array(times), lam=np.array(lams), alpha=e.alpha, jumps=jumps,

@@ -217,6 +217,15 @@ class TestCli:
                        encoding="utf-8")
         assert main(["simulate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("override", [
+        "seed=-1", f"seed={2 ** 64}", "seed=true", "n_particles=1.5",
+        "n_particles=true", "dt=true", "dx=true", "t_end=true"])
+    def test_ill_typed_override_exits_2(self, tmp_path, capsys, override):
+        cfg_path = self.write_config(tmp_path, method="particle", n_particles=200)
+        assert main(["simulate", str(cfg_path), "--set", override]) == 2
+        name = override.split("=")[0]
+        assert f"config error: {name} must be" in capsys.readouterr().err
+
     def test_truncation_exits_3(self, tmp_path, capsys):
         # tightest legal box, long horizon: heat must hit the right wall
         cfg_path = self.write_config(tmp_path, x_max=2.2, t_end=1.0)

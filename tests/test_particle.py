@@ -1,9 +1,16 @@
 """Interacting-particle solver: sampling, reproducibility, mass identity."""
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stefanlab.particle as particle_mod
 from stefanlab.densities import piecewise_constant
-from stefanlab.jump_rule import cascade_jump
+from stefanlab.jump_rule import JumpResult, cascade_jump, verify_cascade_minimality
 from stefanlab.particle import (
     Ensemble,
     empirical_field,
@@ -100,8 +107,8 @@ def test_absorbed_stay_absorbed():
 
 
 def test_cascade_paths_agree_sort_vs_count():
-    # the solver switches from sort-based to counting fixed point above a
-    # size threshold; both must produce identical frontiers on the same draw
+    # cascade_jump's searchsorted iteration on the sorted ensemble must agree
+    # with the plain counting fixed point m <- #{alive <= lam(m)}
     rng = np.random.default_rng(12)
     for _ in range(50):
         n_total = 600
@@ -123,23 +130,119 @@ def test_cascade_paths_agree_sort_vs_count():
         assert res.delta == pytest.approx(alpha * (k0 + m) / n_total)
 
 
-def test_large_ensemble_cascade_equivalence_in_run():
-    # run the same tiny system below and above the sort threshold by abusing
-    # the module constant: instead compare two runs with identical physics
-    # where one ensemble is small enough to take the sort path
-    import stefanlab.particle as particle_mod
-    d = uniform02()
-    e_small = init_ensemble(d, 512, seed=21)
-    old = particle_mod.SORT_CASCADE_MAX
+@st.composite
+def clustered_ensembles(draw):
+    """An ensemble whose next step seeds a cascade through a dense cluster.
+
+    k0 alive particles sit at or below the frontier; right above it a
+    cluster of at least 16 * k0 particles is spaced closer than alpha / N, so
+    the cascade swallows all of it and overruns the first two windows.  The
+    rest lie beyond a gap, or are absent, which makes the cascade a total
+    freeze.
+    """
+    n_total = draw(st.integers(200, 1200))
+    alpha = draw(st.floats(0.5, 3.0))
+    n_dead = draw(st.integers(0, n_total // 4))
+    k0 = draw(st.integers(1, 4))
+    cluster = draw(st.integers(16 * k0, (n_total - n_dead - k0) // 2))
+    rest = 0 if draw(st.booleans()) else n_total - n_dead - k0 - cluster
+    n_dead = n_total - k0 - cluster - rest
+    spacing = draw(st.floats(0.5, 0.95)) * alpha / n_total
+    gap = draw(st.floats(0.0, 2.0)) * alpha * cluster / n_total
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    lam0 = alpha * n_dead / n_total
+    seeds = lam0 - rng.uniform(0.0, 0.1, k0)
+    seeds[0] = lam0  # ties absorb
+    cluster_pos = lam0 + spacing * np.arange(1, cluster + 1)
+    rest_pos = cluster_pos[-1] + gap + rng.uniform(0.0, 1.0, rest)
+    positions = np.concatenate([np.zeros(n_dead), seeds, cluster_pos, rest_pos])
+    alive = np.arange(n_total) >= n_dead
+    order = rng.permutation(n_total)
+    return Ensemble(positions=positions[order], alive=alive[order],
+                    absorption_time=np.where(alive, np.inf, 0.0)[order],
+                    n_total=n_total, alpha=alpha, seed=0, n_dead=n_dead)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clustered_ensembles())
+def test_windowed_cascade_is_least_fixed_point(e):
+    lam0 = e.frontier
+    k0 = int(np.count_nonzero(e.alive & (e.positions <= lam0)))
+    above = np.sort(e.positions[e.alive & (e.positions > lam0)])
+    dead_before = e.n_dead
+    with mock.patch.object(particle_mod, "cascade_jump",
+                           wraps=particle_mod.cascade_jump) as spy:
+        step(e, 1e-3, increments=np.zeros(e.n_total))
+    # the first window and its double both end inside the cluster
+    assert spy.call_count >= 3
+    m = e.n_dead - dead_before - k0
+    observed = JumpResult(delta=e.frontier - lam0, new_frontier=e.frontier,
+                          absorbed_mass=m / e.n_total,
+                          absorbed_indices=np.arange(m))
+    assert verify_cascade_minimality(above, lam0, k0, e.alpha, e.n_total, observed)
+    assert not np.any(e.alive & (e.positions <= e.frontier))
+    assert np.all(e.absorption_time[~e.alive] <= e.t)
+
+
+@pytest.mark.parametrize("threads", [2, 5])
+def test_run_matches_serial_step_loop_and_releases_threads(monkeypatch, threads):
+    # enough particles for the draw-ahead pool, forced on, with more drawers
+    # than cores in the second case; a short switch interval makes a ring
+    # buffer refilled before its step was applied show up in the path
+    monkeypatch.setattr(particle_mod, "_draw_threads", lambda: threads)
+    n = particle_mod.POOL_MIN_PARTICLES
+    d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
+    dt = 5e-4
+    ref = init_ensemble(d, n, seed=11, alpha=2.0)
+    ref_lam, ref_dead = [], []
+    for _ in range(80):
+        step(ref, dt)
+        ref_lam.append(ref.frontier)
+        ref_dead.append(ref.n_dead)
+    assert ref_dead[-1] > 0.5 * n  # the band's cascade happened
+
+    seen = []
+    serial_step = particle_mod.step
+
+    def watched(*args):
+        seen.append(any(t.name.startswith("stefanlab-draw")
+                        for t in threading.enumerate()))
+        return serial_step(*args)
+
+    def failing(e, dt, increments=None):
+        if e.step_index == 5:
+            raise RuntimeError("step failed")
+        return serial_step(e, dt, increments)
+
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        particle_mod.SORT_CASCADE_MAX = 10_000
-        p_sorted, _ = run(init_ensemble(d, 512, seed=21), t_end=0.02, dt=1e-3)
-        particle_mod.SORT_CASCADE_MAX = 0
-        p_counted, _ = run(e_small, t_end=0.02, dt=1e-3)
+        monkeypatch.setattr(particle_mod, "step", watched)
+        e = init_ensemble(d, n, seed=11, alpha=2.0)
+        first, e = run(e, t_end=50 * dt, dt=dt)
+        assert threading.active_count() == threads_before
+        second, e = run(e, t_end=30 * dt, dt=dt)  # continues from step_index 50
+        assert threading.active_count() == threads_before
+
+        monkeypatch.setattr(particle_mod, "step", failing)
+        # holding the exception keeps run's frame, and anything it failed to
+        # close, alive
+        with pytest.raises(RuntimeError, match="step failed") as failure:
+            run(init_ensemble(d, n, seed=11, alpha=2.0), t_end=50 * dt, dt=dt)
+        assert threading.active_count() == threads_before
+        assert failure.traceback
     finally:
-        particle_mod.SORT_CASCADE_MAX = old
-    assert np.array_equal(p_sorted.lam, p_counted.lam)
-    assert np.array_equal(p_sorted.dead_count, p_counted.dead_count)
+        sys.setswitchinterval(interval)
+
+    assert len(seen) == 80 and all(seen)
+    assert np.array_equal(np.concatenate([first.lam[1:], second.lam[1:]]), ref_lam)
+    assert np.array_equal(np.concatenate([first.dead_count[1:], second.dead_count[1:]]),
+                          ref_dead)
+    assert np.array_equal(e.positions, ref.positions)
+    assert np.array_equal(e.alive, ref.alive)
+    assert np.array_equal(e.absorption_time, ref.absorption_time)
 
 
 def test_supercritical_initial_data_freezes_fast():
