@@ -16,26 +16,62 @@ from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _row(values) -> str:
+    """One CSV row of float reprs.
+
+    repr of a list of Python floats is the shortest round-trip repr of each
+    element, joined by ', ', so this equals ','.join(repr(float(v)) ...)
+    byte for byte while the formatting loop runs in C.
+    """
+    return repr(np.asarray(values, dtype=float).tolist())[1:-1].replace(", ", ",")
 
 
 def _open_w(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _open_r(path):
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+
+
+def _first_line(fh, path) -> str:
+    try:
+        return fh.readline().rstrip("\n")
+    except ValueError as exc:  # undecodable bytes
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _expect_header(fh, path, expected: str) -> None:
+    if _first_line(fh, path) != expected:
+        raise ConfigError(f"{path}: expected header {expected!r}")
+
+
+def _read_table(fh, path, n_cols: int) -> np.ndarray:
+    """The remaining lines of fh as a float matrix with n_cols columns."""
+    try:
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if data.shape[1] != n_cols:
+        raise ConfigError(f"{path}: expected {n_cols} columns,"
+                          f" found {data.shape[1]}")
+    return data
+
+
 def write_frontier_csv(path, frontier: FrontierPath) -> None:
     with _open_w(path) as fh:
         fh.write("t,lambda\n")
-        for tv, lv in zip(frontier.times, frontier.lam):
-            fh.write(f"{_fmt(tv)},{_fmt(lv)}\n")
+        for row in np.column_stack((frontier.times, frontier.lam)):
+            fh.write(_row(row) + "\n")
 
 
 def read_frontier_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _read_rows(path, expected_header="t,lambda")
-    data = np.array(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ConfigError(f"{path}: expected two columns")
+    with _open_r(path) as fh:
+        _expect_header(fh, path, "t,lambda")
+        data = _read_table(fh, path, 2)
     return data[:, 0], data[:, 1]
 
 
@@ -43,41 +79,39 @@ def write_matrix_csv(path, x: np.ndarray, t: np.ndarray, values: np.ndarray) -> 
     """Matrix layout: first row holds x, first column holds t, corner is nan."""
     if values.shape != (len(t), len(x)):
         raise ConfigError("matrix shape does not match axes")
+    # one row formatted at a time: the whole matrix as text would be several
+    # times its float size
     with _open_w(path) as fh:
-        fh.write("nan," + ",".join(_fmt(v) for v in x) + "\n")
-        for k, tv in enumerate(t):
-            fh.write(_fmt(tv) + "," + ",".join(_fmt(v) for v in values[k]) + "\n")
+        fh.write("nan," + _row(x) + "\n")
+        for tv, row in zip(t, values):
+            fh.write(repr(float(tv)) + "," + _row(row) + "\n")
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty matrix file")
-    head = lines[0].split(",")
-    if head[0] != "nan":
-        raise ConfigError(f"{path}: corner cell must be nan")
-    x = np.array(head[1:], dtype=float)
-    t = np.empty(len(lines) - 1)
-    values = np.empty((len(lines) - 1, len(x)))
-    for k, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        t[k] = float(parts[0])
-        values[k] = [float(p) for p in parts[1:]]
-    return x, t, values
+    with _open_r(path) as fh:
+        head = _first_line(fh, path).split(",")
+        if head[0] != "nan":
+            raise ConfigError(f"{path}: corner cell must be nan")
+        try:
+            x = np.array(head[1:], dtype=float)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: header: {exc}") from None
+        data = _read_table(fh, path, len(x) + 1)
+    return x, data[:, 0].copy(), data[:, 1:].copy()
 
 
 def write_nu_csv(path, nu: WeightField) -> None:
     rec = nu.recorded if nu.recorded is not None else np.ones(len(nu.x), dtype=bool)
     with _open_w(path) as fh:
         fh.write("x,nu,recorded\n")
-        for xv, nv, rv in zip(nu.x, nu.nu, rec):
-            fh.write(f"{_fmt(xv)},{_fmt(nv)},{int(rv)}\n")
+        for row, rv in zip(np.column_stack((nu.x, nu.nu)), rec):
+            fh.write(f"{_row(row)},{int(rv)}\n")
 
 
 def read_nu_csv(path, alpha: float) -> WeightField:
-    rows = _read_rows(path, expected_header="x,nu,recorded")
-    data = np.array(rows, dtype=float)
+    with _open_r(path) as fh:
+        _expect_header(fh, path, "x,nu,recorded")
+        data = _read_table(fh, path, 3)
     return WeightField(x=data[:, 0], nu=data[:, 1], alpha=alpha,
                        recorded=data[:, 2].astype(bool))
 
@@ -85,24 +119,21 @@ def read_nu_csv(path, alpha: float) -> WeightField:
 def write_profile_csv(path, profile) -> None:
     with _open_w(path) as fh:
         fh.write("x,s,s_prime,label,boundary_value\n")
-        for xv, sv, spv, lb, bv in zip(profile.x, profile.s, profile.s_prime,
-                                       profile.labels, profile.boundary_value):
-            fh.write(f"{_fmt(xv)},{_fmt(sv)},{_fmt(spv)},{lb},{_fmt(bv)}\n")
+        floats = np.column_stack((profile.x, profile.s, profile.s_prime,
+                                  profile.boundary_value))
+        for row, lb in zip(floats, profile.labels):
+            fh.write(f"{_row(row[:3])},{lb},{_row(row[3:])}\n")
 
 
 def read_profile_csv(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "x,s,s_prime,label,boundary_value":
-        raise ConfigError(f"{path}: unexpected profile header")
-    x, s, sp, labels, bv = [], [], [], [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        x.append(float(parts[0]))
-        s.append(float(parts[1]))
-        sp.append(float(parts[2]))
-        labels.append(parts[3])
-        bv.append(float(parts[4]))
+    with _open_r(path) as fh:
+        _expect_header(fh, path, "x,s,s_prime,label,boundary_value")
+        try:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+            x, s, sp, bv = ([float(r[i]) for r in rows] for i in (0, 1, 2, 4))
+            labels = [r[3] for r in rows]
+        except (ValueError, IndexError) as exc:  # also undecodable bytes
+            raise ConfigError(f"{path}: {exc}") from None
     return {"x": np.array(x), "s": np.array(s), "s_prime": np.array(sp),
             "labels": labels, "boundary_value": np.array(bv)}
 
@@ -132,8 +163,11 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    with _open_r(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_jumps_json(path, jumps: list[JumpRecord]) -> None:
@@ -142,37 +176,42 @@ def write_jumps_json(path, jumps: list[JumpRecord]) -> None:
 
 def read_jumps_json(path) -> list[JumpRecord]:
     raw = read_json(path)
+    if not isinstance(raw, list) or not all(isinstance(i, dict) for i in raw):
+        raise ConfigError(f"{path}: expected a JSON array of jump objects")
     out = []
     for item in raw:
-        out.append(JumpRecord(
-            t=item["t"], lambda_minus=item["lambda_minus"],
-            lambda_plus=item["lambda_plus"], mass=item.get("mass", 0.0),
-            pre_jump_boundary_value=(item.get("pre_jump_boundary_value")
-                                     if item.get("pre_jump_boundary_value") is not None
-                                     else float("nan"))))
+        try:
+            out.append(JumpRecord(
+                t=item["t"], lambda_minus=item["lambda_minus"],
+                lambda_plus=item["lambda_plus"], mass=item.get("mass", 0.0),
+                pre_jump_boundary_value=(item.get("pre_jump_boundary_value")
+                                         if item.get("pre_jump_boundary_value") is not None
+                                         else float("nan"))))
+        except KeyError as exc:
+            raise ConfigError(f"{path}: jump record is missing {exc}") from None
     return out
 
 
 def write_field_artifacts(outdir, frontier: FrontierPath, field: Field,
                           nu: WeightField | None = None,
-                          w=None, profile=None) -> None:
-    """Write the per-run artifact set into outdir (created if needed)."""
+                          w=None, profile=None) -> list[str]:
+    """Write the per-run artifact set into outdir (created if needed).
+
+    Returns the names of the files written.
+    """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_frontier_csv(out / "frontier.csv", frontier)
     write_matrix_csv(out / "field.csv", field.x, field.t, field.values)
     write_jumps_json(out / "jumps.json", frontier.jumps)
+    names = ["frontier.csv", "field.csv", "jumps.json"]
     if nu is not None:
         write_nu_csv(out / "nu.csv", nu)
+        names.append("nu.csv")
     if w is not None:
         write_matrix_csv(out / "w.csv", w.x, w.t, w.w)
+        names.append("w.csv")
     if profile is not None:
         write_profile_csv(out / "profile.csv", profile)
-
-
-def _read_rows(path, expected_header: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != expected_header:
-        raise ConfigError(f"{path}: expected header {expected_header!r}")
-    return [line.split(",") for line in lines[1:]]
+        names.append("profile.csv")
+    return names

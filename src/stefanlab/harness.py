@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import shutil
 import time
 from dataclasses import dataclass, field as dc_field, asdict
 from pathlib import Path
@@ -34,6 +35,10 @@ from stefanlab.potential import compute_w, obstacle_residual
 
 METHODS = ("particle", "grid", "both")
 DENSITY_FAMILIES = ("piecewise_constant", "power_gap", "oscillatory")
+# the analysis knobs a config's "thresholds" block may set
+THRESHOLD_KEYS = ("complementarity_tol", "endpoint_band", "eps_u", "eps_w",
+                  "interior_margin", "jump_threshold", "nondeg_r",
+                  "nondeg_t_lo")
 
 
 def _is_int(v) -> bool:
@@ -79,9 +84,20 @@ class ScenarioConfig:
             raise ConfigError("n_particles and refinement_levels must be >= 1")
         if not self.scenario_id or any(c in self.scenario_id for c in "/\\ "):
             raise ConfigError("scenario_id must be a nonempty path-safe token")
+        if not isinstance(self.thresholds, dict):
+            raise ConfigError("thresholds must be an object")
+        unknown = set(self.thresholds) - set(THRESHOLD_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown thresholds {sorted(unknown)};"
+                              f" known: {list(THRESHOLD_KEYS)}")
+        for name, v in self.thresholds.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"thresholds.{name} must be a number")
         d = build_density(self.density)
         support_end = d.support_max
-        if self.x_max is None:
+        # not a dataclass field, so to_dict() and summary.json omit it
+        self._x_max_derived = self.x_max is None
+        if self._x_max_derived:
             # room for the full frontier range plus the diffusive spread of
             # the data over the horizon, snapped up to a dx multiple
             raw = self.alpha + support_end + 4.0 * float(np.sqrt(self.t_end))
@@ -155,6 +171,8 @@ def scenario_from_json(path) -> ScenarioConfig:
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("a scenario config must be a JSON object")
     known = set(ScenarioConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
@@ -166,8 +184,14 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 
 
 def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig:
-    """Apply 'dotted.path=value' strings on top of an existing config."""
+    """Apply 'dotted.path=value' strings on top of an existing config.
+
+    A derived x_max is recomputed from the overridden fields unless an
+    override sets x_max itself.
+    """
     raw = cfg.to_dict()
+    if cfg._x_max_derived:
+        raw["x_max"] = None
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -352,6 +376,20 @@ def _level_summary(res: LevelResult) -> dict:
     return out
 
 
+def _write_level(lvl_dir: Path, res: LevelResult) -> list[str]:
+    """Write one level's artifacts into lvl_dir; returns the file names."""
+    fr = res.frontier if res.frontier is not None else res.p_frontier
+    fld = res.field if res.field is not None else res.p_field
+    if fld is not None:
+        return write_field_artifacts(lvl_dir, fr, fld, nu=res.nu, w=res.w,
+                                     profile=res.profile)
+    # particle run without snapshots still leaves the frontier
+    lvl_dir.mkdir(parents=True, exist_ok=True)
+    write_frontier_csv(lvl_dir / "frontier.csv", fr)
+    write_jumps_json(lvl_dir / "jumps.json", fr.jumps)
+    return ["frontier.csv", "jumps.json"]
+
+
 def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
     d = build_density(cfg.density)
     levels = [run_level(cfg, level, d=d) for level in range(cfg.refinement_levels)]
@@ -363,21 +401,14 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
     outpath = None
     if write:
         root = Path(cfg.outdir) / cfg.scenario_id
-        # per-level artifacts under L{k}, plus the finest level flat at the
-        # scenario root so single-level consumers see the canonical layout
-        dests = [(root / f"L{res.level}", res) for res in levels]
-        dests.append((root, levels[-1]))
-        for lvl_dir, res in dests:
-            fr = res.frontier if res.frontier is not None else res.p_frontier
-            fld = res.field if res.field is not None else res.p_field
-            if fld is None:
-                # particle run without snapshots still leaves the frontier
-                lvl_dir.mkdir(parents=True, exist_ok=True)
-                write_frontier_csv(lvl_dir / "frontier.csv", fr)
-                write_jumps_json(lvl_dir / "jumps.json", fr.jumps)
-            else:
-                write_field_artifacts(lvl_dir, fr, fld, nu=res.nu, w=res.w,
-                                      profile=res.profile)
+        # each level is formatted once, under L{k}; the finest level's files
+        # are then copied flat to the scenario root, so single-level
+        # consumers see the canonical layout.  Copies, not links: editing a
+        # root file must leave L{k} intact.
+        written = [_write_level(root / f"L{res.level}", res) for res in levels]
+        finest = root / f"L{levels[-1].level}"
+        for name in written[-1]:
+            shutil.copyfile(finest / name, root / name)
         write_json(root / "summary.json", summary)
         write_json(root / "meta.json",
                    {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

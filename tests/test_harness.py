@@ -111,6 +111,31 @@ class TestOverrides:
         out = apply_overrides(quick_config(), ["thresholds.eps_u=0.01"])
         assert out.threshold("eps_u", None) == 0.01
 
+    @pytest.mark.parametrize("override, match", [
+        ("thresholds.eps_uu=5", "unknown thresholds"),
+        ("thresholds.eps_u=abc", "thresholds.eps_u must be a number"),
+        ("thresholds.nondeg_r=true", "thresholds.nondeg_r must be a number"),
+        ("thresholds=5", "thresholds must be an object")])
+    def test_bad_thresholds_rejected(self, override, match):
+        with pytest.raises(ConfigError, match=match):
+            apply_overrides(quick_config(), [override])
+
+    @pytest.mark.parametrize("override", ["dx=0.03", "t_end=1.0"])
+    def test_derived_x_max_follows_overrides(self, override):
+        cfg = quick_config()
+        out = apply_overrides(cfg, [override])
+        field, value = override.split("=")
+        fresh = quick_config(**{field: float(value)})
+        assert out.x_max == fresh.x_max != cfg.x_max
+        # whether x_max was derived stays off the serialised config
+        assert out.to_dict() == fresh.to_dict()
+        assert set(out.to_dict()) == set(ScenarioConfig.__dataclass_fields__)
+
+    def test_given_x_max_survives_overrides(self):
+        cfg = quick_config(x_max=3.0)
+        assert apply_overrides(cfg, ["t_end=0.2"]).x_max == 3.0
+        assert apply_overrides(quick_config(), ["x_max=3.0"]).x_max == 3.0
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="not a config field"):
             apply_overrides(quick_config(), ["dz=1"])
@@ -137,12 +162,16 @@ class TestArtifactLayout:
                 assert (root / sub / name).exists(), f"{sub}/{name}"
         assert (root / "summary.json").exists()
         assert (root / "meta.json").exists()
-        # flat copy carries the finest level
+        # the flat files are independent byte copies of the finest level
+        for name in ("frontier.csv", "field.csv", "nu.csv", "w.csv",
+                     "profile.csv", "jumps.json"):
+            flat, fine = root / name, root / "L1" / name
+            assert flat.read_bytes() == fine.read_bytes(), name
+            assert flat.stat().st_nlink == 1 and fine.stat().st_nlink == 1
         times, lam = read_frontier_csv(root / "frontier.csv")
-        fine = result.levels[-1].frontier
-        assert np.array_equal(lam, fine.lam)
+        assert np.array_equal(lam, result.levels[-1].frontier.lam)
         x, t, vals = read_matrix_csv(root / "field.csv")
-        assert np.allclose(vals, result.levels[-1].field.values)
+        assert np.array_equal(vals, result.levels[-1].field.values)
 
     def test_summary_has_no_timestamp(self, tmp_path):
         cfg = quick_config(scenario_id="stamp", outdir=str(tmp_path))
@@ -205,11 +234,41 @@ class TestCli:
         rundir = tmp_path / "out" / "cli"
         assert main(["analyze", str(rundir)]) == 0
         report = read_json(rundir / "analysis.json")
-        assert report["w_reconstruction_gap"] < 1e-9
+        assert report["w_reconstruction_gap"] == 0.0
         assert "obstacle" in report
 
     def test_analyze_missing_artifacts_is_config_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nowhere")]) == 2
+
+    @pytest.mark.parametrize("name, row, corrupt", [
+        ("field.csv", 3, lambda line: line.rsplit(",", 1)[0]),
+        ("frontier.csv", 2, lambda line: line.split(",")[0] + ",abc"),
+        ("w.csv", 4, lambda line: line.replace(",", ",x", 1))])
+    def test_analyze_malformed_artifact_exits_2(self, tmp_path, capsys,
+                                                name, row, corrupt):
+        assert main(["simulate", str(self.write_config(tmp_path))]) == 0
+        rundir = tmp_path / "out" / "cli"
+        lines = (rundir / name).read_text().splitlines()
+        lines[row] = corrupt(lines[row])
+        (rundir / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(rundir)]) == 2
+        assert str(rundir / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("text", ['{"scenario_id": "x", "alp', None])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
+
+    def test_simulate_with_dx_override_on_derived_x_max(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        assert main(["simulate", str(cfg_path), "--set", "dx=0.03"]) == 0
+        summary = read_json(tmp_path / "out" / "cli" / "summary.json")
+        assert summary["config"]["x_max"] == pytest.approx(3.48)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
