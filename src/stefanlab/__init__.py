@@ -8,7 +8,8 @@ profile, and blow-up classifications at the free boundary.
 """
 
 from stefanlab.densities import Density, cdf, oscillatory_density, piecewise_constant, power_gap_density
-from stefanlab.jump_rule import JumpResult, ScanSpec, cascade_jump, continuum_jump, verify_cascade_minimality
+from stefanlab.jump_rule import (JumpResult, cascade_jump, continuum_jump, density_knots,
+                                 verify_cascade_minimality)
 from stefanlab.particle import Ensemble, Snapshot, empirical_field, init_ensemble, run, step
 from stefanlab.grid import GridState, run_grid
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField

@@ -2,7 +2,7 @@
 
 Every initial datum handled by the lab is a nonnegative step function of unit
 mass.  The CDF is then piecewise linear and exactly invertible, which both the
-jump-rule bisection and the inverse-CDF particle sampler rely on.  Profiles
+exact jump solve and the inverse-CDF particle sampler rely on.  Profiles
 with unbounded or non-step initial data are out of scope; callers approximate
 them by step functions first.
 """

@@ -19,4 +19,4 @@ class TruncationError(NumericalAbort):
 
 
 class NonMonotoneCDFError(NumericalAbort):
-    """A CDF handed to the jump scan decreased; the field is corrupted."""
+    """A CDF handed to the jump solver decreased; the field is corrupted."""

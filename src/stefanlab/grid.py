@@ -10,8 +10,9 @@ advance driven by exact mass balance,
 
 rather than by the boundary-gradient law; the two agree in the limit and the
 balance form keeps |lam/alpha + mass - 1| at rounding level by construction.
-After the smooth advance the jump rule is scanned against the discrete
-temperature CDF, so genuine frontier discontinuities are resolved within the
+After the smooth advance the jump rule is solved against the discrete
+temperature CDF, which is linear between cell faces, so the faces are the
+knots and genuine frontier discontinuities are resolved exactly within the
 same step.  The stopped-mass weight nu is recorded the moment a cell freezes:
 1/alpha for cells frozen by the smooth advance, the pre-jump temperature for
 cells swallowed by a jump.  A cell's weight is never overwritten.
@@ -21,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from stefanlab.errors import ConfigError, TruncationError
+from stefanlab.errors import ConfigError, NumericalAbort, TruncationError
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
-from stefanlab.jump_rule import ScanSpec, continuum_jump
+from stefanlab.jump_rule import JumpResult, continuum_jump, density_knots
 
 # Default ceiling on the mass allowed in the cell adjacent to the right wall;
 # beyond it the truncated domain no longer represents the half-line problem.
@@ -78,35 +79,39 @@ def diffuse_step(state: GridState, dt: float) -> GridState:
     r = 0.5 * dt / state.dx ** 2
     # rows: (1 + 2r) on the diagonal, -r off-diagonal; the frontier row gets
     # +r from the reflected ghost (-u_a), the wall row -r (ghost u_{n-1}).
-    # A single surviving cell carries both corrections.
+    # A single surviving cell carries both corrections.  gtsv is the LAPACK
+    # routine scipy's solve_banded uses for this band shape (one cell is a
+    # division there too); it overwrites the fresh diagonals and solves in
+    # place for a contiguous float u, and the write-back covers any other u.
     diag = np.full(m, 1.0 + 2.0 * r)
     diag[0] += r
     diag[-1] -= r
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -r
-    ab[1, :] = diag
-    ab[2, :-1] = -r
-    state.u[a:] = solve_banded((1, 1), ab, state.u[a:])
+    if m == 1:
+        state.u[a:] /= diag
+    else:
+        off = np.full(m - 1, -r)
+        *_, x, info = dgtsv(off, diag, off.copy(), state.u[a:], 1, 1, 1, 1)
+        if info != 0:
+            raise NumericalAbort(f"tridiagonal solve failed (LAPACK info {info})")
+        state.u[a:] = x
     state.t += dt
     return state
 
 
-def _discrete_cdf(state: GridState):
-    """Swept-mass CDF above the frontier face, exact for cell-constant u."""
-    a = state.j
-    x0 = a * state.dx
-    cum = np.concatenate([[0.0], np.cumsum(state.u[a:]) * state.dx])
+def _cell_cdf_jump(state: GridState) -> JumpResult:
+    """continuum_jump from the frontier face against the cell CDF.
 
-    def fn(x):
-        s = (np.asarray(x, dtype=float) - x0) / state.dx
-        k = np.clip(np.floor(s).astype(int), 0, len(cum) - 2)
-        frac = np.clip(s - k, 0.0, 1.0)
-        out = np.where(s <= 0, 0.0,
-                       np.where(s >= len(cum) - 1, cum[-1],
-                                cum[k] + frac * (cum[k + 1] - cum[k])))
-        return out if out.ndim else float(out)
-
-    return fn
+    For cell-constant u the swept-mass CDF is linear between faces, so the
+    faces are the knots and the solve is exact.  They run alpha + 2 dx ahead,
+    past any jump (x/alpha outgrows the remaining mass there), or to the wall.
+    """
+    a, dx = state.j, state.dx
+    k = min(int((state.alpha + 2 * dx) / dx + 1e-9), len(state.u) - a)
+    x_face = a * dx
+    faces = dx * np.arange(k + 1)
+    cum = np.concatenate(([0.0], np.cumsum(state.u[a:a + k]) * dx))
+    return continuum_jump(lambda x: np.interp(x, x_face + faces, cum),
+                          x_face, state.alpha, faces[1:])
 
 
 def _freeze_cells(state: GridState, j_new: int, weights: np.ndarray | None) -> float:
@@ -128,14 +133,13 @@ def _freeze_cells(state: GridState, j_new: int, weights: np.ndarray | None) -> f
     return removed
 
 
-def advance_front(state: GridState, jump_threshold: float = 0.0,
-                  scan_x_max: float | None = None) -> list[JumpRecord]:
+def advance_front(state: GridState, jump_threshold: float = 0.0) -> list[JumpRecord]:
     """Move the frontier by mass balance, then resolve any jump.
 
     The smooth advance iterates lam = alpha * (1 - mass) against the freezing
     of swallowed cells until the face index is stable, mirroring the particle
-    cascade.  Then the jump rule is scanned against the discrete temperature
-    CDF at resolution dx (no bisection: sampled data).  Jump records beyond
+    cascade.  Then the jump rule is solved exactly against the discrete
+    temperature CDF, with the cell faces as knots.  Jump records beyond
     jump_threshold are returned.  alpha = 0 leaves the frontier at 0.
     """
     if state.alpha == 0.0:
@@ -152,12 +156,10 @@ def advance_front(state: GridState, jump_threshold: float = 0.0,
             _freeze_cells(state, min(j_target, n), None)
             lam = state.alpha * (1.0 - state.mass)
             moved = True
-        # jump scan from the current face
+        if state.j >= n:
+            break               # nothing left to jump over; raised below
         x_face = state.j * state.dx
-        upper = scan_x_max if scan_x_max is not None else state.alpha + 2 * state.dx
-        upper = max(state.dx, min(upper, (n - state.j) * state.dx))
-        res = continuum_jump(_discrete_cdf(state), x_face, state.alpha,
-                             ScanSpec(h_scan=state.dx, x_max=upper, refine=False))
+        res = _cell_cdf_jump(state)
         if res.delta > 0 and res.absorbed_mass > 0:
             j_jump = min(int(round((x_face + res.delta) / state.dx)), n)
             if j_jump > state.j:
@@ -184,11 +186,11 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
              ) -> tuple[FrontierPath, Field, WeightField]:
     """Full grid simulation from a Density.
 
-    The t=0 jump is resolved against the exact density CDF (with bisection)
-    before any diffusion; afterwards each step is diffuse_step followed by
-    advance_front.  The run aborts with TruncationError when the mass in the
-    wall cell exceeds wall_guard (the truncated domain stopped being a faithful
-    picture of the half-line).  stop_mass ends the run early once the
+    The t=0 jump is solved exactly against the density CDF, with its breaks
+    as knots, before any diffusion; afterwards each step is diffuse_step
+    followed by advance_front.  The run aborts with TruncationError when the
+    mass in the wall cell exceeds wall_guard (the truncated domain stopped
+    being a faithful picture of the half-line).  stop_mass ends the run early once the
     surviving mass drops below it.  Returns the frontier path, the sampled
     temperature field, and the recorded stopped-mass weight.
     """
@@ -211,29 +213,41 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
 
     jumps: list[JumpRecord] = []
     if alpha > 0:
-        gap = float(np.min(np.diff(d.breaks)))
-        h0 = min(dx, 0.5 * gap, alpha / 64)
-        res0 = continuum_jump(d.cdf, 0.0, alpha,
-                              ScanSpec(h_scan=h0, x_max=alpha + h0, refine=True))
+        res0 = continuum_jump(d.cdf, 0.0, alpha, density_knots(d, 0.0, alpha))
         if res0.delta > 0:
             j0 = min(int(round(res0.delta / dx)), n)
             pre_vals = state.u[0:j0].copy()
             removed = _freeze_cells(state, j0, pre_vals)
             state.lam = alpha * (1.0 - state.mass)
             if state.lam > jump_threshold:
+                # steps are right-continuous: the value on the first piece
                 jumps.append(JumpRecord(0.0, 0.0, state.lam, mass=removed,
-                                        pre_jump_boundary_value=float(d.value_at(0.5 * h0))))
+                                        pre_jump_boundary_value=float(d.value_at(0.0))))
     # settle any residual smooth advance from discretization of the jump
     jumps.extend(advance_front(state, jump_threshold=jump_threshold))
-
-    times = [0.0]
-    lams = [state.lam]
-    fidx = [state.j]
-    rows = [state.u.copy()]
 
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ConfigError("t_end shorter than one step")
+    # t = 0, every sample_every-th step and the last step; an early stop
+    # replaces a later sample, so the rows never outnumber this.  A run that
+    # may stop early starts small and doubles, as its horizon is only a cap.
+    n_rows = 1 + n_steps // sample_every + (n_steps % sample_every != 0)
+    rows = np.empty((n_rows if stop_mass is None else min(n_rows, 256), n))
+    times: list[float] = []
+    lams: list[float] = []
+    fidx: list[int] = []
+
+    def sample() -> None:
+        nonlocal rows
+        if len(times) == len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
+        rows[len(times)] = state.u
+        times.append(state.t)
+        lams.append(state.lam)
+        fidx.append(state.j)
+
+    sample()
     for k in range(1, n_steps + 1):
         diffuse_step(state, dt)
         jumps.extend(advance_front(state, jump_threshold=jump_threshold))
@@ -241,24 +255,17 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
             raise TruncationError(
                 f"mass {state.wall_cell_mass():.3e} in the wall cell at t={state.t:.4f} "
                 f"exceeds the guard {wall_guard:.1e}; enlarge x_max")
-        if k % sample_every == 0 or k == n_steps:
-            times.append(state.t)
-            lams.append(state.lam)
-            fidx.append(state.j)
-            rows.append(state.u.copy())
-        if stop_mass is not None and state.mass < stop_mass:
-            if k % sample_every != 0 and k != n_steps:
-                times.append(state.t)
-                lams.append(state.lam)
-                fidx.append(state.j)
-                rows.append(state.u.copy())
+        stop = stop_mass is not None and state.mass < stop_mass
+        if k % sample_every == 0 or k == n_steps or stop:
+            sample()
+        if stop:
             break
 
     path = FrontierPath(times=np.array(times), lam=np.array(lams), alpha=alpha,
                         jumps=jumps,
                         meta={"method": "grid", "dt": dt, "dx": dx, "x_max": x_max,
                               "sample_every": sample_every})
-    fld = Field(x=x, t=np.array(times), values=np.array(rows),
+    fld = Field(x=x, t=np.array(times), values=rows[:len(times)],
                 frontier_index=np.array(fidx), lam=np.array(lams), alpha=alpha,
                 meta={"method": "grid", "dt": dt, "dx": dx})
     weights = WeightField(x=x, nu=state.nu.copy(), alpha=alpha,

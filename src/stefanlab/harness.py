@@ -30,10 +30,11 @@ from stefanlab.exporters import (jsonify, read_json, write_field_artifacts,
                                  write_jumps_json)
 from stefanlab.fields import Field, FrontierPath, WeightField
 from stefanlab.grid import run_grid
-from stefanlab.jump_rule import ScanSpec, cascade_jump, continuum_jump
+from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
 from stefanlab.potential import compute_w, obstacle_residual
 
 METHODS = ("particle", "grid", "both")
+SAMPLINGS = ("stratified", "uniform")
 DENSITY_FAMILIES = ("piecewise_constant", "power_gap", "oscillatory")
 # the analysis knobs a config's "thresholds" block may set
 THRESHOLD_KEYS = ("complementarity_tol", "endpoint_band", "eps_u", "eps_w",
@@ -43,6 +44,10 @@ THRESHOLD_KEYS = ("complementarity_tol", "endpoint_band", "eps_u", "eps_w",
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass
@@ -67,23 +72,31 @@ class ScenarioConfig:
     outdir: str = "out"
 
     def __post_init__(self) -> None:
+        sid = self.scenario_id
+        if not isinstance(sid, str) or not sid or any(c in sid for c in "/\\ "):
+            raise ConfigError("scenario_id must be a nonempty path-safe token")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be nonnegative")
+        if self.sampling not in SAMPLINGS:
+            raise ConfigError(f"sampling must be one of {SAMPLINGS}")
+        if not _is_number(self.alpha) or self.alpha < 0:
+            raise ConfigError("alpha must be a nonnegative number")
         for name in ("dt", "dx", "t_end"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
+            if not _is_number(v) or v <= 0:
                 raise ConfigError(f"{name} must be a positive number")
-        if not _is_int(self.n_particles):
-            raise ConfigError("n_particles must be an integer")
+        if self.x_max is not None and not _is_number(self.x_max):
+            raise ConfigError("x_max must be a number")
         # the Philox key holds the seed as an unsigned 64-bit word
         if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
-        if self.n_particles < 1 or self.refinement_levels < 1:
-            raise ConfigError("n_particles and refinement_levels must be >= 1")
-        if not self.scenario_id or any(c in self.scenario_id for c in "/\\ "):
-            raise ConfigError("scenario_id must be a nonempty path-safe token")
+        for name, least in (("n_particles", 1), ("sample_every", 1),
+                            ("snapshot_every", 0), ("refinement_levels", 1)):
+            v = getattr(self, name)
+            if not _is_int(v) or v < least:
+                raise ConfigError(f"{name} must be an integer >= {least}")
+        if not isinstance(self.outdir, str):
+            raise ConfigError("outdir must be a string")
         if not isinstance(self.thresholds, dict):
             raise ConfigError("thresholds must be an object")
         unknown = set(self.thresholds) - set(THRESHOLD_KEYS)
@@ -91,7 +104,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown thresholds {sorted(unknown)};"
                               f" known: {list(THRESHOLD_KEYS)}")
         for name, v in self.thresholds.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not _is_number(v):
                 raise ConfigError(f"thresholds.{name} must be a number")
         d = build_density(self.density)
         support_end = d.support_max
@@ -534,9 +547,8 @@ def _iv_continuum_particle_consistency(ctx):
     d, cfg = ctx["density"], ctx["cfg"]
     if cfg.alpha == 0:
         return _skip("alpha = 0 never jumps")
-    h = 1e-3
-    scan = ScanSpec(h_scan=h, x_max=cfg.alpha + d.support_max, refine=True)
-    delta_cont = continuum_jump(d.cdf, 0.0, cfg.alpha, scan).delta
+    delta_cont = continuum_jump(d.cdf, 0.0, cfg.alpha,
+                                density_knots(d, 0.0, cfg.alpha)).delta
     details, gaps = [], []
     for n in (1_000, 10_000, 100_000):
         pos = np.sort(d.quantile((np.arange(n) + 0.5) / n))
@@ -547,7 +559,7 @@ def _iv_continuum_particle_consistency(ctx):
     # below 1/N (the cascade rides the fluctuation band until the shortfall
     # outgrows it), so demand either the Lipschitz-rate floor or a clear
     # decay of the gap across the ladder, never an absolute small number
-    floor = 3.0 * cfg.alpha / 100_000 + 3.0 * h
+    floor = 3.0 * cfg.alpha / 100_000 + 3e-3
     monotone = all(b <= a * (1 + 1e-9) + 1e-12
                    for a, b in zip(gaps, gaps[1:]))
     ok = monotone and (gaps[-1] <= floor or gaps[-1] <= gaps[0] / 3.0)
@@ -559,10 +571,10 @@ def _iv_infimum_property(ctx):
     d, cfg = ctx["density"], ctx["cfg"]
     if cfg.alpha == 0:
         return _skip("alpha = 0 never jumps")
-    scan = ScanSpec(h_scan=1e-3, x_max=cfg.alpha + d.support_max, refine=True)
-    delta = continuum_jump(d.cdf, 0.0, cfg.alpha, scan).delta
+    delta = continuum_jump(d.cdf, 0.0, cfg.alpha,
+                           density_knots(d, 0.0, cfg.alpha)).delta
     if delta <= 2e-3:
-        return _verdict(True, f"initial jump {delta:.3e} at scan resolution;"
+        return _verdict(True, f"initial jump {delta:.3e} too short to probe;"
                               " infimum vacuous")
     xs = np.linspace(1e-6, delta - 1e-6, 200)
     shortfall = xs / cfg.alpha - (d.cdf(xs) - float(d.cdf(0.0)))

@@ -3,9 +3,12 @@
 The frontier advances instantaneously by
     delta = inf{ x > 0 : CDF(lam + x) - CDF(lam) < x / alpha },
 the smallest displacement at which the mass swept up no longer pays for the
-advance.  continuum_jump evaluates this infimum against any CDF handle by a
-grid scan plus bisection; cascade_jump computes the discrete analogue, the
-least fixed point of the absorption cascade lam <- lam_start + alpha*(k0+k)/N.
+advance.  continuum_jump solves this in closed form for a CDF that is linear
+between given knots (an exact step-function density, or a grid solver's cell
+CDF): the shortfall x/alpha - (CDF(lam + x) - CDF(lam)) is then linear on each
+piece, so the infimum is a zero crossing on the first piece whose end shows a
+shortfall.  cascade_jump computes the discrete analogue, the least fixed point
+of the absorption cascade lam <- lam_start + alpha*(k0+k)/N.
 verify_cascade_minimality replays the cascade by exhaustive search and is the
 independent oracle the cascade is tested against.
 """
@@ -17,35 +20,9 @@ import numpy as np
 
 from stefanlab.errors import ConfigError, NonMonotoneCDFError
 
-# The scan uses a strict inequality; ties at machine precision must not
+# The jump rule uses a strict inequality; ties at machine precision must not
 # terminate a jump, so the threshold is undercut by this relative guard.
 TIE_GUARD = 1e-14
-
-# Bisection refines the first holding scan cell down to h_scan / 2**REFINE_BITS.
-REFINE_BITS = 20
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """Resolution of the continuum jump scan.
-
-    h_scan is the scan step, x_max the largest displacement probed.  refine
-    enables bisection inside the first holding cell, for exact CDFs whose
-    kinks need not align with h_scan.  refine=False instead interpolates the
-    shortfall linearly between the bracketing probes, which is exact when the
-    CDF is linear on every (kh, (k+1)h] cell, the case for h_scan = dx scans
-    of a grid solver's own discrete CDF.
-    """
-
-    h_scan: float
-    x_max: float
-    refine: bool = True
-
-    def __post_init__(self) -> None:
-        if self.h_scan <= 0:
-            raise ConfigError("h_scan must be positive")
-        if self.x_max < self.h_scan:
-            raise ConfigError("x_max must be at least h_scan")
 
 
 @dataclass(frozen=True)
@@ -55,7 +32,7 @@ class JumpResult:
     delta is the frontier displacement (0 means no jump), absorbed_mass the
     mass swept up, absorbed_indices the positions absorbed by a cascade
     (indices into the sorted alive array; None for continuum jumps).
-    total_freeze marks that all mass visible to the scan was absorbed.
+    total_freeze marks that all mass up to the last knot was absorbed.
     """
 
     delta: float
@@ -65,80 +42,62 @@ class JumpResult:
     total_freeze: bool = False
 
 
-def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, scan: ScanSpec) -> JumpResult:
-    """Resolve a frontier jump against a CDF handle.
+def density_knots(d, lambda_minus: float, alpha: float) -> np.ndarray:
+    """Knots of a step-function density's CDF seen from the frontier.
 
-    Scans displacements h, 2h, ... up to scan.x_max for the first point where
-    the swept mass falls strictly short of x/alpha, then bisects (exact CDFs
-    only) down to h / 2**20.  Returns delta = 0 when the shortfall already
-    holds throughout (0, h].  If the scan exhausts x_max without a shortfall
-    the result carries delta = x_max and the total_freeze flag.  A decreasing
-    CDF raises NonMonotoneCDFError.
+    The displacements from lambda_minus to each break of d beyond it, then to
+    alpha + support end, where the shortfall x/alpha - 1 is already positive,
+    so the last knot always lies past the jump.
+    """
+    ahead = d.breaks[d.breaks > lambda_minus] - lambda_minus
+    return np.append(ahead, alpha + d.support_max - lambda_minus)
+
+
+def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, knots) -> JumpResult:
+    """Resolve a frontier jump against a CDF linear between knots.
+
+    knots are ascending positive displacements from lambda_minus; cdf_fn must
+    be linear on (0, knots[0]] and between consecutive knots, and is called
+    once, on the array lambda_minus + [0, *knots].  The first piece whose end
+    shows a shortfall above TIE_GUARD * alpha holds the jump: delta is the
+    zero crossing of the shortfall on it, or its start when the shortfall is
+    already nonnegative there (delta = 0 for a shortfall on the first piece).
+    Without such a piece the result carries delta = knots[-1] and the
+    total_freeze flag.  A decreasing CDF raises NonMonotoneCDFError.
     """
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
     if alpha == 0.0:
         # Absorption releases no heat: the shortfall holds for every x > 0.
         return JumpResult(0.0, lambda_minus, 0.0, None, False)
+    knots = np.asarray(knots, dtype=float)
+    if knots.ndim != 1 or len(knots) == 0:
+        raise ConfigError("knots must be a nonempty one-dimensional array")
+    xs = np.concatenate(([0.0], knots))
+    if not np.all(np.diff(xs) > 0):
+        raise ConfigError("knots must be ascending positive displacements")
 
-    f0 = float(cdf_fn(lambda_minus))
-    guard = TIE_GUARD * alpha
-    last = f0
+    cdf = np.asarray(cdf_fn(lambda_minus + xs), dtype=float)
+    drop = np.diff(cdf) < -1e-12
+    if drop.any():
+        x_bad = lambda_minus + xs[int(np.argmax(drop)) + 1]
+        raise NonMonotoneCDFError(f"CDF decreased near x = {x_bad!r}")
+    swept = cdf - cdf[0]
+    shortfall = xs / alpha - swept
+    over = shortfall > TIE_GUARD * alpha
+    hit = int(np.argmax(over))
+    if not over[hit]:
+        return JumpResult(float(xs[-1]), lambda_minus + xs[-1], float(swept[-1]), None, True)
 
-    def increment(x: float) -> float:
-        nonlocal last
-        val = float(cdf_fn(lambda_minus + x))
-        if val < last - 1e-12:
-            raise NonMonotoneCDFError(f"CDF decreased near x = {lambda_minus + x!r}")
-        last = val
-        return val - f0
-
-    h = scan.h_scan
-    n_cells = int(np.floor(scan.x_max / h + 1e-9))
-    hit = None
-    shortfall_prev = 0.0           # shortfall at x = 0 vanishes by definition
-    shortfall_hit = 0.0
-    for k in range(1, n_cells + 1):
-        x = k * h
-        inc = increment(x)
-        s = x / alpha - inc
-        if s > guard:
-            hit = k
-            shortfall_hit = s
-            break
-        shortfall_prev = s
-
-    if hit is None:
-        absorbed = float(cdf_fn(lambda_minus + scan.x_max)) - f0
-        return JumpResult(scan.x_max, lambda_minus + scan.x_max, absorbed, None, True)
-
-    if scan.refine:
-        # Monotonicity checks are suspended during bisection: probes move
-        # backwards through already-visited territory.
-        lo, hi = (hit - 1) * h, hit * h
-        tol = h / 2 ** REFINE_BITS
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if float(cdf_fn(lambda_minus + mid)) - f0 < mid / alpha - guard:
-                hi = mid
-            else:
-                lo = mid
-        delta = 0.0 if hi <= 2 * tol else hi
-    else:
-        # Linear shortfall crossing between the bracketing probes.  Exact for
-        # CDFs linear on each probe cell; in particular an exact tie at the
-        # previous probe (swept mass just pays for the advance there) lands
-        # delta on that probe, and a shortfall already at k = 1 extrapolates
-        # back to the zero crossing at the frontier itself.
-        t = max(0.0, -shortfall_prev) / (shortfall_hit - shortfall_prev)
-        delta = (hit - 1 + min(t, 1.0)) * h
-        if delta <= guard:
-            delta = 0.0
-
-    absorbed = float(cdf_fn(lambda_minus + delta)) - f0 if delta > 0 else 0.0
-    visible = float(cdf_fn(lambda_minus + scan.x_max)) - f0
-    freeze = delta > 0 and absorbed >= visible - 1e-12 and visible > 0
-    return JumpResult(delta, lambda_minus + delta, absorbed, None, freeze)
+    # shortfall[0] = 0, so hit >= 1 and the piece is (xs[hit-1], xs[hit]]
+    s_lo, s_hi = shortfall[hit - 1], shortfall[hit]
+    frac = max(0.0, -s_lo) / (s_hi - s_lo)
+    delta = float(xs[hit - 1] + frac * (xs[hit] - xs[hit - 1]))
+    if delta <= TIE_GUARD * alpha:
+        return JumpResult(0.0, lambda_minus, 0.0, None, False)
+    absorbed = float(swept[hit - 1] + frac * (swept[hit] - swept[hit - 1]))
+    freeze = absorbed >= swept[-1] - 1e-12 and swept[-1] > 0
+    return JumpResult(delta, lambda_minus + delta, absorbed, None, bool(freeze))
 
 
 def cascade_jump(alive_sorted: np.ndarray, lambda_start: float, k0: int, alpha: float,

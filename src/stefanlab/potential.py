@@ -88,10 +88,14 @@ def compute_w(field: Field, require_low_tail: bool = False,
             f"surviving mass {surviving:.3e} >= {tail_cap:.0e};"
             " run longer before potential analysis")
     dt_steps = np.diff(t)
-    # reverse cumulative trapezoid: w[k] = sum_{j>=k} (u[j] + u[j+1])/2 * dt_j
-    increments = 0.5 * (u[:-1] + u[1:]) * dt_steps[:, None]
+    # reverse cumulative trapezoid: w[k] = sum_{j>=k} (u[j] + u[j+1])/2 * dt_j,
+    # the increments built and summed inside w itself
     w = np.zeros_like(u)
-    w[:-1] = np.cumsum(increments[::-1], axis=0)[::-1]
+    inc = w[:-1]
+    np.add(u[:-1], u[1:], out=inc)
+    inc *= 0.5
+    inc *= dt_steps[:, None]
+    np.cumsum(inc[::-1], axis=0, out=inc[::-1])
     tail = u[-1].copy()
     return PotentialField(x=field.x.copy(), t=t.copy(), w=w, tail_bound=tail,
                           alpha=field.alpha,
@@ -165,45 +169,52 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     # frontier position per row: first strictly positive column.  Frozen
     # cells hold exact zeros, so w > 0 marks the true interface; the floor
     # eps would misplace it by the sub-threshold band, which is still liquid.
-    front_col = np.argmax(W > 0, axis=1)
-    has_liquid = (W > 0).any(axis=1)
-    lam_row = np.where(has_liquid, x[np.minimum(front_col, nx - 1)], np.inf)
+    liquid = W > 0
+    front_col = np.argmax(liquid, axis=1)
+    has_liquid = liquid[np.arange(nt), front_col]
+    lam_row = np.where(has_liquid, x[front_col], np.inf)
 
-    rows = np.arange(1, nt - 1)
-    w_t = (W[2:] - W[:-2]) / (t[2:] - t[:-2])[:, None]
-    w_xx = (W[1:-1, :-2] - 2.0 * W[1:-1, 1:-1] + W[1:-1, 2:]) / dx ** 2
-    chi = W[1:-1, 1:-1] > eps
-    resid = w_t[:, 1:-1] - 0.5 * w_xx + nu.nu[None, 1:-1] * chi
+    # interior nodes, as (nt - 2, nx - 2) arrays
+    inner = W[1:-1, 1:-1]
+    tt = t[1:-1, None]
+    since_freeze = tt - s_col[None, 1:-1]
+    past = since_freeze >= interior_margin
+    region = np.abs(since_freeze, out=since_freeze) >= interior_margin
+    del since_freeze
+    region &= (tt >= interior_margin) & (tt <= t_hi) & col_ok[None, 1:-1]
+    from_front = x[None, 1:-1] - lam_row[1:-1, None]
+    region &= np.abs(from_front, out=from_front) >= interior_margin
+    del from_front
 
-    tt = t[rows][:, None]
-    xx = x[None, 1:-1]
-    region = (
-        (tt >= interior_margin) & (tt <= t_hi)
-        & (np.abs(tt - s_col[None, 1:-1]) >= interior_margin)
-        & (np.abs(xx - lam_row[rows][:, None]) >= interior_margin)
-        & col_ok[None, 1:-1]
-    )
+    # the stencil of w_t - w_xx/2 is evaluated on the region's nodes only
+    def at_region(a):
+        return np.broadcast_to(a, region.shape)[region]
 
-    n = int(np.sum(region))
+    w_t = ((at_region(W[2:, 1:-1]) - at_region(W[:-2, 1:-1]))
+           / at_region((t[2:] - t[:-2])[:, None]))
+    w_c = at_region(inner)
+    w_xx = (at_region(W[1:-1, :-2]) - 2.0 * w_c + at_region(W[1:-1, 2:])) / dx ** 2
+    op = w_t - 0.5 * w_xx
+    nu_r = at_region(nu.nu[None, 1:-1])
+    chi = inner > eps
+
+    n = len(op)
     if n == 0:
         l1 = linf = comp_max = 0.0
     else:
-        vals = np.abs(resid[region])
+        vals = np.abs(op + nu_r * at_region(chi))
         cell = dx * float(np.median(dt_steps))
         l1 = float(np.sum(vals) * cell)
         linf = float(np.max(vals))
         # complementarity slack: on the liquid side the operator misfit
         # vanishes, on the frozen side w itself does, so the pointwise
         # minimum of the two must vanish throughout the region
-        slack = w_t[:, 1:-1] - 0.5 * w_xx + nu.nu[None, 1:-1]
-        comp = np.abs(np.minimum(W[1:-1, 1:-1], slack))
-        comp_max = float(np.max(comp[region]))
+        comp_max = float(np.max(np.abs(np.minimum(w_c, op + nu_r))))
 
-    count_neg = int(np.sum(W < -eps))
-    count_wt_pos = int(np.sum((w_t[:, 1:-1] > eps) & region))
+    count_neg = int(np.count_nonzero(W < -eps))
+    count_wt_pos = int(np.count_nonzero(w_t > eps))
     # nodes one full margin past their own freezing time must sit at zero
-    past = (tt - s_col[None, 1:-1]) >= interior_margin
-    count_pos_frozen = int(np.sum((W[1:-1, 1:-1] > eps) & past & col_ok[None, 1:-1]))
+    count_pos_frozen = int(np.count_nonzero(chi & past & col_ok[None, 1:-1]))
 
     return ResidualReport(l1=l1, linf=linf, n_nodes=n, eps_w=eps,
                           margin=interior_margin, count_w_negative=count_neg,

@@ -1,6 +1,7 @@
 """Finite-volume solver: diffusion accuracy, frontier motion, weight record."""
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError, TruncationError
@@ -76,6 +77,49 @@ def test_diffuse_respects_frontier_offset():
     assert st.u[10] < st.u[20]
 
 
+def banded_step(u, j, dx, dt):
+    """One implicit step through scipy's solve_banded, the oracle."""
+    m = len(u) - j
+    r = 0.5 * dt / dx ** 2
+    diag = np.full(m, 1.0 + 2.0 * r)
+    diag[0] += r
+    diag[-1] -= r
+    ab = np.zeros((3, m))
+    ab[0, 1:] = -r
+    ab[1, :] = diag
+    ab[2, :-1] = -r
+    out = u.copy()
+    out[j:] = solve_banded((1, 1), ab, u[j:])
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 317])
+@pytest.mark.parametrize("r", [1e-4, 0.05, 0.7, 3.3, 37.5, 2e4])
+def test_diffuse_matches_banded_oracle_bitwise(m, r):
+    rng = np.random.default_rng(m)
+    j, dx = 4, 0.02
+    dt = 2.0 * r * dx ** 2
+    u = rng.random(j + m)
+    u[:j] = 0.0
+    st = make_state(u.copy(), j=j, dx=dx)
+    want = banded_step(u, j, dx, dt)
+    for _ in range(3):
+        diffuse_step(st, dt)
+        assert np.array_equal(st.u, want)
+        want = banded_step(want, j, dx, dt)
+
+
+def test_diffuse_on_non_contiguous_u():
+    # a strided u cannot be solved in place; the step must still land in it
+    base = np.random.default_rng(1).random(80)
+    st = make_state(np.zeros(40), dx=0.05)
+    st.u = base[::2]
+    want = banded_step(base[::2].copy(), 0, 0.05, 1e-3)
+    diffuse_step(st, 1e-3)
+    assert np.array_equal(st.u, want)
+    assert np.array_equal(base[::2], want)
+
+
 def test_advance_front_alpha_zero():
     st = make_state(np.ones(10) * 0.1, alpha=0.0)
     advance_front(st)
@@ -107,12 +151,17 @@ def test_advance_front_jump_on_vacuum():
     u[:3] = 2.0
     u[10:15] = 0.8
     st = make_state(u, dx=dx)
-    advance_front(st)
+    records = advance_front(st)
     # the crossing interpolation lands the jump exactly on the 0.6 face
     assert st.j == 6
     assert st.lam == pytest.approx(0.6, abs=1e-12)
     assert st.lam == pytest.approx(st.alpha * (1.0 - st.mass), abs=1e-12)
     assert np.all(st.u[:st.j] == 0)
+    # in one jump: every swallowed cell keeps its pre-jump temperature
+    assert len(records) == 1
+    assert records[0].lambda_minus == 0.0
+    assert records[0].lambda_plus == pytest.approx(0.6, abs=1e-12)
+    assert np.array_equal(st.nu[:6], [2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
 
 
 def test_run_grid_reference_initial_jump():
@@ -193,3 +242,37 @@ def test_run_grid_stop_mass():
     assert path.times[-1] < 50.0
     # nearly everything froze: frontier close to alpha
     assert path.lam[-1] > 1.0 - 2e-3
+
+
+@pytest.mark.parametrize("stop_mass", [None, 0.9])
+def test_run_grid_samples_every_kth_step_and_the_last(stop_mass):
+    # a coarser schedule keeps exactly the rows of the every-step run at the
+    # kept steps, the final (or stopping) step included
+    d = piecewise_constant([0.0, 1.0], [1.0])
+    kw = dict(alpha=0.8, t_end=0.5, dt=0.05, dx=0.05, x_max=3.0,
+              wall_guard=np.inf, stop_mass=stop_mass)
+    full_path, full, _ = run_grid(d, sample_every=1, **kw)
+    path, fld, _ = run_grid(d, sample_every=3, **kw)
+    last = len(full.t) - 1
+    keep = sorted({*range(0, last + 1, 3), last})
+    if stop_mass is None:
+        assert last == 10
+    else:
+        assert 0 < last < 10 and last % 3 != 0
+    assert np.array_equal(fld.t, full.t[keep])
+    assert np.array_equal(fld.values, full.values[keep])
+    assert np.array_equal(fld.frontier_index, full.frontier_index[keep])
+    assert np.array_equal(path.lam, full_path.lam[keep])
+
+
+def test_run_grid_stop_mass_under_a_long_horizon_keeps_every_row():
+    # the horizon is only a cap: the field grows past its first buffer and
+    # matches a run that ends at the stopping step
+    d = piecewise_constant([0.0, 1.0], [1.0])
+    kw = dict(alpha=0.8, dt=2e-4, dx=0.05, x_max=3.0, wall_guard=np.inf)
+    _, stopped, _ = run_grid(d, t_end=1e4, stop_mass=0.5, **kw)
+    steps = len(stopped.t) - 1
+    assert steps > 256
+    _, ended, _ = run_grid(d, t_end=steps * 2e-4, **kw)
+    assert np.array_equal(stopped.t, ended.t)
+    assert np.array_equal(stopped.values, ended.values)

@@ -96,9 +96,9 @@ class TestOverrides:
     def test_parses_scalars_by_type(self):
         cfg = quick_config()
         out = apply_overrides(cfg, ["dt=0.004", "n_particles=50",
-                                    "scenario_id=other", "sampling=iid"])
+                                    "scenario_id=other", "sampling=uniform"])
         assert out.dt == 0.004 and out.n_particles == 50
-        assert out.scenario_id == "other" and out.sampling == "iid"
+        assert out.scenario_id == "other" and out.sampling == "uniform"
 
     def test_parses_json_composites(self):
         cfg = quick_config()
@@ -278,9 +278,20 @@ class TestCli:
 
     @pytest.mark.parametrize("override", [
         "seed=-1", f"seed={2 ** 64}", "seed=true", "n_particles=1.5",
-        "n_particles=true", "dt=true", "dx=true", "t_end=true"])
+        "n_particles=true", "dt=true", "dx=true", "t_end=true", "alpha=abc",
+        "alpha=true", "sample_every=abc", "snapshot_every=0.5",
+        "refinement_levels=1.5", "outdir=7", "scenario_id=7", "x_max=abc"])
     def test_ill_typed_override_exits_2(self, tmp_path, capsys, override):
         cfg_path = self.write_config(tmp_path, method="particle", n_particles=200)
+        assert main(["simulate", str(cfg_path), "--set", override]) == 2
+        name = override.split("=")[0]
+        assert f"config error: {name} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["grid", "particle"])
+    @pytest.mark.parametrize("override", ["sampling=bogus", "snapshot_every=-1"])
+    def test_bad_value_exits_2_whatever_the_method(self, tmp_path, capsys,
+                                                    method, override):
+        cfg_path = self.write_config(tmp_path, method=method, n_particles=200)
         assert main(["simulate", str(cfg_path), "--set", override]) == 2
         name = override.split("=")[0]
         assert f"config error: {name} must be" in capsys.readouterr().err

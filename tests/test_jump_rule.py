@@ -1,22 +1,40 @@
-"""Frontier jump sizing: continuum scan, discrete cascade, minimality oracle."""
+"""Frontier jump sizing: exact continuum solve, discrete cascade, minimality oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stefanlab.densities import piecewise_constant
-from stefanlab.errors import NonMonotoneCDFError
+from stefanlab.errors import ConfigError, NonMonotoneCDFError
 from stefanlab.jump_rule import (
-    ScanSpec,
+    TIE_GUARD,
     cascade_jump,
     continuum_jump,
+    density_knots,
     verify_cascade_minimality,
 )
 
-FINE = ScanSpec(h_scan=1e-4, x_max=8.0, refine=True)
+
+def exact_jump(d, lam, alpha):
+    return continuum_jump(d.cdf, lam, alpha, density_knots(d, lam, alpha))
+
+
+def scan_oracle(cdf_fn, lam, alpha, x_max, h):
+    """First multiple of h whose swept mass falls short of x/alpha.
+
+    Brute force over a generic CDF callable, sharing nothing with the
+    closed-form solver: the true infimum lies in (x - h, x].  Returns x_max
+    when no probe up to it shows a shortfall.
+    """
+    xs = h * np.arange(1, int(np.floor(x_max / h)) + 1)
+    shortfall = xs / alpha - (cdf_fn(lam + xs) - cdf_fn(lam))
+    over = shortfall > TIE_GUARD * alpha
+    return float(xs[np.argmax(over)]) if over.any() else x_max
 
 
 def test_uniform_subcritical_no_jump():
     d = piecewise_constant([0.0, 2.0], [0.5])
-    res = continuum_jump(d.cdf, 0.0, 1.0, FINE)
+    res = exact_jump(d, 0.0, 1.0)
     assert res.delta == 0.0
     assert res.absorbed_mass == 0.0
     assert not res.total_freeze
@@ -27,9 +45,9 @@ def test_reference_density_jump_is_0_6():
     # Swept mass at x: min(2x, 0.6) for x <= 1; shortfall first strict at the
     # gap, and the infimum works out to 0.6 (cdf(0.6)=0.6 ties, gap breaks it).
     d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
-    res = continuum_jump(d.cdf, 0.0, 1.0, FINE)
-    assert res.delta == pytest.approx(0.6, abs=2e-4)
-    assert res.absorbed_mass == pytest.approx(0.6, abs=5e-4)
+    res = exact_jump(d, 0.0, 1.0)
+    assert res.delta == pytest.approx(0.6, abs=1e-12)
+    assert res.absorbed_mass == pytest.approx(0.6, abs=1e-12)
     assert not res.total_freeze
 
 
@@ -37,10 +55,15 @@ def test_supercritical_total_freeze():
     # 0.6 mass on (0,1), 0.4 on (1,2), alpha=2: need cdf growth >= x/2,
     # holds through x=2 with equality at the end; nothing beyond -> freeze out.
     d = piecewise_constant([0.0, 1.0, 2.0], [0.6, 0.4])
-    res = continuum_jump(d.cdf, 0.0, 2.0, ScanSpec(1e-3, 2.0, refine=True))
+    res = continuum_jump(d.cdf, 0.0, 2.0, [1.0, 2.0])
     assert res.total_freeze
-    assert res.delta == pytest.approx(2.0, abs=2e-3)
-    assert res.absorbed_mass == pytest.approx(1.0, abs=1e-3)
+    assert res.delta == pytest.approx(2.0, abs=1e-12)
+    assert res.absorbed_mass == pytest.approx(1.0, abs=1e-12)
+    # knots reaching past the support find the same jump, all mass swept
+    res = exact_jump(d, 0.0, 2.0)
+    assert res.total_freeze
+    assert res.delta == pytest.approx(2.0, abs=1e-12)
+    assert res.absorbed_mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jump_from_interior_frontier():
@@ -52,30 +75,40 @@ def test_jump_from_interior_frontier():
     # infimum: first x with increment < x is x just above 0.2 where 2*0.1=0.2
     # equals x -> strict failure just beyond; delta = 0.2.
     d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
-    res = continuum_jump(d.cdf, 0.2, 1.0, FINE)
-    assert res.delta == pytest.approx(0.2, abs=2e-4)
+    res = exact_jump(d, 0.2, 1.0)
+    assert res.delta == pytest.approx(0.2, abs=1e-12)
 
 
 def test_zero_alpha_never_jumps():
     d = piecewise_constant([0.0, 1.0], [1.0])
-    res = continuum_jump(d.cdf, 0.0, 0.0, FINE)
+    res = exact_jump(d, 0.0, 0.0)
     assert res.delta == 0.0
 
 
-def test_refine_false_interpolates_exactly_on_aligned_cdf():
-    # scan cells aligned with the density breaks: the linear shortfall
-    # crossing recovers the infimum exactly despite the coarse step
+def test_knots_need_not_be_breaks_only():
+    # extra knots on a linear piece change nothing: a uniform knot lattice
+    # aligned with the breaks gives the same exact infimum
     d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
-    res = continuum_jump(d.cdf, 0.0, 1.0, ScanSpec(0.05, 8.0, refine=False))
+    res = continuum_jump(d.cdf, 0.0, 1.0, 0.05 * np.arange(1, 161))
     assert res.delta == pytest.approx(0.6, abs=1e-12)
 
 
 def test_sub_resolution_shortfall_reports_zero():
-    # first probe already short (vacuum at the frontier) but a coarse scan
-    # with refine=False must call it 0, not h_scan
+    # shortfall already on the first piece (vacuum at the frontier): the
+    # zero crossing sits at the frontier itself, so no jump, not one piece
     d = piecewise_constant([0.5, 1.0], [2.0])
-    res = continuum_jump(d.cdf, 0.0, 1.0, ScanSpec(0.25, 4.0, refine=False))
+    res = continuum_jump(d.cdf, 0.0, 1.0, 0.25 * np.arange(1, 17))
     assert res.delta == 0.0
+
+
+def test_narrow_piece_is_not_stepped_over():
+    # a gap of width 8e-4 that a 1e-3 probe scan steps over: the swept mass
+    # falls short inside it, at 0.5005, long before the dense piece beyond
+    d = piecewise_constant([0.0, 0.5, 0.5008, 0.6673], [1.001, 0.0, 3.0])
+    res = exact_jump(d, 0.0, 1.0)
+    assert res.delta == pytest.approx(0.5005, abs=1e-12)
+    assert res.absorbed_mass == pytest.approx(0.5005, abs=1e-12)
+    assert not res.total_freeze
 
 
 def test_nonmonotone_cdf_rejected():
@@ -84,7 +117,63 @@ def test_nonmonotone_cdf_rejected():
         return np.where(x < 0.5, x, 0.2 * x)
 
     with pytest.raises(NonMonotoneCDFError):
-        continuum_jump(bad, 0.0, 1.0, ScanSpec(0.01, 2.0, refine=False))
+        continuum_jump(bad, 0.0, 1.0, 0.01 * np.arange(1, 201))
+
+
+@pytest.mark.parametrize("knots", [[], [0.0, 1.0], [0.5, 0.5], [1.0, 0.5], [[0.5]]])
+def test_bad_knots_rejected(knots):
+    d = piecewise_constant([0.0, 1.0], [1.0])
+    with pytest.raises(ConfigError):
+        continuum_jump(d.cdf, 0.0, 1.0, knots)
+
+
+def test_cdf_evaluated_once():
+    d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return d.cdf(x)
+
+    continuum_jump(counted, 0.0, 1.0, density_knots(d, 0.0, 1.0))
+    assert calls == [(5,)]
+
+
+@st.composite
+def step_densities(draw):
+    n = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+                           min_size=n, max_size=n))
+    if sum(v * w for v, w in zip(values, widths)) <= 1e-3:
+        values[0] = 1.0
+    start = draw(st.floats(0.0, 0.5))
+    breaks = start + np.concatenate(([0.0], np.cumsum(widths)))
+    return piecewise_constant(breaks, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=step_densities(), alpha=st.floats(0.05, 4.0), lam_frac=st.floats(0.0, 1.0))
+def test_exact_solve_matches_fine_scan(d, alpha, lam_frac):
+    # the closed-form infimum lies in the oracle's last probe cell, and the
+    # swept mass pays for the advance up to it.  The scan can only step over
+    # a piece narrower than its step, which here is at most the first one
+    # (the frontier may sit just below a break), so the lower bound is
+    # asserted when that piece is wide enough to be seen.
+    lam = lam_frac * d.breaks[-1]
+    res = exact_jump(d, lam, alpha)
+    h = 1e-4
+    x_max = alpha + d.support_max - lam
+    probe = scan_oracle(d.cdf, lam, alpha, x_max, h)
+    swept = float(d.cdf(lam + res.delta) - d.cdf(lam))
+    first_piece = min(d.breaks[d.breaks > lam] - lam, default=np.inf)
+    assert 0.0 <= res.delta <= probe + 1e-9
+    if first_piece >= h:
+        assert probe - h - 1e-9 <= res.delta
+    assert res.absorbed_mass == pytest.approx(swept, abs=1e-12)
+    if res.delta > 0:
+        xs = np.linspace(0.0, res.delta, 101)[1:]
+        assert np.all(xs / alpha - (d.cdf(lam + xs) - d.cdf(lam)) <= 1e-9)
 
 
 # --- cascade (finite ensemble) ---

@@ -214,6 +214,111 @@ class TestGridPipeline:
         assert rep.l1 < 0.02
 
 
+def reference_w(u, t):
+    """compute_w's trapezoid tail written out plainly, as the oracle."""
+    increments = 0.5 * (u[:-1] + u[1:]) * np.diff(t)[:, None]
+    w = np.zeros_like(u)
+    w[:-1] = np.cumsum(increments[::-1], axis=0)[::-1]
+    return w
+
+
+def reference_residual(w, nu, interior_margin, eps_w=None, tail_free_only=True,
+                       tail_tol=1e-12):
+    """obstacle_residual written out plainly on full arrays, as the oracle."""
+    eps = w.eps_w() if eps_w is None else eps_w
+    t, x, W = w.t, w.x, w.w
+    nt, nx = W.shape
+    dx = w.dx
+    fidx = w.freeze_index(0.0)
+    s_col = np.where(fidx < nt, t[np.minimum(fidx, nt - 1)], np.inf)
+    t_hi = t[-1] - interior_margin
+    col_ok = np.zeros(nx, dtype=bool)
+    col_ok[1:-1] = True
+    if tail_free_only:
+        dead = w.tail_bound <= tail_tol
+        col_ok[1:-1] &= dead[:-2] & dead[1:-1] & dead[2:]
+    front_col = np.argmax(W > 0, axis=1)
+    has_liquid = (W > 0).any(axis=1)
+    lam_row = np.where(has_liquid, x[np.minimum(front_col, nx - 1)], np.inf)
+    rows = np.arange(1, nt - 1)
+    w_t = (W[2:] - W[:-2]) / (t[2:] - t[:-2])[:, None]
+    w_xx = (W[1:-1, :-2] - 2.0 * W[1:-1, 1:-1] + W[1:-1, 2:]) / dx ** 2
+    chi = W[1:-1, 1:-1] > eps
+    resid = w_t[:, 1:-1] - 0.5 * w_xx + nu.nu[None, 1:-1] * chi
+    tt = t[rows][:, None]
+    xx = x[None, 1:-1]
+    region = ((tt >= interior_margin) & (tt <= t_hi)
+              & (np.abs(tt - s_col[None, 1:-1]) >= interior_margin)
+              & (np.abs(xx - lam_row[rows][:, None]) >= interior_margin)
+              & col_ok[None, 1:-1])
+    n = int(np.sum(region))
+    if n == 0:
+        l1 = linf = comp_max = 0.0
+    else:
+        vals = np.abs(resid[region])
+        cell = dx * float(np.median(np.diff(t)))
+        l1 = float(np.sum(vals) * cell)
+        linf = float(np.max(vals))
+        slack = w_t[:, 1:-1] - 0.5 * w_xx + nu.nu[None, 1:-1]
+        comp_max = float(np.max(np.abs(np.minimum(W[1:-1, 1:-1], slack))[region]))
+    past = (tt - s_col[None, 1:-1]) >= interior_margin
+    return {"l1": l1, "linf": linf, "n_nodes": n, "eps_w": eps,
+            "margin": interior_margin,
+            "count_w_negative": int(np.sum(W < -eps)),
+            "count_w_t_positive": int(np.sum((w_t[:, 1:-1] > eps) & region)),
+            "count_positive_after_freeze":
+                int(np.sum((W[1:-1, 1:-1] > eps) & past & col_ok[None, 1:-1])),
+            "complementarity_max": comp_max}
+
+
+class TestMatchesReference:
+    """compute_w and obstacle_residual agree bit for bit with the oracles."""
+
+    @pytest.fixture(scope="class", params=["swept", "exhausted", "liquid", "noisy"])
+    def run(self, request):
+        if request.param == "swept":
+            # frozen whole by the t = 0 jump: w vanishes everywhere
+            d = piecewise_constant([0.0, 0.5], [2.0])
+            _, f, nu = run_grid(d, alpha=1.0, x_max=3.0, dx=0.02, dt=1e-3,
+                                t_end=0.3)
+            assert f.mass_at(-1) == 0.0
+        elif request.param == "exhausted":
+            # exhausted by a mid-run sweep and stopped early on low mass
+            d = piecewise_constant([0.0, 0.06, 0.655], [0.8, 1.6])
+            _, f, nu = run_grid(d, alpha=1.0, x_max=3.0, dx=0.02, dt=1e-3,
+                                t_end=0.5, stop_mass=1e-3)
+            assert f.mass_at(-1) < 1e-3
+        else:
+            # subcritical: a band freezes in the horizon, the rest stays warm
+            d = piecewise_constant([0.0, 1.0], [1.0])
+            _, f, nu = run_grid(d, alpha=0.7, x_max=6.0, dx=0.025, dt=5e-4,
+                                t_end=1.0)
+            assert f.mass_at(-1) > 0.1
+            if request.param == "noisy":
+                # signed noise on the liquid cells: w_t > 0 occurs, on both
+                # sides of eps, and the residual has no small scale
+                rng = np.random.default_rng(3)
+                f.values = f.values + 0.05 * rng.standard_normal(f.values.shape) \
+                    * (f.values > 0)
+        return f, nu
+
+    def test_compute_w(self, run):
+        f, _ = run
+        assert np.array_equal(compute_w(f).w, reference_w(f.values, f.t))
+
+    @pytest.mark.parametrize("margin, tail_free_only", [
+        (0.02, True), (0.1, True), (0.1, False), (10.0, True)])
+    def test_obstacle_residual(self, run, margin, tail_free_only):
+        f, nu = run
+        w = compute_w(f)
+        got = obstacle_residual(w, nu, interior_margin=margin,
+                                tail_free_only=tail_free_only).to_dict()
+        want = reference_residual(w, nu, margin, tail_free_only=tail_free_only)
+        assert repr(got) == repr(want)
+        if margin == 10.0:
+            assert got["n_nodes"] == 0
+
+
 def test_default_eps_w_scales_with_resolution():
     assert default_eps_w(0.02, 2.0) == pytest.approx(10 * 0.02 ** 2 / 2.0)
     assert default_eps_w(0.01, 2.0) < default_eps_w(0.02, 2.0)
