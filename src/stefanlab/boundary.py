@@ -123,11 +123,12 @@ def classify_points(profile: FreezingProfile, field: Field,
     singular endpoints.  Elsewhere the pre-freeze temperature is extrapolated
     linearly in time from the last few samples before s(x): a value near zero
     is the continuously-vanishing regular case, a value near 1/alpha the
-    critical singular case, anything else stays unresolved.
+    critical singular case, anything else stays unresolved.  eps_u defaults
+    to 0.1/alpha; at alpha = 0 no point freezes and the default is 0.
     """
     alpha = profile.alpha
     if eps_u is None:
-        eps_u = 0.1 / alpha
+        eps_u = 0.1 / alpha if alpha > 0 else 0.0
     dx = field.dx
     if endpoint_band is None:
         endpoint_band = 2.0 * dx
@@ -223,7 +224,10 @@ def nondegeneracy_constant(field: Field, frontier: FrontierPath | None,
 
     Nodes with frontier distance in [offset_min, r] and times inside the
     window; offset_min defaults to two cells, below which the discrete
-    frontier snap dominates the ratio.
+    frontier snap dominates the ratio.  The frontier is read once for all
+    window rows, and distances are formed only on the band of columns that
+    can reach [offset_min, r] from some row's frontier: float subtraction is
+    monotone, so a column outside it has no node in range.
     """
     t_lo, t_hi = window
     if t_lo <= 0 or t_hi <= t_lo:
@@ -233,13 +237,17 @@ def nondegeneracy_constant(field: Field, frontier: FrontierPath | None,
     rows = np.where((field.t >= t_lo) & (field.t <= t_hi))[0]
     if len(rows) == 0:
         raise ConfigError("window contains no sample times")
-    lam = field.lam[rows] if frontier is None else np.array(
-        [frontier.value_at(tv) for tv in field.t[rows]])
-    dist = field.x[None, :] - lam[:, None]
+    lam = field.lam[rows] if frontier is None else frontier.value_at(field.t[rows])
+    x = field.x
+    # fmin/fmax skip NaN frontiers, which select no node either
+    band = np.flatnonzero((x - np.fmin.reduce(lam) >= offset_min)
+                          & (x - np.fmax.reduce(lam) <= r))
+    cols = slice(band[0], band[-1] + 1) if len(band) else slice(0, 0)
+    dist = x[None, cols] - lam[:, None]
     sel = (dist >= offset_min) & (dist <= r)
     if not np.any(sel):
         raise ConfigError("window contains no nodes in the offset range")
-    ratio = field.values[rows][sel] / dist[sel]
+    ratio = field.values[rows, cols][sel] / dist[sel]
     return float(np.min(ratio))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+import math
 
 import numpy as np
 
@@ -111,6 +112,8 @@ def piecewise_constant(breaks, values) -> Density:
     va = np.asarray(values, dtype=float)
     if br.ndim != 1 or va.ndim != 1 or len(br) != len(va) + 1 or len(va) == 0:
         raise ConfigError("need len(breaks) == len(values) + 1 >= 2")
+    if not (np.all(np.isfinite(br)) and np.all(np.isfinite(va))):
+        raise ConfigError("breaks and values must be finite")
     if not np.all(np.diff(br) > 0):
         raise ConfigError("breaks must be strictly increasing")
     if np.any(va < 0):
@@ -119,6 +122,8 @@ def piecewise_constant(breaks, values) -> Density:
     if mass <= 0:
         raise ConfigError("density has zero mass, cannot normalize")
     factor = 1.0 / mass
+    if not (math.isfinite(mass) and math.isfinite(factor)):
+        raise ConfigError(f"density mass {mass!r} cannot be normalized")
     return Density(br, va * factor, norm_factor=factor)
 
 

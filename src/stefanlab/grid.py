@@ -13,9 +13,12 @@ balance form keeps |lam/alpha + mass - 1| at rounding level by construction.
 After the smooth advance the jump rule is solved against the discrete
 temperature CDF, which is linear between cell faces, so the faces are the
 knots and genuine frontier discontinuities are resolved exactly within the
-same step.  The stopped-mass weight nu is recorded the moment a cell freezes:
-1/alpha for cells frozen by the smooth advance, the pre-jump temperature for
-cells swallowed by a jump.  A cell's weight is never overwritten.
+same step.  A jump can only start where the temperature just ahead of the
+frontier reaches 1/alpha, so the jump rule is solved only on steps where the
+frontier cell does; elsewhere its no-jump answer is read off the first face.
+The stopped-mass weight nu is recorded the moment a cell freezes: 1/alpha
+for cells frozen by the smooth advance, the pre-jump temperature for cells
+swallowed by a jump.  A cell's weight is never overwritten.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from scipy.linalg.lapack import dgtsv
 
 from stefanlab.errors import ConfigError, NumericalAbort, TruncationError
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
-from stefanlab.jump_rule import JumpResult, continuum_jump, density_knots
+from stefanlab.jump_rule import TIE_GUARD, JumpResult, continuum_jump, density_knots
 
 # Default ceiling on the mass allowed in the cell adjacent to the right wall;
 # beyond it the truncated domain no longer represents the half-line problem.
@@ -55,7 +58,7 @@ class GridState:
 
     @property
     def mass(self) -> float:
-        return float(np.sum(self.u[self.j:]) * self.dx)
+        return float(self.u[self.j:].sum() * self.dx)
 
     def wall_cell_mass(self) -> float:
         return float(self.u[-1] * self.dx)
@@ -104,8 +107,19 @@ def _cell_cdf_jump(state: GridState) -> JumpResult:
     For cell-constant u the swept-mass CDF is linear between faces, so the
     faces are the knots and the solve is exact.  They run alpha + 2 dx ahead,
     past any jump (x/alpha outgrows the remaining mass there), or to the wall.
+
+    A jump can only start where the frontier cell reaches 1/alpha.  Below
+    that, the shortfall at the first face, dx/alpha - u[j]*dx in the very
+    floats continuum_jump computes there, already exceeds the tie guard, and
+    the solve would return delta = 0; so that result is returned directly.
+    No NonMonotoneCDFError is lost with it: that needs the cell CDF to fall
+    by more than 1e-12, and the diagonally dominant implicit step (no
+    pivoting, only nonnegative terms added and divided) never turns
+    nonnegative temperatures negative.
     """
     a, dx = state.j, state.dx
+    if dx / state.alpha - state.u[a] * dx > TIE_GUARD * state.alpha:
+        return JumpResult(0.0, a * dx, 0.0)
     k = min(int((state.alpha + 2 * dx) / dx + 1e-9), len(state.u) - a)
     x_face = a * dx
     faces = dx * np.arange(k + 1)

@@ -10,6 +10,7 @@ scenario and reports one verdict per registry entry, never fewer.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import shutil
 import time
@@ -47,7 +48,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A finite real that is not a bool: NaN and infinities are rejected."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
@@ -80,13 +82,15 @@ class ScenarioConfig:
         if self.sampling not in SAMPLINGS:
             raise ConfigError(f"sampling must be one of {SAMPLINGS}")
         if not _is_number(self.alpha) or self.alpha < 0:
-            raise ConfigError("alpha must be a nonnegative number")
+            raise ConfigError("alpha must be a finite nonnegative number")
         for name in ("dt", "dx", "t_end"):
             v = getattr(self, name)
             if not _is_number(v) or v <= 0:
-                raise ConfigError(f"{name} must be a positive number")
+                raise ConfigError(f"{name} must be a finite positive number")
+        if not 0.0 < self.dx * self.dx < math.inf:
+            raise ConfigError("dx must be a number whose square is finite and nonzero")
         if self.x_max is not None and not _is_number(self.x_max):
-            raise ConfigError("x_max must be a number")
+            raise ConfigError("x_max must be a finite number")
         # the Philox key holds the seed as an unsigned 64-bit word
         if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
@@ -120,6 +124,8 @@ class ScenarioConfig:
                 f"x_max = {self.x_max} cannot hold the frontier range: "
                 f"alpha + support end = {self.alpha + support_end}")
         n_cells = self.x_max / self.dx
+        if not 1 <= n_cells < math.inf:
+            raise ConfigError(f"x_max / dx = {n_cells} must count at least one cell")
         if abs(n_cells - round(n_cells)) > 1e-9:
             raise ConfigError("dx must divide x_max")
 
@@ -142,7 +148,9 @@ def build_density(spec: dict) -> Density:
 
     The power_gap and oscillatory families are completed to unit mass with a
     flat tail on (support end, tail_hi) unless an explicit tail is given, so
-    their level values survive construction unscaled.
+    their level values survive construction unscaled.  Any parameter the
+    constructors cannot use (a string, a non-finite number, a value out of
+    range) raises ConfigError.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("density config needs a 'family' key")
@@ -176,6 +184,9 @@ def build_density(spec: dict) -> Density:
                 q=p["q"], n_levels=p["n_levels"], tail_breaks=tb, tail_values=tv)
     except KeyError as exc:
         raise ConfigError(f"density family {fam!r} is missing {exc}") from None
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        # ConfigError is a ValueError: every refusal names the density block
+        raise ConfigError(f"density must be a valid {fam!r} profile: {exc}") from None
     raise ConfigError(f"unknown density family {fam!r}; known: {DENSITY_FAMILIES}")
 
 

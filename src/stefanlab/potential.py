@@ -22,8 +22,11 @@ def default_eps_w(dx: float, alpha: float) -> float:
 
     Set by the quadratic vanishing of w at a continuously-freezing frontier
     point, where w ~ (distance)^2 / alpha: one cell of distance gives
-    dx^2/alpha, kept with a factor-10 safety margin.
+    dx^2/alpha, kept with a factor-10 safety margin.  alpha = 0 releases no
+    heat and sets no such scale, so there the floor must be given.
     """
+    if alpha <= 0:
+        raise ConfigError("the default eps_w needs alpha > 0; pass eps_w")
     return 10.0 * dx * dx / alpha
 
 
@@ -139,6 +142,10 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     is frozen at the final sample (tail_bound at most tail_tol): columns
     still liquid at t_end carry a missing time tail that would offset the
     residual by minus the final temperature.
+
+    The stencil, the region masks and the after-freeze count are evaluated
+    only on the span of columns from the first to the last admitted one;
+    count_w_negative alone scans the whole lattice.
     """
     if interior_margin <= 0:
         raise ConfigError("interior_margin must be positive")
@@ -165,6 +172,12 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     if tail_free_only:
         dead = w.tail_bound <= tail_tol
         col_ok[1:-1] &= dead[:-2] & dead[1:-1] & dead[2:]
+    # region nodes lie in the columns from the first to the last col_ok one;
+    # the arrays below cover only that span, in which the nodes keep their
+    # row-major order
+    ok = np.flatnonzero(col_ok)
+    c0, c1 = (int(ok[0]), int(ok[-1]) + 1) if len(ok) else (1, 1)
+    span = slice(c0, c1)
 
     # frontier position per row: first strictly positive column.  Frozen
     # cells hold exact zeros, so w > 0 marks the true interface; the floor
@@ -174,15 +187,15 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     has_liquid = liquid[np.arange(nt), front_col]
     lam_row = np.where(has_liquid, x[front_col], np.inf)
 
-    # interior nodes, as (nt - 2, nx - 2) arrays
-    inner = W[1:-1, 1:-1]
+    # interior rows of the span's columns, as (nt - 2, c1 - c0) arrays
+    inner = W[1:-1, span]
     tt = t[1:-1, None]
-    since_freeze = tt - s_col[None, 1:-1]
+    since_freeze = tt - s_col[None, span]
     past = since_freeze >= interior_margin
     region = np.abs(since_freeze, out=since_freeze) >= interior_margin
     del since_freeze
-    region &= (tt >= interior_margin) & (tt <= t_hi) & col_ok[None, 1:-1]
-    from_front = x[None, 1:-1] - lam_row[1:-1, None]
+    region &= (tt >= interior_margin) & (tt <= t_hi) & col_ok[None, span]
+    from_front = x[None, span] - lam_row[1:-1, None]
     region &= np.abs(from_front, out=from_front) >= interior_margin
     del from_front
 
@@ -190,12 +203,13 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     def at_region(a):
         return np.broadcast_to(a, region.shape)[region]
 
-    w_t = ((at_region(W[2:, 1:-1]) - at_region(W[:-2, 1:-1]))
+    w_t = ((at_region(W[2:, span]) - at_region(W[:-2, span]))
            / at_region((t[2:] - t[:-2])[:, None]))
     w_c = at_region(inner)
-    w_xx = (at_region(W[1:-1, :-2]) - 2.0 * w_c + at_region(W[1:-1, 2:])) / dx ** 2
+    w_xx = (at_region(W[1:-1, c0 - 1:c1 - 1]) - 2.0 * w_c
+            + at_region(W[1:-1, c0 + 1:c1 + 1])) / dx ** 2
     op = w_t - 0.5 * w_xx
-    nu_r = at_region(nu.nu[None, 1:-1])
+    nu_r = at_region(nu.nu[None, span])
     chi = inner > eps
 
     n = len(op)
@@ -214,7 +228,7 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     count_neg = int(np.count_nonzero(W < -eps))
     count_wt_pos = int(np.count_nonzero(w_t > eps))
     # nodes one full margin past their own freezing time must sit at zero
-    count_pos_frozen = int(np.count_nonzero(chi & past & col_ok[None, 1:-1]))
+    count_pos_frozen = int(np.count_nonzero(chi & past & col_ok[None, span]))
 
     return ResidualReport(l1=l1, linf=linf, n_nodes=n, eps_w=eps,
                           margin=interior_margin, count_w_negative=count_neg,

@@ -5,8 +5,10 @@ import pytest
 from stefanlab.boundary import (blowup_fit, classify_points, detect_jumps,
                                 freezing_time, nondegeneracy_constant,
                                 oscillation_count, speed_formula_check)
+from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, JumpRecord
+from stefanlab.grid import run_grid
 from stefanlab.synthetic import (critical_profile_potential,
                                  smooth_frontier_path, traveling_wave_field,
                                  vanishing_profile_potential)
@@ -188,6 +190,57 @@ class TestNondegeneracy:
             nondegeneracy_constant(field, None, window=(0.0, 1.0))
         with pytest.raises(ConfigError):
             nondegeneracy_constant(field, None, window=(0.5, 0.2))
+
+    @pytest.fixture(scope="class")
+    def jumping_run(self):
+        # a mid-run sweep at t = 0.003 carries the frontier from about 0.1
+        # to 1.0, inside the window below
+        d = piecewise_constant([0.0, 0.06, 0.655], [0.8, 1.6])
+        frontier, field, _ = run_grid(d, alpha=1.0, x_max=3.0, dx=0.02, dt=1e-3,
+                                      t_end=0.5)
+        assert len(frontier.jumps) == 1 and 0.001 < frontier.jumps[0].t < 0.4
+        return frontier, field
+
+    @pytest.mark.parametrize("given", ["none", "own", "wave"])
+    @pytest.mark.parametrize("window, r, offset_min", [
+        ((0.001, 0.4), 0.25, None), ((0.001, 0.5), 1.5, 0.01),
+        ((0.002, 0.004), 0.25, 0.1), ((0.1, 0.5), 0.06, 0.04)])
+    def test_matches_full_matrix_reference(self, jumping_run, given, window, r,
+                                           offset_min):
+        frontier, field = jumping_run
+        if given == "wave":
+            # a frontier other than the field's own, sampled at other times
+            frontier, _ = traveling_wave_field(alpha=1.0, speed=2.0, x_max=3.0,
+                                               t_end=0.5, dx=0.02, dt=0.0037)
+        frontier = None if given == "none" else frontier
+        got = nondegeneracy_constant(field, frontier, window=window, r=r,
+                                     offset_min=offset_min)
+        want = reference_nondegeneracy(field, frontier, window, r, offset_min)
+        assert repr(got) == repr(want)
+
+    def test_empty_band_rejected_like_the_reference(self, jumping_run):
+        frontier, field = jumping_run
+        for r, offset_min in ((0.01, 0.05), (10.0, 5.0)):
+            with pytest.raises(ConfigError):
+                reference_nondegeneracy(field, frontier, (0.1, 0.5), r, offset_min)
+            with pytest.raises(ConfigError):
+                nondegeneracy_constant(field, frontier, window=(0.1, 0.5), r=r,
+                                       offset_min=offset_min)
+
+
+def reference_nondegeneracy(field, frontier, window, r, offset_min):
+    """nondegeneracy_constant on the full distance matrix, as the oracle."""
+    t_lo, t_hi = window
+    if offset_min is None:
+        offset_min = 2.0 * field.dx
+    rows = np.where((field.t >= t_lo) & (field.t <= t_hi))[0]
+    lam = field.lam[rows] if frontier is None else np.array(
+        [frontier.value_at(tv) for tv in field.t[rows]])
+    dist = field.x[None, :] - lam[:, None]
+    sel = (dist >= offset_min) & (dist <= r)
+    if not np.any(sel):
+        raise ConfigError("window contains no nodes in the offset range")
+    return float(np.min(field.values[rows][sel] / dist[sel]))
 
 
 class TestSpeedFormula:

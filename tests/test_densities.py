@@ -94,6 +94,18 @@ def test_density_validation_errors():
         piecewise_constant([-0.5, 1.0], [1.0 / 1.5])         # negative support
 
 
+@pytest.mark.parametrize("breaks, values, match", [
+    ([0.0, 1.0], [np.nan], "finite"), ([0.0, 1.0], [np.inf], "finite"),
+    ([0.0, np.inf], [1.0], "finite"), ([-np.inf, 0.0, 1.0], [0.0, 1.0], "finite"),
+    # finite steps whose normalisation over- or underflows: 1/mass is inf
+    # and the zero step would turn into 0 * inf = NaN
+    ([0.0, 1.0, 1.5], [0.0, 1e-320], "cannot be normalized"),
+    ([0.0, 10.0], [1e308], "cannot be normalized")])
+def test_non_finite_density_rejected(breaks, values, match):
+    with pytest.raises(ConfigError, match=match):
+        piecewise_constant(breaks, values)
+
+
 def test_json_round_trip():
     d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
     d2 = Density.from_json(d.to_json())

@@ -1,11 +1,15 @@
 """Finite-volume solver: diffusion accuracy, frontier motion, weight record."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError, TruncationError
-from stefanlab.grid import GridState, advance_front, diffuse_step, run_grid
+from stefanlab.grid import (GridState, _cell_cdf_jump, advance_front, diffuse_step,
+                            run_grid)
+from stefanlab.jump_rule import TIE_GUARD, continuum_jump
 
 
 def make_state(u, j=0, lam=0.0, alpha=1.0, dx=0.1):
@@ -162,6 +166,75 @@ def test_advance_front_jump_on_vacuum():
     assert records[0].lambda_minus == 0.0
     assert records[0].lambda_plus == pytest.approx(0.6, abs=1e-12)
     assert np.array_equal(st.nu[:6], [2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
+
+
+def full_cell_cdf_jump(state):
+    """The jump solve on the whole cell CDF, faces as knots, as the oracle."""
+    a, dx = state.j, state.dx
+    k = min(int((state.alpha + 2 * dx) / dx + 1e-9), len(state.u) - a)
+    faces = dx * np.arange(k + 1)
+    cum = np.concatenate(([0.0], np.cumsum(state.u[a:a + k]) * dx))
+    return continuum_jump(lambda x: np.interp(x, a * dx + faces, cum),
+                          a * dx, state.alpha, faces[1:])
+
+
+def _nudge(v, ulps):
+    for _ in range(abs(ulps)):
+        v = np.nextafter(v, np.inf if ulps > 0 else 0.0)
+    return float(v)
+
+
+@st.composite
+def frontier_cells(draw):
+    """A grid state whose frontier cell sits below, at or above 1/alpha.
+
+    The frontier cell's value is drawn at random, or a few ulps from 1/alpha
+    or from the edge of the no-jump test (the u with dx/alpha - u*dx equal to
+    the tie guard), so both sides of the test are exercised bit for bit.
+    """
+    alpha = draw(st.floats(0.05, 4.0))
+    dx = draw(st.sampled_from([0.1, 0.05, 0.02, 1.0 / 3.0, 0.0137]))
+    n = draw(st.integers(1, 60))
+    j = draw(st.integers(0, n - 1))
+    u = np.array(draw(st.lists(st.floats(0.0, 3.0 / alpha), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["random", "critical", "edge"]))
+    if kind == "critical":
+        u[j] = _nudge(1.0 / alpha, draw(st.integers(-3, 3)))
+    elif kind == "edge":
+        u[j] = _nudge((dx / alpha - TIE_GUARD * alpha) / dx, draw(st.integers(-3, 3)))
+    u[:j] = 0.0
+    return make_state(u, j=j, alpha=alpha, dx=dx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontier_cells())
+@example(make_state([0.0, 0.0, 1.0, 1.0, 0.0, 0.0], j=2, alpha=1.0, dx=0.1))
+@example(make_state([0.0, 0.0, 0.999, 5.0, 5.0, 0.0], j=2, alpha=1.0, dx=0.1))
+def test_cell_cdf_jump_matches_full_solve(state):
+    got = _cell_cdf_jump(state)
+    want = full_cell_cdf_jump(state)
+    assert (got.delta, got.new_frontier, got.absorbed_mass, got.total_freeze) == \
+        (want.delta, want.new_frontier, want.absorbed_mass, want.total_freeze)
+
+
+def test_cell_cdf_jump_solves_only_from_1_over_alpha(monkeypatch):
+    # the solver is reached only when the frontier cell is at least 1/alpha
+    # up to the tie guard; a cold frontier cell answers no-jump without it
+    import stefanlab.grid as grid
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return continuum_jump(*args)
+
+    monkeypatch.setattr(grid, "continuum_jump", counted)
+    cold = make_state([0.0, 0.9, 5.0, 5.0, 5.0], j=1, alpha=1.0, dx=0.1)
+    res = _cell_cdf_jump(cold)
+    assert (res.delta, res.new_frontier, res.absorbed_mass) == (0.0, 0.1, 0.0)
+    assert calls == []
+    warm = make_state([0.0, 1.0, 5.0, 5.0, 5.0], j=1, alpha=1.0, dx=0.1)
+    assert _cell_cdf_jump(warm).delta > 0
+    assert len(calls) == 1
 
 
 def test_run_grid_reference_initial_jump():

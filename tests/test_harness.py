@@ -1,8 +1,11 @@
 """Tests for scenario configs, artifact layout, the invariant suite, and the CLI."""
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stefanlab.cli import main
 from stefanlab.errors import ConfigError, NumericalAbort
@@ -115,6 +118,8 @@ class TestOverrides:
         ("thresholds.eps_uu=5", "unknown thresholds"),
         ("thresholds.eps_u=abc", "thresholds.eps_u must be a number"),
         ("thresholds.nondeg_r=true", "thresholds.nondeg_r must be a number"),
+        ("thresholds.eps_w=nan", "thresholds.eps_w must be a number"),
+        ("thresholds.jump_threshold=inf", "thresholds.jump_threshold must be a number"),
         ("thresholds=5", "thresholds must be an object")])
     def test_bad_thresholds_rejected(self, override, match):
         with pytest.raises(ConfigError, match=match):
@@ -280,12 +285,27 @@ class TestCli:
         "seed=-1", f"seed={2 ** 64}", "seed=true", "n_particles=1.5",
         "n_particles=true", "dt=true", "dx=true", "t_end=true", "alpha=abc",
         "alpha=true", "sample_every=abc", "snapshot_every=0.5",
-        "refinement_levels=1.5", "outdir=7", "scenario_id=7", "x_max=abc"])
+        "refinement_levels=1.5", "outdir=7", "scenario_id=7", "x_max=abc",
+        "dt=nan", "alpha=inf", "t_end=inf", "dx=nan", "x_max=nan", "alpha=-inf",
+        "dx=1e-320", "dx=1e200", 'density.breaks=["ab", 1.5]', "density.values=[NaN]",
+        "density.values=[Infinity]", "density.breaks=[0, Infinity]",
+        "density.values=[1e-320]"])
     def test_ill_typed_override_exits_2(self, tmp_path, capsys, override):
         cfg_path = self.write_config(tmp_path, method="particle", n_particles=200)
         assert main(["simulate", str(cfg_path), "--set", override]) == 2
-        name = override.split("=")[0]
+        # a density entry is reported against the density block
+        name = override.split("=")[0].split(".")[0]
         assert f"config error: {name} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", math.nan), ("alpha", math.inf), ("t_end", math.inf),
+        ("x_max", -math.inf), ("density", dict(UNIFORM, values=[math.nan]))])
+    def test_non_finite_config_file_exits_2(self, tmp_path, capsys, key, value):
+        # json.dumps writes these as NaN / Infinity, which the reader accepts
+        cfg_path = self.write_config(tmp_path, **{key: value})
+        assert "NaN" in cfg_path.read_text() or "Infinity" in cfg_path.read_text()
+        assert main(["simulate", str(cfg_path)]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["grid", "particle"])
     @pytest.mark.parametrize("override", ["sampling=bogus", "snapshot_every=-1"])
@@ -339,3 +359,84 @@ class TestCli:
         batch_path.write_text(json.dumps({"scenario_id": "x"}),
                               encoding="utf-8")
         assert main(["sweep", str(batch_path)]) == 2
+
+
+# Config fuzz: a plausible config with up to two entries, at the top level
+# or in the density block, replaced by ill-typed, out-of-range or non-finite
+# values, plus an override or two.
+_BAD = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from([math.nan, math.inf, -math.inf, 1e-320, 1e308]),
+                 st.integers(-3, 3), st.none(), st.booleans(), st.text(max_size=3),
+                 st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_DENSITIES = [
+    {"family": "piecewise_constant", "breaks": [0.0, 1.5], "values": [1.0]},
+    {"family": "piecewise_constant", "breaks": [0.2, 0.6, 1.2], "values": [1.5, 0.15]},
+    {"family": "power_gap", "alpha": 1.0, "c": 0.8, "n": 1, "delta": 1.0, "steps": 8},
+    {"family": "oscillatory", "alpha1": 0.5, "alpha2": 1.2, "a1": 0.8, "p": 0.5,
+     "q": 0.5, "n_levels": 2}]
+_FIELDS = {"method": ["grid", "particle", "both"], "n_particles": [50, 300],
+           "dt": [0.002, 0.005], "dx": [0.05, 0.1], "t_end": [0.05, 0.1],
+           "x_max": [3.0, 4.0], "seed": [0, 7], "sampling": ["stratified", "uniform"],
+           "sample_every": [1, 3], "snapshot_every": [0, 2], "refinement_levels": [1, 2],
+           "thresholds": [{}, {"eps_w": 1e-3}, {"nondeg_r": 0.2}]}
+_OVERRIDES = st.builds("{}={}".format,
+                       st.sampled_from([*_FIELDS, "alpha", "density.breaks",
+                                        "density.values", "thresholds.eps_w"]),
+                       st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "[NaN]",
+                                        "[0, Infinity]", "1e-320", "1e308", "0", "-1",
+                                        "2", "0.05", "0.5", "abc", "true", "grid",
+                                        "uniform", "{}", "[1.0]"]))
+
+
+@st.composite
+def raw_configs(draw):
+    raw = {"scenario_id": "fuzz", "density": dict(draw(st.sampled_from(_DENSITIES))),
+           "alpha": draw(st.sampled_from([0.0, 0.7, 2.0])), "n_particles": 200,
+           "dt": 0.005, "dx": 0.05, "t_end": 0.1}
+    for name in draw(st.lists(st.sampled_from(list(_FIELDS)), unique=True, max_size=8)):
+        raw[name] = draw(st.sampled_from(_FIELDS[name]))
+    for _ in range(draw(st.integers(0, 2))):
+        block = raw["density"] if draw(st.booleans()) else raw
+        if isinstance(block, dict):
+            block[draw(st.sampled_from(sorted(block)))] = draw(_BAD)
+    return raw, draw(st.lists(_OVERRIDES, max_size=2))
+
+
+def _tiny(cfg):
+    """Small enough to run within the test budget."""
+    levels = cfg.refinement_levels
+    steps = cfg.t_end / cfg.dt * 2 ** (levels - 1)
+    cells = cfg.x_max / cfg.dx * 2 ** (levels - 1)
+    particles = 0 if cfg.method == "grid" else cfg.n_particles * 4 ** (levels - 1)
+    return levels <= 2 and steps <= 60 and cells <= 300 and particles <= 2000
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_configs())
+@example(({"scenario_id": "fuzz", "alpha": 0.7, "dt": math.nan,
+           "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
+                       "values": [1.0]}}, []))
+@example(({"scenario_id": "fuzz", "alpha": 0.7, "dx": 1e-320,
+           "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
+                       "values": [1.0]}}, []))
+@example(({"scenario_id": "fuzz", "alpha": 0.0, "t_end": 0.05,
+           "density": {"family": "piecewise_constant", "breaks": [0.2, 0.6, 1.2],
+                       "values": [1.5, 0.15]}}, []))
+@example(({"scenario_id": "fuzz", "alpha": 0.7, "t_end": 0.05, "dt": 0.002,
+           "density": {"family": "power_gap", "alpha": 0.7, "c": 0.5, "n": 1,
+                       "delta": 1.0}}, ["n_particles=200", "method=both"]))
+def test_config_fuzz_validates_or_raises_config_error(case):
+    raw, overrides = case
+    try:
+        cfg = apply_overrides(scenario_from_dict(raw), overrides)
+    except ConfigError:
+        return
+    assert all(math.isfinite(getattr(cfg, k)) for k in ("alpha", "dt", "dx", "t_end",
+                                                        "x_max"))
+    if _tiny(cfg):
+        try:
+            run_scenario(cfg, write=False)
+        except (ConfigError, NumericalAbort):
+            pass    # the CLI's exit codes 2 and 3, never a traceback
+

@@ -274,7 +274,8 @@ def reference_residual(w, nu, interior_margin, eps_w=None, tail_free_only=True,
 class TestMatchesReference:
     """compute_w and obstacle_residual agree bit for bit with the oracles."""
 
-    @pytest.fixture(scope="class", params=["swept", "exhausted", "liquid", "noisy"])
+    @pytest.fixture(scope="class", params=["swept", "exhausted", "liquid", "noisy",
+                                           "gapped", "warm"])
     def run(self, request):
         if request.param == "swept":
             # frozen whole by the t = 0 jump: w vanishes everywhere
@@ -300,6 +301,16 @@ class TestMatchesReference:
                 rng = np.random.default_rng(3)
                 f.values = f.values + 0.05 * rng.standard_normal(f.values.shape) \
                     * (f.values > 0)
+            elif request.param == "gapped":
+                # columns 0..23 freeze; a warm final cell in column 11 splits
+                # the tail-free columns into 1..9 and 13..22
+                f.values[-1, 11] = 1e-3
+                ok = compute_w(f).tail_bound <= 1e-12
+                assert np.array_equal(np.flatnonzero(ok[:-2] & ok[1:-1] & ok[2:]) + 1,
+                                      [*range(1, 10), *range(13, 23)])
+            elif request.param == "warm":
+                # no column is tail-free: the admitted span is empty
+                f.values[-1] = np.maximum(f.values[-1], 1e-6)
         return f, nu
 
     def test_compute_w(self, run):
@@ -308,15 +319,28 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("margin, tail_free_only", [
         (0.02, True), (0.1, True), (0.1, False), (10.0, True)])
-    def test_obstacle_residual(self, run, margin, tail_free_only):
+    def test_obstacle_residual(self, run, margin, tail_free_only, request):
         f, nu = run
+        run_id = request.node.callspec.params["run"]
         w = compute_w(f)
         got = obstacle_residual(w, nu, interior_margin=margin,
                                 tail_free_only=tail_free_only).to_dict()
         want = reference_residual(w, nu, margin, tail_free_only=tail_free_only)
         assert repr(got) == repr(want)
-        if margin == 10.0:
+        if margin == 10.0 or (run_id == "warm" and tail_free_only):
             assert got["n_nodes"] == 0
+        elif run_id == "gapped":
+            assert got["n_nodes"] > 0
+
+    def test_obstacle_residual_with_every_node_positive(self, run):
+        # eps_w = -1 marks every node positive, so the after-freeze count
+        # sees each admitted column past its freeze, and only those: in the
+        # gapped run columns 10 and 12 froze but are not admitted
+        f, nu = run
+        w = compute_w(f)
+        got = obstacle_residual(w, nu, interior_margin=0.02, eps_w=-1.0).to_dict()
+        want = reference_residual(w, nu, 0.02, eps_w=-1.0)
+        assert repr(got) == repr(want)
 
 
 def test_default_eps_w_scales_with_resolution():
