@@ -19,6 +19,12 @@ from stefanlab.potential import PotentialField
 
 LABELS = ("regular_in_jump", "regular_vanishing", "singular_endpoint",
           "singular_critical", "unresolved")
+# samples before s(x) that the pre-freeze temperature is extrapolated from
+N_EXTRAP = 3
+# the speed check skips points whose s' is this flat or flatter
+S_PRIME_FLOOR = 1e-3
+# largest relative misfit at which a blow-up fit names a profile
+BLOWUP_REL_TOL = 0.1
 
 
 @dataclass
@@ -114,7 +120,6 @@ def detect_jumps(frontier: FrontierPath, threshold: float) -> list[JumpRecord]:
 
 def classify_points(profile: FreezingProfile, field: Field,
                     jumps: list[JumpRecord], eps_u: float | None = None,
-                    n_extrap: int = 3,
                     endpoint_band: float | None = None) -> FreezingProfile:
     """Label each profile point by how the temperature vanished there.
 
@@ -152,14 +157,14 @@ def classify_points(profile: FreezingProfile, field: Field,
                 at_end = True
         if in_jump:
             labels[i] = "regular_in_jump"
-            bv[i] = _pre_freeze_value(field, xi, s[i], n_extrap)
+            bv[i] = _pre_freeze_value(field, xi, s[i])
             continue
         if at_end:
             # endpoint status overrides any temperature estimate
             labels[i] = "singular_endpoint"
-            bv[i] = _pre_freeze_value(field, xi, s[i], n_extrap)
+            bv[i] = _pre_freeze_value(field, xi, s[i])
             continue
-        val = _pre_freeze_value(field, xi, s[i], n_extrap)
+        val = _pre_freeze_value(field, xi, s[i])
         bv[i] = val
         if not np.isfinite(val):
             labels[i] = "unresolved"
@@ -178,11 +183,11 @@ def classify_points(profile: FreezingProfile, field: Field,
     return out
 
 
-def _pre_freeze_value(field: Field, xi: float, si: float, n_extrap: int) -> float:
+def _pre_freeze_value(field: Field, xi: float, si: float) -> float:
     """Temperature at (xi, si-) by linear-in-time extrapolation from below."""
     col = int(np.argmin(np.abs(field.x - xi)))
     k_end = int(np.searchsorted(field.t, si, side="left"))  # rows strictly before si
-    k_lo = max(0, k_end - n_extrap)
+    k_lo = max(0, k_end - N_EXTRAP)
     if k_end - k_lo < 1:
         return np.nan
     rows = np.arange(k_lo, k_end)
@@ -253,23 +258,16 @@ def nondegeneracy_constant(field: Field, frontier: FrontierPath | None,
 
 @dataclass
 class SpeedReport:
-    """Pointwise check of frontier speed against the one-sided slope."""
+    """Frontier speed 1/s' against (alpha/2) times the one-sided slope."""
 
-    x: np.ndarray
-    s: np.ndarray
-    predicted: np.ndarray              # 1 / s'(x)
-    measured: np.ndarray               # (alpha/2) * one-sided slope at the front
-    rel_err: np.ndarray
-    median_rel_err: float
+    median_rel_err: float              # over the points checked
     n_points: int
 
     def to_dict(self) -> dict:
-        return {"median_rel_err": self.median_rel_err, "n_points": self.n_points,
-                "x": self.x.tolist(), "rel_err": self.rel_err.tolist()}
+        return {"median_rel_err": self.median_rel_err, "n_points": self.n_points}
 
 
-def speed_formula_check(profile: FreezingProfile, field: Field,
-                        s_prime_floor: float = 1e-3) -> SpeedReport:
+def speed_formula_check(profile: FreezingProfile, field: Field) -> SpeedReport:
     """Compare 1/s' with (alpha/2) times the temperature slope at the front.
 
     Runs over points labeled regular_vanishing whose slope exceeds the floor.
@@ -277,12 +275,12 @@ def speed_formula_check(profile: FreezingProfile, field: Field,
     through the frontier (where u = 0) and the first two liquid cells.
     """
     alpha = profile.alpha
-    xs, preds, meas = [], [], []
+    preds, meas = [], []
     for i in range(len(profile.x)):
         if profile.labels[i] != "regular_vanishing":
             continue
         sp = profile.s_prime[i]
-        if not np.isfinite(sp) or sp <= s_prime_floor:
+        if not np.isfinite(sp) or sp <= S_PRIME_FLOOR:
             continue
         si = profile.s[i]
         row = int(np.searchsorted(field.t, si, side="left"))
@@ -292,16 +290,13 @@ def speed_formula_check(profile: FreezingProfile, field: Field,
         slope = _one_sided_slope(field, row, lam_row)
         if not np.isfinite(slope):
             continue
-        xs.append(profile.x[i])
         preds.append(1.0 / sp)
         meas.append(0.5 * alpha * slope)
-    xs = np.asarray(xs)
     preds = np.asarray(preds)
     meas = np.asarray(meas)
     rel = np.abs(preds - meas) / np.where(preds != 0, preds, 1.0)
     med = float(np.median(rel)) if len(rel) else np.nan
-    return SpeedReport(x=xs, s=np.asarray([]), predicted=preds, measured=meas,
-                       rel_err=rel, median_rel_err=med, n_points=len(rel))
+    return SpeedReport(median_rel_err=med, n_points=len(rel))
 
 
 def _one_sided_slope(field: Field, row: int, lam_row: float) -> float:
@@ -342,8 +337,7 @@ class BlowupFit:
 
 
 def blowup_fit(w: PotentialField, x0: float, jumps: list[JumpRecord],
-               t0: float | None = None, radii: list | None = None,
-               rel_tol: float = 0.1) -> BlowupFit:
+               t0: float | None = None, radii: list | None = None) -> BlowupFit:
     """Fit the parabolically rescaled potential at (x0, s(x0)).
 
     Samples r^-2 * w(x0 + r*xi, t0 + r^2*tau) at the lattice nodes that fall
@@ -408,9 +402,9 @@ def blowup_fit(w: PotentialField, x0: float, jumps: list[JumpRecord],
         return BlowupFit(x0=x0, t0=t0, radii=[], res_vanishing=[], res_critical=[],
                          verdict="inconclusive", meta={"reason": "no usable nodes"})
     rv, rc = res_v[0], res_c[0]
-    if rv < rc and rv < rel_tol:
+    if rv < rc and rv < BLOWUP_REL_TOL:
         verdict = "vanishing_profile"
-    elif rc < rv and rc < rel_tol:
+    elif rc < rv and rc < BLOWUP_REL_TOL:
         verdict = "critical_profile"
     else:
         verdict = "inconclusive"

@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands: simulate (run a scenario and write artifacts), analyze (rebuild
-derived quantities from artifacts on disk), compare (run both solvers and
-report their distance), verify (run the invariant suite), sweep (run a batch
-of scenario configs).  Exit codes: 0 pass, 1 invariant failure, 2 config
-error, 3 numerical abort.
+Subcommands: simulate (run a scenario and write artifacts), analyze (recompute
+the finest level's reports from the artifacts on disk with the stored config,
+through the same analysis the run used), compare (run both solvers and report
+their distance), verify (run the invariant suite), sweep (run a batch of
+scenario configs).  Exit codes: 0 pass, 1 invariant failure, 2 config error,
+3 numerical abort.
 """
 
 import argparse
@@ -14,15 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import classify_points, freezing_time, speed_formula_check
 from .errors import ConfigError, NumericalAbort
 from .exporters import (jsonify, read_frontier_csv, read_jumps_json,
                         read_json, read_matrix_csv, read_nu_csv, write_json)
 from .fields import Field, FrontierPath
-from .harness import (ScenarioConfig, apply_overrides, compare_methods,
-                      run_scenario, scenario_from_dict, scenario_from_json,
-                      verify_suite)
-from .potential import compute_w, obstacle_residual
+from .harness import (ScenarioConfig, analyze_route, apply_overrides,
+                      compare_methods, jump_threshold, run_scenario,
+                      scenario_from_dict, scenario_from_json, verify_suite)
+# unused here, but perfbench/spans.py looks these names up in this module
+from .harness import (classify_points, compute_w, freezing_time,  # noqa: F401
+                      obstacle_residual, speed_formula_check)
 
 EXIT_PASS = 0
 EXIT_INVARIANT = 1
@@ -40,12 +42,14 @@ def _load_config(path: str, overrides: list[str]) -> ScenarioConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args.set or [])
     result = run_scenario(cfg, write=True)
-    last = result.levels[-1]
-    fr = last.frontier if last.frontier is not None else last.p_frontier
     print(f"{cfg.scenario_id}: {cfg.refinement_levels} level(s) ->"
           f" {result.outpath}")
-    print(f"  frontier end {fr.lambda_end:.6f} of cap {cfg.alpha:.6f},"
-          f" jumps detected {len(last.jumps or last.p_jumps)}")
+    reports = result.levels[-1].reports
+    for method in ("grid", "particle"):
+        if method in reports:
+            rep = reports[method]
+            print(f"  {method}: frontier end {rep['lambda_end']:.6f} of cap"
+                  f" {cfg.alpha:.6f}, jumps detected {rep['n_jumps_detected']}")
     return EXIT_PASS
 
 
@@ -57,46 +61,41 @@ def _require(path: Path) -> Path:
 
 def _cmd_analyze(args) -> int:
     root = Path(args.rundir)
-    summary = read_json(_require(root / "summary.json"))
-    raw_cfg = summary["config"]
-    alpha = float(raw_cfg["alpha"])
+    summary_path = _require(root / "summary.json")
+    summary = read_json(summary_path)
+    try:
+        cfg = scenario_from_dict(summary.get("config")
+                                 if isinstance(summary, dict) else summary)
+    except ConfigError as exc:
+        raise ConfigError(f"{summary_path}: {exc}") from None
+    # the root files are the finest level's, of the grid route when it ran
+    method = "particle" if cfg.method == "particle" else "grid"
 
     times, lam = read_frontier_csv(_require(root / "frontier.csv"))
     jumps = read_jumps_json(_require(root / "jumps.json"))
-    frontier = FrontierPath(times=times, lam=lam, alpha=alpha, jumps=jumps)
+    frontier = FrontierPath(times=times, lam=lam, alpha=cfg.alpha, jumps=jumps)
 
     field_path = root / "field.csv"
     if not field_path.exists():
         raise ConfigError(f"missing artifact {field_path};"
                           " analysis needs a run with a sampled field")
     x, t, values = read_matrix_csv(field_path)
-    fidx = np.searchsorted(x, lam + 1e-12, side="left")
-    field = Field(x=x, t=t, values=values, frontier_index=fidx, lam=lam,
-                  alpha=alpha)
+    lam_rows = frontier.value_at(t)
+    field = Field(x=x, t=t, values=values,
+                  frontier_index=np.searchsorted(x, lam_rows + 1e-12),
+                  lam=lam_rows, alpha=cfg.alpha)
+    nu_path = root / "nu.csv"
+    nu = read_nu_csv(nu_path, cfg.alpha) if nu_path.exists() else None
 
-    w = compute_w(field)
-    prof = freezing_time(frontier, x)
-    prof = classify_points(prof, field, jumps)
-    report = {
-        "scenario_id": summary["scenario_id"],
-        "lambda_end": frontier.lambda_end,
-        "n_jumps": len(jumps),
-        "fraction_unresolved": prof.fraction_unresolved(),
-        "speed": speed_formula_check(prof, field).to_dict(),
-    }
-
+    thr = jump_threshold(cfg, method, cfg.refinement_levels - 1)
+    _, w, _, reports = analyze_route(cfg, method, frontier, field, nu, thr)
+    report = {"scenario_id": cfg.scenario_id, **reports}
     w_path = root / "w.csv"
     if w_path.exists():
         _, _, w_stored = read_matrix_csv(w_path)
+        if w_stored.shape != w.w.shape:
+            raise ConfigError(f"{w_path} does not match the grid of {field_path}")
         report["w_reconstruction_gap"] = float(np.max(np.abs(w_stored - w.w)))
-
-    nu_path = root / "nu.csv"
-    if nu_path.exists():
-        nu = read_nu_csv(nu_path, alpha)
-        try:
-            report["obstacle"] = obstacle_residual(w, nu, 0.1).to_dict()
-        except ConfigError as exc:
-            report["obstacle"] = {"error": str(exc)}
 
     write_json(root / "analysis.json", jsonify(report))
     print(json.dumps(jsonify(report), indent=2, sort_keys=True))
@@ -169,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze",
-                       help="rebuild derived quantities from run artifacts")
+                       help="recompute a run's reports from its artifacts")
     p.add_argument("rundir", help="scenario output directory"
                                   " (containing summary.json)")
     p.set_defaults(func=_cmd_analyze)

@@ -307,9 +307,8 @@ def _snapshot(e: Ensemble) -> Snapshot:
                     n_dead=e.n_dead, n_total=e.n_total, alpha=e.alpha)
 
 
-def empirical_field(snapshots: list[Snapshot], x_grid: np.ndarray,
-                    bandwidth: float | None = None) -> Field:
-    """Histogram (default) or Gaussian-kernel density estimate per snapshot.
+def empirical_field(snapshots: list[Snapshot], x_grid: np.ndarray) -> Field:
+    """Histogram density estimate per snapshot, one bin per x_grid cell.
 
     Normalization makes each row integrate to the alive fraction, matching
     the grid solver's convention that mass 1 - lam/alpha survives.
@@ -318,18 +317,11 @@ def empirical_field(snapshots: list[Snapshot], x_grid: np.ndarray,
     if len(x_grid) < 2:
         raise ConfigError("x_grid needs at least two nodes")
     dx = float(x_grid[1] - x_grid[0])
-    if bandwidth is not None and bandwidth <= 0:
-        raise ConfigError("bandwidth must be positive")
     edges = np.concatenate([x_grid - 0.5 * dx, [x_grid[-1] + 0.5 * dx]])
     rows, lam, fidx, ts = [], [], [], []
     for s in snapshots:
-        if bandwidth is None:
-            counts, _ = np.histogram(s.alive_positions, bins=edges)
-            rows.append(counts / (s.n_total * dx))
-        else:
-            diffs = (x_grid[None, :] - s.alive_positions[:, None]) / bandwidth
-            dens = np.exp(-0.5 * diffs ** 2).sum(axis=0) / (np.sqrt(2 * np.pi) * bandwidth)
-            rows.append(dens / s.n_total)
+        counts, _ = np.histogram(s.alive_positions, bins=edges)
+        rows.append(counts / (s.n_total * dx))
         lam_s = s.alpha * s.n_dead / s.n_total
         lam.append(lam_s)
         fidx.append(int(np.searchsorted(edges, lam_s, side="right") - 1))
@@ -337,4 +329,4 @@ def empirical_field(snapshots: list[Snapshot], x_grid: np.ndarray,
     return Field(x=x_grid, t=np.array(ts), values=np.array(rows),
                  frontier_index=np.clip(np.array(fidx), 0, len(x_grid) - 1),
                  lam=np.array(lam), alpha=snapshots[0].alpha,
-                 meta={"method": "particle", "bandwidth": bandwidth})
+                 meta={"method": "particle"})

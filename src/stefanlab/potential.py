@@ -72,24 +72,18 @@ class PotentialField:
         return idx
 
 
-def compute_w(field: Field, require_low_tail: bool = False,
-              tail_cap: float = 1e-3) -> PotentialField:
+def compute_w(field: Field) -> PotentialField:
     """Integrate the temperature tail by trapezoid from each sample to the end.
 
-    The tail beyond the final sample is dropped, not modeled; the surviving
-    mass at the final sample is reported per column as tail_bound.  With
-    require_low_tail the call refuses fields whose surviving mass is above
-    tail_cap, the precondition for obstacle-problem analysis.
+    The tail beyond the final sample is dropped, not modeled; the final
+    temperature is reported per column as tail_bound, and the surviving mass
+    in meta.
     """
     t = np.asarray(field.t, dtype=float)
     u = np.asarray(field.values, dtype=float)
     if u.ndim != 2 or u.shape[0] != len(t):
         raise ConfigError("field values must be (len(t), len(x))")
     surviving = float(np.sum(u[-1]) * field.dx)
-    if require_low_tail and surviving >= tail_cap:
-        raise ConfigError(
-            f"surviving mass {surviving:.3e} >= {tail_cap:.0e};"
-            " run longer before potential analysis")
     dt_steps = np.diff(t)
     # reverse cumulative trapezoid: w[k] = sum_{j>=k} (u[j] + u[j+1])/2 * dt_j,
     # the increments built and summed inside w itself

@@ -16,6 +16,14 @@ from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
 
 UNIFORM = {"family": "piecewise_constant", "breaks": [0.0, 1.5],
            "values": [1.0 / 1.5]}
+BAND = {"family": "piecewise_constant", "breaks": [0.2, 0.6, 3.2667],
+        "values": [1.5, 0.15]}
+# the uniform.json example of the README
+README_DEMO = dict(scenario_id="uniform-demo",
+                   density={"family": "piecewise_constant",
+                            "breaks": [0.0, 1.5], "values": [0.6667]},
+                   alpha=0.7, method="both", n_particles=20_000, dt=1e-3,
+                   dx=0.02, t_end=1.0, seed=7, refinement_levels=1)
 
 
 def quick_config(**kw):
@@ -178,6 +186,17 @@ class TestArtifactLayout:
         x, t, vals = read_matrix_csv(root / "field.csv")
         assert np.array_equal(vals, result.levels[-1].field.values)
 
+    def test_summary_names_the_method_of_each_jump_list(self):
+        # on the README demo only the particles register a jump
+        cfg = quick_config(**dict(README_DEMO, t_end=0.05))
+        level = run_scenario(cfg, write=False).summary["levels"][0]
+        assert "jumps_detected" not in level
+        assert level["grid"]["n_jumps_detected"] == 0
+        assert level["grid"]["jumps_detected"] == []
+        jumps = level["particle"]["jumps_detected"]
+        assert level["particle"]["n_jumps_detected"] == len(jumps) == 1
+        assert jumps[0]["t"] == 1e-3
+
     def test_summary_has_no_timestamp(self, tmp_path):
         cfg = quick_config(scenario_id="stamp", outdir=str(tmp_path))
         run_scenario(cfg, write=True)
@@ -214,6 +233,16 @@ class TestVerifySuite:
         finally:
             doctored[:] = keep
 
+    def test_alpha_zero_has_no_failures(self):
+        # the grid drains mass through x = 0, and no eps_w default exists
+        cfg = quick_config(scenario_id="cold", alpha=0.0, method="both",
+                           n_particles=500, x_max=4.0,
+                           density=dict(BAND, breaks=[0.2, 0.6, 1.2]))
+        entries = {e["id"]: e for e in verify_suite(cfg)["invariants"]}
+        assert [e for e in entries.values() if e["verdict"] == "fail"] == []
+        assert entries["grid.mass_balance"]["verdict"] == "pass"
+        assert entries["potential.band_agreement"]["verdict"] == "skip"
+
     def test_summary_is_deterministic(self):
         cfg = quick_config(scenario_id="det", method="both", n_particles=300)
         a = run_scenario(cfg, write=False).summary
@@ -241,6 +270,59 @@ class TestCli:
         report = read_json(rundir / "analysis.json")
         assert report["w_reconstruction_gap"] == 0.0
         assert "obstacle" in report
+
+    @pytest.mark.parametrize("raw", [
+        README_DEMO,
+        dict(scenario_id="band", density=BAND, alpha=2.0, dt=2e-3, dx=0.04,
+             t_end=1.0, thresholds={"eps_u": 0.05, "endpoint_band": 0.06,
+                                    "interior_margin": 0.05, "nondeg_r": 0.2,
+                                    "jump_threshold": 0.05}),
+        dict(scenario_id="ladder", density=BAND, alpha=2.0, dt=4e-3, dx=0.08,
+             t_end=1.0, refinement_levels=2)],
+        ids=["readme-demo", "band-thresholds", "grid-ladder"])
+    def test_analyze_reproduces_the_summary_reports(self, tmp_path, capsys, raw):
+        assert main(["simulate", str(self.write_config(tmp_path, **raw))]) == 0
+        rundir = tmp_path / "out" / raw["scenario_id"]
+        assert main(["analyze", str(rundir)]) == 0
+        analysis = read_json(rundir / "analysis.json")
+        finest = read_json(rundir / "summary.json")["levels"][-1]
+        reports = set(analysis) - {"scenario_id", "w_reconstruction_gap"}
+        assert {"obstacle", "speed", "nondegeneracy_constant", "grid"} <= reports
+        assert {k: analysis[k] for k in reports} == {k: finest[k] for k in reports}
+        assert analysis["w_reconstruction_gap"] == 0.0
+
+    def test_analyze_particle_snapshots(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, method="particle",
+                                     n_particles=500, snapshot_every=5)
+        assert main(["simulate", str(cfg_path)]) == 0
+        rundir = tmp_path / "out" / "cli"
+        assert main(["analyze", str(rundir)]) == 0
+        report = read_json(rundir / "analysis.json")
+        assert "obstacle" not in report and "grid" not in report
+        assert report["particle"]["n_jumps_detected"] == \
+            len(report["particle"]["jumps_detected"])
+
+    def test_analyze_w_of_another_grid_exits_2(self, tmp_path, capsys):
+        for name, dx in (("fine", 0.05), ("coarse", 0.1)):
+            cfg_path = self.write_config(tmp_path, scenario_id=name, dx=dx)
+            assert main(["simulate", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        (out / "fine" / "w.csv").write_bytes((out / "coarse" / "w.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", str(out / "fine")]) == 2
+        assert str(out / "fine" / "w.csv") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("summary", [
+        {"scenario_id": "cli", "levels": []},
+        {"scenario_id": "cli", "config": {"scenario_id": "cli",
+                                          "density": UNIFORM, "alpha": "abc"}},
+        [1, 2]], ids=["no-config", "bad-alpha", "array"])
+    def test_analyze_malformed_summary_exits_2(self, tmp_path, capsys, summary):
+        rundir = tmp_path / "run"
+        rundir.mkdir()
+        (rundir / "summary.json").write_text(json.dumps(summary))
+        assert main(["analyze", str(rundir)]) == 2
+        assert str(rundir / "summary.json") in capsys.readouterr().err
 
     def test_analyze_missing_artifacts_is_config_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nowhere")]) == 2

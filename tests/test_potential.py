@@ -43,11 +43,6 @@ class TestComputeW:
         assert np.allclose(w.tail_bound, 0.5, atol=1e-14)
         assert w.meta["surviving_mass"] == pytest.approx(0.5 * 2.0, abs=1e-12)
 
-    def test_require_low_tail_refuses_live_fields(self):
-        f = constant_field(0.5)
-        with pytest.raises(ConfigError):
-            compute_w(f, require_low_tail=True)
-
     def test_shape_mismatch_rejected(self):
         f = constant_field(0.5)
         f.values = f.values[:-1]
