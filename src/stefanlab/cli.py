@@ -59,6 +59,15 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _check_finest_grid(path: Path, x: np.ndarray, cfg: ScenarioConfig) -> None:
+    """Reject an artifact whose cell centres are not the finest level's."""
+    dx = cfg.level_params(cfg.refinement_levels - 1)["dx"]
+    centres = (np.arange(int(round(cfg.x_max / dx))) + 0.5) * dx
+    if len(x) != len(centres) or np.max(np.abs(x - centres)) > 1e-6 * dx:
+        raise ConfigError(f"{path} is not on the finest grid of the stored config"
+                          f" (dx = {dx}, x_max = {cfg.x_max})")
+
+
 def _cmd_analyze(args) -> int:
     root = Path(args.rundir)
     summary_path = _require(root / "summary.json")
@@ -80,12 +89,15 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(f"missing artifact {field_path};"
                           " analysis needs a run with a sampled field")
     x, t, values = read_matrix_csv(field_path)
+    _check_finest_grid(field_path, x, cfg)
     lam_rows = frontier.value_at(t)
     field = Field(x=x, t=t, values=values,
                   frontier_index=np.searchsorted(x, lam_rows + 1e-12),
                   lam=lam_rows, alpha=cfg.alpha)
     nu_path = root / "nu.csv"
     nu = read_nu_csv(nu_path, cfg.alpha) if nu_path.exists() else None
+    if nu is not None:
+        _check_finest_grid(nu_path, nu.x, cfg)
 
     thr = jump_threshold(cfg, method, cfg.refinement_levels - 1)
     _, w, _, reports = analyze_route(cfg, method, frontier, field, nu, thr)

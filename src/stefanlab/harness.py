@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import shutil
 import time
 from dataclasses import dataclass, field as dc_field, asdict
@@ -52,6 +53,19 @@ def _is_int(v) -> bool:
 def _is_number(v) -> bool:
     """A finite real that is not a bool: NaN and infinities are rejected."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _approx(n: int) -> str:
+    """n to three digits; past the float range, as a power of two."""
+    return f"{n:.3g}" if n.bit_length() < 1000 else f"2**{n.bit_length() - 1}"
 
 
 @dataclass
@@ -130,6 +144,46 @@ class ScenarioConfig:
             raise ConfigError(f"x_max / dx = {n_cells} must count at least one cell")
         if abs(n_cells - round(n_cells)) > 1e-9:
             raise ConfigError("dx must divide x_max")
+        self._check_fits_in_memory()
+
+    def _check_fits_in_memory(self) -> None:
+        """Reject a finest level whose kept arrays exceed physical memory.
+
+        Counts, in 8-byte values, what the finest level keeps to its end:
+        the sampled field (rows x cells, for the grid and for particle
+        snapshots), the frontier samples and three arrays per particle.  It
+        is a lower bound of the run's footprint, so no config that fits is
+        rejected.
+        """
+        up = self.refinement_levels - 1
+        dt, dx = math.ldexp(self.dt, -up), math.ldexp(self.dx, -up)
+        steps = self.t_end / dt if dt else math.inf
+        cells = self.x_max / dx if dx else math.inf
+        if not max(steps, cells) < math.inf:
+            raise ConfigError(f"at {self.refinement_levels} refinement level(s) the"
+                              " finest level's step count t_end / dt or cell count"
+                              " x_max / dx is beyond the float range")
+        memory = _physical_memory()
+        if memory is None:
+            return
+        n_steps, n_cells = int(round(steps)), int(round(cells))
+        rows = 1 + -(-n_steps // self.sample_every)
+        values, parts = 0, []
+        if self.method in ("grid", "both"):
+            values += rows * (n_cells + 3)
+            parts.append(f"{_approx(rows)} x {_approx(n_cells)} grid field")
+        if self.method in ("particle", "both"):
+            particles = self.n_particles * 4 ** up
+            values += 3 * rows + 3 * particles
+            parts.append(f"{_approx(particles)} particles")
+            if self.snapshot_every:
+                snaps = 1 + -(-n_steps // self.snapshot_every)
+                values += snaps * n_cells
+                parts.append(f"{_approx(snaps)} x {_approx(n_cells)} snapshot field")
+        if 8 * values > memory:
+            raise ConfigError(f"the finest level keeps at least {_approx(8 * values)}"
+                              f" bytes ({', '.join(parts)}), more than the"
+                              f" {_approx(memory)} bytes of physical memory")
 
     def to_dict(self) -> dict:
         return asdict(self)

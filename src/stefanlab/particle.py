@@ -4,22 +4,18 @@ N Brownian particles diffuse above an absorbing frontier; each absorption
 advances the frontier by alpha/N, which may absorb more particles in the same
 instant (the cascade).  The frontier is alpha * (#absorbed) / N by
 construction, so mass balance is an identity of integer counts, not an
-approximation.
+approximation.  Absorbed particles stop: a step moves, and draws noise for,
+the living only.
 
 Randomness is counter-based: the Gaussian increments of step k are drawn from
-a Philox stream keyed by (seed, k), so the increment a particle receives
-depends only on (seed, its index, the step index).  Because no step's draw
-depends on the state, run() draws the increments of the next few steps ahead
-on a small pool of worker threads while the current step is applied; the
-draws are still keyed on (seed, k), so results are bit-identical to a serial
-loop of step() calls and do not depend on the number of threads.  Replays are
-bit-identical for a fixed (seed, dt, N) and independent of any update order.
+a Philox stream keyed by (seed, k), one per living particle in increasing
+order of original index, so the increment a particle receives depends only on
+(seed, the step index, its rank among the living).  Replays are bit-identical
+for a fixed (seed, dt, N).
 """
 from __future__ import annotations
 
-import os
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,106 +26,51 @@ from stefanlab.jump_rule import cascade_jump
 # Stream tag for the initial uniform sample; step indices stay far below this.
 INIT_STREAM = 2 ** 62
 
-# Upper bound on the threads that draw increments ahead of run()'s step loop.
-# At N = 1e5 drawing a step's normals takes about 4.5 times as long as
-# applying them (2.56 ms against 0.56 ms for move, absorption and cascade, on
-# a 2-core x86 VM), so beyond five drawers the one thread that applies the
-# steps is the bottleneck and more would only wait.
-DRAW_THREADS_MAX = 5
-
-# Below this many particles handing each step's draw to a worker costs more
-# in thread hand-offs than the overlap saves (the two broke even near 12 000
-# particles on 2 cores), and run() draws inline.
-POOL_MIN_PARTICLES = 16384
-
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
 
 
-def _draw(seed: int, step_index: int, scale: float, out: np.ndarray) -> np.ndarray:
-    """Increments of step step_index, scale * N(0, 1) per particle, into out.
-
-    Calls only _stream and numpy, so worker threads may run it.
-    """
-    _stream(seed, step_index).standard_normal(len(out), out=out)
-    out *= scale
-    return out
-
-
-def _draw_threads() -> int:
-    """Worker threads for drawing ahead: the usable CPUs, capped."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(DRAW_THREADS_MAX, cpus)
-
-
-def _increments_ahead(seed: int, first: int, n_steps: int, n: int, dt: float):
-    """Yield the increments of steps first .. first + n_steps - 1 in order.
-
-    With at least two usable CPUs and POOL_MIN_PARTICLES particles, a thread
-    pool draws up to threads + 1 steps ahead into a ring of preallocated
-    buffers; a buffer is refilled only after the caller asks for the next
-    step, so the caller must be done with the previous one by then.
-    Otherwise it yields None, and step() draws inline.  Close the generator
-    to shut the pool down.
-    """
-    threads = _draw_threads()
-    if threads < 2 or n < POOL_MIN_PARTICLES:
-        for _ in range(n_steps):
-            yield None
-        return
-    # imported here so that importing the package does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    scale = np.sqrt(dt)
-    ring = [np.empty(n) for _ in range(threads + 1)]
-    pending: deque = deque()
-    pool = ThreadPoolExecutor(threads, thread_name_prefix="stefanlab-draw")
-
-    def submit(j: int) -> None:
-        if j < n_steps:
-            pending.append(pool.submit(_draw, seed, first + j, scale,
-                                       ring[j % len(ring)]))
-
-    try:
-        for j in range(len(ring)):
-            submit(j)
-        for j in range(n_steps):
-            yield pending.popleft().result()
-            submit(j + len(ring))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 @dataclass
 class Ensemble:
-    """Mutable particle-system state.
+    """Mutable particle-system state in a packed layout.
 
-    positions and alive are parallel arrays over all n_total particles;
-    absorption_time is +inf while a particle is alive.  frontier is always
+    positions and index hold the living particles only: positions[r] is the
+    position of the particle of original index index[r], and index is
+    strictly increasing, so r is the particle's rank among the living.
+    absorption_time is kept per original index and is +inf exactly while a
+    particle lives; alive derives from it.  frontier is always
     alpha * n_dead / n_total.
     """
 
     positions: np.ndarray
-    alive: np.ndarray
+    index: np.ndarray
     absorption_time: np.ndarray
-    n_total: int
     alpha: float
     seed: int
     t: float = 0.0
-    n_dead: int = 0
     step_index: int = 0
+
+    @property
+    def n_total(self) -> int:
+        return len(self.absorption_time)
+
+    @property
+    def n_alive(self) -> int:
+        return len(self.positions)
+
+    @property
+    def n_dead(self) -> int:
+        return self.n_total - self.n_alive
+
+    @property
+    def alive(self) -> np.ndarray:
+        """Per original index: not yet absorbed."""
+        return np.isinf(self.absorption_time)
 
     @property
     def frontier(self) -> float:
         return self.alpha * self.n_dead / self.n_total
-
-    @property
-    def alive_fraction(self) -> float:
-        return (self.n_total - self.n_dead) / self.n_total
 
 
 @dataclass(frozen=True)
@@ -164,74 +105,79 @@ def init_ensemble(d, n: int, seed: int, sampling: str = "stratified",
     positions = np.asarray(d.quantile(u), dtype=float)
     return Ensemble(
         positions=positions,
-        alive=np.ones(n, dtype=bool),
+        index=np.arange(n),
         absorption_time=np.full(n, np.inf),
-        n_total=n,
         alpha=float(alpha),
         seed=seed,
     )
 
 
-def _absorb(e: Ensemble, hit: np.ndarray) -> None:
-    e.alive[hit] = False
-    e.absorption_time[hit] = e.t
-    e.n_dead += len(hit)
-
-
 def _absorb_below_frontier(e: Ensemble) -> None:
-    """Absorb the alive particles at or below the frontier, then the cascade."""
-    crossed = np.flatnonzero(e.alive & (e.positions <= e.frontier))
-    if len(crossed):
-        _absorb(e, crossed)
-        _resolve_cascade(e, len(crossed))
+    """Absorb the living at or below the frontier and the cascade they seed.
+
+    The cascade's new frontier bounds everything it absorbs, so one mask
+    removes the absorbed from the packed arrays.
+    """
+    lam = e.frontier
+    k0 = int(np.count_nonzero(e.positions <= lam))
+    if k0 == 0:
+        return
+    if e.alpha != 0.0:
+        lam = _cascade_frontier(e.positions, lam, k0, e.alpha, e.n_total)
+    keep = e.positions > lam
+    e.absorption_time[e.index[~keep]] = e.t
+    e.positions = e.positions[keep]
+    e.index = e.index[keep]
 
 
-def _resolve_cascade(e: Ensemble, k0: int) -> int:
-    """Absorb the cascade seeded by k0 just-dead particles; returns its size.
+def _cascade_frontier(live: np.ndarray, lam_start: float, k0: int, alpha: float,
+                      n_total: int) -> float:
+    """Frontier after the cascade seeded by the k0 of live at or below lam_start.
 
     Semantics are exactly cascade_jump's least fixed point, computed on a
-    window: the alive positions at or below lam_start + w are sorted and
-    handed to cascade_jump.  If the fixed point stays at or below the window
-    edge, particles beyond it cannot take part and the result is exact;
-    otherwise w doubles while alive particles remain beyond the edge.  The
-    first window is twice the k0 increment, so a cascade of m costs
-    O(m log m) plus one pass over the ensemble per doubling.
+    window: the live positions at or below lam_start + w are sorted and,
+    past the k0 seeds, handed to cascade_jump.  If the fixed point stays at
+    or below the window edge, particles beyond it cannot take part and the
+    result is exact; otherwise w doubles while live particles remain beyond
+    the edge.  The first window is twice the k0 increment, so a cascade of m
+    costs O(m log m) plus one pass over the living per doubling.  The fixed
+    point absorbs exactly the live positions at or below the returned
+    frontier.
     """
-    if k0 == 0 or e.alpha == 0.0:
-        return 0
-    lam_start = e.alpha * (e.n_dead - k0) / e.n_total
-    n_alive = e.n_total - e.n_dead
-    w = 2.0 * e.alpha * k0 / e.n_total
+    w = 2.0 * alpha * k0 / n_total
     while True:
         edge = lam_start + w
-        idx = np.flatnonzero(e.alive & (e.positions <= edge))
-        idx = idx[np.argsort(e.positions[idx], kind="stable")]
-        res = cascade_jump(e.positions[idx], lam_start, k0, e.alpha, e.n_total)
-        if res.new_frontier <= edge or len(idx) == n_alive:
-            break
+        window = np.sort(live[live <= edge])
+        res = cascade_jump(window[k0:], lam_start, k0, alpha, n_total)
+        if res.new_frontier <= edge or len(window) == len(live):
+            return res.new_frontier
         w *= 2.0
-    hit = idx[res.absorbed_indices]
-    _absorb(e, hit)
-    return len(hit)
 
 
-def step(e: Ensemble, dt: float, increments: np.ndarray | None = None) -> Ensemble:
+def _increments(e: Ensemble, dt: float) -> np.ndarray:
+    """The step's increments, one per living particle by rank.
+
+    A function of its own, so that the array is freed before
+    _absorb_below_frontier copies the survivors.
+    """
+    z = _stream(e.seed, e.step_index).standard_normal(e.n_alive)
+    z *= np.sqrt(dt)
+    return z
+
+
+def step(e: Ensemble, dt: float) -> Ensemble:
     """One Euler step: Gaussian moves, end-of-step absorption, cascade.
 
-    increments are sqrt(dt) * N(0, 1) for all n_total indices from the
-    (seed, step_index) stream; run() passes them in, drawn ahead on worker
-    threads, and without them step draws them inline, which is the serial
-    reference.  They are applied to alive particles only, so a particle's
-    move never depends on which others are alive.  Particles at or below the
-    frontier after the move are absorbed, then cascade_jump semantics
-    resolve the induced cascade.  Between-step excursions below the frontier
-    are not seen (no bridge correction); the bias vanishes with sqrt(dt).
+    The living get sqrt(dt) * N(0, 1) increments from the (seed, step_index)
+    stream, the r-th normal to the particle of rank r among the living.
+    Particles at or below the frontier after the move are absorbed, then
+    cascade_jump semantics resolve the induced cascade.  Between-step
+    excursions below the frontier are not seen (no bridge correction); the
+    bias vanishes with sqrt(dt).
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    if increments is None:
-        increments = _draw(e.seed, e.step_index, np.sqrt(dt), np.empty(e.n_total))
-    np.add(e.positions, increments, out=e.positions, where=e.alive)
+    e.positions += _increments(e, dt)
     e.t += dt
     e.step_index += 1
     _absorb_below_frontier(e)
@@ -276,22 +222,18 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     if snapshots_out is not None and snapshot_every:
         snapshots_out.append(_snapshot(e))
 
-    increments = _increments_ahead(e.seed, e.step_index, n_steps, e.n_total, dt)
-    try:
-        for k in range(1, n_steps + 1):
-            before = e.frontier
-            step(e, dt, next(increments))
-            if e.frontier - before > threshold:
-                jumps.append(JumpRecord(e.t, before, e.frontier,
-                                        mass=(e.frontier - before) / e.alpha if e.alpha else 0.0))
-            if k % sample_every == 0 or k == n_steps:
-                times.append(e.t)
-                lams.append(e.frontier)
-                dead.append(e.n_dead)
-            if snapshots_out is not None and snapshot_every and (k % snapshot_every == 0 or k == n_steps):
-                snapshots_out.append(_snapshot(e))
-    finally:
-        increments.close()
+    for k in range(1, n_steps + 1):
+        before = e.frontier
+        step(e, dt)
+        if e.frontier - before > threshold:
+            jumps.append(JumpRecord(e.t, before, e.frontier,
+                                    mass=(e.frontier - before) / e.alpha if e.alpha else 0.0))
+        if k % sample_every == 0 or k == n_steps:
+            times.append(e.t)
+            lams.append(e.frontier)
+            dead.append(e.n_dead)
+        if snapshots_out is not None and snapshot_every and (k % snapshot_every == 0 or k == n_steps):
+            snapshots_out.append(_snapshot(e))
 
     path = FrontierPath(
         times=np.array(times), lam=np.array(lams), alpha=e.alpha, jumps=jumps,
@@ -303,7 +245,7 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
 
 
 def _snapshot(e: Ensemble) -> Snapshot:
-    return Snapshot(t=e.t, alive_positions=e.positions[e.alive].copy(),
+    return Snapshot(t=e.t, alive_positions=e.positions.copy(),
                     n_dead=e.n_dead, n_total=e.n_total, alpha=e.alpha)
 
 

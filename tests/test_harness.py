@@ -1,12 +1,14 @@
 """Tests for scenario configs, artifact layout, the invariant suite, and the CLI."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stefanlab.harness as harness_mod
 from stefanlab.cli import main
 from stefanlab.errors import ConfigError, NumericalAbort
 from stefanlab.exporters import read_frontier_csv, read_json, read_matrix_csv
@@ -78,6 +80,34 @@ class TestConfigValidation:
         p = cfg.level_params(2)
         assert p["dt"] == cfg.dt / 4 and p["dx"] == cfg.dx / 4
         assert p["n_particles"] == 1600
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(dt=1e-300), r"1e\+299 x 70 grid field"),
+        (dict(method="particle", n_particles=10 ** 12), r"1e\+12 particles"),
+        (dict(method="particle", snapshot_every=1, dx=1e-12),
+         r"51 x 3\.46e\+12 snapshot field"),
+        (dict(refinement_levels=40), r"2\.75e\+13 x 3\.85e\+13 grid field"),
+        (dict(dt=1e-320), "beyond the float range"),
+        (dict(refinement_levels=1100), "beyond the float range"),
+        (dict(refinement_levels=3000), "beyond the float range")])
+    def test_rejects_a_finest_level_beyond_physical_memory(self, monkeypatch,
+                                                           kw, match):
+        # a fixed machine, so the sizes do not depend on the test host
+        monkeypatch.setattr(harness_mod, "_physical_memory", lambda: 2 ** 34)
+        with pytest.raises(ConfigError, match=match):
+            quick_config(**kw)
+
+    def test_memory_bound_counts_the_kept_values(self, monkeypatch):
+        # README demo: 1001 rows of 3 frontier samples each for both routes,
+        # 1001 x 310 field values and 3 arrays of 20 000 particles
+        need = 8 * (1001 * (310 + 3) + 3 * 1001 + 3 * 20_000)
+        monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need)
+        quick_config(**README_DEMO)
+        monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match=re.escape(f"{need:.3g} bytes")):
+            quick_config(**README_DEMO)
+        monkeypatch.setattr(harness_mod, "_physical_memory", lambda: None)
+        quick_config(**dict(README_DEMO, n_particles=10 ** 15))
 
 
 class TestBuildDensity:
@@ -312,6 +342,30 @@ class TestCli:
         assert main(["analyze", str(out / "fine")]) == 2
         assert str(out / "fine" / "w.csv") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("copied, named", [
+        (("field.csv", "nu.csv"), "field.csv"), (("nu.csv",), "nu.csv")])
+    def test_analyze_field_of_another_grid_exits_2(self, tmp_path, capsys,
+                                                   copied, named):
+        for name, dx in (("fine", 0.05), ("coarse", 0.1)):
+            cfg_path = self.write_config(tmp_path, scenario_id=name, dx=dx)
+            assert main(["simulate", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        for name in copied:
+            (out / "fine" / name).write_bytes((out / "coarse" / name).read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", str(out / "fine")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {out / 'fine' / named} is not on the finest grid" in err
+
+    def test_analyze_field_of_a_coarser_level_exits_2(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, refinement_levels=2)
+        assert main(["simulate", str(cfg_path)]) == 0
+        rundir = tmp_path / "out" / "cli"
+        (rundir / "field.csv").write_bytes((rundir / "L0" / "field.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", str(rundir)]) == 2
+        assert "dx = 0.025" in capsys.readouterr().err
+
     @pytest.mark.parametrize("summary", [
         {"scenario_id": "cli", "levels": []},
         {"scenario_id": "cli", "config": {"scenario_id": "cli",
@@ -378,6 +432,13 @@ class TestCli:
         # a density entry is reported against the density block
         name = override.split("=")[0].split(".")[0]
         assert f"config error: {name} must be" in capsys.readouterr().err
+
+    def test_impossible_resolution_exits_2(self, tmp_path, capsys):
+        # rejected by validation, before any array is allocated
+        cfg_path = self.write_config(tmp_path)
+        assert main(["simulate", str(cfg_path), "--set", "dt=1e-300"]) == 2
+        assert "bytes of physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("dt", math.nan), ("alpha", math.inf), ("t_end", math.inf),
