@@ -1,4 +1,5 @@
 """Interacting-particle solver: sampling, reproducibility, mass identity."""
+import threading
 from unittest import mock
 
 import numpy as np
@@ -199,10 +200,12 @@ def test_windowed_cascade_is_least_fixed_point(e):
     assert np.count_nonzero(e.absorption_time == e.t) == e.n_dead - dead_before
 
 
-def test_run_matches_serial_step_loop():
-    # run, then a run continued from step_index 50, must equal a plain loop
-    # of step() calls, and call step through the module once per step (the
-    # name perfbench/spans.py wraps); the band's cascade happens within them
+@pytest.mark.parametrize("segments", [2, 5])
+def test_run_matches_serial_step_loop_and_releases_threads(segments):
+    # 80 steps run as `segments` continued runs must equal a plain loop of
+    # step() calls, and call step through the module once per step (the name
+    # perfbench/spans.py wraps); the band's cascade happens within them. run
+    # starts no thread that outlives it, also when a step raises.
     n = 16384
     d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
     dt = 5e-4
@@ -214,17 +217,32 @@ def test_run_matches_serial_step_loop():
         ref_dead.append(ref.n_dead)
     assert ref_dead[-1] > 0.5 * n
 
+    threads_before = threading.active_count()
     e = init_ensemble(d, n, seed=11, alpha=2.0)
+    paths = []
     with mock.patch.object(particle_mod, "step", wraps=particle_mod.step) as spy:
-        first, e = run(e, t_end=50 * dt, dt=dt)
-        second, e = run(e, t_end=30 * dt, dt=dt)
+        for chunk in np.array_split(np.arange(80), segments):
+            path, e = run(e, t_end=len(chunk) * dt, dt=dt)
+            paths.append(path)
+            assert threading.active_count() == threads_before
     assert spy.call_count == 80
-    assert np.array_equal(np.concatenate([first.lam[1:], second.lam[1:]]), ref_lam)
-    assert np.array_equal(np.concatenate([first.dead_count[1:], second.dead_count[1:]]),
-                          ref_dead)
+    assert np.array_equal(np.concatenate([p.lam[1:] for p in paths]), ref_lam)
+    assert np.array_equal(np.concatenate([p.dead_count[1:] for p in paths]), ref_dead)
     assert np.array_equal(e.positions, ref.positions)
     assert np.array_equal(e.index, ref.index)
     assert np.array_equal(e.absorption_time, ref.absorption_time)
+
+    serial_step = particle_mod.step
+
+    def failing(e, dt):
+        if e.step_index == 5:
+            raise RuntimeError("step failed")
+        return serial_step(e, dt)
+
+    with mock.patch.object(particle_mod, "step", failing):
+        with pytest.raises(RuntimeError, match="step failed"):
+            run(init_ensemble(d, n, seed=11, alpha=2.0), t_end=50 * dt, dt=dt)
+    assert threading.active_count() == threads_before
 
 
 @settings(max_examples=40, deadline=None)
