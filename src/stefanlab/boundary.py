@@ -43,7 +43,6 @@ class FreezingProfile:
     labels: list
     boundary_value: np.ndarray
     alpha: float
-    meta: dict = dc_field(default_factory=dict)
 
     def fraction_unresolved(self) -> float:
         """Unresolved share among finite-s points outside jumps and endpoints."""
@@ -81,8 +80,7 @@ def freezing_time(frontier: FrontierPath, x_grid) -> FreezingProfile:
         elif lo >= 0 and fin[lo]:
             sp[i] = (s[i] - s[lo]) / (x[i] - x[lo])
     return FreezingProfile(x=x, s=s, s_prime=sp, labels=["unresolved"] * n,
-                           boundary_value=np.full(n, np.nan), alpha=frontier.alpha,
-                           meta={"t_end": float(times[-1])})
+                           boundary_value=np.full(n, np.nan), alpha=frontier.alpha)
 
 
 def detect_jumps(frontier: FrontierPath, threshold: float) -> list[JumpRecord]:
@@ -175,12 +173,8 @@ def classify_points(profile: FreezingProfile, field: Field,
         else:
             labels[i] = "unresolved"
 
-    out = FreezingProfile(x=x, s=s, s_prime=profile.s_prime, labels=labels,
-                          boundary_value=bv, alpha=alpha,
-                          meta=dict(profile.meta, eps_u=eps_u,
-                                    endpoint_band=endpoint_band))
-    out.meta["fraction_unresolved"] = out.fraction_unresolved()
-    return out
+    return FreezingProfile(x=x, s=s, s_prime=profile.s_prime, labels=labels,
+                           boundary_value=bv, alpha=alpha)
 
 
 def _pre_freeze_value(field: Field, xi: float, si: float) -> float:

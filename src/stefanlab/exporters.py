@@ -101,10 +101,9 @@ def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_nu_csv(path, nu: WeightField) -> None:
-    rec = nu.recorded if nu.recorded is not None else np.ones(len(nu.x), dtype=bool)
     with _open_w(path) as fh:
         fh.write("x,nu,recorded\n")
-        for row, rv in zip(np.column_stack((nu.x, nu.nu)), rec):
+        for row, rv in zip(np.column_stack((nu.x, nu.nu)), nu.recorded):
             fh.write(f"{_row(row)},{int(rv)}\n")
 
 

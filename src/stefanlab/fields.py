@@ -52,7 +52,6 @@ class FrontierPath:
     jumps: list[JumpRecord] = field(default_factory=list)
     n_total: int | None = None
     dead_count: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -94,7 +93,6 @@ class Field:
     frontier_index: np.ndarray
     lam: np.ndarray
     alpha: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -118,7 +116,7 @@ class WeightField:
     """Stopped-mass weight nu on the frozen region.
 
     nu[i] is zero where nothing froze; recorded[i] marks cells whose weight
-    was actually set during a run (once, at freeze time, never overwritten).
+    was set during a run (once, when the cell froze).
     """
 
     x: np.ndarray

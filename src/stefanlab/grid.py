@@ -18,7 +18,8 @@ frontier reaches 1/alpha, so the jump rule is solved only on steps where the
 frontier cell does; elsewhere its no-jump answer is read off the first face.
 The stopped-mass weight nu is recorded the moment a cell freezes: 1/alpha
 for cells frozen by the smooth advance, the pre-jump temperature for cells
-swallowed by a jump.  A cell's weight is never overwritten.
+swallowed by a jump.  The frontier face only moves forward, so each cell's
+weight is set once.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ WALL_GUARD = 1e-6
 class GridState:
     """Finite-volume state: cell averages, frontier face, recorded weights."""
 
-    x: np.ndarray            # cell centers, spacing dx
     u: np.ndarray            # cell-average temperatures
     j: int                   # frontier face index: cells < j are frozen
     lam: float               # exact mass-balance frontier position
@@ -48,13 +48,10 @@ class GridState:
     alpha: float
     dx: float
     nu: np.ndarray = field(default=None)
-    nu_recorded: np.ndarray = field(default=None)
 
     def __post_init__(self) -> None:
         if self.nu is None:
             self.nu = np.zeros_like(self.u)
-        if self.nu_recorded is None:
-            self.nu_recorded = np.zeros(len(self.u), dtype=bool)
 
     @property
     def mass(self) -> float:
@@ -132,16 +129,14 @@ def _freeze_cells(state: GridState, j_new: int, weights: np.ndarray | None) -> f
     """Freeze cells [state.j, j_new); returns the mass removed.
 
     weights = None records the smooth-advance weight 1/alpha; otherwise the
-    given per-cell values (the pre-jump temperatures).  Never overwrites.
+    given per-cell values (the pre-jump temperatures).  The cells lie at or
+    past the face, which never moves back, so none was recorded before.
     """
     j_old = state.j
     if j_new <= j_old:
         return 0.0
     removed = float(np.sum(state.u[j_old:j_new]) * state.dx)
-    w = np.full(j_new - j_old, 1.0 / state.alpha) if weights is None else weights
-    fresh = ~state.nu_recorded[j_old:j_new]
-    state.nu[j_old:j_new][fresh] = w[fresh]
-    state.nu_recorded[j_old:j_new] = True
+    state.nu[j_old:j_new] = 1.0 / state.alpha if weights is None else weights
     state.u[j_old:j_new] = 0.0
     state.j = j_new
     return removed
@@ -223,7 +218,7 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
     edges = np.arange(n + 1) * dx
     x = 0.5 * (edges[:-1] + edges[1:])
     u = d.cell_averages(edges)
-    state = GridState(x=x, u=u, j=0, lam=0.0, t=0.0, alpha=alpha, dx=dx)
+    state = GridState(u=u, j=0, lam=0.0, t=0.0, alpha=alpha, dx=dx)
 
     jumps: list[JumpRecord] = []
     if alpha > 0:
@@ -276,12 +271,9 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
             break
 
     path = FrontierPath(times=np.array(times), lam=np.array(lams), alpha=alpha,
-                        jumps=jumps,
-                        meta={"method": "grid", "dt": dt, "dx": dx, "x_max": x_max,
-                              "sample_every": sample_every})
+                        jumps=jumps)
     fld = Field(x=x, t=np.array(times), values=rows[:len(times)],
-                frontier_index=np.array(fidx), lam=np.array(lams), alpha=alpha,
-                meta={"method": "grid", "dt": dt, "dx": dx})
-    weights = WeightField(x=x, nu=state.nu.copy(), alpha=alpha,
-                          recorded=state.nu_recorded.copy())
+                frontier_index=np.array(fidx), lam=np.array(lams), alpha=alpha)
+    weights = WeightField(x=x, nu=state.nu, alpha=alpha,
+                          recorded=np.arange(n) < state.j)
     return path, fld, weights

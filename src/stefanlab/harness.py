@@ -40,6 +40,10 @@ from stefanlab.potential import compute_w, obstacle_residual
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
 DENSITY_FAMILIES = ("piecewise_constant", "power_gap", "oscillatory")
+# the most steps a run's finest level may take: at the cheapest step
+# measured, about 32 us for one particle on a 2-core x86 VM, this is over
+# five minutes of stepping
+MAX_STEPS = 10 ** 7
 # the analysis knobs a config's "thresholds" block may set
 THRESHOLD_KEYS = ("complementarity_tol", "endpoint_band", "eps_u", "eps_w",
                   "interior_margin", "jump_threshold", "nondeg_r",
@@ -144,16 +148,14 @@ class ScenarioConfig:
             raise ConfigError(f"x_max / dx = {n_cells} must count at least one cell")
         if abs(n_cells - round(n_cells)) > 1e-9:
             raise ConfigError("dx must divide x_max")
-        self._check_fits_in_memory()
+        self._check_finest_level()
 
-    def _check_fits_in_memory(self) -> None:
-        """Reject a finest level whose kept arrays exceed physical memory.
+    def _check_finest_level(self) -> None:
+        """Reject a finest level that no run could finish.
 
-        Counts, in 8-byte values, what the finest level keeps to its end:
-        the sampled field (rows x cells, for the grid and for particle
-        snapshots), the frontier samples and three arrays per particle.  It
-        is a lower bound of the run's footprint, so no config that fits is
-        rejected.
+        Its step count t_end / dt and cell count x_max / dx must be floats,
+        its kept arrays must fit in physical memory, and, checked last, it
+        may take at most MAX_STEPS steps.
         """
         up = self.refinement_levels - 1
         dt, dx = math.ldexp(self.dt, -up), math.ldexp(self.dx, -up)
@@ -163,18 +165,33 @@ class ScenarioConfig:
             raise ConfigError(f"at {self.refinement_levels} refinement level(s) the"
                               " finest level's step count t_end / dt or cell count"
                               " x_max / dx is beyond the float range")
+        n_steps = int(round(steps))
+        self._check_fits_in_memory(n_steps, int(round(cells)))
+        if n_steps > MAX_STEPS:
+            raise ConfigError(f"the finest level takes {_approx(n_steps)} steps"
+                              f" (t_end / dt), more than the {MAX_STEPS:,} a run"
+                              " may take")
+
+    def _check_fits_in_memory(self, n_steps: int, n_cells: int) -> None:
+        """Reject a finest level whose kept arrays exceed physical memory.
+
+        Counts, in 8-byte values, what the finest level keeps to its end:
+        the sampled field (rows x cells, for the grid and for particle
+        snapshots), the frontier samples and one array per particle.  It
+        is a lower bound of the run's footprint, so no config that fits is
+        rejected.
+        """
         memory = _physical_memory()
         if memory is None:
             return
-        n_steps, n_cells = int(round(steps)), int(round(cells))
         rows = 1 + -(-n_steps // self.sample_every)
         values, parts = 0, []
         if self.method in ("grid", "both"):
             values += rows * (n_cells + 3)
             parts.append(f"{_approx(rows)} x {_approx(n_cells)} grid field")
         if self.method in ("particle", "both"):
-            particles = self.n_particles * 4 ** up
-            values += 3 * rows + 3 * particles
+            particles = self.n_particles * 4 ** (self.refinement_levels - 1)
+            values += 3 * rows + particles
             parts.append(f"{_approx(particles)} particles")
             if self.snapshot_every:
                 snaps = 1 + -(-n_steps // self.snapshot_every)
@@ -837,21 +854,20 @@ def _iv_potential_band_agreement(ctx):
 
 
 def _iv_potential_complementarity(ctx):
+    # the level's obstacle report: its region and complementarity slack do
+    # not depend on eps_w, so the config's eps_w does not change them
     res = ctx["levels"][0]
-    if res.w is None or res.nu is None:
+    rep = res.reports.get("obstacle")
+    if rep is None:
         return _skip("no potential in this scenario")
-    cfg = ctx["cfg"]
-    try:
-        rep = obstacle_residual(
-            res.w, res.nu, interior_margin=cfg.threshold("interior_margin", 0.1))
-    except ConfigError as exc:
-        return _skip(f"residual region unavailable: {exc}")
-    if rep.n_nodes == 0:
+    if "error" in rep:
+        return _skip(f"residual region unavailable: {rep['error']}")
+    if rep["n_nodes"] == 0:
         return _skip("interior region is empty at this resolution")
-    tol = cfg.threshold("complementarity_tol", 20.0 * res.w.eps_w())
-    return _verdict(rep.complementarity_max <= tol,
+    tol = ctx["cfg"].threshold("complementarity_tol", 20.0 * res.w.eps_w())
+    return _verdict(rep["complementarity_max"] <= tol,
                     f"max over region of |min(w, w_t - w_xx/2 + nu)| ="
-                    f" {rep.complementarity_max:.3e}, tol {tol:.3e}")
+                    f" {rep['complementarity_max']:.3e}, tol {tol:.3e}")
 
 
 def _iv_s_monotone(ctx):

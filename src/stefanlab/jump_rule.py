@@ -30,15 +30,16 @@ class JumpResult:
     """Outcome of one jump resolution.
 
     delta is the frontier displacement (0 means no jump), absorbed_mass the
-    mass swept up, absorbed_indices the positions absorbed by a cascade
-    (indices into the sorted alive array; None for continuum jumps).
-    total_freeze marks that all mass up to the last knot was absorbed.
+    mass swept up, n_absorbed the number of alive particles a cascade
+    absorbs (the lowest n_absorbed of the sorted alive array; 0 for
+    continuum jumps).  total_freeze marks that all mass up to the last knot
+    was absorbed.
     """
 
     delta: float
     new_frontier: float
     absorbed_mass: float
-    absorbed_indices: np.ndarray | None = None
+    n_absorbed: int = 0
     total_freeze: bool = False
 
 
@@ -69,7 +70,7 @@ def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, knots) -> JumpResu
         raise ConfigError("alpha must be nonnegative")
     if alpha == 0.0:
         # Absorption releases no heat: the shortfall holds for every x > 0.
-        return JumpResult(0.0, lambda_minus, 0.0, None, False)
+        return JumpResult(0.0, lambda_minus, 0.0)
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 1 or len(knots) == 0:
         raise ConfigError("knots must be a nonempty one-dimensional array")
@@ -87,17 +88,19 @@ def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, knots) -> JumpResu
     over = shortfall > TIE_GUARD * alpha
     hit = int(np.argmax(over))
     if not over[hit]:
-        return JumpResult(float(xs[-1]), lambda_minus + xs[-1], float(swept[-1]), None, True)
+        return JumpResult(float(xs[-1]), lambda_minus + xs[-1], float(swept[-1]),
+                          total_freeze=True)
 
     # shortfall[0] = 0, so hit >= 1 and the piece is (xs[hit-1], xs[hit]]
     s_lo, s_hi = shortfall[hit - 1], shortfall[hit]
     frac = max(0.0, -s_lo) / (s_hi - s_lo)
     delta = float(xs[hit - 1] + frac * (xs[hit] - xs[hit - 1]))
     if delta <= TIE_GUARD * alpha:
-        return JumpResult(0.0, lambda_minus, 0.0, None, False)
+        return JumpResult(0.0, lambda_minus, 0.0)
     absorbed = float(swept[hit - 1] + frac * (swept[hit] - swept[hit - 1]))
     freeze = absorbed >= swept[-1] - 1e-12 and swept[-1] > 0
-    return JumpResult(delta, lambda_minus + delta, absorbed, None, bool(freeze))
+    return JumpResult(delta, lambda_minus + delta, absorbed,
+                      total_freeze=bool(freeze))
 
 
 def cascade_jump(alive_sorted: np.ndarray, lambda_start: float, k0: int, alpha: float,
@@ -125,8 +128,7 @@ def cascade_jump(alive_sorted: np.ndarray, lambda_start: float, k0: int, alpha: 
 
     if k0 == 0 or alpha == 0.0:
         new_lam = lambda_start + alpha * k0 / n_total
-        return JumpResult(new_lam - lambda_start, new_lam, 0.0,
-                          np.empty(0, dtype=np.int64), False)
+        return JumpResult(new_lam - lambda_start, new_lam, 0.0)
 
     m = 0
     while True:
@@ -136,8 +138,8 @@ def cascade_jump(alive_sorted: np.ndarray, lambda_start: float, k0: int, alpha: 
             break
         m = m_new
     delta = alpha * (k0 + m) / n_total
-    return JumpResult(delta, lambda_start + delta, m / n_total,
-                      np.arange(m, dtype=np.int64), m == len(alive_sorted))
+    return JumpResult(delta, lambda_start + delta, m / n_total, m,
+                      m == len(alive_sorted))
 
 
 def verify_cascade_minimality(alive_sorted: np.ndarray, lambda_start: float, k0: int,
@@ -166,5 +168,4 @@ def verify_cascade_minimality(alive_sorted: np.ndarray, lambda_start: float, k0:
     else:
         expected_delta = alpha * (k0 + least) / n_total
         expected_count = least
-    n_absorbed = 0 if result.absorbed_indices is None else len(result.absorbed_indices)
-    return n_absorbed == expected_count and abs(result.delta - expected_delta) < 1e-12
+    return result.n_absorbed == expected_count and abs(result.delta - expected_delta) < 1e-12

@@ -35,25 +35,17 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 class Ensemble:
     """Mutable particle-system state in a packed layout.
 
-    positions and index hold the living particles only: positions[r] is the
-    position of the particle of original index index[r], and index is
-    strictly increasing, so r is the particle's rank among the living.
-    absorption_time is kept per original index and is +inf exactly while a
-    particle lives; alive derives from it.  frontier is always
-    alpha * n_dead / n_total.
+    positions holds the living particles only, in increasing order of
+    original index, so positions[r] belongs to the particle of rank r among
+    the living.  frontier is always alpha * n_dead / n_total.
     """
 
     positions: np.ndarray
-    index: np.ndarray
-    absorption_time: np.ndarray
+    n_total: int
     alpha: float
     seed: int
     t: float = 0.0
     step_index: int = 0
-
-    @property
-    def n_total(self) -> int:
-        return len(self.absorption_time)
 
     @property
     def n_alive(self) -> int:
@@ -62,11 +54,6 @@ class Ensemble:
     @property
     def n_dead(self) -> int:
         return self.n_total - self.n_alive
-
-    @property
-    def alive(self) -> np.ndarray:
-        """Per original index: not yet absorbed."""
-        return np.isinf(self.absorption_time)
 
     @property
     def frontier(self) -> float:
@@ -103,20 +90,14 @@ def init_ensemble(d, n: int, seed: int, sampling: str = "stratified",
     else:
         raise ConfigError(f"unknown sampling mode {sampling!r}")
     positions = np.asarray(d.quantile(u), dtype=float)
-    return Ensemble(
-        positions=positions,
-        index=np.arange(n),
-        absorption_time=np.full(n, np.inf),
-        alpha=float(alpha),
-        seed=seed,
-    )
+    return Ensemble(positions=positions, n_total=n, alpha=float(alpha), seed=seed)
 
 
 def _absorb_below_frontier(e: Ensemble) -> None:
     """Absorb the living at or below the frontier and the cascade they seed.
 
     The cascade's new frontier bounds everything it absorbs, so one mask
-    removes the absorbed from the packed arrays.
+    removes the absorbed from the packed positions.
     """
     lam = e.frontier
     k0 = int(np.count_nonzero(e.positions <= lam))
@@ -124,10 +105,7 @@ def _absorb_below_frontier(e: Ensemble) -> None:
         return
     if e.alpha != 0.0:
         lam = _cascade_frontier(e.positions, lam, k0, e.alpha, e.n_total)
-    keep = e.positions > lam
-    e.absorption_time[e.index[~keep]] = e.t
-    e.positions = e.positions[keep]
-    e.index = e.index[keep]
+    e.positions = e.positions[e.positions > lam]
 
 
 def _cascade_frontier(live: np.ndarray, lam_start: float, k0: int, alpha: float,
@@ -238,8 +216,6 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     path = FrontierPath(
         times=np.array(times), lam=np.array(lams), alpha=e.alpha, jumps=jumps,
         n_total=e.n_total, dead_count=np.array(dead, dtype=np.int64),
-        meta={"method": "particle", "seed": e.seed, "dt": dt, "n": e.n_total,
-              "sample_every": sample_every},
     )
     return path, e
 
@@ -270,5 +246,4 @@ def empirical_field(snapshots: list[Snapshot], x_grid: np.ndarray) -> Field:
         ts.append(s.t)
     return Field(x=x_grid, t=np.array(ts), values=np.array(rows),
                  frontier_index=np.clip(np.array(fidx), 0, len(x_grid) - 1),
-                 lam=np.array(lam), alpha=snapshots[0].alpha,
-                 meta={"method": "particle"})
+                 lam=np.array(lam), alpha=snapshots[0].alpha)

@@ -9,7 +9,7 @@ avoid or flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class PotentialField:
     w: np.ndarray                     # shape (nt, nx)
     tail_bound: np.ndarray            # shape (nx,)
     alpha: float
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def dx(self) -> float:
@@ -76,14 +75,13 @@ def compute_w(field: Field) -> PotentialField:
     """Integrate the temperature tail by trapezoid from each sample to the end.
 
     The tail beyond the final sample is dropped, not modeled; the final
-    temperature is reported per column as tail_bound, and the surviving mass
-    in meta.
+    temperature is reported per column as tail_bound (the surviving mass is
+    field.mass_at(-1)).
     """
     t = np.asarray(field.t, dtype=float)
     u = np.asarray(field.values, dtype=float)
     if u.ndim != 2 or u.shape[0] != len(t):
         raise ConfigError("field values must be (len(t), len(x))")
-    surviving = float(np.sum(u[-1]) * field.dx)
     dt_steps = np.diff(t)
     # reverse cumulative trapezoid: w[k] = sum_{j>=k} (u[j] + u[j+1])/2 * dt_j,
     # the increments built and summed inside w itself
@@ -95,8 +93,7 @@ def compute_w(field: Field) -> PotentialField:
     np.cumsum(inc[::-1], axis=0, out=inc[::-1])
     tail = u[-1].copy()
     return PotentialField(x=field.x.copy(), t=t.copy(), w=w, tail_bound=tail,
-                          alpha=field.alpha,
-                          meta=dict(field.meta, surviving_mass=surviving))
+                          alpha=field.alpha)
 
 
 @dataclass

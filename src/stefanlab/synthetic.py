@@ -31,10 +31,9 @@ def traveling_wave_field(alpha: float, speed: float, x_max: float, t_end: float,
     u = np.where(xi > 0, (1.0 - np.exp(-2.0 * speed * np.clip(xi, 0, None))) / alpha, 0.0)
     frontier_index = np.searchsorted(x, lam, side="left")
     path = FrontierPath(times=t, lam=lam, alpha=alpha, jumps=[],
-                        n_total=0, dead_count=np.zeros(len(t), dtype=np.int64),
-                        meta={"kind": "traveling_wave", "speed": speed})
+                        n_total=0, dead_count=np.zeros(len(t), dtype=np.int64))
     field = Field(x=x, t=t, values=u, frontier_index=frontier_index, lam=lam,
-                  alpha=alpha, meta={"kind": "traveling_wave", "speed": speed})
+                  alpha=alpha)
     return path, field
 
 
@@ -48,7 +47,7 @@ def caloric_polynomial_field(x_max: float, t_end: float, dx: float, dt: float) -
     t = np.arange(0.0, t_end + dt / 2, dt)
     u = x[None, :] ** 2 + t[:, None]
     return Field(x=x, t=t, values=u, frontier_index=np.zeros(len(t), dtype=np.int64),
-                 lam=np.zeros(len(t)), alpha=1.0, meta={"kind": "caloric"})
+                 lam=np.zeros(len(t)), alpha=1.0)
 
 
 def vanishing_profile_potential(alpha: float, x0: float, x_max: float, t_end: float,
@@ -63,8 +62,7 @@ def vanishing_profile_potential(alpha: float, x0: float, x_max: float, t_end: fl
     x = (np.arange(int(round(x_max / dx))) + 0.5) * dx
     t = np.arange(0.0, t_end + dt / 2, dt)
     w = np.tile(np.clip(x - x0, 0, None)[None, :] ** 2 / alpha, (len(t), 1))
-    return PotentialField(x=x, t=t, w=w, tail_bound=np.zeros(len(x)), alpha=alpha,
-                          meta={"kind": "vanishing_profile", "x0": x0})
+    return PotentialField(x=x, t=t, w=w, tail_bound=np.zeros(len(x)), alpha=alpha)
 
 
 def critical_profile_potential(alpha: float, t0: float, x_max: float, t_end: float,
@@ -78,8 +76,7 @@ def critical_profile_potential(alpha: float, t0: float, x_max: float, t_end: flo
     x = (np.arange(int(round(x_max / dx))) + 0.5) * dx
     t = np.arange(0.0, t_end + dt / 2, dt)
     w = np.tile(np.clip(t0 - t, 0, None)[:, None] / alpha, (1, len(x)))
-    return PotentialField(x=x, t=t, w=w, tail_bound=np.zeros(len(x)), alpha=alpha,
-                          meta={"kind": "critical_profile", "t0": t0})
+    return PotentialField(x=x, t=t, w=w, tail_bound=np.zeros(len(x)), alpha=alpha)
 
 
 def smooth_frontier_path(times: np.ndarray, lam: np.ndarray, alpha: float) -> FrontierPath:
@@ -87,5 +84,4 @@ def smooth_frontier_path(times: np.ndarray, lam: np.ndarray, alpha: float) -> Fr
     times = np.asarray(times, dtype=float)
     lam = np.asarray(lam, dtype=float)
     return FrontierPath(times=times, lam=lam, alpha=alpha, jumps=[], n_total=0,
-                        dead_count=np.zeros(len(times), dtype=np.int64),
-                        meta={"kind": "synthetic_frontier"})
+                        dead_count=np.zeros(len(times), dtype=np.int64))

@@ -303,9 +303,9 @@ def test_10_boundary_points_classify_by_vanishing_mode(uniform3):
     u = np.where(x[None, :] > lam[:, None], 1.0 / alpha, 0.0)
     plateau = Field(x=x, t=t, values=u,
                     frontier_index=np.searchsorted(x, lam, side="left"),
-                    lam=lam, alpha=alpha, meta={})
+                    lam=lam, alpha=alpha)
     ppath = FrontierPath(times=t, lam=lam, alpha=alpha, jumps=[], n_total=0,
-                         dead_count=np.zeros(len(t), dtype=np.int64), meta={})
+                         dead_count=np.zeros(len(t), dtype=np.int64))
     prof2 = classify_points(freezing_time(ppath, x), plateau, jumps=[])
     fin2 = np.isfinite(prof2.s)
     plat_clean = all(lb == "singular_critical"

@@ -19,7 +19,7 @@ def flat_field(u_value, x_max=1.3, t_end=1.3, dx=0.01, dt=0.01, alpha=1.0):
     t = np.arange(0.0, t_end + dt / 2, dt)
     u = np.full((len(t), len(x)), u_value)
     return Field(x=x, t=t, values=u, frontier_index=np.zeros(len(t), dtype=np.int64),
-                 lam=np.zeros(len(t)), alpha=alpha, meta={})
+                 lam=np.zeros(len(t)), alpha=alpha)
 
 
 def single_row_field(u_row, dx=0.01):
@@ -27,7 +27,7 @@ def single_row_field(u_row, dx=0.01):
     t = np.array([0.0, 1.0])
     u = np.vstack([u_row, u_row])
     return Field(x=x, t=t, values=u, frontier_index=np.zeros(2, dtype=np.int64),
-                 lam=np.zeros(2), alpha=1.0, meta={})
+                 lam=np.zeros(2), alpha=1.0)
 
 
 class TestFreezingTime:
@@ -138,9 +138,9 @@ class TestClassifyPoints:
         out = classify_points(prof, flat_field(0.5), jumps)
         # finite-s candidates: 0.12, 0.54 (in-jump and endpoints excluded,
         # 0.9 has infinite s); both extrapolate to 0.5, neither label fits
-        assert out.meta["fraction_unresolved"] == pytest.approx(1.0)
+        assert out.fraction_unresolved() == pytest.approx(1.0)
         cold = classify_points(prof, flat_field(0.02), jumps)
-        assert cold.meta["fraction_unresolved"] == pytest.approx(0.0)
+        assert cold.fraction_unresolved() == pytest.approx(0.0)
 
 
 class TestOscillationCount:

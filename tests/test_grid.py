@@ -13,12 +13,8 @@ from stefanlab.jump_rule import TIE_GUARD, continuum_jump
 
 
 def make_state(u, j=0, lam=0.0, alpha=1.0, dx=0.1):
-    n = len(u)
-    x = (np.arange(n) + 0.5) * dx
-    return GridState(
-        x=x, u=np.asarray(u, dtype=float), j=j, lam=lam, t=0.0,
-        alpha=alpha, dx=dx, nu=np.zeros(n), nu_recorded=np.zeros(n, dtype=bool),
-    )
+    return GridState(u=np.asarray(u, dtype=float), j=j, lam=lam, t=0.0,
+                     alpha=alpha, dx=dx, nu=np.zeros(len(u)))
 
 
 def test_diffuse_conserves_mass_with_wall():
@@ -142,7 +138,6 @@ def test_advance_front_smooth_increment():
     assert st.mass == pytest.approx(0.68)
     assert st.lam == pytest.approx(st.alpha * (1.0 - st.mass))
     assert np.all(st.u[:3] == 0)
-    assert np.all(st.nu_recorded[:3])
     assert np.allclose(st.nu[:3], 1.0 / st.alpha)
 
 
@@ -277,6 +272,25 @@ def test_run_grid_weight_pattern_reference():
     smooth = (x > jump_end + dx) & (x < path.lam[-1] - dx) & wt.recorded
     if np.any(smooth):
         assert np.allclose(wt.nu[smooth], 1.0, atol=1e-9)
+
+
+def test_run_grid_records_each_frozen_cell_once():
+    # the face only moves forward, so the recorded cells are exactly those
+    # behind the final face, the vacuum the t = 0 jump swept included: the
+    # jump's cells hold their pre-jump temperatures, the cells the smooth
+    # advance froze later 1/alpha
+    d = piecewise_constant([0.0, 0.3, 0.5, 2.5], [2.0, 0.0, 0.2])
+    dx, n = 0.025, 200
+    path, fld, wt = run_grid(d, alpha=1.0, t_end=0.2, dt=1e-3, dx=dx, x_max=n * dx)
+    assert np.array_equal(wt.recorded, np.arange(n) < fld.frontier_index[-1])
+    [jump] = path.jumps
+    j_jump, j_end = round(jump.lambda_plus / dx), fld.frontier_index[-1]
+    assert j_jump == fld.frontier_index[0] == 25 and j_end > j_jump
+    assert np.all(wt.nu[12:20] == 0.0)
+    pre_jump = d.cell_averages(np.arange(n + 1) * dx)
+    assert np.array_equal(wt.nu[:j_jump], pre_jump[:j_jump])
+    assert np.all(wt.nu[j_jump:j_end] == 1.0)
+    assert np.all(wt.nu[j_end:] == 0.0)
 
 
 def test_run_grid_weight_never_overwritten():

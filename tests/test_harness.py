@@ -15,6 +15,7 @@ from stefanlab.exporters import read_frontier_csv, read_json, read_matrix_csv
 from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
                                apply_overrides, build_density, run_scenario,
                                scenario_from_dict, verify_suite)
+from stefanlab.potential import obstacle_residual
 
 UNIFORM = {"family": "piecewise_constant", "breaks": [0.0, 1.5],
            "values": [1.0 / 1.5]}
@@ -99,8 +100,8 @@ class TestConfigValidation:
 
     def test_memory_bound_counts_the_kept_values(self, monkeypatch):
         # README demo: 1001 rows of 3 frontier samples each for both routes,
-        # 1001 x 310 field values and 3 arrays of 20 000 particles
-        need = 8 * (1001 * (310 + 3) + 3 * 1001 + 3 * 20_000)
+        # 1001 x 310 field values and one array of 20 000 particles
+        need = 8 * (1001 * (310 + 3) + 3 * 1001 + 20_000)
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need)
         quick_config(**README_DEMO)
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need - 1)
@@ -108,6 +109,19 @@ class TestConfigValidation:
             quick_config(**README_DEMO)
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: None)
         quick_config(**dict(README_DEMO, n_particles=10 ** 15))
+
+
+    @pytest.mark.parametrize("memory", [2 ** 34, None])
+    def test_rejects_a_finest_level_of_too_many_steps(self, monkeypatch, memory):
+        # a run that keeps almost nothing is still bounded in its step count,
+        # also where the platform does not report its memory
+        monkeypatch.setattr(harness_mod, "_physical_memory", lambda: memory)
+        few = dict(method="particle", n_particles=1, sample_every=10 ** 12)
+        with pytest.raises(ConfigError, match=r"takes 1e\+11 steps"):
+            quick_config(dt=1e-12, **few)
+        with pytest.raises(ConfigError, match=r"takes 2e\+07 steps"):
+            quick_config(dt=2e-8, refinement_levels=3, **few)
+        quick_config(dt=2e-8, refinement_levels=2, **few)    # 10**7 steps
 
 
 class TestBuildDensity:
@@ -262,6 +276,30 @@ class TestVerifySuite:
             assert entry["particle.frontier_bounded_monotone"]["verdict"] == "fail"
         finally:
             doctored[:] = keep
+
+    @pytest.mark.parametrize("thresholds", [{}, {"eps_w": 1e-3},
+                                            {"interior_margin": -1.0}])
+    def test_complementarity_reads_the_obstacle_report(self, thresholds):
+        # the ledger entry equals one made from a direct obstacle_residual
+        # call at the default eps_w, whatever eps_w the config sets
+        cfg = quick_config(density=BAND, alpha=2.0, t_end=0.5,
+                           thresholds={"interior_margin": 0.05, **thresholds})
+        result = run_scenario(cfg, write=False)
+        res = result.levels[0]
+        [entry] = [e for e in verify_suite(cfg, result)["invariants"]
+                   if e["id"] == "potential.complementarity"]
+        try:
+            rep = obstacle_residual(res.w, res.nu,
+                                    interior_margin=cfg.thresholds["interior_margin"])
+        except ConfigError as exc:
+            assert entry["verdict"] == "skip"
+            assert entry["detail"] == f"residual region unavailable: {exc}"
+            return
+        assert rep.n_nodes > 0
+        tol = 20.0 * res.w.eps_w()
+        assert entry["verdict"] == ("pass" if rep.complementarity_max <= tol else "fail")
+        assert entry["detail"] == ("max over region of |min(w, w_t - w_xx/2 + nu)| ="
+                                   f" {rep.complementarity_max:.3e}, tol {tol:.3e}")
 
     def test_alpha_zero_has_no_failures(self):
         # the grid drains mass through x = 0, and no eps_w default exists
@@ -432,6 +470,14 @@ class TestCli:
         # a density entry is reported against the density block
         name = override.split("=")[0].split(".")[0]
         assert f"config error: {name} must be" in capsys.readouterr().err
+
+    def test_endless_run_exits_2(self, tmp_path, capsys):
+        # a few kB kept, but 1e11 steps: rejected before the first step
+        cfg_path = self.write_config(tmp_path)
+        assert main(["simulate", str(cfg_path), "--set", "method=particle",
+                     "--set", "dt=1e-12", "--set", "sample_every=1000000000000"]) == 2
+        assert "1e+11 steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_impossible_resolution_exits_2(self, tmp_path, capsys):
         # rejected by validation, before any array is allocated

@@ -54,8 +54,7 @@ def test_uniform_sampling_reproducible_and_seed_sensitive():
 
 def _kill_lowest(e, k):
     """e with its k lowest original indices absorbed at t = 0."""
-    e.absorption_time[:k] = 0.0
-    e.positions, e.index = e.positions[k:], e.index[k:]
+    e.positions = e.positions[k:]
     return e
 
 
@@ -74,7 +73,6 @@ def test_step_bit_reproducible_regardless_of_history():
     assert a.n_dead == 0 and b.n_dead == 10  # nobody absorbed by the step
     assert np.array_equal(a.positions, a0 + z)
     assert np.array_equal(b.positions, b0 + z[:54])
-    assert np.array_equal(b.index, np.arange(10, 64))
 
 
 def test_run_reproducible():
@@ -106,17 +104,17 @@ def test_frontier_monotone_and_bounded():
 
 
 def test_absorbed_stay_absorbed():
+    # a continued run revives no one: the dead count never falls, and the
+    # living, all above the frontier, are the particles not counted dead
     d = uniform02()
     e = init_ensemble(d, 500, seed=3)
-    run(e, t_end=0.05, dt=1e-3)
-    dead = ~e.alive
-    assert np.count_nonzero(dead) == e.n_dead > 0
-    died_at = e.absorption_time[dead].copy()
-    assert np.all(died_at <= e.t)
-    run(e, t_end=0.1, dt=1e-3)
-    assert np.array_equal(e.absorption_time[dead], died_at)
-    assert not np.any(e.alive & dead)
-    assert not np.any(dead[e.index])
+    first, e = run(e, t_end=0.05, dt=1e-3)
+    assert e.n_dead > 0
+    second, e = run(e, t_end=0.1, dt=1e-3)
+    dead = np.concatenate([first.dead_count, second.dead_count])
+    assert np.all(np.diff(dead) >= 0)
+    assert dead[-1] + len(e.positions) == 500
+    assert np.all(e.positions > e.frontier)
 
 
 def test_cascade_jump_matches_counting_fixed_point():
@@ -139,7 +137,7 @@ def test_cascade_jump_matches_counting_fixed_point():
             if m_new == m:
                 break
             m = m_new
-        assert res.absorbed_indices.size == m
+        assert res.n_absorbed == m
         assert res.delta == pytest.approx(alpha * (k0 + m) / n_total)
 
 
@@ -172,9 +170,7 @@ def clustered_ensembles(draw):
     positions = np.concatenate([np.zeros(n_dead), seeds, cluster_pos, rest_pos])
     order = rng.permutation(n_total)
     positions, alive = positions[order], (np.arange(n_total) >= n_dead)[order]
-    return Ensemble(positions=positions[alive], index=np.flatnonzero(alive),
-                    absorption_time=np.where(alive, np.inf, 0.0),
-                    alpha=alpha, seed=0)
+    return Ensemble(positions=positions[alive], n_total=n_total, alpha=alpha, seed=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,9 +178,9 @@ def clustered_ensembles(draw):
 def test_windowed_cascade_is_least_fixed_point(e):
     lam0 = e.frontier
     k0 = int(np.count_nonzero(e.positions <= lam0))
-    above = np.sort(e.positions[e.positions > lam0])
+    before = e.positions.copy()
+    above = np.sort(before[before > lam0])
     dead_before = e.n_dead
-    e.t = 1e-3
     with mock.patch.object(particle_mod, "cascade_jump",
                            wraps=particle_mod.cascade_jump) as spy:
         particle_mod._absorb_below_frontier(e)
@@ -192,12 +188,10 @@ def test_windowed_cascade_is_least_fixed_point(e):
     assert spy.call_count >= 3
     m = e.n_dead - dead_before - k0
     observed = JumpResult(delta=e.frontier - lam0, new_frontier=e.frontier,
-                          absorbed_mass=m / e.n_total,
-                          absorbed_indices=np.arange(m))
+                          absorbed_mass=m / e.n_total, n_absorbed=m)
     assert verify_cascade_minimality(above, lam0, k0, e.alpha, e.n_total, observed)
-    assert not np.any(e.positions <= e.frontier)
-    assert np.all(e.absorption_time[~e.alive] <= e.t)
-    assert np.count_nonzero(e.absorption_time == e.t) == e.n_dead - dead_before
+    # the survivors are the packed positions above the new frontier, in order
+    assert np.array_equal(e.positions, before[before > e.frontier])
 
 
 @pytest.mark.parametrize("segments", [2, 5])
@@ -229,8 +223,6 @@ def test_run_matches_serial_step_loop_and_releases_threads(segments):
     assert np.array_equal(np.concatenate([p.lam[1:] for p in paths]), ref_lam)
     assert np.array_equal(np.concatenate([p.dead_count[1:] for p in paths]), ref_dead)
     assert np.array_equal(e.positions, ref.positions)
-    assert np.array_equal(e.index, ref.index)
-    assert np.array_equal(e.absorption_time, ref.absorption_time)
 
     serial_step = particle_mod.step
 
@@ -250,19 +242,17 @@ def test_run_matches_serial_step_loop_and_releases_threads(segments):
        seed=st.integers(0, 2 ** 64 - 1), sampling=st.sampled_from(["stratified", "uniform"]),
        steps=st.lists(st.integers(1, 40), min_size=1, max_size=3))
 def test_packed_layout_after_any_run(n, alpha, seed, sampling, steps):
-    # after each run, continued ones included, the live slots hold exactly
-    # the alive original indices in increasing order, and absorption times
-    # are finite exactly for the dead
+    # after each run, continued ones included, every living particle lies
+    # above the frontier, the living and the recorded dead make up all N,
+    # and the frontier is alpha * dead / N exactly at every sample
     d = piecewise_constant([0.0, 0.1, 0.8], [5.0, 0.5])
     e = init_ensemble(d, n, seed=seed, sampling=sampling, alpha=alpha)
     dt = 1e-3
     for k in steps:
         path, e = run(e, t_end=k * dt, dt=dt)
-        assert np.array_equal(e.index, np.flatnonzero(e.alive))
-        assert len(e.positions) == len(e.index) == n - e.n_dead
-        assert np.count_nonzero(np.isfinite(e.absorption_time)) == e.n_dead
-        assert e.n_dead == path.dead_count[-1]
         assert np.all(e.positions > e.frontier)
+        assert path.dead_count[-1] + len(e.positions) == n
+        assert np.array_equal(path.lam, e.alpha * path.dead_count / n)
 
 
 def test_supercritical_initial_data_freezes_fast():

@@ -18,7 +18,7 @@ def constant_field(c, x_max=1.0, t_end=1.0, dx=0.05, dt=0.05):
     t = np.arange(0.0, t_end + dt / 2, dt)
     u = np.full((len(t), len(x)), c)
     return Field(x=x, t=t, values=u, frontier_index=np.zeros(len(t), dtype=np.int64),
-                 lam=np.zeros(len(t)), alpha=1.0, meta={})
+                 lam=np.zeros(len(t)), alpha=1.0)
 
 
 def uniform_weight(x, value, alpha):
@@ -41,7 +41,7 @@ class TestComputeW:
         w = compute_w(f)
         assert w.tail_bound.shape == (len(f.x),)
         assert np.allclose(w.tail_bound, 0.5, atol=1e-14)
-        assert w.meta["surviving_mass"] == pytest.approx(0.5 * 2.0, abs=1e-12)
+        assert f.mass_at(-1) == pytest.approx(0.5 * 2.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         f = constant_field(0.5)
