@@ -7,7 +7,7 @@ weight, the integrated-temperature obstacle problem, the freezing-time
 profile, and blow-up classifications at the free boundary.
 """
 
-from stefanlab.densities import Density, cdf, oscillatory_density, piecewise_constant, power_gap_density
+from stefanlab.densities import Density, oscillatory_density, piecewise_constant, power_gap_density
 from stefanlab.jump_rule import (JumpResult, cascade_jump, continuum_jump, density_knots,
                                  verify_cascade_minimality)
 from stefanlab.particle import Ensemble, Snapshot, empirical_field, init_ensemble, run, step

@@ -216,7 +216,7 @@ def oscillation_count(field: Field, t: float, eps_slope: float) -> int:
     return int(len(collapsed) - 1)
 
 
-def nondegeneracy_constant(field: Field, frontier: FrontierPath | None,
+def nondegeneracy_constant(field: Field, frontier: FrontierPath,
                            window: tuple, r: float = 0.5,
                            offset_min: float | None = None) -> float:
     """Smallest ratio u / (x - frontier) over a positive-time window.
@@ -236,7 +236,7 @@ def nondegeneracy_constant(field: Field, frontier: FrontierPath | None,
     rows = np.where((field.t >= t_lo) & (field.t <= t_hi))[0]
     if len(rows) == 0:
         raise ConfigError("window contains no sample times")
-    lam = field.lam[rows] if frontier is None else frontier.value_at(field.t[rows])
+    lam = frontier.value_at(field.t[rows])
     x = field.x
     # fmin/fmax skip NaN frontiers, which select no node either
     band = np.flatnonzero((x - np.fmin.reduce(lam) >= offset_min)
@@ -331,15 +331,14 @@ class BlowupFit:
 
 
 def blowup_fit(w: PotentialField, x0: float, jumps: list[JumpRecord],
-               t0: float | None = None, radii: list | None = None) -> BlowupFit:
+               t0: float | None = None) -> BlowupFit:
     """Fit the parabolically rescaled potential at (x0, s(x0)).
 
     Samples r^-2 * w(x0 + r*xi, t0 + r^2*tau) at the lattice nodes that fall
     inside the backward unit cylinder xi in [-1,1], tau in [-1,0]; no
-    interpolation, so exact model inputs give exactly zero misfit.  The
-    default radii run geometrically from the resolution floor
-    max(4dx, 4*sqrt(dt)) up to the nearest constraint (domain edge, time
-    floor, closest jump).
+    interpolation, so exact model inputs give exactly zero misfit.  The radii
+    run geometrically from the resolution floor max(4dx, 4*sqrt(dt)) up to
+    the nearest constraint (domain edge, time floor, closest jump).
     """
     for rec in jumps:
         if rec.lambda_minus <= x0 <= rec.lambda_plus:
@@ -357,21 +356,20 @@ def blowup_fit(w: PotentialField, x0: float, jumps: list[JumpRecord],
                          radii=[], res_vanishing=[], res_critical=[],
                          verdict="inconclusive", meta={"reason": "no freeze time"})
 
-    if radii is None:
-        r_min = max(4.0 * dx, 4.0 * np.sqrt(dt_med))
-        r_cap = min(np.sqrt(t0) * 0.999, x0 - w.x[0], w.x[-1] - x0)
-        for rec in jumps:
-            if rec.lambda_plus < x0:
-                r_cap = min(r_cap, x0 - rec.lambda_plus)
-            elif rec.lambda_minus > x0:
-                r_cap = min(r_cap, rec.lambda_minus - x0)
-        if r_cap < r_min:
-            return BlowupFit(x0=x0, t0=t0, radii=[], res_vanishing=[],
-                             res_critical=[], verdict="inconclusive",
-                             meta={"reason": "no resolvable radius",
-                                   "r_min": r_min, "r_cap": r_cap})
-        n_radii = 4 if r_cap > 2 * r_min else 2 if r_cap > 1.2 * r_min else 1
-        radii = list(np.geomspace(r_min, r_cap, n_radii))
+    r_min = max(4.0 * dx, 4.0 * np.sqrt(dt_med))
+    r_cap = min(np.sqrt(t0) * 0.999, x0 - w.x[0], w.x[-1] - x0)
+    for rec in jumps:
+        if rec.lambda_plus < x0:
+            r_cap = min(r_cap, x0 - rec.lambda_plus)
+        elif rec.lambda_minus > x0:
+            r_cap = min(r_cap, rec.lambda_minus - x0)
+    if r_cap < r_min:
+        return BlowupFit(x0=x0, t0=t0, radii=[], res_vanishing=[],
+                         res_critical=[], verdict="inconclusive",
+                         meta={"reason": "no resolvable radius",
+                               "r_min": r_min, "r_cap": r_cap})
+    n_radii = 4 if r_cap > 2 * r_min else 2 if r_cap > 1.2 * r_min else 1
+    radii = list(np.geomspace(r_min, r_cap, n_radii))
 
     used, res_v, res_c = [], [], []
     for r in radii:

@@ -109,7 +109,7 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(f"{w_path} does not match the grid of {field_path}")
         report["w_reconstruction_gap"] = float(np.max(np.abs(w_stored - w.w)))
 
-    write_json(root / "analysis.json", jsonify(report))
+    write_json(root / "analysis.json", report)
     print(json.dumps(jsonify(report), indent=2, sort_keys=True))
     return EXIT_PASS
 
@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
     print(f"pass {ledger['n_pass']}  fail {ledger['n_fail']}"
           f"  skip {ledger['n_skip']}")
     if result.outpath:
-        write_json(Path(result.outpath) / "verify.json", jsonify(ledger))
+        write_json(Path(result.outpath) / "verify.json", ledger)
     return EXIT_INVARIANT if ledger["n_fail"] else EXIT_PASS
 
 
@@ -152,8 +152,7 @@ def _cmd_sweep(args) -> int:
                 detail += (f" pass {ledger['n_pass']} fail {ledger['n_fail']}"
                            f" skip {ledger['n_skip']}")
                 if result.outpath:
-                    write_json(Path(result.outpath) / "verify.json",
-                               jsonify(ledger))
+                    write_json(Path(result.outpath) / "verify.json", ledger)
                 if ledger["n_fail"]:
                     code = EXIT_INVARIANT
         except NumericalAbort as exc:

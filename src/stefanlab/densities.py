@@ -9,7 +9,6 @@ them by step functions first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
@@ -93,14 +92,6 @@ class Density:
         c = self.cdf(edges)
         return np.diff(c) / np.diff(edges)
 
-    def to_json(self) -> str:
-        return json.dumps({"breaks": self.breaks.tolist(), "values": self.values.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "Density":
-        obj = json.loads(text)
-        return piecewise_constant(obj["breaks"], obj["values"])
-
 
 def piecewise_constant(breaks, values) -> Density:
     """Build a Density from raw steps, rescaling the values to unit mass.
@@ -125,11 +116,6 @@ def piecewise_constant(breaks, values) -> Density:
     if not (math.isfinite(mass) and math.isfinite(factor)):
         raise ConfigError(f"density mass {mass!r} cannot be normalized")
     return Density(br, va * factor, norm_factor=factor)
-
-
-def cdf(d: Density, x):
-    """Exact CDF of a Density (module-level convenience)."""
-    return d.cdf(x)
 
 
 def power_gap_density(alpha: float, c: float, n: int, delta: float, steps: int,

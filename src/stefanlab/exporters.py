@@ -124,19 +124,6 @@ def write_profile_csv(path, profile) -> None:
             fh.write(f"{_row(row[:3])},{lb},{_row(row[3:])}\n")
 
 
-def read_profile_csv(path) -> dict:
-    with _open_r(path) as fh:
-        _expect_header(fh, path, "x,s,s_prime,label,boundary_value")
-        try:
-            rows = [line.split(",") for line in fh.read().splitlines()]
-            x, s, sp, bv = ([float(r[i]) for r in rows] for i in (0, 1, 2, 4))
-            labels = [r[3] for r in rows]
-        except (ValueError, IndexError) as exc:  # also undecodable bytes
-            raise ConfigError(f"{path}: {exc}") from None
-    return {"x": np.array(x), "s": np.array(s), "s_prime": np.array(sp),
-            "labels": labels, "boundary_value": np.array(bv)}
-
-
 def jsonify(obj):
     """Make an object JSON-safe: numpy scalars to python, non-finite to None."""
     if isinstance(obj, dict):

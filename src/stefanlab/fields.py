@@ -122,13 +122,11 @@ class WeightField:
     x: np.ndarray
     nu: np.ndarray
     alpha: float
-    recorded: np.ndarray | None = None
+    recorded: np.ndarray
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
         self.nu = np.asarray(self.nu, dtype=float)
-        if self.recorded is None:
-            self.recorded = self.nu != 0.0
         self.recorded = np.asarray(self.recorded, dtype=bool)
 
     @property

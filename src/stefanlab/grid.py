@@ -32,7 +32,7 @@ from stefanlab.errors import ConfigError, NumericalAbort, TruncationError
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
 from stefanlab.jump_rule import TIE_GUARD, JumpResult, continuum_jump, density_knots
 
-# Default ceiling on the mass allowed in the cell adjacent to the right wall;
+# Ceiling on the mass allowed in the cell adjacent to the right wall;
 # beyond it the truncated domain no longer represents the half-line problem.
 WALL_GUARD = 1e-6
 
@@ -191,16 +191,16 @@ def advance_front(state: GridState, jump_threshold: float = 0.0) -> list[JumpRec
 
 def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
              sample_every: int = 1, jump_threshold: float = 0.0,
-             wall_guard: float = WALL_GUARD, stop_mass: float | None = None,
+             stop_mass: float | None = None,
              ) -> tuple[FrontierPath, Field, WeightField]:
     """Full grid simulation from a Density.
 
     The t=0 jump is solved exactly against the density CDF, with its breaks
     as knots, before any diffusion; afterwards each step is diffuse_step
     followed by advance_front.  The run aborts with TruncationError when the
-    mass in the wall cell exceeds wall_guard (the truncated domain stopped
-    being a faithful picture of the half-line).  stop_mass ends the run early once the
-    surviving mass drops below it.  Returns the frontier path, the sampled
+    mass in the wall cell reaches WALL_GUARD (the truncated domain stopped
+    being a faithful picture of the half-line).  stop_mass ends the run early
+    once the surviving mass drops below it.  Returns the frontier path, the sampled
     temperature field, and the recorded stopped-mass weight.
     """
     if alpha < 0:
@@ -260,10 +260,10 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
     for k in range(1, n_steps + 1):
         diffuse_step(state, dt)
         jumps.extend(advance_front(state, jump_threshold=jump_threshold))
-        if state.wall_cell_mass() >= wall_guard:
+        if state.wall_cell_mass() >= WALL_GUARD:
             raise TruncationError(
                 f"mass {state.wall_cell_mass():.3e} in the wall cell at t={state.t:.4f} "
-                f"exceeds the guard {wall_guard:.1e}; enlarge x_max")
+                f"exceeds the guard {WALL_GUARD:.1e}; enlarge x_max")
         stop = stop_mass is not None and state.mass < stop_mass
         if k % sample_every == 0 or k == n_steps or stop:
             sample()

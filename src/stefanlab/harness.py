@@ -39,7 +39,14 @@ from stefanlab.potential import compute_w, obstacle_residual
 
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
-DENSITY_FAMILIES = ("piecewise_constant", "power_gap", "oscillatory")
+# the keys each density family reads, besides "family"; a tail given by
+# tail_breaks and tail_values replaces the flat one that tail_hi ends
+_TAIL_KEYS = ("tail_breaks", "tail_values", "tail_hi")
+DENSITY_KEYS = {
+    "piecewise_constant": ("breaks", "values"),
+    "power_gap": ("alpha", "c", "n", "delta", "steps", *_TAIL_KEYS),
+    "oscillatory": ("alpha1", "alpha2", "a1", "p", "q", "n_levels", *_TAIL_KEYS),
+}
 # the most steps a run's finest level may take: at the cheapest step
 # measured, about 32 us for one particle on a 2-core x86 VM, this is over
 # five minutes of stepping
@@ -176,10 +183,10 @@ class ScenarioConfig:
         """Reject a finest level whose kept arrays exceed physical memory.
 
         Counts, in 8-byte values, what the finest level keeps to its end:
-        the sampled field (rows x cells, for the grid and for particle
-        snapshots), the frontier samples and one array per particle.  It
-        is a lower bound of the run's footprint, so no config that fits is
-        rejected.
+        the sampled field (rows x cells, for the grid and for the snapshots
+        of a particle-only run), the frontier samples and one array per
+        particle.  It is a lower bound of the run's footprint, so no config
+        that fits is rejected.
         """
         memory = _physical_memory()
         if memory is None:
@@ -193,7 +200,7 @@ class ScenarioConfig:
             particles = self.n_particles * 4 ** (self.refinement_levels - 1)
             values += 3 * rows + particles
             parts.append(f"{_approx(particles)} particles")
-            if self.snapshot_every:
+            if self.method == "particle" and self.snapshot_every:
                 snaps = 1 + -(-n_steps // self.snapshot_every)
                 values += snaps * n_cells
                 parts.append(f"{_approx(snaps)} x {_approx(n_cells)} snapshot field")
@@ -223,12 +230,28 @@ def build_density(spec: dict) -> Density:
     flat tail on (support end, tail_hi) unless an explicit tail is given, so
     their level values survive construction unscaled.  Any parameter the
     constructors cannot use (a string, a non-finite number, a value out of
-    range) raises ConfigError.
+    range) raises ConfigError, and so does any key the family does not read:
+    one outside DENSITY_KEYS, tail_breaks without tail_values or the reverse,
+    or tail_hi beside an explicit tail.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("density config needs a 'family' key")
     fam = spec["family"]
+    if not isinstance(fam, str) or fam not in DENSITY_KEYS:
+        raise ConfigError(f"unknown density family {fam!r};"
+                          f" known: {tuple(DENSITY_KEYS)}")
     p = {k: v for k, v in spec.items() if k != "family"}
+    unknown = set(p) - set(DENSITY_KEYS[fam])
+    if unknown:
+        raise ConfigError(f"density family {fam!r} does not read"
+                          f" {sorted(map(str, unknown))}; it reads"
+                          f" {list(DENSITY_KEYS[fam])}")
+    explicit_tail = p.get("tail_breaks") is not None
+    if explicit_tail != (p.get("tail_values") is not None):
+        raise ConfigError("density needs tail_breaks and tail_values together")
+    if explicit_tail and p.get("tail_hi") is not None:
+        raise ConfigError("density tail_hi ends the flat tail, which"
+                          " tail_breaks replaces; give one or the other")
     try:
         if fam == "piecewise_constant":
             return piecewise_constant(p["breaks"], p["values"])
@@ -245,22 +268,21 @@ def build_density(spec: dict) -> Density:
             return power_gap_density(
                 alpha=p["alpha"], c=p["c"], n=p["n"], delta=p["delta"],
                 steps=p.get("steps", 64), tail_breaks=tb, tail_values=tv)
-        if fam == "oscillatory":
-            tb, tv = p.get("tail_breaks"), p.get("tail_values")
-            if tb is None:
-                raw = oscillatory_raw_mass(p["alpha1"], p["alpha2"], p["a1"],
-                                           p["p"], p["q"], p["n_levels"])
-                hi = p.get("tail_hi", 2.0 * p["a1"])
-                tb, tv = [p["a1"], hi], [mass_completing_tail(raw, p["a1"], hi)]
-            return oscillatory_density(
-                alpha1=p["alpha1"], alpha2=p["alpha2"], a1=p["a1"], p=p["p"],
-                q=p["q"], n_levels=p["n_levels"], tail_breaks=tb, tail_values=tv)
+        # the one family left, oscillatory
+        tb, tv = p.get("tail_breaks"), p.get("tail_values")
+        if tb is None:
+            raw = oscillatory_raw_mass(p["alpha1"], p["alpha2"], p["a1"],
+                                       p["p"], p["q"], p["n_levels"])
+            hi = p.get("tail_hi", 2.0 * p["a1"])
+            tb, tv = [p["a1"], hi], [mass_completing_tail(raw, p["a1"], hi)]
+        return oscillatory_density(
+            alpha1=p["alpha1"], alpha2=p["alpha2"], a1=p["a1"], p=p["p"],
+            q=p["q"], n_levels=p["n_levels"], tail_breaks=tb, tail_values=tv)
     except KeyError as exc:
         raise ConfigError(f"density family {fam!r} is missing {exc}") from None
     except (TypeError, ValueError, ArithmeticError) as exc:
         # ConfigError is a ValueError: every refusal names the density block
         raise ConfigError(f"density must be a valid {fam!r} profile: {exc}") from None
-    raise ConfigError(f"unknown density family {fam!r}; known: {DENSITY_FAMILIES}")
 
 
 def scenario_from_json(path) -> ScenarioConfig:
@@ -409,8 +431,7 @@ def _route_record(frontier: FrontierPath, jumps: list) -> dict:
             "jumps_detected": [rec.to_dict() for rec in jumps]}
 
 
-def run_level(cfg: ScenarioConfig, level: int, d: Density | None = None) -> LevelResult:
-    d = build_density(cfg.density) if d is None else d
+def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
     p = cfg.level_params(level)
     res = LevelResult(level=level, params=dict(p))
 
@@ -426,12 +447,14 @@ def run_level(cfg: ScenarioConfig, level: int, d: Density | None = None) -> Leve
     if cfg.method in ("particle", "both"):
         ens = pt.init_ensemble(d, p["n_particles"], seed=cfg.seed,
                                sampling=cfg.sampling, alpha=cfg.alpha)
+        # a method="both" level writes the grid's field, so only a
+        # particle-only run takes snapshots
         snaps: list = []
         p_thr = jump_threshold(cfg, "particle", level)
         p_frontier, _ = pt.run(
             ens, t_end=cfg.t_end, dt=p["dt"], sample_every=cfg.sample_every,
             jump_threshold=p_thr,
-            snapshots_out=snaps if cfg.snapshot_every else None,
+            snapshots_out=snaps if cfg.method == "particle" else None,
             snapshot_every=cfg.snapshot_every)
         res.p_frontier = p_frontier
         res.p_jumps = detect_jumps(p_frontier, p_thr)
@@ -520,12 +543,10 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
                           outpath=outpath)
 
 
-def compare_methods(cfg: ScenarioConfig,
-                    result: ScenarioResult | None = None) -> dict:
+def compare_methods(cfg: ScenarioConfig) -> dict:
     """Run both solvers at matched resolution and report their distance."""
-    if result is None or any(r.reports.get("compare") is None for r in result.levels):
-        both = scenario_from_dict({**cfg.to_dict(), "method": "both"})
-        result = run_scenario(both, write=False)
+    both = scenario_from_dict({**cfg.to_dict(), "method": "both"})
+    result = run_scenario(both, write=False)
     return {"scenario_id": cfg.scenario_id,
             "levels": [{"level": res.level, **res.reports["compare"]}
                        for res in result.levels]}
@@ -809,14 +830,12 @@ def _iv_potential_band_agreement(ctx):
         eps = w.eps_w()
     except ConfigError as exc:
         return _skip(f"no positivity floor: {exc}")
-    nt, nx = w.w.shape
-    fidx = w.freeze_index(0.0)
-    s_col = np.where(fidx < nt, w.t[np.minimum(fidx, nt - 1)], np.inf)
+    s_col = w.freeze_time()
     live = w.w > eps
     should = w.t[:, None] < s_col[None, :]
     # only columns that froze within the horizon carry a well-defined s.
     # the last w row is zero by construction (empty tail integral), so the
-    # freeze index alone cannot tell live columns apart; the final
+    # freeze time alone cannot tell live columns apart; the final
     # temperature can, and only exact zero works: absorption zeroes cells
     # exactly, while far-tail live columns hold tiny positive diffusion
     frozen_cols = w.tail_bound == 0.0
@@ -833,10 +852,7 @@ def _iv_potential_band_agreement(ctx):
     # frontier is fast: the sub-eps strip is thin in time, eps over the
     # local temperature, but its spatial footprint scales with the speed.
     # A drainage plateau of tiny positive w would still exceed it and flag
-    front_col = np.argmax(w.w > 0, axis=1)
-    has_liquid = (w.w > 0).any(axis=1)
-    lam_row = np.where(has_liquid, w.x[np.minimum(front_col, nx - 1)], np.inf)
-    dist = np.abs(w.x[None, :] - lam_row[:, None])
+    dist = np.abs(w.x[None, :] - w.front()[:, None])
     allowed = dist <= 4 * w.dx + 1e-12
     for rec in res.jumps:
         inside = (w.x >= rec.lambda_minus - w.dx) & (w.x <= rec.lambda_plus + w.dx)

@@ -56,19 +56,28 @@ class PotentialField:
     def eps_w(self) -> float:
         return default_eps_w(self.dx, self.alpha)
 
-    def freeze_index(self, eps: float | None = None) -> np.ndarray:
-        """Per column, index of the first sample with w <= eps (len(t) if none).
+    def freeze_time(self) -> np.ndarray:
+        """Per column, the first sample time at which w has reached zero.
 
-        For columns frozen from the start this is 0; for columns positive
-        through the horizon it is len(t), the caller's out-of-range marker.
+        +inf for columns positive through the horizon.  w is nonincreasing
+        in t and frozen cells hold exact zeros, so on solver output this is
+        the freeze time s(x); a floor eps would put it far too early on a
+        slowly creeping frontier.
         """
-        eps = self.eps_w() if eps is None else eps
-        below = self.w <= eps
-        idx = np.argmax(below, axis=0)
-        never = ~below.any(axis=0)
-        idx = idx.astype(np.int64)
-        idx[never] = len(self.t)
-        return idx
+        zero = self.w <= 0
+        first = np.argmax(zero, axis=0)
+        return np.where(zero[first, np.arange(len(self.x))], self.t[first], np.inf)
+
+    def front(self) -> np.ndarray:
+        """Per row, the x of the first column with w > 0 (+inf if none).
+
+        Frozen cells hold exact zeros, so w > 0 marks the true interface; a
+        floor eps would misplace it by the sub-threshold band, which is
+        still liquid.
+        """
+        liquid = self.w > 0
+        first = np.argmax(liquid, axis=1)
+        return np.where(liquid[np.arange(len(self.t)), first], self.x[first], np.inf)
 
 
 def compute_w(field: Field) -> PotentialField:
@@ -122,17 +131,15 @@ class ResidualReport:
 
 
 def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float,
-                      eps_w: float | None = None,
-                      tail_free_only: bool = True,
-                      tail_tol: float = 1e-12) -> ResidualReport:
+                      eps_w: float | None = None) -> ResidualReport:
     """Discrete residual w_t - w_xx/2 + nu * (w > eps_w) on a safe interior.
 
     The region keeps margin away from t = 0, t = t_end, each column's own
-    freezing time, and the frontier in space.  With tail_free_only (the
-    default) it is further restricted to columns whose three-point stencil
-    is frozen at the final sample (tail_bound at most tail_tol): columns
-    still liquid at t_end carry a missing time tail that would offset the
-    residual by minus the final temperature.
+    freezing time, and the frontier in space.  It holds only columns whose
+    three-point stencil is frozen at the final sample (tail_bound at most
+    1e-12), where the obstacle problem holds: columns still liquid at t_end
+    carry a missing time tail that would offset the residual by minus the
+    final temperature.
 
     The stencil, the region masks and the after-freeze count are evaluated
     only on the span of columns from the first to the last admitted one;
@@ -150,33 +157,19 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     dt_steps = np.diff(t)
     dx = w.dx
 
-    # per-column freeze time read where w first hits exact zero: w is
-    # monotone in t and frozen cells hold exact zeros, so this is the true
-    # s(x) on solver output (an eps crossing would sit far too early on
-    # slowly-creeping frontiers, gutting the liquid-phase region)
-    fidx = w.freeze_index(0.0)
-    s_col = np.where(fidx < nt, t[np.minimum(fidx, nt - 1)], np.inf)
+    s_col = w.freeze_time()
     t_hi = t[-1] - interior_margin
 
     col_ok = np.zeros(nx, dtype=bool)
-    col_ok[1:-1] = True
-    if tail_free_only:
-        dead = w.tail_bound <= tail_tol
-        col_ok[1:-1] &= dead[:-2] & dead[1:-1] & dead[2:]
+    dead = w.tail_bound <= 1e-12
+    col_ok[1:-1] = dead[:-2] & dead[1:-1] & dead[2:]
     # region nodes lie in the columns from the first to the last col_ok one;
     # the arrays below cover only that span, in which the nodes keep their
     # row-major order
     ok = np.flatnonzero(col_ok)
     c0, c1 = (int(ok[0]), int(ok[-1]) + 1) if len(ok) else (1, 1)
     span = slice(c0, c1)
-
-    # frontier position per row: first strictly positive column.  Frozen
-    # cells hold exact zeros, so w > 0 marks the true interface; the floor
-    # eps would misplace it by the sub-threshold band, which is still liquid.
-    liquid = W > 0
-    front_col = np.argmax(liquid, axis=1)
-    has_liquid = liquid[np.arange(nt), front_col]
-    lam_row = np.where(has_liquid, x[front_col], np.inf)
+    lam_row = w.front()
 
     # interior rows of the span's columns, as (nt - 2, c1 - c0) arrays
     inner = W[1:-1, span]

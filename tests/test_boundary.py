@@ -7,7 +7,7 @@ from stefanlab.boundary import (blowup_fit, classify_points, detect_jumps,
                                 oscillation_count, speed_formula_check)
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
-from stefanlab.fields import Field, JumpRecord
+from stefanlab.fields import Field, FrontierPath, JumpRecord
 from stefanlab.grid import run_grid
 from stefanlab.synthetic import (critical_profile_potential,
                                  smooth_frontier_path, traveling_wave_field,
@@ -176,20 +176,20 @@ class TestNondegeneracy:
     def test_traveling_wave_ratio(self):
         # u / (x - front) = (1 - exp(-2 V d)) / (alpha d), smallest at the
         # outer edge d = r of the probe range
-        _, field = traveling_wave_field(alpha=1.0, speed=0.5, x_max=1.5,
-                                        t_end=1.6, dx=0.01, dt=0.004)
-        c = nondegeneracy_constant(field, None, window=(0.2, 1.0), r=0.1)
+        path, field = traveling_wave_field(alpha=1.0, speed=0.5, x_max=1.5,
+                                           t_end=1.6, dx=0.01, dt=0.004)
+        c = nondegeneracy_constant(field, path, window=(0.2, 1.0), r=0.1)
         expected = (1.0 - np.exp(-0.1)) / 0.1
         assert c == pytest.approx(expected, rel=5e-3)
         assert abs(c - 1.0) / 1.0 < 0.06
 
     def test_window_validation(self):
-        _, field = traveling_wave_field(alpha=1.0, speed=0.5, x_max=1.0,
-                                        t_end=1.0, dx=0.02, dt=0.01)
+        path, field = traveling_wave_field(alpha=1.0, speed=0.5, x_max=1.0,
+                                           t_end=1.0, dx=0.02, dt=0.01)
         with pytest.raises(ConfigError):
-            nondegeneracy_constant(field, None, window=(0.0, 1.0))
+            nondegeneracy_constant(field, path, window=(0.0, 1.0))
         with pytest.raises(ConfigError):
-            nondegeneracy_constant(field, None, window=(0.5, 0.2))
+            nondegeneracy_constant(field, path, window=(0.5, 0.2))
 
     @pytest.fixture(scope="class")
     def jumping_run(self):
@@ -212,7 +212,9 @@ class TestNondegeneracy:
             # a frontier other than the field's own, sampled at other times
             frontier, _ = traveling_wave_field(alpha=1.0, speed=2.0, x_max=3.0,
                                                t_end=0.5, dx=0.02, dt=0.0037)
-        frontier = None if given == "none" else frontier
+        elif given == "none":
+            # a path made of the field's own frontier samples
+            frontier = FrontierPath(times=field.t, lam=field.lam, alpha=field.alpha)
         got = nondegeneracy_constant(field, frontier, window=window, r=r,
                                      offset_min=offset_min)
         want = reference_nondegeneracy(field, frontier, window, r, offset_min)
@@ -234,8 +236,7 @@ def reference_nondegeneracy(field, frontier, window, r, offset_min):
     if offset_min is None:
         offset_min = 2.0 * field.dx
     rows = np.where((field.t >= t_lo) & (field.t <= t_hi))[0]
-    lam = field.lam[rows] if frontier is None else np.array(
-        [frontier.value_at(tv) for tv in field.t[rows]])
+    lam = np.array([frontier.value_at(tv) for tv in field.t[rows]])
     dist = field.x[None, :] - lam[:, None]
     sel = (dist >= offset_min) & (dist <= r)
     if not np.any(sel):

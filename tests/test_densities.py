@@ -1,12 +1,10 @@
 """Density construction, exact CDFs, and the three profile families."""
-import json
 
 import numpy as np
 import pytest
 
 from stefanlab.densities import (
     Density,
-    cdf,
     mass_completing_tail,
     oscillatory_density,
     oscillatory_raw_mass,
@@ -19,9 +17,9 @@ from stefanlab.errors import ConfigError
 def test_uniform_density_identity():
     d = piecewise_constant([0.0, 2.0], [0.5])
     assert d.norm_factor == pytest.approx(1.0)
-    assert cdf(d, 1.0) == pytest.approx(0.5)
-    assert cdf(d, 0.0) == 0.0
-    assert cdf(d, 2.0) == 1.0
+    assert d.cdf(1.0) == pytest.approx(0.5)
+    assert d.cdf(0.0) == 0.0
+    assert d.cdf(2.0) == 1.0
 
 
 def test_normalization_factor_reported():
@@ -36,10 +34,10 @@ def test_reference_jump_density():
     # 2 on (0, 0.3), vacuum gap, 0.8 on (1, 1.5): mass 0.6 + 0.4 = 1 exactly
     d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
     assert d.norm_factor == pytest.approx(1.0)
-    assert cdf(d, 0.15) == pytest.approx(0.3)
-    assert cdf(d, 0.7) == pytest.approx(0.6)   # flat across the vacuum
-    assert cdf(d, 1.25) == pytest.approx(0.8)
-    assert cdf(d, 5.0) == 1.0
+    assert d.cdf(0.15) == pytest.approx(0.3)
+    assert d.cdf(0.7) == pytest.approx(0.6)   # flat across the vacuum
+    assert d.cdf(1.25) == pytest.approx(0.8)
+    assert d.cdf(5.0) == 1.0
 
 
 def test_cdf_shape_invariants():
@@ -104,15 +102,6 @@ def test_density_validation_errors():
 def test_non_finite_density_rejected(breaks, values, match):
     with pytest.raises(ConfigError, match=match):
         piecewise_constant(breaks, values)
-
-
-def test_json_round_trip():
-    d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
-    d2 = Density.from_json(d.to_json())
-    assert np.allclose(d2.breaks, d.breaks)
-    assert np.allclose(d2.values, d.values)
-    obj = json.loads(d.to_json())
-    assert set(obj) == {"breaks", "values"}
 
 
 # --- power-gap family ---

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from stefanlab.errors import ConfigError
 from stefanlab.exporters import (read_frontier_csv, read_json, read_jumps_json,
-                                 read_matrix_csv, read_nu_csv, read_profile_csv,
+                                 read_matrix_csv, read_nu_csv,
                                  write_frontier_csv, write_matrix_csv,
                                  write_nu_csv, write_profile_csv)
 
@@ -88,16 +88,12 @@ def test_small_writers_match_repr_oracle(tmp_path_factory, rows):
         "x,s,s_prime,label,boundary_value\n" + "".join(
             f"{_repr(u)},{_repr(v)},{_repr(w)},{lb},{_repr(u)}\n"
             for u, v, w, lb in zip(a, b, c, labels))
-    prof = read_profile_csv(out / "p.csv")
-    assert same_bits(prof["s_prime"], c) and prof["labels"] == labels
 
 
 MALFORMED = {
     "frontier": (read_frontier_csv, "t,lambda\n0.0,0.1\n0.1,abc\n"),
     "matrix": (read_matrix_csv, "nan,0.1,0.2\n0.0,1.0,2.0\n0.1,1.0\n"),
     "nu": (lambda p: read_nu_csv(p, 1.0), "x,nu,recorded\n0.1,0.5\n"),
-    "profile": (read_profile_csv,
-                "x,s,s_prime,label,boundary_value\n0.1,0.2,0.3,interior\n"),
     "json": (read_json, '{"scenario_id": "x", "alpha": '),
     "jumps": (read_jumps_json, '[{"t": 0.1, "lambda_minus": 0.2}]'),
 }

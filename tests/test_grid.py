@@ -317,14 +317,13 @@ def test_run_grid_wall_guard_trips():
     # vessel barely larger than the support: heat reaches the wall quickly
     d = piecewise_constant([0.0, 2.0], [0.5])
     with pytest.raises(TruncationError):
-        run_grid(d, alpha=0.5, t_end=5.0, dt=1e-3, dx=0.05, x_max=2.5,
-                 wall_guard=1e-6)
+        run_grid(d, alpha=0.5, t_end=5.0, dt=1e-3, dx=0.05, x_max=2.5)
 
 
 def test_run_grid_stop_mass():
     d = piecewise_constant([0.0, 1.0], [1.0])
     path, fld, wt = run_grid(d, alpha=1.0, t_end=50.0, dt=2e-3, dx=0.05,
-                             x_max=3.0, wall_guard=np.inf, stop_mass=1e-3)
+                             x_max=5.0, stop_mass=1e-3)
     assert fld.mass_at(-1) < 1e-3
     assert path.times[-1] < 50.0
     # nearly everything froze: frontier close to alpha
@@ -336,8 +335,8 @@ def test_run_grid_samples_every_kth_step_and_the_last(stop_mass):
     # a coarser schedule keeps exactly the rows of the every-step run at the
     # kept steps, the final (or stopping) step included
     d = piecewise_constant([0.0, 1.0], [1.0])
-    kw = dict(alpha=0.8, t_end=0.5, dt=0.05, dx=0.05, x_max=3.0,
-              wall_guard=np.inf, stop_mass=stop_mass)
+    kw = dict(alpha=0.8, t_end=0.5, dt=0.05, dx=0.05, x_max=5.0,
+              stop_mass=stop_mass)
     full_path, full, _ = run_grid(d, sample_every=1, **kw)
     path, fld, _ = run_grid(d, sample_every=3, **kw)
     last = len(full.t) - 1
@@ -356,7 +355,7 @@ def test_run_grid_stop_mass_under_a_long_horizon_keeps_every_row():
     # the horizon is only a cap: the field grows past its first buffer and
     # matches a run that ends at the stopping step
     d = piecewise_constant([0.0, 1.0], [1.0])
-    kw = dict(alpha=0.8, dt=2e-4, dx=0.05, x_max=3.0, wall_guard=np.inf)
+    kw = dict(alpha=0.8, dt=2e-4, dx=0.05, x_max=5.0)
     _, stopped, _ = run_grid(d, t_end=1e4, stop_mass=0.5, **kw)
     steps = len(stopped.t) - 1
     assert steps > 256

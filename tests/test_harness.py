@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import stefanlab.harness as harness_mod
 from stefanlab.cli import main
-from stefanlab.errors import ConfigError, NumericalAbort
+from stefanlab.errors import ConfigError
 from stefanlab.exporters import read_frontier_csv, read_json, read_matrix_csv
 from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
                                apply_overrides, build_density, run_scenario,
@@ -21,6 +21,10 @@ UNIFORM = {"family": "piecewise_constant", "breaks": [0.0, 1.5],
            "values": [1.0 / 1.5]}
 BAND = {"family": "piecewise_constant", "breaks": [0.2, 0.6, 3.2667],
         "values": [1.5, 0.15]}
+POWER_GAP = {"family": "power_gap", "alpha": 1.0, "c": 0.8, "n": 1,
+             "delta": 1.0, "steps": 8}
+OSCILLATORY = {"family": "oscillatory", "alpha1": 0.5, "alpha2": 1.2, "a1": 0.8,
+               "p": 0.5, "q": 0.5, "n_levels": 2}
 # the uniform.json example of the README
 README_DEMO = dict(scenario_id="uniform-demo",
                    density={"family": "piecewise_constant",
@@ -107,6 +111,9 @@ class TestConfigValidation:
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match=re.escape(f"{need:.3g} bytes")):
             quick_config(**README_DEMO)
+        # a method="both" run writes the grid's field and takes no snapshots
+        monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need)
+        quick_config(**dict(README_DEMO, snapshot_every=1))
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: None)
         quick_config(**dict(README_DEMO, n_particles=10 ** 15))
 
@@ -229,6 +236,20 @@ class TestArtifactLayout:
         assert np.array_equal(lam, result.levels[-1].frontier.lam)
         x, t, vals = read_matrix_csv(root / "field.csv")
         assert np.array_equal(vals, result.levels[-1].field.values)
+
+    def test_both_run_takes_no_snapshots(self, tmp_path):
+        # the level writes the grid's field, so snapshot_every changes no file
+        files = {}
+        for every in (5, 0):
+            cfg = quick_config(scenario_id=f"snap{every}", method="both",
+                               n_particles=300, snapshot_every=every,
+                               outdir=str(tmp_path))
+            result = run_scenario(cfg, write=True)
+            assert result.levels[0].p_field is None
+            level_dir = tmp_path / f"snap{every}" / "L0"
+            files[every] = {f.name: f.read_bytes() for f in level_dir.iterdir()}
+        assert "field.csv" in files[0]
+        assert files[5] == files[0]
 
     def test_summary_names_the_method_of_each_jump_list(self):
         # on the README demo only the particles register a jump
@@ -471,6 +492,24 @@ class TestCli:
         name = override.split("=")[0].split(".")[0]
         assert f"config error: {name} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("density, overrides, key", [
+        (POWER_GAP, ["density.stpes=8"], "stpes"),
+        (UNIFORM, ["density.tail_hi=3.0"], "tail_hi"),
+        (OSCILLATORY, ["density.tail_values=[0.3]"], "tail_values"),
+        (POWER_GAP, ["density.tail_breaks=[1.0, 2.0]"], "tail_values"),
+        (OSCILLATORY, ["density.tail_breaks=[0.8, 2.0]", "density.tail_values=[0.3]",
+                       "density.tail_hi=3.0"], "tail_hi")],
+        ids=["misspelt-steps", "tail_hi-of-piecewise", "tail_values-alone",
+             "tail_breaks-alone", "tail_hi-beside-tail"])
+    def test_density_key_nothing_reads_exits_2(self, tmp_path, capsys, density,
+                                               overrides, key):
+        cfg_path = self.write_config(tmp_path, density=density)
+        args = [arg for o in overrides for arg in ("--set", o)]
+        assert main(["simulate", str(cfg_path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: density") and key in err
+        assert not (tmp_path / "out").exists()
+
     def test_endless_run_exits_2(self, tmp_path, capsys):
         # a few kB kept, but 1e11 steps: rejected before the first step
         cfg_path = self.write_config(tmp_path)
@@ -552,7 +591,7 @@ class TestCli:
 
 # Config fuzz: a plausible config with up to two entries, at the top level
 # or in the density block, replaced by ill-typed, out-of-range or non-finite
-# values, plus an override or two.
+# values or added under a misspelt key, plus an override or two.
 _BAD = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                  st.sampled_from([math.nan, math.inf, -math.inf, 1e-320, 1e308]),
                  st.integers(-3, 3), st.none(), st.booleans(), st.text(max_size=3),
@@ -588,7 +627,7 @@ def raw_configs(draw):
     for _ in range(draw(st.integers(0, 2))):
         block = raw["density"] if draw(st.booleans()) else raw
         if isinstance(block, dict):
-            block[draw(st.sampled_from(sorted(block)))] = draw(_BAD)
+            block[draw(st.sampled_from([*sorted(block), "stpes"]))] = draw(_BAD)
     return raw, draw(st.lists(_OVERRIDES, max_size=2))
 
 
@@ -615,17 +654,23 @@ def _tiny(cfg):
 @example(({"scenario_id": "fuzz", "alpha": 0.7, "t_end": 0.05, "dt": 0.002,
            "density": {"family": "power_gap", "alpha": 0.7, "c": 0.5, "n": 1,
                        "delta": 1.0}}, ["n_particles=200", "method=both"]))
-def test_config_fuzz_validates_or_raises_config_error(case):
+def test_config_fuzz_validates_or_raises_config_error(tmp_path_factory, case):
     raw, overrides = case
     try:
         cfg = apply_overrides(scenario_from_dict(raw), overrides)
     except ConfigError:
-        return
-    assert all(math.isfinite(getattr(cfg, k)) for k in ("alpha", "dt", "dx", "t_end",
-                                                        "x_max"))
-    if _tiny(cfg):
-        try:
-            run_scenario(cfg, write=False)
-        except (ConfigError, NumericalAbort):
-            pass    # the CLI's exit codes 2 and 3, never a traceback
+        cfg = None
+    else:
+        assert all(math.isfinite(getattr(cfg, k))
+                   for k in ("alpha", "dt", "dx", "t_end", "x_max"))
+        if not _tiny(cfg):
+            return
+    # the same config from a file through the command line: exit 2 where
+    # validation refused it, else a run that ends in 0, 2 or 3, never an
+    # invariant failure (1) or a traceback
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "fuzz.json"
+    path.write_text(json.dumps({**raw, "outdir": str(work / "out")}), encoding="utf-8")
+    code = main(["simulate", str(path), *(a for o in overrides for a in ("--set", o))])
+    assert code in ((2,) if cfg is None else (0, 2, 3))
 

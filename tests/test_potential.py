@@ -50,15 +50,18 @@ class TestComputeW:
             compute_w(f)
 
     def test_freeze_index_tracks_threshold_crossing(self):
-        f = constant_field(1.0, t_end=1.0, dt=0.01)
-        w = compute_w(f)
-        # w = 1 - t drops below eps at t = 1 - eps, near the last rows
-        idx = w.freeze_index()
-        eps = w.eps_w()
-        k = int(idx[0])
-        assert np.all(idx == k)
-        assert w.w[k, 0] <= eps
-        assert w.w[k - 1, 0] > eps
+        # the critical ramp (t0 - t)+ / alpha reaches zero at t0 in every
+        # column; the vanishing profile ((x - x0)+)^2 / alpha is zero at all
+        # times up to x0, and its front is the first column past x0
+        w = critical_profile_potential(2.0, t0=0.5, x_max=1.0, t_end=1.0,
+                                       dx=0.05, dt=0.01)
+        assert np.array_equal(w.freeze_time(), np.full(len(w.x), w.t[50]))
+        assert np.array_equal(w.front(), np.where(w.t < w.t[50], w.x[0], np.inf))
+        w = vanishing_profile_potential(2.0, x0=0.5, x_max=1.0, t_end=1.0,
+                                        dx=0.05, dt=0.01)
+        frozen = w.x <= 0.5
+        assert np.array_equal(w.freeze_time(), np.where(frozen, 0.0, np.inf))
+        assert np.array_equal(w.front(), np.full(len(w.t), w.x[~frozen][0]))
 
 
 class TestObstacleResidual:
@@ -66,12 +69,13 @@ class TestObstacleResidual:
         # w = ((x - x0)+)^2 / alpha has w_t = 0, w_xx = 2/alpha on the liquid
         # side, and the centered second difference of a quadratic is exact,
         # so nu = 1/alpha cancels the residual to rounding.  The profile
-        # never drains, so the tail-free column filter must be off.
+        # never drains, but its tail_bound is zero, so every column counts
+        # as tail-free.
         alpha = 2.0
         w = vanishing_profile_potential(alpha, x0=1.0, x_max=3.0, t_end=1.0,
                                         dx=0.02, dt=0.02)
         nu = uniform_weight(w.x, 1.0 / alpha, alpha)
-        rep = obstacle_residual(w, nu, interior_margin=0.15, tail_free_only=False)
+        rep = obstacle_residual(w, nu, interior_margin=0.15)
         assert rep.n_nodes > 1000
         assert rep.linf < 1e-9
         assert rep.l1 < 1e-9
@@ -81,13 +85,12 @@ class TestObstacleResidual:
 
     def test_critical_ramp_is_residual_free(self):
         # w = (t0 - t)+ / alpha: w_t = -1/alpha before t0, zero after, flat
-        # in space.  Every column freezes at t0, inside the horizon, so this
-        # one exercises the tail-free path.
+        # in space.  Every column freezes at t0, inside the horizon.
         alpha = 2.0
         w = critical_profile_potential(alpha, t0=0.5, x_max=1.0, t_end=1.0,
                                        dx=0.05, dt=0.01)
         nu = uniform_weight(w.x, 1.0 / alpha, alpha)
-        rep = obstacle_residual(w, nu, interior_margin=0.1, tail_free_only=True)
+        rep = obstacle_residual(w, nu, interior_margin=0.1)
         assert rep.n_nodes > 100
         assert rep.linf < 1e-10
         assert rep.count_w_negative == 0
@@ -100,7 +103,7 @@ class TestObstacleResidual:
         w = critical_profile_potential(alpha, t0=0.5, x_max=1.0, t_end=1.0,
                                        dx=0.05, dt=0.01)
         nu = uniform_weight(w.x, 2.0 / alpha, alpha)
-        rep = obstacle_residual(w, nu, interior_margin=0.1, tail_free_only=True)
+        rep = obstacle_residual(w, nu, interior_margin=0.1)
         assert rep.linf == pytest.approx(1.0 / alpha, abs=1e-10)
 
     def test_margin_must_be_positive(self):
@@ -217,21 +220,21 @@ def reference_w(u, t):
     return w
 
 
-def reference_residual(w, nu, interior_margin, eps_w=None, tail_free_only=True,
-                       tail_tol=1e-12):
+def reference_residual(w, nu, interior_margin, eps_w=None):
     """obstacle_residual written out plainly on full arrays, as the oracle."""
     eps = w.eps_w() if eps_w is None else eps_w
     t, x, W = w.t, w.x, w.w
     nt, nx = W.shape
     dx = w.dx
-    fidx = w.freeze_index(0.0)
-    s_col = np.where(fidx < nt, t[np.minimum(fidx, nt - 1)], np.inf)
+    s_col = np.full(nx, np.inf)
+    for i in range(nx):
+        zeros = np.flatnonzero(W[:, i] <= 0)
+        if len(zeros):
+            s_col[i] = t[zeros[0]]
     t_hi = t[-1] - interior_margin
+    dead = w.tail_bound <= 1e-12
     col_ok = np.zeros(nx, dtype=bool)
-    col_ok[1:-1] = True
-    if tail_free_only:
-        dead = w.tail_bound <= tail_tol
-        col_ok[1:-1] &= dead[:-2] & dead[1:-1] & dead[2:]
+    col_ok[1:-1] = dead[:-2] & dead[1:-1] & dead[2:]
     front_col = np.argmax(W > 0, axis=1)
     has_liquid = (W > 0).any(axis=1)
     lam_row = np.where(has_liquid, x[np.minimum(front_col, nx - 1)], np.inf)
@@ -312,17 +315,18 @@ class TestMatchesReference:
         f, _ = run
         assert np.array_equal(compute_w(f).w, reference_w(f.values, f.t))
 
-    @pytest.mark.parametrize("margin, tail_free_only", [
-        (0.02, True), (0.1, True), (0.1, False), (10.0, True)])
-    def test_obstacle_residual(self, run, margin, tail_free_only, request):
+    # the "-True" in the ids names the tail-free region, which these cases
+    # have always checked
+    @pytest.mark.parametrize("margin", [0.02, 0.1, 10.0],
+                             ids=["0.02-True", "0.1-True", "10.0-True"])
+    def test_obstacle_residual(self, run, margin, request):
         f, nu = run
         run_id = request.node.callspec.params["run"]
         w = compute_w(f)
-        got = obstacle_residual(w, nu, interior_margin=margin,
-                                tail_free_only=tail_free_only).to_dict()
-        want = reference_residual(w, nu, margin, tail_free_only=tail_free_only)
+        got = obstacle_residual(w, nu, interior_margin=margin).to_dict()
+        want = reference_residual(w, nu, margin)
         assert repr(got) == repr(want)
-        if margin == 10.0 or (run_id == "warm" and tail_free_only):
+        if margin == 10.0 or run_id == "warm":
             assert got["n_nodes"] == 0
         elif run_id == "gapped":
             assert got["n_nodes"] > 0
