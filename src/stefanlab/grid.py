@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dgtsv
 
 from stefanlab.errors import ConfigError, NumericalAbort, TruncationError
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
-from stefanlab.jump_rule import TIE_GUARD, JumpResult, continuum_jump, density_knots
+from stefanlab.jump_rule import JumpResult, continuum_jump, density_knots, tie_guard
 
 # Ceiling on the mass allowed in the cell adjacent to the right wall;
 # beyond it the truncated domain no longer represents the half-line problem.
@@ -115,10 +115,11 @@ def _cell_cdf_jump(state: GridState) -> JumpResult:
     nonnegative temperatures negative.
     """
     a, dx = state.j, state.dx
-    if dx / state.alpha - state.u[a] * dx > TIE_GUARD * state.alpha:
-        return JumpResult(0.0, a * dx, 0.0)
-    k = min(int((state.alpha + 2 * dx) / dx + 1e-9), len(state.u) - a)
     x_face = a * dx
+    swept = state.u[a] * dx
+    if dx / state.alpha - swept > tie_guard(swept, x_face, dx, state.alpha):
+        return JumpResult(0.0, x_face, 0.0)
+    k = min(int((state.alpha + 2 * dx) / dx + 1e-9), len(state.u) - a)
     faces = dx * np.arange(k + 1)
     cum = np.concatenate(([0.0], np.cumsum(state.u[a:a + k]) * dx))
     return continuum_jump(lambda x: np.interp(x, x_face + faces, cum),

@@ -118,7 +118,10 @@ class ScenarioConfig:
             raise ConfigError("dx must be a number whose square is finite and nonzero")
         if self.x_max is not None and not _is_number(self.x_max):
             raise ConfigError("x_max must be a finite number")
-        # the Philox key holds the seed as an unsigned 64-bit word
+        # seeds stay one unsigned 64-bit word, the range configs have always
+        # accepted; the particle stream's SeedSequence takes any nonnegative
+        # integer, so the seeds invariants derive from it (seed + 7) may
+        # pass 2**64
         if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         for name, least in (("n_particles", 1), ("sample_every", 1),
@@ -611,7 +614,7 @@ def _iv_power_gap_bound(ctx):
     if cfg.density.get("family") != "power_gap":
         return _skip("density is not the power-gap family")
     d, p = ctx["density"], cfg.density
-    rng = np.random.default_rng(cfg.seed)
+    rng = pt._stream(cfg.seed, pt.INIT_STREAM)
     xs = rng.uniform(1e-9, p["delta"] * (1 - 1e-9), 200)
     target = d.norm_factor * (1.0 / p["alpha"] - p["c"] * xs ** p["n"])
     worst = float(np.max(d.value_at(xs) - target))
@@ -626,7 +629,7 @@ def _iv_oscillatory_reference(ctx):
     d, p = ctx["density"], cfg.density
     args = (p["alpha1"], p["alpha2"], p["a1"], p["p"], p["q"], p["n_levels"])
     r = p["p"] * p["q"]
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = pt._stream(cfg.seed + 1, pt.INIT_STREAM)
     bad = checked = 0
     for level in range(p["n_levels"] + 1):
         hi = r ** level * p["a1"]

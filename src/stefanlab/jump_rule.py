@@ -21,7 +21,8 @@ import numpy as np
 from stefanlab.errors import ConfigError, NonMonotoneCDFError
 
 # The jump rule uses a strict inequality; ties at machine precision must not
-# terminate a jump, so the threshold is undercut by this relative guard.
+# terminate a jump, so a shortfall counts only above this relative guard
+# times the rounding scale of the swept mass (tie_guard).
 TIE_GUARD = 1e-14
 
 
@@ -54,17 +55,31 @@ def density_knots(d, lambda_minus: float, alpha: float) -> np.ndarray:
     return np.append(ahead, alpha + d.support_max - lambda_minus)
 
 
+def tie_guard(cdf, lambda_minus: float, x, alpha: float):
+    """Least shortfall that counts at displacements x, where the CDF is cdf.
+
+    On a piece where alpha * density is exactly critical the shortfall is
+    zero but for the rounding of the swept mass: of the CDF values (the one
+    at the frontier is no larger), and of the positions lambda_minus + x,
+    which the density 1/alpha turns into mass (the same bound covers
+    x / alpha).  A tie is judged on that scale, whatever the size of alpha.
+    Scalars or arrays; built-in abs keeps the grid's per-step scalar call
+    cheap.
+    """
+    return TIE_GUARD * (abs(cdf) + (abs(lambda_minus) + x) / alpha)
+
+
 def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, knots) -> JumpResult:
     """Resolve a frontier jump against a CDF linear between knots.
 
     knots are ascending positive displacements from lambda_minus; cdf_fn must
     be linear on (0, knots[0]] and between consecutive knots, and is called
     once, on the array lambda_minus + [0, *knots].  The first piece whose end
-    shows a shortfall above TIE_GUARD * alpha holds the jump: delta is the
-    zero crossing of the shortfall on it, or its start when the shortfall is
-    already nonnegative there (delta = 0 for a shortfall on the first piece).
-    Without such a piece the result carries delta = knots[-1] and the
-    total_freeze flag.  A decreasing CDF raises NonMonotoneCDFError.
+    shows a shortfall above tie_guard holds the jump: delta is the zero
+    crossing of the shortfall on it, or its start when the shortfall is
+    already nonnegative there (delta = 0 for a shortfall on the first
+    piece).  Without such a piece the result carries delta = knots[-1] and
+    the total_freeze flag.  A decreasing CDF raises NonMonotoneCDFError.
     """
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
@@ -85,7 +100,7 @@ def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, knots) -> JumpResu
         raise NonMonotoneCDFError(f"CDF decreased near x = {x_bad!r}")
     swept = cdf - cdf[0]
     shortfall = xs / alpha - swept
-    over = shortfall > TIE_GUARD * alpha
+    over = shortfall > tie_guard(cdf, lambda_minus, xs, alpha)
     hit = int(np.argmax(over))
     if not over[hit]:
         return JumpResult(float(xs[-1]), lambda_minus + xs[-1], float(swept[-1]),

@@ -7,11 +7,12 @@ construction, so mass balance is an identity of integer counts, not an
 approximation.  Absorbed particles stop: a step moves, and draws noise for,
 the living only.
 
-Randomness is counter-based: the Gaussian increments of step k are drawn from
-a Philox stream keyed by (seed, k), one per living particle in increasing
-order of original index, so the increment a particle receives depends only on
-(seed, the step index, its rank among the living).  Replays are bit-identical
-for a fixed (seed, dt, N).
+Randomness is keyed: the Gaussian increments of step k are drawn from an
+SFC64 stream seeded by the SeedSequence of (seed, k), one per living particle
+in increasing order of original index, so the increment a particle receives
+depends only on (seed, the step index, its rank among the living).  Replays
+are bit-identical for a fixed (seed, dt, N), and a run split into continued
+runs equals one run.
 """
 from __future__ import annotations
 
@@ -28,7 +29,16 @@ INIT_STREAM = 2 ** 62
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
+    """The generator keyed by (seed, tag): a step index or INIT_STREAM.
+
+    SeedSequence hashes the pair into SFC64's state and takes any
+    nonnegative integers, seeds past 2**64 included.  It hashes the pair's
+    32-bit words in a row, so a tag of 2**32 or more can alias another
+    (seed, tag) pair.  Step indices stay below harness.MAX_STEPS < 2**32,
+    and INIT_STREAM's low word is zero, which cannot be the top word of a
+    seed of more than one word.
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, tag])))
 
 
 @dataclass

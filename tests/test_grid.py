@@ -185,7 +185,8 @@ def frontier_cells(draw):
 
     The frontier cell's value is drawn at random, or a few ulps from 1/alpha
     or from the edge of the no-jump test (the u with dx/alpha - u*dx equal to
-    the tie guard), so both sides of the test are exercised bit for bit.
+    the tie guard TIE_GUARD * (u*dx + (j*dx + dx)/alpha)), so both sides of
+    the test are exercised bit for bit.
     """
     alpha = draw(st.floats(0.05, 4.0))
     dx = draw(st.sampled_from([0.1, 0.05, 0.02, 1.0 / 3.0, 0.0137]))
@@ -196,7 +197,8 @@ def frontier_cells(draw):
     if kind == "critical":
         u[j] = _nudge(1.0 / alpha, draw(st.integers(-3, 3)))
     elif kind == "edge":
-        u[j] = _nudge((dx / alpha - TIE_GUARD * alpha) / dx, draw(st.integers(-3, 3)))
+        u[j] = _nudge((dx / alpha - TIE_GUARD * (j * dx + dx) / alpha)
+                      / (dx * (1 + TIE_GUARD)), draw(st.integers(-3, 3)))
     u[:j] = 0.0
     return make_state(u, j=j, alpha=alpha, dx=dx)
 

@@ -559,6 +559,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL potential.complementarity" in out
 
+    def test_verify_at_the_largest_seed(self, tmp_path, capsys):
+        # particle.convergence_in_n runs at seed + 7, past 2**64 here; the
+        # stream's key takes it
+        cfg_path = self.write_config(tmp_path, method="both", n_particles=500,
+                                     seed=2 ** 64 - 1,
+                                     thresholds={"interior_margin": 0.05})
+        assert main(["verify", str(cfg_path), "--no-write"]) == 0
+        assert "PASS particle.convergence_in_n" in capsys.readouterr().out
+
     def test_verify_writes_ledger(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         assert main(["verify", str(cfg_path)]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import stefanlab.particle as particle_mod
 from stefanlab.densities import piecewise_constant
@@ -68,11 +69,30 @@ def test_step_bit_reproducible_regardless_of_history():
     a0, b0 = a.positions.copy(), b.positions.copy()
     step(a, 1e-6)
     step(b, 1e-6)
-    z = np.random.Generator(np.random.Philox(
-        key=np.array([7, 3], dtype=np.uint64))).standard_normal(64) * 1e-3
+    z = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([7, 3]))).standard_normal(64) * 1e-3
     assert a.n_dead == 0 and b.n_dead == 10  # nobody absorbed by the step
     assert np.array_equal(a.positions, a0 + z)
     assert np.array_equal(b.positions, b0 + z[:54])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 2])
+def test_stream_is_gaussian_and_uncorrelated_across_keys(seed):
+    # fixed seeds, so the verdict cannot flake: the step increments are
+    # N(0, dt), and the streams of the next step, the next seed and the
+    # initial sample are uncorrelated with them to within 5 / sqrt(n)
+    n, dt = 100_000, 1e-3
+
+    def increments(s, k):
+        e = Ensemble(positions=np.zeros(n), n_total=n, alpha=0.0, seed=s,
+                     step_index=k)
+        return particle_mod._increments(e, dt)
+
+    z = increments(seed, 3)
+    assert stats.kstest(z, "norm", args=(0.0, np.sqrt(dt))).pvalue > 1e-3
+    init_draws = particle_mod._stream(seed, particle_mod.INIT_STREAM).random(n)
+    for other in (increments(seed, 4), increments(seed + 1, 3), init_draws):
+        assert abs(np.corrcoef(z, other)[0, 1]) < 5.0 / np.sqrt(n)
 
 
 def test_run_reproducible():
