@@ -4,7 +4,7 @@ Two independent solvers (an interacting-particle system and an implicit
 finite-volume scheme) track the freezing frontier of a supercooled liquid,
 including its jump discontinuities.  Analysis modules recover the stopped-mass
 weight, the integrated-temperature obstacle problem, the freezing-time
-profile, and blow-up classifications at the free boundary.
+profile, and the classification of points on the free boundary.
 """
 
 from stefanlab.densities import Density, oscillatory_density, piecewise_constant, power_gap_density
@@ -14,9 +14,9 @@ from stefanlab.particle import Ensemble, Snapshot, empirical_field, init_ensembl
 from stefanlab.grid import GridState, run_grid
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
 from stefanlab.potential import PotentialField, ResidualReport, bound_suite, compute_w, obstacle_residual
-from stefanlab.boundary import (FreezingProfile, SpeedReport, blowup_fit, classify_points,
-                                detect_jumps, freezing_time, nondegeneracy_constant,
-                                oscillation_count, speed_formula_check)
+from stefanlab.boundary import (FreezingProfile, SpeedReport, classify_points, detect_jumps,
+                                freezing_time, nondegeneracy_constant, oscillation_count,
+                                speed_formula_check)
 from stefanlab.harness import (ScenarioConfig, ScenarioResult, apply_overrides, build_density,
                                compare_methods, run_scenario, scenario_from_dict,
                                scenario_from_json, verify_suite)

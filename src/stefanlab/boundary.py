@@ -1,21 +1,19 @@
-"""Free-boundary analysis: freezing times, jumps, point classes, blow-ups.
+"""Free-boundary analysis: freezing times, jumps, point classes.
 
 Everything here consumes solver (or oracle) outputs and produces the
 quantities the structure theory talks about: the freezing-time profile s and
 its slope, the jump registry recovered from a sampled frontier, the
-regular/singular label of each boundary point, the rescaled-potential profile
-fits, the frontier-speed identity check, and the linear lower bound on the
-temperature ahead of the frontier.
+regular/singular label of each boundary point, the frontier-speed identity
+check, and the linear lower bound on the temperature ahead of the frontier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, FrontierPath, JumpRecord
-from stefanlab.potential import PotentialField
 
 LABELS = ("regular_in_jump", "regular_vanishing", "singular_endpoint",
           "singular_critical", "unresolved")
@@ -23,8 +21,6 @@ LABELS = ("regular_in_jump", "regular_vanishing", "singular_endpoint",
 N_EXTRAP = 3
 # the speed check skips points whose s' is this flat or flatter
 S_PRIME_FLOOR = 1e-3
-# largest relative misfit at which a blow-up fit names a profile
-BLOWUP_REL_TOL = 0.1
 
 
 @dataclass
@@ -305,123 +301,3 @@ def _one_sided_slope(field: Field, row: int, lam_row: float) -> float:
     u1 = field.values[row, i0]
     u2 = field.values[row, i0 + 1]
     return float((u1 * d2 ** 2 - u2 * d1 ** 2) / (d1 * d2 * (d2 - d1)))
-
-
-@dataclass
-class BlowupFit:
-    """Least-squares misfit of the rescaled potential against model profiles.
-
-    Residuals are relative (misfit over model norm) per radius, smallest
-    radius first; the verdict comes from the smallest radius alone, larger
-    radii serve as a consistency trend.
-    """
-
-    x0: float
-    t0: float
-    radii: list
-    res_vanishing: list
-    res_critical: list
-    verdict: str
-    meta: dict = dc_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"x0": self.x0, "t0": self.t0, "radii": self.radii,
-                "res_vanishing": self.res_vanishing,
-                "res_critical": self.res_critical, "verdict": self.verdict}
-
-
-def blowup_fit(w: PotentialField, x0: float, jumps: list[JumpRecord],
-               t0: float | None = None) -> BlowupFit:
-    """Fit the parabolically rescaled potential at (x0, s(x0)).
-
-    Samples r^-2 * w(x0 + r*xi, t0 + r^2*tau) at the lattice nodes that fall
-    inside the backward unit cylinder xi in [-1,1], tau in [-1,0]; no
-    interpolation, so exact model inputs give exactly zero misfit.  The radii
-    run geometrically from the resolution floor max(4dx, 4*sqrt(dt)) up to
-    the nearest constraint (domain edge, time floor, closest jump).
-    """
-    for rec in jumps:
-        if rec.lambda_minus <= x0 <= rec.lambda_plus:
-            raise ConfigError(f"x0 = {x0} lies inside a jump interval")
-    alpha = w.alpha
-    dx = w.dx
-    dt_med = w.dt_median
-    col = int(np.argmin(np.abs(w.x - x0)))
-    x0 = float(w.x[col])
-
-    if t0 is None:
-        t0 = _infer_freeze_time(w, col)
-    if not np.isfinite(t0) or t0 <= 0:
-        return BlowupFit(x0=x0, t0=float(t0) if t0 is not None else np.nan,
-                         radii=[], res_vanishing=[], res_critical=[],
-                         verdict="inconclusive", meta={"reason": "no freeze time"})
-
-    r_min = max(4.0 * dx, 4.0 * np.sqrt(dt_med))
-    r_cap = min(np.sqrt(t0) * 0.999, x0 - w.x[0], w.x[-1] - x0)
-    for rec in jumps:
-        if rec.lambda_plus < x0:
-            r_cap = min(r_cap, x0 - rec.lambda_plus)
-        elif rec.lambda_minus > x0:
-            r_cap = min(r_cap, rec.lambda_minus - x0)
-    if r_cap < r_min:
-        return BlowupFit(x0=x0, t0=t0, radii=[], res_vanishing=[],
-                         res_critical=[], verdict="inconclusive",
-                         meta={"reason": "no resolvable radius",
-                               "r_min": r_min, "r_cap": r_cap})
-    n_radii = 4 if r_cap > 2 * r_min else 2 if r_cap > 1.2 * r_min else 1
-    radii = list(np.geomspace(r_min, r_cap, n_radii))
-
-    used, res_v, res_c = [], [], []
-    for r in radii:
-        cols = np.where(np.abs(w.x - x0) <= r)[0]
-        rows = np.where((w.t >= t0 - r * r) & (w.t <= t0))[0]
-        if len(cols) < 3 or len(rows) < 3:
-            continue
-        xi = (w.x[cols] - x0) / r
-        tau = (w.t[rows] - t0) / (r * r)
-        wr = w.w[np.ix_(rows, cols)] / (r * r)
-        pv = np.clip(xi, 0, None)[None, :] ** 2 / alpha
-        pc = -tau[:, None] / alpha * np.ones((1, len(cols)))
-        mis_v = float(np.sqrt(np.mean((wr - pv) ** 2)))
-        mis_c = float(np.sqrt(np.mean((wr - pc) ** 2)))
-        norm_v = float(np.sqrt(np.mean(pv ** 2)))
-        norm_c = float(np.sqrt(np.mean(pc ** 2)))
-        used.append(float(r))
-        res_v.append(mis_v / norm_v if norm_v > 0 else np.inf)
-        res_c.append(mis_c / norm_c if norm_c > 0 else np.inf)
-
-    if not used:
-        return BlowupFit(x0=x0, t0=t0, radii=[], res_vanishing=[], res_critical=[],
-                         verdict="inconclusive", meta={"reason": "no usable nodes"})
-    rv, rc = res_v[0], res_c[0]
-    if rv < rc and rv < BLOWUP_REL_TOL:
-        verdict = "vanishing_profile"
-    elif rc < rv and rc < BLOWUP_REL_TOL:
-        verdict = "critical_profile"
-    else:
-        verdict = "inconclusive"
-    return BlowupFit(x0=x0, t0=float(t0), radii=used, res_vanishing=res_v,
-                     res_critical=res_c, verdict=verdict)
-
-
-def _infer_freeze_time(w: PotentialField, col: int) -> float:
-    """Zero crossing of the potential column, from above the noise floor.
-
-    Extrapolates the last two samples still above the floor linearly to
-    zero: exact when the column drains linearly, and immune to the floor's
-    own offset (a floor crossing would sit eps_w * alpha too early on a
-    linearly draining column).
-    """
-    eps = w.eps_w()
-    colvals = w.w[:, col]
-    below = colvals <= eps
-    if below[0]:
-        return float(w.t[0])
-    if not below.any():
-        return np.inf
-    k = int(np.argmax(below))
-    if k >= 2:
-        w2, w1 = colvals[k - 2], colvals[k - 1]
-        if w2 > w1:
-            return float(w.t[k - 1] + w1 * (w.t[k - 1] - w.t[k - 2]) / (w2 - w1))
-    return float(w.t[k])

@@ -84,7 +84,7 @@ def _cmd_analyze(args) -> int:
     jumps = read_jumps_json(_require(root / "jumps.json"))
     frontier = FrontierPath(times=times, lam=lam, alpha=cfg.alpha, jumps=jumps)
 
-    field_path = root / "field.csv"
+    field_path = root / "field.npy"
     if not field_path.exists():
         raise ConfigError(f"missing artifact {field_path};"
                           " analysis needs a run with a sampled field")
@@ -94,7 +94,7 @@ def _cmd_analyze(args) -> int:
     field = Field(x=x, t=t, values=values,
                   frontier_index=np.searchsorted(x, lam_rows + 1e-12),
                   lam=lam_rows, alpha=cfg.alpha)
-    nu_path = root / "nu.csv"
+    nu_path = root / "nu.npy"
     nu = read_nu_csv(nu_path, cfg.alpha) if nu_path.exists() else None
     if nu is not None:
         _check_finest_grid(nu_path, nu.x, cfg)
@@ -102,7 +102,7 @@ def _cmd_analyze(args) -> int:
     thr = jump_threshold(cfg, method, cfg.refinement_levels - 1)
     _, w, _, reports = analyze_route(cfg, method, frontier, field, nu, thr)
     report = {"scenario_id": cfg.scenario_id, **reports}
-    w_path = root / "w.csv"
+    w_path = root / "w.npy"
     if w_path.exists():
         _, _, w_stored = read_matrix_csv(w_path)
         if w_stored.shape != w.w.shape:

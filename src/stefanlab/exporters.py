@@ -1,8 +1,11 @@
-"""Artifact readers and writers: plain CSV and JSON, byte-deterministic.
+"""Artifact readers and writers, byte-deterministic.
 
-Numbers are written with repr, the shortest digit string that round-trips
-the exact float, so rereading an artifact reproduces the run bit for bit.
-All files use '.' decimals, '\\n' newlines, UTF-8.
+The small tables are CSV and JSON text.  Numbers in CSV are written with
+repr, the shortest digit string that round-trips the exact float; text files
+use '.' decimals, '\\n' newlines, UTF-8.  The matrices (field, w) and the
+freezing weight are binary .npy float64 arrays, written by np.save and read
+without unpickling, which keep every bit of every value, NaN payloads
+included.  Rereading an artifact reproduces the run bit for bit.
 """
 from __future__ import annotations
 
@@ -37,15 +40,12 @@ def _open_r(path):
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
 
 
-def _first_line(fh, path) -> str:
+def _expect_header(fh, path, expected: str) -> None:
     try:
-        return fh.readline().rstrip("\n")
+        header = fh.readline().rstrip("\n")
     except ValueError as exc:  # undecodable bytes
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _expect_header(fh, path, expected: str) -> None:
-    if _first_line(fh, path) != expected:
+    if header != expected:
         raise ConfigError(f"{path}: expected header {expected!r}")
 
 
@@ -75,44 +75,69 @@ def read_frontier_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
+NPY_MAGIC = np.lib.format.MAGIC_PREFIX
+
+
+def _save(path, a: np.ndarray) -> None:
+    # through a file handle: np.save given a path appends '.npy' to it
+    with open(path, "wb") as fh:
+        np.save(fh, a, allow_pickle=False)
+
+
+def _load(path) -> np.ndarray:
+    """The 2-d float64 array stored in the .npy file at path."""
+    try:
+        with open(path, "rb") as fh:
+            # np.load would take a pickle or a zip for other formats
+            if fh.read(len(NPY_MAGIC)) != NPY_MAGIC:
+                raise ValueError("not a .npy file")
+            fh.seek(0)
+            a = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
+    if a.ndim != 2 or a.dtype != np.float64:
+        raise ConfigError(f"{path}: expected a 2-d float64 .npy array")
+    return a
+
+
+# The four functions below keep "csv" in their names and take the file path
+# first: perfbench/spans.py looks them up by name and sizes each file from
+# the first argument.
+
 def write_matrix_csv(path, x: np.ndarray, t: np.ndarray, values: np.ndarray) -> None:
-    """Matrix layout: first row holds x, first column holds t, corner is nan."""
+    """Matrix layout in .npy: first row holds x, first column holds t,
+    corner is nan."""
     if values.shape != (len(t), len(x)):
         raise ConfigError("matrix shape does not match axes")
-    # one row formatted at a time: the whole matrix as text would be several
-    # times its float size
-    with _open_w(path) as fh:
-        fh.write("nan," + _row(x) + "\n")
-        for tv, row in zip(t, values):
-            fh.write(repr(float(tv)) + "," + _row(row) + "\n")
+    a = np.empty((len(t) + 1, len(x) + 1))
+    a[0, 0] = np.nan
+    a[0, 1:] = x
+    a[1:, 0] = t
+    a[1:, 1:] = values
+    _save(path, a)
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with _open_r(path) as fh:
-        head = _first_line(fh, path).split(",")
-        if head[0] != "nan":
-            raise ConfigError(f"{path}: corner cell must be nan")
-        try:
-            x = np.array(head[1:], dtype=float)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: header: {exc}") from None
-        data = _read_table(fh, path, len(x) + 1)
-    return x, data[:, 0].copy(), data[:, 1:].copy()
+    a = _load(path)
+    if a.size == 0 or not np.isnan(a[0, 0]):
+        raise ConfigError(f"{path}: corner cell must be nan")
+    return a[0, 1:].copy(), a[1:, 0].copy(), a[1:, 1:].copy()
 
 
 def write_nu_csv(path, nu: WeightField) -> None:
-    with _open_w(path) as fh:
-        fh.write("x,nu,recorded\n")
-        for row, rv in zip(np.column_stack((nu.x, nu.nu)), nu.recorded):
-            fh.write(f"{_row(row)},{int(rv)}\n")
+    """Columns x, nu, recorded (1.0 or 0.0)."""
+    _save(path, np.column_stack((nu.x, nu.nu, nu.recorded)).astype(float))
 
 
 def read_nu_csv(path, alpha: float) -> WeightField:
-    with _open_r(path) as fh:
-        _expect_header(fh, path, "x,nu,recorded")
-        data = _read_table(fh, path, 3)
-    return WeightField(x=data[:, 0], nu=data[:, 1], alpha=alpha,
-                       recorded=data[:, 2].astype(bool))
+    a = _load(path)
+    if a.shape[1] != 3:
+        raise ConfigError(f"{path}: expected 3 columns, found {a.shape[1]}")
+    recorded = a[:, 2]
+    if not np.all((recorded == 0.0) | (recorded == 1.0)):
+        raise ConfigError(f"{path}: recorded must be 0 or 1")
+    return WeightField(x=a[:, 0].copy(), nu=a[:, 1].copy(), alpha=alpha,
+                       recorded=recorded == 1.0)
 
 
 def write_profile_csv(path, profile) -> None:
@@ -188,15 +213,15 @@ def write_field_artifacts(outdir, frontier: FrontierPath, field: Field,
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_frontier_csv(out / "frontier.csv", frontier)
-    write_matrix_csv(out / "field.csv", field.x, field.t, field.values)
+    write_matrix_csv(out / "field.npy", field.x, field.t, field.values)
     write_jumps_json(out / "jumps.json", frontier.jumps)
-    names = ["frontier.csv", "field.csv", "jumps.json"]
+    names = ["frontier.csv", "field.npy", "jumps.json"]
     if nu is not None:
-        write_nu_csv(out / "nu.csv", nu)
-        names.append("nu.csv")
+        write_nu_csv(out / "nu.npy", nu)
+        names.append("nu.npy")
     if w is not None:
-        write_matrix_csv(out / "w.csv", w.x, w.t, w.w)
-        names.append("w.csv")
+        write_matrix_csv(out / "w.npy", w.x, w.t, w.w)
+        names.append("w.npy")
     if profile is not None:
         write_profile_csv(out / "profile.csv", profile)
         names.append("profile.csv")

@@ -540,7 +540,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
         write_json(root / "summary.json", summary)
         write_json(root / "meta.json",
                    {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                    "format": 1})
+                    "format": 2})
         outpath = str(root)
     return ScenarioResult(config=cfg, levels=levels, summary=summary,
                           outpath=outpath)

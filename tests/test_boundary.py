@@ -1,17 +1,15 @@
-"""Tests for freezing-time profiles, jump recovery, classification, blow-ups."""
+"""Tests for freezing-time profiles, jump recovery and classification."""
 import numpy as np
 import pytest
 
-from stefanlab.boundary import (blowup_fit, classify_points, detect_jumps,
-                                freezing_time, nondegeneracy_constant,
-                                oscillation_count, speed_formula_check)
+from stefanlab.boundary import (classify_points, detect_jumps, freezing_time,
+                                nondegeneracy_constant, oscillation_count,
+                                speed_formula_check)
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
-from stefanlab.fields import Field, FrontierPath, JumpRecord
+from stefanlab.fields import Field, FrontierPath
 from stefanlab.grid import run_grid
-from stefanlab.synthetic import (critical_profile_potential,
-                                 smooth_frontier_path, traveling_wave_field,
-                                 vanishing_profile_potential)
+from stefanlab.synthetic import smooth_frontier_path, traveling_wave_field
 
 
 def flat_field(u_value, x_max=1.3, t_end=1.3, dx=0.01, dt=0.01, alpha=1.0):
@@ -257,45 +255,3 @@ class TestSpeedFormula:
         rep = speed_formula_check(prof, field)
         assert rep.n_points >= 20
         assert rep.median_rel_err < 0.02
-
-
-class TestBlowupFit:
-    def test_vanishing_profile_recovered(self):
-        w = vanishing_profile_potential(alpha=2.0, x0=1.01, x_max=2.0,
-                                        t_end=0.6, dx=0.02, dt=4e-4)
-        fit = blowup_fit(w, x0=1.01, jumps=[], t0=0.5)
-        assert fit.verdict == "vanishing_profile"
-        assert len(fit.radii) >= 3
-        assert all(r < 1e-9 for r in fit.res_vanishing)
-        assert fit.res_critical[0] > 0.5
-
-    def test_critical_profile_recovered_with_inferred_time(self):
-        w = critical_profile_potential(alpha=2.0, t0=0.5, x_max=2.0,
-                                       t_end=0.6, dx=0.02, dt=4e-4)
-        fit = blowup_fit(w, x0=1.01, jumps=[])
-        assert fit.t0 == pytest.approx(0.5, abs=1e-9)
-        assert fit.verdict == "critical_profile"
-        assert all(r < 1e-9 for r in fit.res_critical)
-        assert fit.res_vanishing[0] > 0.5
-
-    def test_inference_needs_positive_freeze_time(self):
-        # the vanishing profile's own column is identically zero, so the
-        # freeze time cannot be inferred and must be supplied
-        w = vanishing_profile_potential(alpha=2.0, x0=1.01, x_max=2.0,
-                                        t_end=0.6, dx=0.02, dt=4e-4)
-        fit = blowup_fit(w, x0=1.01, jumps=[])
-        assert fit.verdict == "inconclusive"
-
-    def test_x0_inside_jump_rejected(self):
-        w = critical_profile_potential(alpha=2.0, t0=0.5, x_max=2.0,
-                                       t_end=0.6, dx=0.02, dt=4e-4)
-        with pytest.raises(ConfigError):
-            blowup_fit(w, x0=1.0, jumps=[JumpRecord(0.3, 0.9, 1.2)], t0=0.5)
-
-    def test_radii_respect_jump_distance(self):
-        w = critical_profile_potential(alpha=2.0, t0=0.5, x_max=2.0,
-                                       t_end=0.6, dx=0.02, dt=4e-4)
-        rec = JumpRecord(0.3, 0.7, 0.9)
-        fit = blowup_fit(w, x0=1.01, jumps=[rec], t0=0.5)
-        assert fit.radii
-        assert max(fit.radii) <= 1.01 - 0.9 + 1e-12

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 import stefanlab.harness as harness_mod
 from stefanlab.cli import main
 from stefanlab.errors import ConfigError
-from stefanlab.exporters import read_frontier_csv, read_json, read_matrix_csv
+from stefanlab.exporters import (read_frontier_csv, read_json, read_matrix_csv,
+                                 read_nu_csv)
 from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
                                apply_overrides, build_density, run_scenario,
                                scenario_from_dict, verify_suite)
 from stefanlab.potential import obstacle_residual
+from test_exporters import MALFORMED_NPY
 
 UNIFORM = {"family": "piecewise_constant", "breaks": [0.0, 1.5],
            "values": [1.0 / 1.5]}
@@ -220,22 +222,27 @@ class TestArtifactLayout:
                            outdir=str(tmp_path))
         result = run_scenario(cfg, write=True)
         root = tmp_path / "layout"
-        for sub in ("L0", "L1", "."):
-            for name in ("frontier.csv", "field.csv", "nu.csv", "w.csv",
-                         "profile.csv", "jumps.json"):
-                assert (root / sub / name).exists(), f"{sub}/{name}"
-        assert (root / "summary.json").exists()
-        assert (root / "meta.json").exists()
+        names = {"frontier.csv", "field.npy", "nu.npy", "w.npy", "profile.csv",
+                 "jumps.json"}
+        for sub in ("L0", "L1"):
+            assert {f.name for f in (root / sub).iterdir()} == names
+        assert {f.name for f in root.iterdir()} == \
+            names | {"L0", "L1", "summary.json", "meta.json"}
+        assert read_json(root / "meta.json")["format"] == 2
         # the flat files are independent byte copies of the finest level
-        for name in ("frontier.csv", "field.csv", "nu.csv", "w.csv",
-                     "profile.csv", "jumps.json"):
+        for name in names:
             flat, fine = root / name, root / "L1" / name
             assert flat.read_bytes() == fine.read_bytes(), name
             assert flat.stat().st_nlink == 1 and fine.stat().st_nlink == 1
         times, lam = read_frontier_csv(root / "frontier.csv")
         assert np.array_equal(lam, result.levels[-1].frontier.lam)
-        x, t, vals = read_matrix_csv(root / "field.csv")
+        x, t, vals = read_matrix_csv(root / "field.npy")
         assert np.array_equal(vals, result.levels[-1].field.values)
+        _, _, w = read_matrix_csv(root / "w.npy")
+        assert np.array_equal(w, result.levels[-1].w.w)
+        nu = read_nu_csv(root / "nu.npy", cfg.alpha)
+        assert np.array_equal(nu.nu, result.levels[-1].nu.nu)
+        assert np.array_equal(nu.recorded, result.levels[-1].nu.recorded)
 
     def test_both_run_takes_no_snapshots(self, tmp_path):
         # the level writes the grid's field, so snapshot_every changes no file
@@ -248,7 +255,7 @@ class TestArtifactLayout:
             assert result.levels[0].p_field is None
             level_dir = tmp_path / f"snap{every}" / "L0"
             files[every] = {f.name: f.read_bytes() for f in level_dir.iterdir()}
-        assert "field.csv" in files[0]
+        assert "field.npy" in files[0]
         assert files[5] == files[0]
 
     def test_summary_names_the_method_of_each_jump_list(self):
@@ -396,13 +403,13 @@ class TestCli:
             cfg_path = self.write_config(tmp_path, scenario_id=name, dx=dx)
             assert main(["simulate", str(cfg_path)]) == 0
         out = tmp_path / "out"
-        (out / "fine" / "w.csv").write_bytes((out / "coarse" / "w.csv").read_bytes())
+        (out / "fine" / "w.npy").write_bytes((out / "coarse" / "w.npy").read_bytes())
         capsys.readouterr()
         assert main(["analyze", str(out / "fine")]) == 2
-        assert str(out / "fine" / "w.csv") in capsys.readouterr().err
+        assert str(out / "fine" / "w.npy") in capsys.readouterr().err
 
     @pytest.mark.parametrize("copied, named", [
-        (("field.csv", "nu.csv"), "field.csv"), (("nu.csv",), "nu.csv")])
+        (("field.npy", "nu.npy"), "field.npy"), (("nu.npy",), "nu.npy")])
     def test_analyze_field_of_another_grid_exits_2(self, tmp_path, capsys,
                                                    copied, named):
         for name, dx in (("fine", 0.05), ("coarse", 0.1)):
@@ -420,7 +427,7 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, refinement_levels=2)
         assert main(["simulate", str(cfg_path)]) == 0
         rundir = tmp_path / "out" / "cli"
-        (rundir / "field.csv").write_bytes((rundir / "L0" / "field.csv").read_bytes())
+        (rundir / "field.npy").write_bytes((rundir / "L0" / "field.npy").read_bytes())
         capsys.readouterr()
         assert main(["analyze", str(rundir)]) == 2
         assert "dx = 0.025" in capsys.readouterr().err
@@ -441,9 +448,7 @@ class TestCli:
         assert main(["analyze", str(tmp_path / "nowhere")]) == 2
 
     @pytest.mark.parametrize("name, row, corrupt", [
-        ("field.csv", 3, lambda line: line.rsplit(",", 1)[0]),
-        ("frontier.csv", 2, lambda line: line.split(",")[0] + ",abc"),
-        ("w.csv", 4, lambda line: line.replace(",", ",x", 1))])
+        ("frontier.csv", 2, lambda line: line.split(",")[0] + ",abc")])
     def test_analyze_malformed_artifact_exits_2(self, tmp_path, capsys,
                                                 name, row, corrupt):
         assert main(["simulate", str(self.write_config(tmp_path))]) == 0
@@ -454,6 +459,36 @@ class TestCli:
         capsys.readouterr()
         assert main(["analyze", str(rundir)]) == 2
         assert str(rundir / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, case", [
+        (name, case) for case, (kind, _) in MALFORMED_NPY.items()
+        for name in (("field.npy", "w.npy") if kind == "matrix" else ("nu.npy",))
+    ] + [(name, "truncated") for name in ("field.npy", "w.npy", "nu.npy")])
+    def test_analyze_malformed_binary_artifact_exits_2(self, tmp_path, capsys,
+                                                       name, case):
+        assert main(["simulate", str(self.write_config(tmp_path))]) == 0
+        path = tmp_path / "out" / "cli" / name
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] if case == "truncated"
+                         else MALFORMED_NPY[case][1])
+        capsys.readouterr()
+        assert main(["analyze", str(path.parent)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_simulate_twice_writes_identical_npy(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        rundir = tmp_path / "out" / "cli"
+        runs = []
+        for k in range(2):
+            assert main(["simulate", str(cfg_path)]) == 0
+            assert main(["analyze", str(rundir)]) == 0
+            assert read_json(rundir / "analysis.json")["w_reconstruction_gap"] == 0.0
+            runs.append({str(p.relative_to(rundir)): p.read_bytes()
+                         for p in rundir.glob("**/*.npy")})
+            rundir.rename(tmp_path / f"run{k}")
+        assert sorted(runs[0]) == sorted(f"{d}{n}.npy" for d in ("", "L0/")
+                                         for n in ("field", "nu", "w"))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("text", ['{"scenario_id": "x", "alp', None])
