@@ -109,7 +109,9 @@ def piecewise_constant(breaks, values) -> Density:
         raise ConfigError("breaks must be strictly increasing")
     if np.any(va < 0):
         raise ConfigError("density values must be nonnegative")
-    mass = float(np.sum(va * np.diff(br)))
+    # an overflow here is caught by the isfinite check below
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(va * np.diff(br)))
     if mass <= 0:
         raise ConfigError("density has zero mass, cannot normalize")
     factor = 1.0 / mass

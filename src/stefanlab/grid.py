@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from stefanlab.errors import ConfigError, NumericalAbort, TruncationError
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
@@ -39,7 +39,12 @@ WALL_GUARD = 1e-6
 
 @dataclass
 class GridState:
-    """Finite-volume state: cell averages, frontier face, recorded weights."""
+    """Finite-volume state: cell averages, frontier face, recorded weights.
+
+    factors caches the LU factors of diffuse_step's matrix, keyed by the
+    alive-cell count and r = dt / (2 dx^2) it was built for; the matrix
+    depends on nothing else, so a step refactors only when either changes.
+    """
 
     u: np.ndarray            # cell-average temperatures
     j: int                   # frontier face index: cells < j are frozen
@@ -48,6 +53,7 @@ class GridState:
     alpha: float
     dx: float
     nu: np.ndarray = field(default=None)
+    factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.nu is None:
@@ -61,12 +67,27 @@ class GridState:
         return float(self.u[-1] * self.dx)
 
 
+def _diagonals(m: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the implicit step on m alive cells.
+
+    (1 + 2r) on the diagonal, -r off it; the frontier row gets +r from the
+    reflected ghost (-u_j), the wall row -r (ghost u_{n-1}).  A single
+    surviving cell carries both corrections.
+    """
+    diag = np.full(m, 1.0 + 2.0 * r)
+    diag[0] += r
+    diag[-1] -= r
+    return diag, np.full(m - 1, -r)
+
+
 def diffuse_step(state: GridState, dt: float) -> GridState:
     """Implicit Euler step of u_t = u_xx / 2 on the alive cells.
 
     Dirichlet u = 0 at the frontier face (ghost cell -u_j), homogeneous
     Neumann at the right wall (ghost cell u_{n-1}).  Unconditionally stable
     and positivity-preserving; mass leaves only through the frontier face.
+    The matrix is factored only when the alive-cell count or dt changes
+    (state.factors); each step is then one in-place gttrs solve.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -77,23 +98,30 @@ def diffuse_step(state: GridState, dt: float) -> GridState:
         state.t += dt
         return state
     r = 0.5 * dt / state.dx ** 2
-    # rows: (1 + 2r) on the diagonal, -r off-diagonal; the frontier row gets
-    # +r from the reflected ghost (-u_a), the wall row -r (ghost u_{n-1}).
-    # A single surviving cell carries both corrections.  gtsv is the LAPACK
-    # routine scipy's solve_banded uses for this band shape (one cell is a
-    # division there too); it overwrites the fresh diagonals and solves in
-    # place for a contiguous float u, and the write-back covers any other u.
-    diag = np.full(m, 1.0 + 2.0 * r)
-    diag[0] += r
-    diag[-1] -= r
+    b = state.u[a:]
     if m == 1:
-        state.u[a:] /= diag
+        b /= _diagonals(1, r)[0]
+        x, info = b, 0
+    elif m == 2:
+        # scipy's gttrf wrapper rejects two cells (its du2 would be empty),
+        # so they are solved by gtsv, which factors and solves in one call
+        diag, off = _diagonals(m, r)
+        *_, x, info = dgtsv(off, diag, off.copy(), b, 1, 1, 1, 1)
     else:
-        off = np.full(m - 1, -r)
-        *_, x, info = dgtsv(off, diag, off.copy(), state.u[a:], 1, 1, 1, 1)
-        if info != 0:
-            raise NumericalAbort(f"tridiagonal solve failed (LAPACK info {info})")
-        state.u[a:] = x
+        # strictly diagonally dominant, so gttrf eliminates without pivoting
+        # and gttrs repeats gtsv's arithmetic: the cached factors give the
+        # same bits as factoring afresh every step
+        if state.factors is None or state.factors[:2] != (m, r):
+            diag, off = _diagonals(m, r)
+            *lu, info = dgttrf(off, diag, off.copy(), 1, 1, 1)
+            if info != 0:
+                raise NumericalAbort(f"tridiagonal factorization failed (LAPACK info {info})")
+            state.factors = (m, r, *lu)
+        x, info = dgttrs(*state.factors[2:], b, overwrite_b=1)
+    if info != 0:
+        raise NumericalAbort(f"tridiagonal solve failed (LAPACK info {info})")
+    if x is not b:
+        b[:] = x                # a strided u is solved in a copy
     state.t += dt
     return state
 
@@ -184,7 +212,8 @@ def advance_front(state: GridState, jump_threshold: float = 0.0) -> list[JumpRec
                 moved = True
         if not moved:
             break
-    state.lam = state.alpha * (1.0 - state.mass)
+    # every path through the loop leaves lam computed from the current cells
+    state.lam = lam
     if state.j >= n:
         raise TruncationError("frontier reached the right wall; enlarge x_max")
     return records

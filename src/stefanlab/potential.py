@@ -16,6 +16,11 @@ import numpy as np
 from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, WeightField
 
+# Interior rows per block of obstacle_residual's stencil pass, so that a
+# block's few (rows, span) temporaries stay in cache instead of each being
+# a region-wide array.
+RESIDUAL_ROWS = 128
+
 
 def default_eps_w(dx: float, alpha: float) -> float:
     """Positivity floor for w: below this, sign information is noise.
@@ -93,13 +98,16 @@ def compute_w(field: Field) -> PotentialField:
         raise ConfigError("field values must be (len(t), len(x))")
     dt_steps = np.diff(t)
     # reverse cumulative trapezoid: w[k] = sum_{j>=k} (u[j] + u[j+1])/2 * dt_j,
-    # the increments built and summed inside w itself
-    w = np.zeros_like(u)
+    # the increments built inside w and summed from the last row up, one
+    # contiguous row at a time: w[k] = inc[k] + w[k+1]
+    w = np.empty_like(u)
+    w[-1:] = 0.0
     inc = w[:-1]
     np.add(u[:-1], u[1:], out=inc)
     inc *= 0.5
     inc *= dt_steps[:, None]
-    np.cumsum(inc[::-1], axis=0, out=inc[::-1])
+    for k in range(len(inc) - 2, -1, -1):
+        np.add(inc[k], inc[k + 1], out=inc[k])
     tail = u[-1].copy()
     return PotentialField(x=field.x.copy(), t=t.copy(), w=w, tail_bound=tail,
                           alpha=field.alpha)
@@ -142,8 +150,9 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     final temperature.
 
     The stencil, the region masks and the after-freeze count are evaluated
-    only on the span of columns from the first to the last admitted one;
-    count_w_negative alone scans the whole lattice.
+    only on the span of columns from the first to the last admitted one, in
+    blocks of RESIDUAL_ROWS interior rows; count_w_negative alone scans the
+    whole lattice.
     """
     if interior_margin <= 0:
         raise ConfigError("interior_margin must be positive")
@@ -171,48 +180,53 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     span = slice(c0, c1)
     lam_row = w.front()
 
-    # interior rows of the span's columns, as (nt - 2, c1 - c0) arrays
-    inner = W[1:-1, span]
-    tt = t[1:-1, None]
-    since_freeze = tt - s_col[None, span]
-    past = since_freeze >= interior_margin
-    region = np.abs(since_freeze, out=since_freeze) >= interior_margin
-    del since_freeze
-    region &= (tt >= interior_margin) & (tt <= t_hi) & col_ok[None, span]
-    from_front = x[None, span] - lam_row[1:-1, None]
-    region &= np.abs(from_front, out=from_front) >= interior_margin
-    del from_front
+    x_s, s_s, nu_s, ok_s = x[span], s_col[span], nu.nu[span], col_ok[span]
 
-    # the stencil of w_t - w_xx/2 is evaluated on the region's nodes only
-    def at_region(a):
-        return np.broadcast_to(a, region.shape)[region]
-
-    w_t = ((at_region(W[2:, span]) - at_region(W[:-2, span]))
-           / at_region((t[2:] - t[:-2])[:, None]))
-    w_c = at_region(inner)
-    w_xx = (at_region(W[1:-1, c0 - 1:c1 - 1]) - 2.0 * w_c
-            + at_region(W[1:-1, c0 + 1:c1 + 1])) / dx ** 2
-    op = w_t - 0.5 * w_xx
-    nu_r = at_region(nu.nu[None, span])
-    chi = inner > eps
-
-    n = len(op)
-    if n == 0:
-        l1 = linf = comp_max = 0.0
-    else:
-        vals = np.abs(op + nu_r * at_region(chi))
-        cell = dx * float(np.median(dt_steps))
-        l1 = float(np.sum(vals) * cell)
-        linf = float(np.max(vals))
+    # the stencil of w_t - w_xx/2 and the region masks are evaluated densely
+    # on blocks of interior rows; the residuals are gathered at the region's
+    # nodes block by block, which keeps their row-major order, so the sum
+    # below sees the same array; counts and maxima combine exactly
+    vals: list[np.ndarray] = []
+    comp: list[float] = []
+    count_wt_pos = count_pos_frozen = 0
+    for r0 in range(1, nt - 1, RESIDUAL_ROWS):
+        r1 = min(r0 + RESIDUAL_ROWS, nt - 1)
+        w_c = W[r0:r1, span]
+        tt = t[r0:r1, None]
+        chi = w_c > eps
+        since_freeze = tt - s_s
+        # nodes one full margin past their own freezing time must sit at zero
+        count_pos_frozen += int(np.count_nonzero(
+            chi & (since_freeze >= interior_margin) & ok_s))
+        region = np.abs(since_freeze, out=since_freeze) >= interior_margin
+        region &= (tt >= interior_margin) & (tt <= t_hi) & ok_s
+        from_front = x_s - lam_row[r0:r1, None]
+        region &= np.abs(from_front, out=from_front) >= interior_margin
+        if not region.any():
+            continue
+        w_t = ((W[r0 + 1:r1 + 1, span] - W[r0 - 1:r1 - 1, span])
+               / (t[r0 + 1:r1 + 1] - t[r0 - 1:r1 - 1])[:, None])
+        w_xx = (W[r0:r1, c0 - 1:c1 - 1] - 2.0 * w_c + W[r0:r1, c0 + 1:c1 + 1]) / dx ** 2
+        op = w_t - 0.5 * w_xx
+        vals.append(np.abs(op + nu_s * chi)[region])
+        count_wt_pos += int(np.count_nonzero((w_t > eps) & region))
         # complementarity slack: on the liquid side the operator misfit
         # vanishes, on the frozen side w itself does, so the pointwise
         # minimum of the two must vanish throughout the region
-        comp_max = float(np.max(np.abs(np.minimum(w_c, op + nu_r))))
+        comp.append(np.max(np.abs(np.minimum(w_c, op + nu_s)), where=region,
+                           initial=-np.inf))
+
+    n = sum(len(v) for v in vals)
+    if n == 0:
+        l1 = linf = comp_max = 0.0
+    else:
+        all_vals = np.concatenate(vals)
+        cell = dx * float(np.median(dt_steps))
+        l1 = float(np.sum(all_vals) * cell)
+        linf = float(np.max(all_vals))
+        comp_max = float(np.max(comp))
 
     count_neg = int(np.count_nonzero(W < -eps))
-    count_wt_pos = int(np.count_nonzero(w_t > eps))
-    # nodes one full margin past their own freezing time must sit at zero
-    count_pos_frozen = int(np.count_nonzero(chi & past & col_ok[None, span]))
 
     return ResidualReport(l1=l1, linf=linf, n_nodes=n, eps_w=eps,
                           margin=interior_margin, count_w_negative=count_neg,

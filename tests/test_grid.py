@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf
 
+from stefanlab import grid
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError, TruncationError
 from stefanlab.grid import (GridState, _cell_cdf_jump, advance_front, diffuse_step,
@@ -107,6 +109,39 @@ def test_diffuse_matches_banded_oracle_bitwise(m, r):
         diffuse_step(st, dt)
         assert np.array_equal(st.u, want)
         want = banded_step(want, j, dx, dt)
+
+
+@pytest.mark.parametrize("schedule", [
+    # the face advances: the alive count runs 8, 5, 3, 2, 1
+    [(0, 1e-3), (0, 1e-3), (3, 1e-3), (5, 1e-3), (5, 1e-3), (6, 1e-3),
+     (7, 1e-3), (7, 1e-3)],
+    # dt changes, and changes back, at a fixed face
+    [(2, 1e-3), (2, 4e-3), (2, 4e-3), (2, 2.5e-4), (2, 1e-3), (2, 1e-3)]],
+    ids=["face-advances", "dt-changes"])
+def test_diffuse_factor_cache_matches_banded_oracle_bitwise(schedule, monkeypatch):
+    # one state stepped repeatedly: each step matches a fresh banded solve
+    # bit for bit, and the matrix is factored only when the alive count
+    # (of at least 3 cells) or dt changed since the last factored step
+    factored = []
+
+    def counting(*args):
+        factored.append(len(args[1]))
+        return dgttrf(*args)
+    monkeypatch.setattr(grid, "dgttrf", counting)
+    n, dx = 8, 0.02
+    u = np.random.default_rng(7).random(n)
+    st = make_state(u.copy(), dx=dx)
+    want, last, expect = u.copy(), None, []
+    for j, dt in schedule:
+        st.u[:j] = want[:j] = 0.0
+        st.j = j
+        diffuse_step(st, dt)
+        want = banded_step(want, j, dx, dt)
+        assert np.array_equal(st.u, want)
+        if n - j >= 3 and (n - j, dt) != last:
+            expect.append(n - j)
+            last = (n - j, dt)
+        assert factored == expect
 
 
 def test_diffuse_on_non_contiguous_u():

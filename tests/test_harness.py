@@ -181,7 +181,11 @@ class TestOverrides:
         ("thresholds.nondeg_r=true", "thresholds.nondeg_r must be a number"),
         ("thresholds.eps_w=nan", "thresholds.eps_w must be a number"),
         ("thresholds.jump_threshold=inf", "thresholds.jump_threshold must be a number"),
-        ("thresholds=5", "thresholds must be an object")])
+        ("thresholds=5", "thresholds must be an object"),
+        ("thresholds.interior_margin=-1", "thresholds.interior_margin must be positive"),
+        ("thresholds.nondeg_r=0", "thresholds.nondeg_r must be positive"),
+        ("thresholds.eps_w=-1", "thresholds.eps_w must be nonnegative"),
+        ("thresholds.eps_u=-1", "thresholds.eps_u must be nonnegative")])
     def test_bad_thresholds_rejected(self, override, match):
         with pytest.raises(ConfigError, match=match):
             apply_overrides(quick_config(), [override])
@@ -311,7 +315,10 @@ class TestVerifySuite:
         # the ledger entry equals one made from a direct obstacle_residual
         # call at the default eps_w, whatever eps_w the config sets
         cfg = quick_config(density=BAND, alpha=2.0, t_end=0.5,
-                           thresholds={"interior_margin": 0.05, **thresholds})
+                           thresholds={"interior_margin": 0.05})
+        # set past validation, which rejects a margin <= 0, so the ledger's
+        # path for an analysis that raises is still exercised
+        cfg.thresholds.update(thresholds)
         result = run_scenario(cfg, write=False)
         res = result.levels[0]
         [entry] = [e for e in verify_suite(cfg, result)["invariants"]
@@ -571,7 +578,9 @@ class TestCli:
         assert f"config error: {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["grid", "particle"])
-    @pytest.mark.parametrize("override", ["sampling=bogus", "snapshot_every=-1"])
+    @pytest.mark.parametrize("override", [
+        "sampling=bogus", "snapshot_every=-1", "thresholds.interior_margin=-1",
+        "thresholds.nondeg_r=0", "thresholds.eps_w=-1", "thresholds.eps_u=-1"])
     def test_bad_value_exits_2_whatever_the_method(self, tmp_path, capsys,
                                                     method, override):
         cfg_path = self.write_config(tmp_path, method=method, n_particles=200)

@@ -6,8 +6,9 @@ from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, WeightField
 from stefanlab.grid import run_grid
-from stefanlab.potential import (bound_suite, compute_w, default_eps_w,
-                                 obstacle_residual, residual_l1_window)
+from stefanlab.potential import (RESIDUAL_ROWS, bound_suite, compute_w,
+                                 default_eps_w, obstacle_residual,
+                                 residual_l1_window)
 from stefanlab.synthetic import (caloric_polynomial_field,
                                  critical_profile_potential,
                                  vanishing_profile_potential)
@@ -340,6 +341,32 @@ class TestMatchesReference:
         got = obstacle_residual(w, nu, interior_margin=0.02, eps_w=-1.0).to_dict()
         want = reference_residual(w, nu, 0.02, eps_w=-1.0)
         assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("eps_w", [None, 2e-3])
+@pytest.mark.parametrize("nt", [RESIDUAL_ROWS + 1, RESIDUAL_ROWS + 2,
+                                RESIDUAL_ROWS + 3, 3],
+                         ids=["block-less-1", "block", "block-plus-1", "one-row"])
+def test_obstacle_residual_at_block_edges(nt, eps_w):
+    # nt - 2 interior rows: one short of a block, one block, one row into a
+    # second block, and a single row.  Random temperatures, each column
+    # frozen from its own row on and some never, so the admitted columns
+    # have gaps and w sits on both sides of eps_w
+    rng = np.random.default_rng(nt)
+    nx, h = 30, 0.01
+    x = (np.arange(nx) + 0.5) * 0.05
+    t = np.arange(nt) * h
+    freeze = rng.integers(1, nt + 1, nx)
+    freeze[[4, 5, 20]] = nt
+    u = rng.random((nt, nx)) * (np.arange(nt)[:, None] < freeze[None, :])
+    f = Field(x=x, t=t, values=u, frontier_index=np.zeros(nt, dtype=np.int64),
+              lam=np.zeros(nt), alpha=1.0)
+    nu = WeightField(x=x, nu=rng.random(nx), alpha=1.0, recorded=np.ones(nx, bool))
+    w = compute_w(f)
+    assert np.array_equal(w.w, reference_w(u, t))
+    got = obstacle_residual(w, nu, interior_margin=0.5 * h, eps_w=eps_w).to_dict()
+    assert repr(got) == repr(reference_residual(w, nu, 0.5 * h, eps_w=eps_w))
+    assert got["n_nodes"] > 0
 
 
 def test_default_eps_w_scales_with_resolution():
