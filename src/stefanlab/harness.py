@@ -140,10 +140,10 @@ class ScenarioConfig:
         for name, v in self.thresholds.items():
             if not _is_number(v):
                 raise ConfigError(f"thresholds.{name} must be a number")
-        for name in ("interior_margin", "nondeg_r"):
+        for name in ("interior_margin", "nondeg_r", "nondeg_t_lo"):
             if self.thresholds.get(name, 1.0) <= 0:
                 raise ConfigError(f"thresholds.{name} must be positive")
-        for name in ("eps_u", "eps_w"):
+        for name in ("complementarity_tol", "endpoint_band", "eps_u", "eps_w"):
             if self.thresholds.get(name, 0.0) < 0:
                 raise ConfigError(f"thresholds.{name} must be nonnegative")
         d = build_density(self.density)

@@ -4,18 +4,38 @@ N Brownian particles diffuse above an absorbing frontier; each absorption
 advances the frontier by alpha/N, which may absorb more particles in the same
 instant (the cascade).  The frontier is alpha * (#absorbed) / N by
 construction, so mass balance is an identity of integer counts, not an
-approximation.  Absorbed particles stop: a step moves, and draws noise for,
-the living only.
+approximation.  Absorbed particles stop.
 
-Randomness is keyed: the Gaussian increments of step k are drawn from an
-SFC64 stream seeded by the SeedSequence of (seed, k), one per living particle
-in increasing order of original index, so the increment a particle receives
-depends only on (seed, the step index, its rank among the living).  Replays
-are bit-identical for a fixed (seed, dt, N), and a run split into continued
-runs equals one run.
+Tiered stepping.  Only particles near the frontier can be absorbed, so the
+living are kept in tiers 0..TIER_CAP, and tier i is realized (moved and
+checked) only at the steps divisible by 2**i, with one N(0, (k - last) dt)
+increment per particle for the steps since its last realization.  After each
+step the realized survivors are re-tiered: a particle at distance d above the
+new frontier goes to the deepest tier i <= min(trailing zeros of k, TIER_CAP)
+with d >= reach_i + guard, where reach_i = REACH * sqrt(2**i dt) and guard =
+GUARD * REACH * sqrt(dt).  By the reflection principle, the skipped
+end-of-step positions of a sleeping particle at x fall below its danger level
+x - reach_i with probability at most 2 Phi(-REACH) < 1e-16; while the frontier
+stays below that level, the every-particle Euler scheme would not absorb it
+either.  When a step's cascade reaches a sleeping tier's danger level (its
+minimum position minus its reach), that tier is realized in the same step and
+the cascade is solved again from the step's starting frontier over every
+realized position, until it reaches no further tier.  So the law is that of
+the end-of-step Euler scheme to within 2 Phi(-REACH) per skipped stretch, the
+frontier is the least fixed point of the cascade, and lambda = alpha * dead / N
+stays exact.
+
+Randomness is keyed: the Gaussian increments of step k come from one SFC64
+stream seeded by the SeedSequence of (seed, k), drawn for the tiers due at k
+in tier order, then for the tiers the step wakes early, in the order they
+wake.  Within a tier, particles keep the order in which they were re-tiered.
+Replays are bit-identical for a fixed (seed, dt, N), and a run split into
+continued runs equals one run.  A snapshot step realizes every tier, so a run
+with snapshots differs from one without in its realization, not in its law.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,39 +47,93 @@ from stefanlab.jump_rule import cascade_jump
 # Stream tag for the initial uniform sample; step indices stay far below this.
 INIT_STREAM = 2 ** 62
 
+# A tier's reach in standard deviations of the stretch it skips: a sleeping
+# particle's skipped positions fall below its danger level with probability
+# at most 2 Phi(-8.5) = 1.9e-17 (tests/test_particle.py pins the bound).
+REACH = 8.5
+# The deepest tier, realized every 2**TIER_CAP steps.  On the benchmark's
+# particle-band run (N = 1e5, 2000 steps, seed 3), which draws 40.5 M normals
+# when every particle steps, caps of 6 and 8 drew 8.76 M and 8.74 M at a
+# guard of 1/2.
+TIER_CAP = 6
+# The distance a particle keeps beyond its reach to sleep, in units of
+# REACH * sqrt(dt), so that the frontier's creep does not wake its tier every
+# few steps.  On the same run a guard of 0 drew 30.8 M normals and ran slower
+# than stepping every particle; 1/16 to 3/8 drew 7.4-8.1 M, 1/2 8.8 M, 1
+# 10.7 M and 2 14.9 M.  1/4 (7.7 M) sits mid-way along the flat floor.
+GUARD = 0.25
+
+_EMPTY = np.empty(0)
+
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     """The generator keyed by (seed, tag): a step index or INIT_STREAM.
 
-    SeedSequence hashes the pair into SFC64's state and takes any
-    nonnegative integers, seeds past 2**64 included.  It hashes the pair's
-    32-bit words in a row, so a tag of 2**32 or more can alias another
-    (seed, tag) pair.  Step indices stay below harness.MAX_STEPS < 2**32,
-    and INIT_STREAM's low word is zero, which cannot be the top word of a
-    seed of more than one word.
+    Step k's increments, for the due tiers and then for the tiers it wakes,
+    are consecutive draws from the stream tagged k.  SeedSequence hashes the
+    pair into SFC64's state and takes any nonnegative integers, seeds past
+    2**64 included.  It hashes the pair's 32-bit words in a row, so a tag of
+    2**32 or more can alias another (seed, tag) pair.  Step indices stay
+    below harness.MAX_STEPS < 2**32, and INIT_STREAM's low word is zero,
+    which cannot be the top word of a seed of more than one word.
     """
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, tag])))
 
 
+def _tier_edges(dt: float) -> tuple[list[float], list[float]]:
+    """(reach, edge) of tiers 0..TIER_CAP at step dt.
+
+    reach[i] = REACH * sqrt(2**i dt) sets tier i's danger level, and a
+    particle sleeps in tier i >= 1 only at a distance of at least edge[i] =
+    reach[i] + GUARD * REACH * sqrt(dt) above the frontier.
+    """
+    s = REACH * math.sqrt(dt)
+    reach = [s * math.sqrt(2.0 ** i) for i in range(TIER_CAP + 1)]
+    return reach, [r + GUARD * s for r in reach]
+
+
 @dataclass
 class Ensemble:
-    """Mutable particle-system state in a packed layout.
+    """Mutable particle-system state, the living kept in tiers.
 
-    positions holds the living particles only, in increasing order of
-    original index, so positions[r] belongs to the particle of rank r among
-    the living.  frontier is always alpha * n_dead / n_total.
+    tiers[i] holds tier i's particles at their positions of step last[i],
+    the step at which the tier was last realized, and danger[i] is its
+    minimum position minus its reach (inf when empty; tier 0, realized
+    every step, is never asleep).  dt is the step the tiers were sized for,
+    None before the first step.  frontier is always alpha * n_dead / n_total.
     """
 
-    positions: np.ndarray
+    tiers: list[np.ndarray]
+    last: list[int]
+    danger: list[float]
     n_total: int
     alpha: float
     seed: int
     t: float = 0.0
     step_index: int = 0
+    dt: float | None = None
+
+    @classmethod
+    def awake(cls, positions, n_total: int, alpha: float, seed: int,
+              step_index: int = 0) -> Ensemble:
+        """An ensemble with every living particle in tier 0 at step_index."""
+        return cls(tiers=[np.asarray(positions, dtype=float)] + [_EMPTY] * TIER_CAP,
+                   last=[step_index] * (TIER_CAP + 1),
+                   danger=[np.inf] * (TIER_CAP + 1), n_total=n_total,
+                   alpha=alpha, seed=seed, step_index=step_index)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The living at their last realized positions, in tier order.
+
+        Every position is current after a step that realized every tier,
+        as run's snapshot steps do.
+        """
+        return np.concatenate(self.tiers)
 
     @property
     def n_alive(self) -> int:
-        return len(self.positions)
+        return sum(map(len, self.tiers))
 
     @property
     def n_dead(self) -> int:
@@ -99,23 +173,26 @@ def init_ensemble(d, n: int, seed: int, sampling: str = "stratified",
         u = _stream(seed, INIT_STREAM).random(n)
     else:
         raise ConfigError(f"unknown sampling mode {sampling!r}")
-    positions = np.asarray(d.quantile(u), dtype=float)
-    return Ensemble(positions=positions, n_total=n, alpha=float(alpha), seed=seed)
+    return Ensemble.awake(d.quantile(u), n_total=n, alpha=float(alpha), seed=seed)
+
+
+def _cascade_from(e: Ensemble, x: np.ndarray, lam_start: float) -> float:
+    """Frontier after the absorption seeded by the x at or below lam_start."""
+    k0 = int(np.count_nonzero(x <= lam_start))
+    if k0 == 0 or e.alpha == 0.0:
+        return lam_start
+    return _cascade_frontier(x, lam_start, k0, e.alpha, e.n_total)
 
 
 def _absorb_below_frontier(e: Ensemble) -> None:
     """Absorb the living at or below the frontier and the cascade they seed.
 
-    The cascade's new frontier bounds everything it absorbs, so one mask
-    removes the absorbed from the packed positions.
+    For an ensemble with every particle in tier 0, as at t = 0.  The
+    cascade's new frontier bounds everything it absorbs, so one mask removes
+    the absorbed.
     """
-    lam = e.frontier
-    k0 = int(np.count_nonzero(e.positions <= lam))
-    if k0 == 0:
-        return
-    if e.alpha != 0.0:
-        lam = _cascade_frontier(e.positions, lam, k0, e.alpha, e.n_total)
-    e.positions = e.positions[e.positions > lam]
+    x = e.tiers[0]
+    e.tiers[0] = x[x > _cascade_from(e, x, e.frontier)]
 
 
 def _cascade_frontier(live: np.ndarray, lam_start: float, k0: int, alpha: float,
@@ -142,33 +219,80 @@ def _cascade_frontier(live: np.ndarray, lam_start: float, k0: int, alpha: float,
         w *= 2.0
 
 
-def _increments(e: Ensemble, dt: float) -> np.ndarray:
-    """The step's increments, one per living particle by rank.
+def _realize(e: Ensemble, which, dt: float, gen: np.random.Generator) -> np.ndarray:
+    """Positions at step e.step_index of the tiers in which, which are emptied.
 
-    A function of its own, so that the array is freed before
-    _absorb_below_frontier copies the survivors.
+    One normal per particle from gen, tier by tier in the order given,
+    scaled by the root of the time since the tier's last realization.
     """
-    z = _stream(e.seed, e.step_index).standard_normal(e.n_alive)
-    z *= np.sqrt(dt)
+    parts = [(i, e.tiers[i]) for i in which if len(e.tiers[i])]
+    z = gen.standard_normal(sum(len(p) for _, p in parts))
+    a = 0
+    for i, p in parts:
+        seg = z[a:a + len(p)]
+        seg *= math.sqrt((e.step_index - e.last[i]) * dt)
+        seg += p
+        a += len(p)
+        e.tiers[i], e.danger[i] = _EMPTY, math.inf
     return z
 
 
-def step(e: Ensemble, dt: float) -> Ensemble:
-    """One Euler step: Gaussian moves, end-of-step absorption, cascade.
+def _retier(e: Ensemble, cap: int, dt: float) -> None:
+    """Split tier 0, just realized with tiers 1..cap, by distance to the frontier.
 
-    The living get sqrt(dt) * N(0, 1) increments from the (seed, step_index)
-    stream, the r-th normal to the particle of rank r among the living.
-    Particles at or below the frontier after the move are absorbed, then
-    cascade_jump semantics resolve the induced cascade.  Between-step
-    excursions below the frontier are not seen (no bridge correction); the
-    bias vanishes with sqrt(dt).
+    Each particle goes to the deepest tier i <= cap whose edge its distance
+    above the frontier reaches; order within a tier is kept.
+    """
+    x = e.tiers[0]
+    reach, edge = _tier_edges(dt)
+    d = x - e.frontier
+    tier = np.zeros(len(x), dtype=np.int8)
+    for i in range(1, cap + 1):
+        tier += d >= edge[i]
+    for i in range(cap + 1):
+        e.tiers[i] = x[tier == i]
+        e.last[i] = e.step_index
+        if i and len(e.tiers[i]):
+            e.danger[i] = float(e.tiers[i].min()) - reach[i]
+
+
+def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
+    """One Euler step of the tiered ensemble: moves, absorption, cascade.
+
+    Step k realizes the tiers i with 2**i dividing k (all of them when
+    realize_all), drawing their increments from the (seed, k) stream in tier
+    order.  Realized particles at or below the frontier are absorbed and
+    cascade_jump semantics resolve the induced cascade; a sleeping tier whose
+    danger level the cascade reaches is realized from the same stream and
+    the cascade solved again from the step's starting frontier, until no
+    further tier is reached.  The survivors are then re-tiered.  Excursions
+    below the frontier between a particle's realized positions are not seen
+    (no bridge correction); the bias vanishes with sqrt(dt).  The tiers are
+    sized for one dt, so dt may change only while no particle sleeps.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    e.positions += _increments(e, dt)
+    if dt != e.dt and any(len(a) for a in e.tiers[1:]):
+        raise ConfigError("dt changed while particles sleep in tiers sized for another dt")
+    e.dt = dt
+    k = e.step_index + 1
+    cap = min((k & -k).bit_length() - 1, TIER_CAP)
+    lam_start = e.frontier
     e.t += dt
-    e.step_index += 1
-    _absorb_below_frontier(e)
+    e.step_index = k
+    gen = _stream(e.seed, k)
+    x = _realize(e, range(TIER_CAP + 1 if realize_all else cap + 1), dt, gen)
+    while True:
+        lam = _cascade_from(e, x, lam_start)
+        woken = [i for i in range(1, TIER_CAP + 1) if e.danger[i] <= lam]
+        if not woken:
+            break
+        x = np.concatenate((x, _realize(e, woken, dt, gen)))
+    e.tiers[0] = x[x > lam]
+    if cap:
+        _retier(e, cap, dt)
+    else:
+        e.last[0] = k
     return e
 
 
@@ -183,7 +307,9 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     diffusion steps).  A frontier increment above max(5*alpha/N, threshold)
     within a single step enters the jump registry.  Samples land every
     sample_every steps; optional position snapshots land in snapshots_out
-    every snapshot_every steps.
+    every snapshot_every steps, and each snapshot step realizes every tier.
+    A continued run's first snapshot shows sleeping tiers where they were
+    last realized.
     """
     if t_end <= 0 or dt <= 0:
         raise ConfigError("t_end and dt must be positive")
@@ -207,12 +333,17 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     times = [e.t]
     lams = [e.frontier]
     dead = [e.n_dead]
-    if snapshots_out is not None and snapshot_every:
+    snapshots = snapshots_out is not None and snapshot_every
+    if snapshots:
         snapshots_out.append(_snapshot(e))
 
     for k in range(1, n_steps + 1):
         before = e.frontier
-        step(e, dt)
+        snap = snapshots and (k % snapshot_every == 0 or k == n_steps)
+        if snap:
+            step(e, dt, realize_all=True)
+        else:
+            step(e, dt)
         if e.frontier - before > threshold:
             jumps.append(JumpRecord(e.t, before, e.frontier,
                                     mass=(e.frontier - before) / e.alpha if e.alpha else 0.0))
@@ -220,7 +351,7 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
             times.append(e.t)
             lams.append(e.frontier)
             dead.append(e.n_dead)
-        if snapshots_out is not None and snapshot_every and (k % snapshot_every == 0 or k == n_steps):
+        if snap:
             snapshots_out.append(_snapshot(e))
 
     path = FrontierPath(
@@ -231,7 +362,7 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
 
 
 def _snapshot(e: Ensemble) -> Snapshot:
-    return Snapshot(t=e.t, alive_positions=e.positions.copy(),
+    return Snapshot(t=e.t, alive_positions=e.positions,
                     n_dead=e.n_dead, n_total=e.n_total, alpha=e.alpha)
 
 

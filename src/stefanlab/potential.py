@@ -61,17 +61,18 @@ class PotentialField:
     def eps_w(self) -> float:
         return default_eps_w(self.dx, self.alpha)
 
-    def freeze_time(self) -> np.ndarray:
-        """Per column, the first sample time at which w has reached zero.
+    def freeze_time(self, cols: slice = slice(None)) -> np.ndarray:
+        """Per column of cols, the first sample time at which w has reached zero.
 
         +inf for columns positive through the horizon.  w is nonincreasing
         in t and frozen cells hold exact zeros, so on solver output this is
         the freeze time s(x); a floor eps would put it far too early on a
         slowly creeping frontier.
         """
-        zero = self.w <= 0
-        first = np.argmax(zero, axis=0)
-        return np.where(zero[first, np.arange(len(self.x))], self.t[first], np.inf)
+        # one contiguous row per column, so the first zero is a row scan
+        zero = np.ascontiguousarray((self.w[:, cols] <= 0).T)
+        first = np.argmax(zero, axis=1)
+        return np.where(zero[np.arange(len(first)), first], self.t[first], np.inf)
 
     def front(self) -> np.ndarray:
         """Per row, the x of the first column with w > 0 (+inf if none).
@@ -149,10 +150,11 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     carry a missing time tail that would offset the residual by minus the
     final temperature.
 
-    The stencil, the region masks and the after-freeze count are evaluated
-    only on the span of columns from the first to the last admitted one, in
-    blocks of RESIDUAL_ROWS interior rows; count_w_negative alone scans the
-    whole lattice.
+    The freeze times, the stencil, the region masks and the after-freeze
+    count are evaluated only on the span of columns from the first to the
+    last admitted one, the last three in blocks of RESIDUAL_ROWS interior
+    rows; count_w_negative and the frontier row alone read the whole
+    lattice.
     """
     if interior_margin <= 0:
         raise ConfigError("interior_margin must be positive")
@@ -166,7 +168,6 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     dt_steps = np.diff(t)
     dx = w.dx
 
-    s_col = w.freeze_time()
     t_hi = t[-1] - interior_margin
 
     col_ok = np.zeros(nx, dtype=bool)
@@ -180,7 +181,7 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     span = slice(c0, c1)
     lam_row = w.front()
 
-    x_s, s_s, nu_s, ok_s = x[span], s_col[span], nu.nu[span], col_ok[span]
+    x_s, s_s, nu_s, ok_s = x[span], w.freeze_time(span), nu.nu[span], col_ok[span]
 
     # the stencil of w_t - w_xx/2 and the region masks are evaluated densely
     # on blocks of interior rows; the residuals are gathered at the region's
@@ -226,7 +227,9 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
         linf = float(np.max(all_vals))
         comp_max = float(np.max(comp))
 
-    count_neg = int(np.count_nonzero(W < -eps))
+    # one min pass, with no mask, settles the usual case; a NaN minimum
+    # falls through to the count, which ignores NaN as before
+    count_neg = 0 if W.min() >= -eps else int(np.count_nonzero(W < -eps))
 
     return ResidualReport(l1=l1, linf=linf, n_nodes=n, eps_w=eps,
                           margin=interior_margin, count_w_negative=count_neg,

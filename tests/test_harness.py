@@ -184,6 +184,11 @@ class TestOverrides:
         ("thresholds=5", "thresholds must be an object"),
         ("thresholds.interior_margin=-1", "thresholds.interior_margin must be positive"),
         ("thresholds.nondeg_r=0", "thresholds.nondeg_r must be positive"),
+        ("thresholds.nondeg_t_lo=-1", "thresholds.nondeg_t_lo must be positive"),
+        ("thresholds.nondeg_t_lo=0", "thresholds.nondeg_t_lo must be positive"),
+        ("thresholds.endpoint_band=-1", "thresholds.endpoint_band must be nonnegative"),
+        ("thresholds.complementarity_tol=-1",
+         "thresholds.complementarity_tol must be nonnegative"),
         ("thresholds.eps_w=-1", "thresholds.eps_w must be nonnegative"),
         ("thresholds.eps_u=-1", "thresholds.eps_u must be nonnegative")])
     def test_bad_thresholds_rejected(self, override, match):

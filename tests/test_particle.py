@@ -10,6 +10,7 @@ from scipy import stats
 
 import stefanlab.particle as particle_mod
 from stefanlab.densities import piecewise_constant
+from stefanlab.errors import ConfigError
 from stefanlab.jump_rule import JumpResult, cascade_jump, verify_cascade_minimality
 from stefanlab.particle import (
     Ensemble,
@@ -53,27 +54,58 @@ def test_uniform_sampling_reproducible_and_seed_sensitive():
     assert np.all(a.positions >= 0) and np.all(a.positions <= 2)
 
 
-def _kill_lowest(e, k):
-    """e with its k lowest original indices absorbed at t = 0."""
-    e.positions = e.positions[k:]
-    return e
+STEP_DT = 1e-6
+
+
+def _tiered(tiers, last, n_dead, seed, step_index, dt=STEP_DT):
+    """An ensemble with the given tiers, n_dead already absorbed."""
+    tiers = [np.asarray(a, dtype=float) for a in tiers]
+    tiers += [particle_mod._EMPTY] * (particle_mod.TIER_CAP + 1 - len(tiers))
+    reach, _ = particle_mod._tier_edges(dt)
+    danger = [np.min(a) - r if i and len(a) else np.inf
+              for i, (a, r) in enumerate(zip(tiers, reach))]
+    last = list(last) + [step_index] * (len(tiers) - len(last))
+    return Ensemble(tiers=tiers, last=last, danger=danger,
+                    n_total=n_dead + sum(map(len, tiers)), alpha=1.0, seed=seed,
+                    step_index=step_index, dt=dt)
+
+
+def _expected_tiers(x, frontier, cap, dt):
+    """x split by the deepest tier <= cap whose reach plus guard d covers."""
+    s = particle_mod.REACH * np.sqrt(dt)
+    d = x - frontier
+    tier = np.zeros(len(x), dtype=int)
+    for i in range(1, cap + 1):
+        tier[d >= s * (np.sqrt(2.0 ** i) + particle_mod.GUARD)] = i
+    return [x[tier == i] for i in range(cap + 1)]
 
 
 def test_step_bit_reproducible_regardless_of_history():
-    # the step-k noise depends only on (seed, k, rank among the living): not
-    # on how many died, nor on the steps that came before
-    d = uniform02()
-    a = init_ensemble(d, 64, seed=7)
-    b = _kill_lowest(init_ensemble(d, 64, seed=7), 10)
-    a.step_index = b.step_index = 3
-    a0, b0 = a.positions.copy(), b.positions.copy()
-    step(a, 1e-6)
-    step(b, 1e-6)
+    # step 4 realizes tiers 0, 1 and 2 and draws their normals from the
+    # (seed, 4) stream in tier order, scaled by the time since each was last
+    # realized; tier 3 sleeps.  The draws do not depend on how many died, on
+    # t or on the steps before, and the survivors are re-tiered in order.
+    rng = np.random.default_rng(3)
+    # b's frontier is 10/32; its tier 0 lies within three tier edges of it
+    tiers = [10 / 32 + rng.uniform(0.002, 0.03, 8), rng.uniform(2.0, 3.0, 7),
+             rng.uniform(3.0, 4.0, 4), rng.uniform(5.0, 6.0, 3)]
+    a = _tiered(tiers, last=[3, 2, 0, 0], n_dead=0, seed=7, step_index=3)
+    b = _tiered(tiers, last=[3, 2, 0, 0], n_dead=10, seed=7, step_index=3)
+    b.t = 123.0
+    step(a, STEP_DT)
+    step(b, STEP_DT)
     z = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence([7, 3]))).standard_normal(64) * 1e-3
-    assert a.n_dead == 0 and b.n_dead == 10  # nobody absorbed by the step
-    assert np.array_equal(a.positions, a0 + z)
-    assert np.array_equal(b.positions, b0 + z[:54])
+        np.random.SeedSequence([7, 4]))).standard_normal(19)
+    scale = np.sqrt(np.repeat([1, 2, 4], [8, 7, 4]) * STEP_DT)
+    x = np.concatenate(tiers[:3]) + scale * z
+    for e, dead in ((a, 0), (b, 10)):
+        assert e.n_dead == dead  # nobody absorbed by the step
+        expect = _expected_tiers(x, e.frontier, 2, STEP_DT)
+        for i in range(3):
+            assert np.array_equal(e.tiers[i], expect[i])
+            assert e.last[i] == 4
+        assert np.array_equal(e.tiers[3], tiers[3]) and e.last[3] == 0
+    assert all(len(t) for t in b.tiers[:3])  # b's re-tiering fills each tier
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 2])
@@ -84,15 +116,121 @@ def test_stream_is_gaussian_and_uncorrelated_across_keys(seed):
     n, dt = 100_000, 1e-3
 
     def increments(s, k):
-        e = Ensemble(positions=np.zeros(n), n_total=n, alpha=0.0, seed=s,
-                     step_index=k)
-        return particle_mod._increments(e, dt)
+        e = Ensemble.awake(np.full(n, 10.0), n_total=n, alpha=0.0, seed=s,
+                           step_index=k - 1)
+        step(e, dt)
+        assert e.n_alive == n and sum(len(t) > 0 for t in e.tiers) == 1
+        return e.positions - 10.0
 
     z = increments(seed, 3)
     assert stats.kstest(z, "norm", args=(0.0, np.sqrt(dt))).pvalue > 1e-3
     init_draws = particle_mod._stream(seed, particle_mod.INIT_STREAM).random(n)
     for other in (increments(seed, 4), increments(seed + 1, 3), init_draws):
         assert abs(np.corrcoef(z, other)[0, 1]) < 5.0 / np.sqrt(n)
+
+
+def test_cascade_wakes_a_sleeping_tier_in_the_same_step():
+    # a cascade through tier 0 reaches the danger level of tier 3, asleep at
+    # step 1: the step realizes tier 3 from the (seed, 1) stream after tier
+    # 0's draws, solves the cascade again over every realized position, and
+    # the result is the least fixed point; tier 3's two far particles survive
+    alpha, n_dead, dt = 1.0, 100, 1e-8  # _tiered's alpha
+    lam0 = alpha * n_dead / 402
+    spacing = 0.5 * alpha / 402
+    tier0 = np.concatenate([[lam0 - 0.05], lam0 + spacing * np.arange(1, 150)])
+    reach3 = particle_mod._tier_edges(dt)[0][3]
+    tier3 = np.concatenate([tier0[-1] + 0.5 * reach3 + spacing * np.arange(150),
+                            [5.0, 5.5]])
+    e = _tiered([tier0, [], [], tier3], last=[0, 0, 0, 0], n_dead=n_dead,
+                seed=5, step_index=0, dt=dt)
+    assert e.danger[3] <= tier0[-1] and e.frontier == lam0
+    step(e, dt)
+    z = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([5, 1]))).standard_normal(302)
+    x = np.concatenate([tier0, tier3]) + np.sqrt(dt) * z
+    assert all(len(t) == 0 for t in e.tiers[1:]) and e.danger[3] == np.inf
+    assert np.array_equal(e.positions, x[-2:])
+    k0 = int(np.count_nonzero(x <= lam0))
+    m = e.n_dead - n_dead - k0
+    assert m > len(tier0)  # the woken tier took part in the cascade
+    observed = JumpResult(delta=e.frontier - lam0, new_frontier=e.frontier,
+                          absorbed_mass=m / e.n_total, n_absorbed=m)
+    assert verify_cascade_minimality(np.sort(x[x > lam0]), lam0, k0, alpha,
+                                     e.n_total, observed)
+
+
+def test_sleeping_tiers_keep_their_reach_clear_of_the_frontier():
+    # a sleeping particle's skipped positions fall below its danger level
+    # with probability at most 2 Phi(-REACH); no particle lands in a tier
+    # whose reach plus guard exceeds its distance above the frontier, a
+    # tier lands only at a step its period divides, and every sleeping
+    # tier's danger level stays above the frontier
+    assert 2.0 * stats.norm.cdf(-particle_mod.REACH) <= 1e-16
+    d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
+    dt = 5e-4
+    e = init_ensemble(d, 4000, seed=2, alpha=2.0)
+    s = particle_mod.REACH * np.sqrt(dt)
+    slept = 0
+    for k in range(1, 257):
+        step(e, dt)
+        for i in range(1, particle_mod.TIER_CAP + 1):
+            tier = e.tiers[i]
+            if not len(tier):
+                continue
+            assert e.last[i] % 2 ** i == 0
+            assert e.danger[i] > e.frontier
+            if e.last[i] == k:
+                edge = s * (np.sqrt(2.0 ** i) + particle_mod.GUARD)
+                assert np.min(tier) - e.frontier >= edge * (1 - 1e-12)
+        slept += e.n_alive - len(e.tiers[0])
+    assert slept > 0.5 * 256 * 2000
+    with pytest.raises(ConfigError, match="dt changed"):
+        step(e, 2 * dt)
+
+
+def _euler_reference(d, n, seed, alpha, dt, n_steps):
+    """Every-particle end-of-step Euler scheme: frontier after each step.
+
+    The plain loop the tiered step must match in law: every living particle
+    moves by sqrt(dt) N(0, 1) each step, those at or below the frontier are
+    absorbed, and the cascade is the least fixed point of the count.
+    """
+    rng = np.random.Generator(np.random.SFC64(seed))
+    x = d.quantile((np.arange(n) + 0.5) / n)
+    dead, lams = 0, []
+    for _ in range(n_steps):
+        x = x + np.sqrt(dt) * rng.standard_normal(len(x))
+        lam0 = alpha * dead / n
+        k0 = int(np.count_nonzero(x <= lam0))
+        above = np.sort(x[x > lam0])
+        m = 0
+        while k0:
+            m_new = int(np.searchsorted(above, lam0 + alpha * (k0 + m) / n, side="right"))
+            if m_new == m:
+                break
+            m = m_new
+        dead += k0 + m
+        x = above[m:]
+        lams.append(alpha * dead / n)
+    return np.array(lams)
+
+
+def test_tiered_law_matches_every_particle_euler():
+    # 64 fixed seeds of each scheme on the supercritical band, so the
+    # verdict cannot flake: the final frontier and the step of the band's
+    # jump (the largest one-step increment) have the same law
+    d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
+    n, alpha, dt, n_steps = 2000, 2.0, 5e-4, 200
+    ref_end, ref_jump, tiered_end, tiered_jump = [], [], [], []
+    for seed in range(64):
+        lam = _euler_reference(d, n, seed, alpha, dt, n_steps)
+        ref_end.append(lam[-1])
+        ref_jump.append(int(np.argmax(np.diff(lam, prepend=0.0))))
+        path, _ = run(init_ensemble(d, n, seed=seed, alpha=alpha), t_end=n_steps * dt, dt=dt)
+        tiered_end.append(path.lam[-1])
+        tiered_jump.append(int(np.argmax(np.diff(path.lam))))
+    assert stats.ks_2samp(ref_end, tiered_end).pvalue > 1e-3
+    assert stats.ks_2samp(ref_jump, tiered_jump).pvalue > 1e-3
 
 
 def test_run_reproducible():
@@ -190,7 +328,7 @@ def clustered_ensembles(draw):
     positions = np.concatenate([np.zeros(n_dead), seeds, cluster_pos, rest_pos])
     order = rng.permutation(n_total)
     positions, alive = positions[order], (np.arange(n_total) >= n_dead)[order]
-    return Ensemble(positions=positions[alive], n_total=n_total, alpha=alpha, seed=0)
+    return Ensemble.awake(positions[alive], n_total=n_total, alpha=alpha, seed=0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -62,6 +62,8 @@ class TestComputeW:
                                         dx=0.05, dt=0.01)
         frozen = w.x <= 0.5
         assert np.array_equal(w.freeze_time(), np.where(frozen, 0.0, np.inf))
+        # a column span reads the same freeze times as the whole lattice
+        assert np.array_equal(w.freeze_time(slice(5, 15)), w.freeze_time()[5:15])
         assert np.array_equal(w.front(), np.full(len(w.t), w.x[~frozen][0]))
 
 
