@@ -262,31 +262,34 @@ def build_density(spec: dict) -> Density:
         raise ConfigError("density tail_hi ends the flat tail, which"
                           " tail_breaks replaces; give one or the other")
     try:
-        if fam == "piecewise_constant":
-            return piecewise_constant(p["breaks"], p["values"])
-        if fam == "power_gap":
+        # arithmetic that overflows (a power_gap delta of 1e154, say)
+        # refuses the profile like any other invalid parameter
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if fam == "piecewise_constant":
+                return piecewise_constant(p["breaks"], p["values"])
+            if fam == "power_gap":
+                tb, tv = p.get("tail_breaks"), p.get("tail_values")
+                if tb is None:
+                    delta = p["delta"]
+                    steps = p.get("steps", 64)
+                    xs = np.linspace(0.0, delta, steps + 1)
+                    raw = float(np.sum((1.0 / p["alpha"] - p["c"] * xs[1:] ** p["n"])
+                                       * np.diff(xs)))
+                    hi = p.get("tail_hi", 2.0 * delta)
+                    tb, tv = [delta, hi], [mass_completing_tail(raw, delta, hi)]
+                return power_gap_density(
+                    alpha=p["alpha"], c=p["c"], n=p["n"], delta=p["delta"],
+                    steps=p.get("steps", 64), tail_breaks=tb, tail_values=tv)
+            # the one family left, oscillatory
             tb, tv = p.get("tail_breaks"), p.get("tail_values")
             if tb is None:
-                delta = p["delta"]
-                steps = p.get("steps", 64)
-                xs = np.linspace(0.0, delta, steps + 1)
-                raw = float(np.sum((1.0 / p["alpha"] - p["c"] * xs[1:] ** p["n"])
-                                   * np.diff(xs)))
-                hi = p.get("tail_hi", 2.0 * delta)
-                tb, tv = [delta, hi], [mass_completing_tail(raw, delta, hi)]
-            return power_gap_density(
-                alpha=p["alpha"], c=p["c"], n=p["n"], delta=p["delta"],
-                steps=p.get("steps", 64), tail_breaks=tb, tail_values=tv)
-        # the one family left, oscillatory
-        tb, tv = p.get("tail_breaks"), p.get("tail_values")
-        if tb is None:
-            raw = oscillatory_raw_mass(p["alpha1"], p["alpha2"], p["a1"],
-                                       p["p"], p["q"], p["n_levels"])
-            hi = p.get("tail_hi", 2.0 * p["a1"])
-            tb, tv = [p["a1"], hi], [mass_completing_tail(raw, p["a1"], hi)]
-        return oscillatory_density(
-            alpha1=p["alpha1"], alpha2=p["alpha2"], a1=p["a1"], p=p["p"],
-            q=p["q"], n_levels=p["n_levels"], tail_breaks=tb, tail_values=tv)
+                raw = oscillatory_raw_mass(p["alpha1"], p["alpha2"], p["a1"],
+                                           p["p"], p["q"], p["n_levels"])
+                hi = p.get("tail_hi", 2.0 * p["a1"])
+                tb, tv = [p["a1"], hi], [mass_completing_tail(raw, p["a1"], hi)]
+            return oscillatory_density(
+                alpha1=p["alpha1"], alpha2=p["alpha2"], a1=p["a1"], p=p["p"],
+                q=p["q"], n_levels=p["n_levels"], tail_breaks=tb, tail_values=tv)
     except KeyError as exc:
         raise ConfigError(f"density family {fam!r} is missing {exc}") from None
     except (TypeError, ValueError, ArithmeticError) as exc:

@@ -712,6 +712,9 @@ def _tiny(cfg):
 @example(({"scenario_id": "fuzz", "alpha": 0.7, "t_end": 0.05, "dt": 0.002,
            "density": {"family": "power_gap", "alpha": 0.7, "c": 0.5, "n": 1,
                        "delta": 1.0}}, ["n_particles=200", "method=both"]))
+@example(({"scenario_id": "fuzz", "alpha": 0.0,
+           "density": {"family": "power_gap", "alpha": 1.0, "c": 0.8, "n": 1,
+                       "delta": 4.239921148868593e+154, "steps": 8}}, []))
 def test_config_fuzz_validates_or_raises_config_error(tmp_path_factory, case):
     raw, overrides = case
     try:

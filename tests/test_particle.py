@@ -1,5 +1,6 @@
 """Interacting-particle solver: sampling, reproducibility, mass identity."""
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -127,6 +128,117 @@ def test_stream_is_gaussian_and_uncorrelated_across_keys(seed):
     init_draws = particle_mod._stream(seed, particle_mod.INIT_STREAM).random(n)
     for other in (increments(seed, 4), increments(seed + 1, 3), init_draws):
         assert abs(np.corrcoef(z, other)[0, 1]) < 5.0 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 6])
+def test_step_states_equal_seed_sequence_states(seed):
+    # the block derivation is numpy's SeedSequence and SFC64 seeding, bit for
+    # bit, for seeds of one, two and three words (the invariants derive
+    # seed + 7 from seeds up to 2**64 - 1), at both ends of a block and at
+    # the top of the key range; the wrapping arithmetic raises no warning
+    block = particle_mod.STATE_BLOCK
+    keys = [1, 2, block - 1, block, block + 1, 2 ** 31, 2 ** 32 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = particle_mod._step_states(seed, 1, block + 2)
+        top = particle_mod._step_states(seed, 2 ** 32 - 3, 3)
+        single = {k: particle_mod._step_states(seed, k, 1)[0] for k in keys}
+    assert first.shape == (block + 2, 4) and first.dtype == np.uint64
+    for k in keys:
+        expect = np.random.SFC64(np.random.SeedSequence([seed, k])).state["state"]["state"]
+        assert np.array_equal(single[k], expect)
+        if k <= block + 1:
+            assert np.array_equal(first[k - 1], expect)
+    assert np.array_equal(top[-1], single[2 ** 32 - 1])
+
+    # a reseeded generator draws what a fresh one does, also after a draw
+    # that left half a word buffered, and the block of states is keyed by
+    # the seed as well as the step
+    streams = particle_mod._StepStreams()
+    for s, k in ((seed, 1), (seed + 1, 2), (seed, 2 ** 32 - 1)):
+        streams.gen.integers(0, 2 ** 32, dtype=np.uint32)
+        gen = streams.generator(s, k)
+        fresh = particle_mod._stream(s, k)
+        assert np.array_equal(gen.standard_normal(1000), fresh.standard_normal(1000))
+        assert np.array_equal(gen.integers(0, 2 ** 32, 5, dtype=np.uint32),
+                              fresh.integers(0, 2 ** 32, 5, dtype=np.uint32))
+
+
+def test_step_rejects_the_key_limit():
+    # step 2**32 - 1 draws from its own key; step 2**32 would need a second
+    # key word, which can alias another (seed, key) pair, so it is refused
+    # and the ensemble is left as it was
+    x = np.array([1.0, 2.0, 3.0])
+    dt = 1e-3
+    e = Ensemble.awake(x, n_total=3, alpha=1.0, seed=9, step_index=2 ** 32 - 2)
+    step(e, dt)
+    z = particle_mod._stream(9, 2 ** 32 - 1).standard_normal(3)
+    assert np.array_equal(e.positions, x + np.sqrt(dt) * z)
+    e = Ensemble.awake(x, n_total=3, alpha=1.0, seed=9, step_index=2 ** 32 - 1)
+    with pytest.raises(ConfigError, match="alias"):
+        step(e, dt)
+    assert e.step_index == 2 ** 32 - 1 and e.t == 0.0
+    assert np.array_equal(e.positions, x)
+    with pytest.raises(ConfigError, match="alias"):
+        run(Ensemble.awake(x, n_total=3, alpha=1.0, seed=9, step_index=2 ** 32 - 3),
+            t_end=5 * dt, dt=dt)
+    # nor does a negative seed key a stream
+    with pytest.raises(ConfigError, match="seed"):
+        step(Ensemble.awake(x, n_total=3, alpha=1.0, seed=-1), dt)
+
+
+def test_interleaved_ensembles_equal_their_solo_runs():
+    # two ensembles stepped in turn, a, b, a, b, ..., or run at once in two
+    # threads, each keep their own generator and state block: each equals
+    # its solo run bit for bit
+    d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
+    dt, n_steps = 5e-4, 150
+    solo = [run(init_ensemble(d, n, seed=seed, alpha=2.0), t_end=n_steps * dt, dt=dt)
+            for n, seed in ((3000, 4), (2000, 5))]
+    pair = [init_ensemble(d, n, seed=seed, alpha=2.0) for n, seed in ((3000, 4), (2000, 5))]
+    lams = [[], []]
+    for _ in range(n_steps):
+        for e, lam in zip(pair, lams):
+            step(e, dt)
+            lam.append(e.frontier)
+    for (path, ref), e, lam in zip(solo, pair, lams):
+        assert np.array_equal(path.lam[1:], lam)
+        assert np.array_equal(e.positions, ref.positions)
+        assert e.n_dead == ref.n_dead > 0
+    # the two runs continued in turn, a block of states each
+    pair = [init_ensemble(d, n, seed=seed, alpha=2.0) for n, seed in ((3000, 4), (2000, 5))]
+    for _ in range(3):
+        for e in pair:
+            run(e, t_end=50 * dt, dt=dt)
+    for (_, ref), e in zip(solo, pair):
+        assert np.array_equal(e.positions, ref.positions)
+    pair = [init_ensemble(d, n, seed=seed, alpha=2.0) for n, seed in ((3000, 4), (2000, 5))]
+    threads = [threading.Thread(target=run, args=(e,), kwargs={"t_end": n_steps * dt, "dt": dt})
+               for e in pair]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for (_, ref), e in zip(solo, pair):
+        assert np.array_equal(e.positions, ref.positions)
+
+
+def test_run_across_state_blocks_matches_step_loop():
+    # a run longer than one block of states equals the plain step loop,
+    # which derives its states in blocks of other lengths, and keeps no more
+    # than one block
+    block = particle_mod.STATE_BLOCK
+    n_steps, dt = block + 70, 2e-5
+    ref = init_ensemble(uniform02(), 200, seed=13)
+    ref_lam = []
+    for _ in range(n_steps):
+        step(ref, dt)
+        ref_lam.append(ref.frontier)
+    assert ref.n_dead > 0
+    path, e = run(init_ensemble(uniform02(), 200, seed=13), t_end=n_steps * dt, dt=dt)
+    assert np.array_equal(path.lam[1:], ref_lam)
+    assert np.array_equal(e.positions, ref.positions)
+    assert len(e._streams.states) <= block
 
 
 def test_cascade_wakes_a_sleeping_tier_in_the_same_step():
