@@ -120,15 +120,15 @@ def piecewise_constant(breaks, values) -> Density:
     return Density(br, va * factor, norm_factor=factor)
 
 
-def power_gap_density(alpha: float, c: float, n: int, delta: float, steps: int,
-                      tail_breaks=None, tail_values=None) -> Density:
+def power_gap_density(alpha: float, c: float, n: int, delta: float, steps: int = 64,
+                      tail_breaks=None, tail_values=None, tail_hi=None) -> Density:
     """Step profile under-approximating x -> 1/alpha - c*x**n on (0, delta).
 
     Each of the `steps` equal subintervals of (0, delta) takes the interval
     minimum of the curve (its right-endpoint value, the curve being
     decreasing), so the pointwise gap bound holds on the whole subinterval.
-    An optional step tail continues the profile at or beyond delta; any space
-    between delta and the tail is filled with zero density.
+    The profile is completed to unit mass by a flat tail on (delta, tail_hi),
+    tail_hi = 2 * delta by default, or by an explicit step tail (_with_tail).
     """
     if alpha <= 0 or c <= 0 or delta <= 0:
         raise ConfigError("alpha, c, delta must be positive")
@@ -141,23 +141,14 @@ def power_gap_density(alpha: float, c: float, n: int, delta: float, steps: int,
         raise ConfigError("curve goes negative before delta; shrink c or delta")
     xs = np.linspace(0.0, delta, steps + 1)
     vals = 1.0 / alpha - c * xs[1:] ** n
-    br = list(xs)
-    va = list(vals)
-    if tail_breaks is not None:
-        tb = np.asarray(tail_breaks, dtype=float)
-        tv = np.asarray(tail_values, dtype=float)
-        if tb[0] < delta - 1e-12:
-            raise ConfigError("tail overlaps (0, delta)")
-        if tb[0] > delta + 1e-12:
-            br.append(float(tb[0]))
-            va.append(0.0)
-        br.extend(float(b) for b in tb[1:])
-        va.extend(float(v) for v in tv)
-    return piecewise_constant(br, va)
+    raw_mass = float(np.sum(vals * np.diff(xs)))
+    return _with_tail(list(xs), list(vals), raw_mass, delta,
+                      tail_breaks, tail_values, tail_hi)
 
 
 def oscillatory_density(alpha1: float, alpha2: float, a1: float, p: float, q: float,
-                        n_levels: int, tail_breaks=None, tail_values=None) -> Density:
+                        n_levels: int, tail_breaks=None, tail_values=None,
+                        tail_hi=None) -> Density:
     """Geometric two-level oscillation near 0, truncated at n_levels.
 
     With r = p*q and the descending marks a_{2n-1} = r**(n-1) * a1,
@@ -165,7 +156,9 @@ def oscillatory_density(alpha1: float, alpha2: float, a1: float, p: float, q: fl
     and alpha2 on [a_{2n+1}, a_{2n}) for n = 1..n_levels; the innermost gap
     (0, a_{2*n_levels+1}) is filled with alpha1.  alpha1 sits strictly below
     and alpha2 strictly above the reciprocal heat-release scale 1, so the
-    frontier alternates between starving and feasting as it climbs.
+    frontier alternates between starving and feasting as it climbs.  The
+    profile is completed to unit mass by a flat tail on (a1, tail_hi),
+    tail_hi = 2 * a1 by default, or by an explicit step tail (_with_tail).
     """
     if not (0 < alpha1 < 1 < alpha2):
         raise ConfigError("need 0 < alpha1 < 1 < alpha2")
@@ -183,23 +176,12 @@ def oscillatory_density(alpha1: float, alpha2: float, a1: float, p: float, q: fl
         a_odd = r ** (n - 1) * a1                # a_{2n-1}
         marks.extend([a_even, a_odd])
         vals.extend([alpha2, alpha1])
-    br = list(marks)
-    va = list(vals)
-    if tail_breaks is not None:
-        tb = np.asarray(tail_breaks, dtype=float)
-        tv = np.asarray(tail_values, dtype=float)
-        if tb[0] < a1 - 1e-12:
-            raise ConfigError("tail overlaps the oscillatory region")
-        if tb[0] > a1 + 1e-12:
-            br.append(float(tb[0]))
-            va.append(0.0)
-        br.extend(float(b) for b in tb[1:])
-        va.extend(float(v) for v in tv)
-    return piecewise_constant(br, va)
+    raw_mass = _oscillatory_raw_mass(alpha1, alpha2, a1, p, q, n_levels)
+    return _with_tail(marks, vals, raw_mass, a1, tail_breaks, tail_values, tail_hi)
 
 
-def oscillatory_raw_mass(alpha1: float, alpha2: float, a1: float, p: float, q: float,
-                         n_levels: int) -> float:
+def _oscillatory_raw_mass(alpha1: float, alpha2: float, a1: float, p: float, q: float,
+                          n_levels: int) -> float:
     """Mass of the un-normalized oscillatory profile on (0, a1)."""
     r = p * q
     mass = alpha1 * r ** n_levels * a1
@@ -209,10 +191,37 @@ def oscillatory_raw_mass(alpha1: float, alpha2: float, a1: float, p: float, q: f
     return mass
 
 
-def mass_completing_tail(partial_mass: float, lo: float, hi: float) -> float:
-    """Uniform tail level on (lo, hi) that tops total mass up to 1."""
-    if hi <= lo:
-        raise ConfigError("tail interval is empty")
-    if partial_mass >= 1.0:
-        raise ConfigError("profile already carries mass >= 1, no tail fits")
-    return (1.0 - partial_mass) / (hi - lo)
+def _with_tail(breaks: list, values: list, raw_mass: float, lo: float,
+               tail_breaks, tail_values, tail_hi) -> Density:
+    """A family's steps on (0, lo), of mass raw_mass, completed to a Density.
+
+    An explicit step tail, tail_breaks with tail_values, continues the steps
+    at or beyond lo, any space between them filled with zero density, and
+    the whole is then normalized.  Without one, a flat tail on (lo, tail_hi),
+    tail_hi defaulting to 2 * lo, tops the mass up to 1, so the family's
+    levels survive unscaled.
+    """
+    if (tail_breaks is None) != (tail_values is None):
+        raise ConfigError("need tail_breaks and tail_values together")
+    if tail_breaks is None:
+        hi = 2.0 * lo if tail_hi is None else tail_hi
+        if hi <= lo:
+            raise ConfigError("tail interval is empty")
+        if raw_mass >= 1.0:
+            raise ConfigError("profile already carries mass >= 1, no tail fits")
+        tail_breaks, tail_values = [lo, hi], [(1.0 - raw_mass) / (hi - lo)]
+    elif tail_hi is not None:
+        raise ConfigError("tail_hi ends the flat tail, which tail_breaks"
+                          " replaces; give one or the other")
+    tb = np.asarray(tail_breaks, dtype=float)
+    tv = np.asarray(tail_values, dtype=float)
+    if tb.ndim != 1 or len(tb) == 0:
+        raise ConfigError("tail_breaks must be a nonempty list")
+    if tb[0] < lo - 1e-12:
+        raise ConfigError(f"tail overlaps the profile on (0, {lo})")
+    if tb[0] > lo + 1e-12:
+        breaks.append(float(tb[0]))
+        values.append(0.0)
+    breaks.extend(float(b) for b in tb[1:])
+    values.extend(float(v) for v in tv)
+    return piecewise_constant(breaks, values)

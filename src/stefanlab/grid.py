@@ -221,7 +221,6 @@ def advance_front(state: GridState, jump_threshold: float = 0.0) -> list[JumpRec
 
 def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
              sample_every: int = 1, jump_threshold: float = 0.0,
-             stop_mass: float | None = None,
              ) -> tuple[FrontierPath, Field, WeightField]:
     """Full grid simulation from a Density.
 
@@ -229,9 +228,8 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
     as knots, before any diffusion; afterwards each step is diffuse_step
     followed by advance_front.  The run aborts with TruncationError when the
     mass in the wall cell reaches WALL_GUARD (the truncated domain stopped
-    being a faithful picture of the half-line).  stop_mass ends the run early
-    once the surviving mass drops below it.  Returns the frontier path, the sampled
-    temperature field, and the recorded stopped-mass weight.
+    being a faithful picture of the half-line).  Returns the frontier path,
+    the sampled temperature field, and the recorded stopped-mass weight.
     """
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
@@ -268,19 +266,14 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ConfigError("t_end shorter than one step")
-    # t = 0, every sample_every-th step and the last step; an early stop
-    # replaces a later sample, so the rows never outnumber this.  A run that
-    # may stop early starts small and doubles, as its horizon is only a cap.
+    # t = 0, every sample_every-th step and the last step
     n_rows = 1 + n_steps // sample_every + (n_steps % sample_every != 0)
-    rows = np.empty((n_rows if stop_mass is None else min(n_rows, 256), n))
+    rows = np.empty((n_rows, n))
     times: list[float] = []
     lams: list[float] = []
     fidx: list[int] = []
 
     def sample() -> None:
-        nonlocal rows
-        if len(times) == len(rows):
-            rows = np.concatenate((rows, np.empty_like(rows)))
         rows[len(times)] = state.u
         times.append(state.t)
         lams.append(state.lam)
@@ -294,15 +287,12 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
             raise TruncationError(
                 f"mass {state.wall_cell_mass():.3e} in the wall cell at t={state.t:.4f} "
                 f"exceeds the guard {WALL_GUARD:.1e}; enlarge x_max")
-        stop = stop_mass is not None and state.mass < stop_mass
-        if k % sample_every == 0 or k == n_steps or stop:
+        if k % sample_every == 0 or k == n_steps:
             sample()
-        if stop:
-            break
 
     path = FrontierPath(times=np.array(times), lam=np.array(lams), alpha=alpha,
                         jumps=jumps)
-    fld = Field(x=x, t=np.array(times), values=rows[:len(times)],
+    fld = Field(x=x, t=np.array(times), values=rows,
                 frontier_index=np.array(fidx), lam=np.array(lams), alpha=alpha)
     weights = WeightField(x=x, nu=state.nu, alpha=alpha,
                           recorded=np.arange(n) < state.j)

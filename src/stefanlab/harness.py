@@ -11,6 +11,7 @@ registry entry, never fewer.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
@@ -25,8 +26,7 @@ import numpy as np
 from stefanlab import particle as pt
 from stefanlab.boundary import (classify_points, detect_jumps, freezing_time,
                                 nondegeneracy_constant, speed_formula_check)
-from stefanlab.densities import (Density, mass_completing_tail,
-                                 oscillatory_density, oscillatory_raw_mass,
+from stefanlab.densities import (Density, oscillatory_density,
                                  piecewise_constant, power_gap_density)
 from stefanlab.errors import ConfigError
 from stefanlab.exporters import (jsonify, read_json, write_field_artifacts,
@@ -39,13 +39,12 @@ from stefanlab.potential import compute_w, obstacle_residual
 
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
-# the keys each density family reads, besides "family"; a tail given by
-# tail_breaks and tail_values replaces the flat one that tail_hi ends
-_TAIL_KEYS = ("tail_breaks", "tail_values", "tail_hi")
-DENSITY_KEYS = {
-    "piecewise_constant": ("breaks", "values"),
-    "power_gap": ("alpha", "c", "n", "delta", "steps", *_TAIL_KEYS),
-    "oscillatory": ("alpha1", "alpha2", "a1", "p", "q", "n_levels", *_TAIL_KEYS),
+# each density family's constructor: the keys a family reads, besides
+# "family", are its parameters, and those without a default are required
+DENSITY_FAMILIES = {
+    "piecewise_constant": piecewise_constant,
+    "power_gap": power_gap_density,
+    "oscillatory": oscillatory_density,
 }
 # the most steps a run's finest level may take: at the cheapest step
 # measured, about 32 us for one particle on a 2-core x86 VM, this is over
@@ -143,7 +142,8 @@ class ScenarioConfig:
         for name in ("interior_margin", "nondeg_r", "nondeg_t_lo"):
             if self.thresholds.get(name, 1.0) <= 0:
                 raise ConfigError(f"thresholds.{name} must be positive")
-        for name in ("complementarity_tol", "endpoint_band", "eps_u", "eps_w"):
+        for name in ("complementarity_tol", "endpoint_band", "eps_u", "eps_w",
+                     "jump_threshold"):
             if self.thresholds.get(name, 0.0) < 0:
                 raise ConfigError(f"thresholds.{name} must be nonnegative")
         d = build_density(self.density)
@@ -235,63 +235,37 @@ class ScenarioConfig:
 def build_density(spec: dict) -> Density:
     """Construct the supercooling profile named by a config block.
 
-    The power_gap and oscillatory families are completed to unit mass with a
-    flat tail on (support end, tail_hi) unless an explicit tail is given, so
-    their level values survive construction unscaled.  Any parameter the
-    constructors cannot use (a string, a non-finite number, a value out of
-    range) raises ConfigError, and so does any key the family does not read:
-    one outside DENSITY_KEYS, tail_breaks without tail_values or the reverse,
-    or tail_hi beside an explicit tail.
+    The block's keys, besides "family", are passed to the family's
+    constructor, which completes power_gap and oscillatory to unit mass.
+    Any parameter the constructor cannot use (a string, a non-finite
+    number, a value out of range, a tail it refuses) raises ConfigError,
+    and so does a missing key and any key the family does not read.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("density config needs a 'family' key")
     fam = spec["family"]
-    if not isinstance(fam, str) or fam not in DENSITY_KEYS:
+    if not isinstance(fam, str) or fam not in DENSITY_FAMILIES:
         raise ConfigError(f"unknown density family {fam!r};"
-                          f" known: {tuple(DENSITY_KEYS)}")
+                          f" known: {tuple(DENSITY_FAMILIES)}")
+    family = DENSITY_FAMILIES[fam]
+    keys = inspect.signature(family).parameters
     p = {k: v for k, v in spec.items() if k != "family"}
-    unknown = set(p) - set(DENSITY_KEYS[fam])
+    unknown = set(p) - set(keys)
     if unknown:
         raise ConfigError(f"density family {fam!r} does not read"
-                          f" {sorted(map(str, unknown))}; it reads"
-                          f" {list(DENSITY_KEYS[fam])}")
-    explicit_tail = p.get("tail_breaks") is not None
-    if explicit_tail != (p.get("tail_values") is not None):
-        raise ConfigError("density needs tail_breaks and tail_values together")
-    if explicit_tail and p.get("tail_hi") is not None:
-        raise ConfigError("density tail_hi ends the flat tail, which"
-                          " tail_breaks replaces; give one or the other")
+                          f" {sorted(map(str, unknown))}; it reads {list(keys)}")
+    missing = [k for k, v in keys.items() if v.default is v.empty and k not in p]
+    if missing:
+        raise ConfigError(f"density family {fam!r} is missing {missing}")
+    # the constructors read a None tail_hi as "not given", but a config's
+    # null is no number: only an explicit tail makes tail_hi unread
+    if "tail_hi" in p and p["tail_hi"] is None and p.get("tail_breaks") is None:
+        raise ConfigError("density tail_hi must be a number")
     try:
         # arithmetic that overflows (a power_gap delta of 1e154, say)
         # refuses the profile like any other invalid parameter
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if fam == "piecewise_constant":
-                return piecewise_constant(p["breaks"], p["values"])
-            if fam == "power_gap":
-                tb, tv = p.get("tail_breaks"), p.get("tail_values")
-                if tb is None:
-                    delta = p["delta"]
-                    steps = p.get("steps", 64)
-                    xs = np.linspace(0.0, delta, steps + 1)
-                    raw = float(np.sum((1.0 / p["alpha"] - p["c"] * xs[1:] ** p["n"])
-                                       * np.diff(xs)))
-                    hi = p.get("tail_hi", 2.0 * delta)
-                    tb, tv = [delta, hi], [mass_completing_tail(raw, delta, hi)]
-                return power_gap_density(
-                    alpha=p["alpha"], c=p["c"], n=p["n"], delta=p["delta"],
-                    steps=p.get("steps", 64), tail_breaks=tb, tail_values=tv)
-            # the one family left, oscillatory
-            tb, tv = p.get("tail_breaks"), p.get("tail_values")
-            if tb is None:
-                raw = oscillatory_raw_mass(p["alpha1"], p["alpha2"], p["a1"],
-                                           p["p"], p["q"], p["n_levels"])
-                hi = p.get("tail_hi", 2.0 * p["a1"])
-                tb, tv = [p["a1"], hi], [mass_completing_tail(raw, p["a1"], hi)]
-            return oscillatory_density(
-                alpha1=p["alpha1"], alpha2=p["alpha2"], a1=p["a1"], p=p["p"],
-                q=p["q"], n_levels=p["n_levels"], tail_breaks=tb, tail_values=tv)
-    except KeyError as exc:
-        raise ConfigError(f"density family {fam!r} is missing {exc}") from None
+            return family(**p)
     except (TypeError, ValueError, ArithmeticError) as exc:
         # ConfigError is a ValueError: every refusal names the density block
         raise ConfigError(f"density must be a valid {fam!r} profile: {exc}") from None

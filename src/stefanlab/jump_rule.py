@@ -33,15 +33,13 @@ class JumpResult:
     delta is the frontier displacement (0 means no jump), absorbed_mass the
     mass swept up, n_absorbed the number of alive particles a cascade
     absorbs (the lowest n_absorbed of the sorted alive array; 0 for
-    continuum jumps).  total_freeze marks that all mass up to the last knot
-    was absorbed.
+    continuum jumps).
     """
 
     delta: float
     new_frontier: float
     absorbed_mass: float
     n_absorbed: int = 0
-    total_freeze: bool = False
 
 
 def density_knots(d, lambda_minus: float, alpha: float) -> np.ndarray:
@@ -78,8 +76,9 @@ def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, knots) -> JumpResu
     shows a shortfall above tie_guard holds the jump: delta is the zero
     crossing of the shortfall on it, or its start when the shortfall is
     already nonnegative there (delta = 0 for a shortfall on the first
-    piece).  Without such a piece the result carries delta = knots[-1] and
-    the total_freeze flag.  A decreasing CDF raises NonMonotoneCDFError.
+    piece).  Without such a piece the result carries delta = knots[-1],
+    all the mass up to the last knot swept.  A decreasing CDF raises
+    NonMonotoneCDFError.
     """
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
@@ -103,8 +102,7 @@ def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, knots) -> JumpResu
     over = shortfall > tie_guard(cdf, lambda_minus, xs, alpha)
     hit = int(np.argmax(over))
     if not over[hit]:
-        return JumpResult(float(xs[-1]), lambda_minus + xs[-1], float(swept[-1]),
-                          total_freeze=True)
+        return JumpResult(float(xs[-1]), lambda_minus + xs[-1], float(swept[-1]))
 
     # shortfall[0] = 0, so hit >= 1 and the piece is (xs[hit-1], xs[hit]]
     s_lo, s_hi = shortfall[hit - 1], shortfall[hit]
@@ -113,9 +111,7 @@ def continuum_jump(cdf_fn, lambda_minus: float, alpha: float, knots) -> JumpResu
     if delta <= TIE_GUARD * alpha:
         return JumpResult(0.0, lambda_minus, 0.0)
     absorbed = float(swept[hit - 1] + frac * (swept[hit] - swept[hit - 1]))
-    freeze = absorbed >= swept[-1] - 1e-12 and swept[-1] > 0
-    return JumpResult(delta, lambda_minus + delta, absorbed,
-                      total_freeze=bool(freeze))
+    return JumpResult(delta, lambda_minus + delta, absorbed)
 
 
 def cascade_jump(alive_sorted: np.ndarray, lambda_start: float, k0: int, alpha: float,
@@ -153,8 +149,7 @@ def cascade_jump(alive_sorted: np.ndarray, lambda_start: float, k0: int, alpha: 
             break
         m = m_new
     delta = alpha * (k0 + m) / n_total
-    return JumpResult(delta, lambda_start + delta, m / n_total, m,
-                      m == len(alive_sorted))
+    return JumpResult(delta, lambda_start + delta, m / n_total, m)
 
 
 def verify_cascade_minimality(alive_sorted: np.ndarray, lambda_start: float, k0: int,

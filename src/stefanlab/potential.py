@@ -238,8 +238,8 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
                           complementarity_max=comp_max)
 
 
-def residual_l1_window(w: PotentialField, nu: WeightField, window: tuple,
-                       eps_w: float | None = None) -> tuple[float, int]:
+def residual_l1_window(w: PotentialField, nu: WeightField,
+                       window: tuple) -> tuple[float, int]:
     """Weighted L1 of the parabolic residual over a fixed space-time box.
 
     Unlike obstacle_residual, which carves its region out of each run's own
@@ -254,11 +254,9 @@ def residual_l1_window(w: PotentialField, nu: WeightField, window: tuple,
     W, t, x, dx = w.w, w.t, w.x, w.dx
     if W.shape[0] < 3 or W.shape[1] < 3:
         raise ConfigError("potential field too small for the stencils")
-    eps = w.eps_w() if eps_w is None else eps_w
-
     w_t = (W[2:] - W[:-2]) / (t[2:] - t[:-2])[:, None]
     w_xx = (W[1:-1, :-2] - 2.0 * W[1:-1, 1:-1] + W[1:-1, 2:]) / dx ** 2
-    chi = W[1:-1, 1:-1] > eps
+    chi = W[1:-1, 1:-1] > w.eps_w()
     resid = w_t[:, 1:-1] - 0.5 * w_xx + nu.nu[None, 1:-1] * chi
 
     tt = t[1:-1, None]

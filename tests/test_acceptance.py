@@ -188,9 +188,9 @@ def test_04_stopped_mass_weight_accounts_for_frontier():
     for i, (d, dx, dt) in enumerate(cases):
         fr, fld, nu = run_grid(d, alpha=1.0, t_end=0.5, dt=dt, dx=dx,
                                x_max=3.0, sample_every=1,
-                               jump_threshold=3 * dx, stop_mass=1e-3)
+                               jump_threshold=3 * dx)
         surviving = fld.mass_at(len(fld.t) - 1)
-        assert surviving < 1e-3, f"run stopped with mass {surviving:.2e}"
+        assert surviving < 1e-3, f"run ended with mass {surviving:.2e}"
         gap = abs(nu.integral() - fr.lambda_end / fr.alpha)
         tol = 2.0 * dx * float(np.max(nu.nu)) + 1e-3
         checks.append((gap <= tol, f"case {i}: weight integral off by"

@@ -5,9 +5,7 @@ import pytest
 
 from stefanlab.densities import (
     Density,
-    mass_completing_tail,
     oscillatory_density,
-    oscillatory_raw_mass,
     piecewise_constant,
     power_gap_density,
 )
@@ -171,11 +169,8 @@ def osc_reference_value(x, alpha1, alpha2, a1, p, q, n_levels):
 
 def test_oscillatory_single_level_layout():
     # a1=1, p=q=0.5: alpha1 on [0.5, 1), alpha2 on [0.25, 0.5), fill below
-    tail = mass_completing_tail(oscillatory_raw_mass(0.5, 1.2, 1.0, 0.5, 0.5, 1),
-                                1.0, 2.0)
-    d = oscillatory_density(0.5, 1.2, 1.0, 0.5, 0.5, 1,
-                            tail_breaks=[1.0, 2.0], tail_values=[tail])
-    assert d.norm_factor == pytest.approx(1.0)
+    d = oscillatory_density(0.5, 1.2, 1.0, 0.5, 0.5, 1, tail_hi=2.0)
+    assert d.norm_factor == 1.0
     assert d.value_at(0.7) == pytest.approx(0.5)
     assert d.value_at(0.3) == pytest.approx(1.2)
     assert d.value_at(0.1) == pytest.approx(0.5)    # innermost fill
@@ -184,9 +179,8 @@ def test_oscillatory_single_level_layout():
 
 def test_oscillatory_membership_random_points():
     params = (0.5, 1.2, 1.0, 0.5, 0.5, 4)
-    tail = mass_completing_tail(oscillatory_raw_mass(*params), 1.0, 2.0)
-    d = oscillatory_density(*params, tail_breaks=[1.0, 2.0], tail_values=[tail])
-    assert d.norm_factor == pytest.approx(1.0)
+    d = oscillatory_density(*params, tail_hi=2.0)
+    assert d.norm_factor == 1.0
     rng = np.random.default_rng(3)
     r = 0.25
     for level in range(1, 5):
@@ -199,10 +193,12 @@ def test_oscillatory_membership_random_points():
 
 
 def test_oscillatory_mass_exact_at_four_levels():
-    raw = oscillatory_raw_mass(0.5, 1.2, 1.0, 0.5, 0.5, 4)
-    assert raw == pytest.approx(0.732421875, abs=1e-12)
-    tail = mass_completing_tail(raw, 1.0, 2.0)
-    assert tail == pytest.approx(0.267578125, abs=1e-12)
+    d = oscillatory_density(0.5, 1.2, 1.0, 0.5, 0.5, 4, tail_hi=2.0)
+    assert d.norm_factor == 1.0
+    # the steps on (0, 1) carry the raw mass, the flat tail on (1, 2) the rest
+    assert d.cdf(1.0) == pytest.approx(0.732421875, abs=1e-12)
+    assert d.breaks[-2:].tolist() == [1.0, 2.0]
+    assert d.values[-1] == pytest.approx(0.267578125, abs=1e-12)
 
 
 def test_oscillatory_errors():
@@ -217,3 +213,43 @@ def test_oscillatory_errors():
     with pytest.raises(ConfigError):
         oscillatory_density(0.5, 1.2, 1.0, 0.5, 0.5, 2,
                             tail_breaks=[0.5, 2.0], tail_values=[1.0])  # overlap
+
+
+# --- tail completion, shared by both families ---
+
+
+@pytest.mark.parametrize("family, params, lo", [
+    (power_gap_density, (1.0, 0.5, 2, 1.0), 1.0),
+    (oscillatory_density, (0.5, 1.2, 0.8, 0.5, 0.5, 3), 0.8)],
+    ids=["power_gap", "oscillatory"])
+def test_default_tail_is_flat_to_twice_the_support(family, params, lo):
+    d = family(*params)
+    assert d.norm_factor == 1.0
+    assert d.breaks[-2:].tolist() == [lo, 2.0 * lo]
+    assert d.cdf(d.support_max) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family, args, tail, match", [
+    (power_gap_density, (1.0, 0.5, 1, 0.5, 8), dict(tail_breaks=[0.5, 2.0]),
+     "tail_breaks and tail_values together"),
+    (power_gap_density, (1.0, 0.5, 1, 0.5, 8), dict(tail_values=[0.5]),
+     "tail_breaks and tail_values together"),
+    (power_gap_density, (1.0, 0.5, 1, 0.5, 8),
+     dict(tail_breaks=[0.5, 2.0], tail_values=[0.5], tail_hi=3.0), "tail_hi"),
+    (power_gap_density, (1.0, 0.5, 1, 0.5, 8), dict(tail_breaks=[], tail_values=[]),
+     "tail_breaks must be a nonempty list"),
+    (power_gap_density, (1.0, 0.5, 1, 0.5, 8), dict(tail_breaks=0.5, tail_values=[0.5]),
+     "tail_breaks must be a nonempty list"),
+    (power_gap_density, (1.0, 0.5, 1, 0.5, 8), dict(tail_hi=0.5), "tail interval is empty"),
+    (oscillatory_density, (0.5, 1.2, 1.0, 0.5, 0.5, 2), dict(tail_hi=0.2),
+     "tail interval is empty"),
+    # the steps under 2 - 0.1 x on (0, 1) carry 1.95, and alpha1 = 0.9
+    # alone over most of (0, 2) more than 1
+    (power_gap_density, (0.5, 0.1, 1, 1.0), {}, "already carries mass >= 1"),
+    (oscillatory_density, (0.9, 1.5, 2.0, 0.5, 0.5, 2), {}, "already carries mass >= 1")],
+    ids=["tail_values-missing", "tail_breaks-missing", "tail_hi-beside-tail",
+         "empty-tail", "scalar-tail", "tail_hi-at-support-end", "tail_hi-inside-support",
+         "power_gap-mass-over-1", "oscillatory-mass-over-1"])
+def test_tail_errors(family, args, tail, match):
+    with pytest.raises(ConfigError, match=match):
+        family(*args, **tail)

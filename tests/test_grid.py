@@ -245,8 +245,8 @@ def frontier_cells(draw):
 def test_cell_cdf_jump_matches_full_solve(state):
     got = _cell_cdf_jump(state)
     want = full_cell_cdf_jump(state)
-    assert (got.delta, got.new_frontier, got.absorbed_mass, got.total_freeze) == \
-        (want.delta, want.new_frontier, want.absorbed_mass, want.total_freeze)
+    assert (got.delta, got.new_frontier, got.absorbed_mass) == \
+        (want.delta, want.new_frontier, want.absorbed_mass)
 
 
 def test_cell_cdf_jump_solves_only_from_1_over_alpha(monkeypatch):
@@ -357,45 +357,17 @@ def test_run_grid_wall_guard_trips():
         run_grid(d, alpha=0.5, t_end=5.0, dt=1e-3, dx=0.05, x_max=2.5)
 
 
-def test_run_grid_stop_mass():
-    d = piecewise_constant([0.0, 1.0], [1.0])
-    path, fld, wt = run_grid(d, alpha=1.0, t_end=50.0, dt=2e-3, dx=0.05,
-                             x_max=5.0, stop_mass=1e-3)
-    assert fld.mass_at(-1) < 1e-3
-    assert path.times[-1] < 50.0
-    # nearly everything froze: frontier close to alpha
-    assert path.lam[-1] > 1.0 - 2e-3
-
-
-@pytest.mark.parametrize("stop_mass", [None, 0.9])
-def test_run_grid_samples_every_kth_step_and_the_last(stop_mass):
+def test_run_grid_samples_every_kth_step_and_the_last():
     # a coarser schedule keeps exactly the rows of the every-step run at the
-    # kept steps, the final (or stopping) step included
+    # kept steps, the final step included
     d = piecewise_constant([0.0, 1.0], [1.0])
-    kw = dict(alpha=0.8, t_end=0.5, dt=0.05, dx=0.05, x_max=5.0,
-              stop_mass=stop_mass)
+    kw = dict(alpha=0.8, t_end=0.5, dt=0.05, dx=0.05, x_max=5.0)
     full_path, full, _ = run_grid(d, sample_every=1, **kw)
     path, fld, _ = run_grid(d, sample_every=3, **kw)
     last = len(full.t) - 1
     keep = sorted({*range(0, last + 1, 3), last})
-    if stop_mass is None:
-        assert last == 10
-    else:
-        assert 0 < last < 10 and last % 3 != 0
+    assert last == 10
     assert np.array_equal(fld.t, full.t[keep])
     assert np.array_equal(fld.values, full.values[keep])
     assert np.array_equal(fld.frontier_index, full.frontier_index[keep])
     assert np.array_equal(path.lam, full_path.lam[keep])
-
-
-def test_run_grid_stop_mass_under_a_long_horizon_keeps_every_row():
-    # the horizon is only a cap: the field grows past its first buffer and
-    # matches a run that ends at the stopping step
-    d = piecewise_constant([0.0, 1.0], [1.0])
-    kw = dict(alpha=0.8, dt=2e-4, dx=0.05, x_max=5.0)
-    _, stopped, _ = run_grid(d, t_end=1e4, stop_mass=0.5, **kw)
-    steps = len(stopped.t) - 1
-    assert steps > 256
-    _, ended, _ = run_grid(d, t_end=steps * 2e-4, **kw)
-    assert np.array_equal(stopped.t, ended.t)
-    assert np.array_equal(stopped.values, ended.values)

@@ -155,6 +155,15 @@ class TestBuildDensity:
         with pytest.raises(ConfigError, match="missing"):
             build_density({"family": "power_gap", "alpha": 1.0})
 
+    def test_null_tail_hi_rejected(self):
+        # the constructors read tail_hi=None as the default; a config's null
+        # is no number and is refused, unless an explicit tail leaves it unread
+        spec = {"family": "power_gap", "alpha": 1.0, "c": 0.5, "n": 2,
+                "delta": 1.0, "tail_hi": None}
+        with pytest.raises(ConfigError, match="tail_hi must be a number"):
+            build_density(spec)
+        build_density(dict(spec, tail_breaks=[1.0, 2.0], tail_values=[0.3]))
+
 
 class TestOverrides:
     def test_parses_scalars_by_type(self):
@@ -190,7 +199,9 @@ class TestOverrides:
         ("thresholds.complementarity_tol=-1",
          "thresholds.complementarity_tol must be nonnegative"),
         ("thresholds.eps_w=-1", "thresholds.eps_w must be nonnegative"),
-        ("thresholds.eps_u=-1", "thresholds.eps_u must be nonnegative")])
+        ("thresholds.eps_u=-1", "thresholds.eps_u must be nonnegative"),
+        ("thresholds.jump_threshold=-1",
+         "thresholds.jump_threshold must be nonnegative")])
     def test_bad_thresholds_rejected(self, override, match):
         with pytest.raises(ConfigError, match=match):
             apply_overrides(quick_config(), [override])

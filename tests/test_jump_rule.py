@@ -40,7 +40,6 @@ def test_uniform_subcritical_no_jump():
     res = exact_jump(d, 0.0, 1.0)
     assert res.delta == 0.0
     assert res.absorbed_mass == 0.0
-    assert not res.total_freeze
 
 
 def test_reference_density_jump_is_0_6():
@@ -51,7 +50,6 @@ def test_reference_density_jump_is_0_6():
     res = exact_jump(d, 0.0, 1.0)
     assert res.delta == pytest.approx(0.6, abs=1e-12)
     assert res.absorbed_mass == pytest.approx(0.6, abs=1e-12)
-    assert not res.total_freeze
 
 
 def test_supercritical_total_freeze():
@@ -59,12 +57,10 @@ def test_supercritical_total_freeze():
     # holds through x=2 with equality at the end; nothing beyond -> freeze out.
     d = piecewise_constant([0.0, 1.0, 2.0], [0.6, 0.4])
     res = continuum_jump(d.cdf, 0.0, 2.0, [1.0, 2.0])
-    assert res.total_freeze
     assert res.delta == pytest.approx(2.0, abs=1e-12)
     assert res.absorbed_mass == pytest.approx(1.0, abs=1e-12)
     # knots reaching past the support find the same jump, all mass swept
     res = exact_jump(d, 0.0, 2.0)
-    assert res.total_freeze
     assert res.delta == pytest.approx(2.0, abs=1e-12)
     assert res.absorbed_mass == pytest.approx(1.0, abs=1e-12)
 
@@ -111,7 +107,6 @@ def test_narrow_piece_is_not_stepped_over():
     res = exact_jump(d, 0.0, 1.0)
     assert res.delta == pytest.approx(0.5005, abs=1e-12)
     assert res.absorbed_mass == pytest.approx(0.5005, abs=1e-12)
-    assert not res.total_freeze
 
 
 def test_nonmonotone_cdf_rejected():
@@ -194,13 +189,11 @@ def test_cascade_reference_four_particles():
     assert res.new_frontier == pytest.approx(0.4)
     assert res.n_absorbed == 1
     assert res.absorbed_mass == pytest.approx(1 / 5)
-    assert not res.total_freeze
 
 
 def test_cascade_total_freeze():
     # tight chain: every advance swallows the next particle
     res = cascade_jump(np.array([0.1, 0.3, 0.5, 0.7]), 0.0, 1, 1.0, 5)
-    assert res.total_freeze
     assert res.delta == pytest.approx(1.0)
     assert res.n_absorbed == 4
 
@@ -214,7 +207,7 @@ def test_cascade_no_seed_no_jump():
 def test_cascade_empty_alive():
     res = cascade_jump(np.array([]), 0.4, 2, 1.0, 5)
     assert res.delta == pytest.approx(0.4)
-    assert res.total_freeze
+    assert res.n_absorbed == 0
 
 
 def test_cascade_minimality_oracle_confirms_reference():

@@ -285,10 +285,10 @@ class TestMatchesReference:
                                 t_end=0.3)
             assert f.mass_at(-1) == 0.0
         elif request.param == "exhausted":
-            # exhausted by a mid-run sweep and stopped early on low mass
+            # exhausted by a mid-run sweep
             d = piecewise_constant([0.0, 0.06, 0.655], [0.8, 1.6])
             _, f, nu = run_grid(d, alpha=1.0, x_max=3.0, dx=0.02, dt=1e-3,
-                                t_end=0.5, stop_mass=1e-3)
+                                t_end=0.5)
             assert f.mass_at(-1) < 1e-3
         else:
             # subcritical: a band freezes in the horizon, the rest stays warm
