@@ -65,6 +65,11 @@ def _is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _has_bool(v) -> bool:
+    """v is a bool, or a list holding one at any depth."""
+    return isinstance(v, bool) or isinstance(v, list) and any(map(_has_bool, v))
+
+
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where the platform does not say."""
     try:
@@ -237,9 +242,10 @@ def build_density(spec: dict) -> Density:
 
     The block's keys, besides "family", are passed to the family's
     constructor, which completes power_gap and oscillatory to unit mass.
-    Any parameter the constructor cannot use (a string, a non-finite
-    number, a value out of range, a tail it refuses) raises ConfigError,
-    and so does a missing key and any key the family does not read.
+    Any parameter the constructor cannot use (a string, a boolean, in a
+    list or not, a non-finite number, a value out of range, a tail it
+    refuses) raises ConfigError, and so does a missing key and any key the
+    family does not read.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("density config needs a 'family' key")
@@ -257,6 +263,11 @@ def build_density(spec: dict) -> Density:
     missing = [k for k, v in keys.items() if v.default is v.empty and k not in p]
     if missing:
         raise ConfigError(f"density family {fam!r} is missing {missing}")
+    # the constructors would read a JSON true as 1, which no number key means
+    bools = sorted(str(k) for k, v in p.items() if _has_bool(v))
+    if bools:
+        raise ConfigError(f"density must be a valid {fam!r} profile:"
+                          f" {bools} must be numbers, not booleans")
     # the constructors read a None tail_hi as "not given", but a config's
     # null is no number: only an explicit tail makes tail_hi unread
     if "tail_hi" in p and p["tail_hi"] is None and p.get("tail_breaks") is None:

@@ -10,31 +10,34 @@ Tiered stepping.  Only particles near the frontier can be absorbed, so the
 living are kept in tiers 0..TIER_CAP, and tier i is realized (moved and
 checked) only at the steps divisible by 2**i, with one N(0, (k - last) dt)
 increment per particle for the steps since its last realization.  After each
-step the realized survivors are re-tiered: a particle at distance d above the
-new frontier goes to the deepest tier i <= min(trailing zeros of k, TIER_CAP)
-with d >= reach_i + guard, where reach_i = REACH * sqrt(2**i dt) and guard =
-GUARD * REACH * sqrt(dt).  By the reflection principle, the skipped
-end-of-step positions of a sleeping particle at x fall below its danger level
-x - reach_i with probability at most 2 Phi(-REACH) < 1e-16; while the frontier
-stays below that level, the every-particle Euler scheme would not absorb it
-either.  When a step's cascade reaches a sleeping tier's danger level (its
-minimum position minus its reach), that tier is realized in the same step and
-the cascade is solved again from the step's starting frontier over every
-realized position, until it reaches no further tier.  So the law is that of
-the end-of-step Euler scheme to within 2 Phi(-REACH) per skipped stretch, the
-frontier is the least fixed point of the cascade, and lambda = alpha * dead / N
-stays exact.
+step the realized positions are sorted, so the absorbed are a prefix and a
+cascade's window is a searchsorted range of the step's array, and the
+survivors are re-tiered: a particle at distance d above the new frontier goes
+to the deepest tier i <= min(trailing zeros of k, TIER_CAP) with
+d >= reach_i + guard, where reach_i = REACH * sqrt(2**i dt) and guard =
+GUARD * REACH * sqrt(dt), so each tier is an ascending slice of the sorted
+survivors.  By the reflection principle, the skipped end-of-step positions of
+a sleeping particle at x fall below its danger level x - reach_i with
+probability at most 2 Phi(-REACH) < 1e-16; while the frontier stays below
+that level, the every-particle Euler scheme would not absorb it either.  When
+a step's cascade reaches a sleeping tier's danger level (its minimum position
+minus its reach), that tier is realized in the same step and the cascade is
+solved again from the step's starting frontier over every realized position,
+until it reaches no further tier.  So the law is that of the end-of-step
+Euler scheme to within 2 Phi(-REACH) per skipped stretch, the frontier is the
+least fixed point of the cascade, and lambda = alpha * dead / N stays exact.
 
 Randomness is keyed: the Gaussian increments of step k come from the SFC64
-state that SeedSequence([seed, k]) gives, drawn for the tiers due at k in
-tier order, then for the tiers the step wakes early, in the order they wake.
-Within a tier, particles keep the order in which they were re-tiered.  The
-states are not built one step at a time: _step_states applies SeedSequence's
-hashing and SFC64's warm-up to a block of keys at once, in array arithmetic,
-and each ensemble reseeds its one SFC64 generator to step k's state.  Replays
-are bit-identical for a fixed (seed, dt, N), and a run split into continued
-runs equals one run.  A snapshot step realizes every tier, so a run with
-snapshots differs from one without in its realization, not in its law.
+state that SeedSequence([seed, k]) gives, drawn for the tiers due at k in tier
+order, then for the tiers the step wakes early, in the order they wake; each
+tier is ascending, so within a tier they go to the particles from the lowest
+up.  The states are not built one step at a time: _step_states applies
+SeedSequence's hashing and SFC64's warm-up to a block of keys at once, in
+array arithmetic, and each ensemble reseeds its one SFC64 generator to step
+k's state.  Replays are bit-identical for a fixed (seed, dt, N), and a run
+split into continued runs equals one run.  A snapshot step realizes every
+tier, so a run with snapshots differs from one without in its realization, not
+in its law.
 """
 from __future__ import annotations
 
@@ -218,12 +221,13 @@ class Ensemble:
     """Mutable particle-system state, the living kept in tiers.
 
     tiers[i] holds tier i's particles at their positions of step last[i],
-    the step at which the tier was last realized, and danger[i] is its
-    minimum position minus its reach (inf when empty; tier 0, realized
-    every step, is never asleep).  dt is the step the tiers were sized for,
-    None before the first step.  frontier is always alpha * n_dead / n_total.
-    _streams holds the ensemble's own generator, reseeded at every step, so
-    ensembles stepped in turn never share one.
+    the step at which the tier was last realized, ascending (a slice of
+    that step's sorted array), and danger[i] is its first, lowest position
+    minus its reach (inf when empty; tier 0, realized every step, is never
+    asleep).  dt is the step the tiers were sized for, None before the first
+    step.  frontier is always alpha * n_dead / n_total.  _streams holds the
+    ensemble's own generator, reseeded at every step, so ensembles stepped in
+    turn never share one.
     """
 
     tiers: list[np.ndarray]
@@ -249,7 +253,7 @@ class Ensemble:
 
     @property
     def positions(self) -> np.ndarray:
-        """The living at their last realized positions, in tier order.
+        """The living at their last realized positions, tier by tier, each ascending.
 
         Every position is current after a step that realized every tier,
         as run's snapshot steps do.
@@ -301,45 +305,39 @@ def init_ensemble(d, n: int, seed: int, sampling: str = "stratified",
     return Ensemble.awake(d.quantile(u), n_total=n, alpha=float(alpha), seed=seed)
 
 
-def _cascade_from(e: Ensemble, x: np.ndarray, lam_start: float) -> float:
-    """Frontier after the absorption seeded by the x at or below lam_start."""
-    k0 = int(np.count_nonzero(x <= lam_start))
-    if k0 == 0 or e.alpha == 0.0:
-        return lam_start
-    return _cascade_frontier(x, lam_start, k0, e.alpha, e.n_total)
-
-
 def _absorb_below_frontier(e: Ensemble) -> None:
     """Absorb the living at or below the frontier and the cascade they seed.
 
-    For an ensemble with every particle in tier 0, as at t = 0.  The
-    cascade's new frontier bounds everything it absorbs, so one mask removes
-    the absorbed.
+    For an ensemble with every particle in tier 0, as at t = 0: tier 0 is
+    sorted, and the absorbed are its prefix at or below the new frontier.
     """
-    x = e.tiers[0]
-    e.tiers[0] = x[x > _cascade_from(e, x, e.frontier)]
+    x = np.sort(e.tiers[0])
+    e.tiers[0] = x[x.searchsorted(_cascade_frontier(e, x, e.frontier), side="right"):]
 
 
-def _cascade_frontier(live: np.ndarray, lam_start: float, k0: int, alpha: float,
-                      n_total: int) -> float:
-    """Frontier after the cascade seeded by the k0 of live at or below lam_start.
+def _cascade_frontier(e: Ensemble, x: np.ndarray, lam_start: float) -> float:
+    """Frontier after the cascade seeded by the ascending x at or below lam_start.
 
     Semantics are exactly cascade_jump's least fixed point, computed on a
-    window: the live positions at or below lam_start + w are sorted and,
-    past the k0 seeds, handed to cascade_jump.  If the fixed point stays at
-    or below the window edge, particles beyond it cannot take part and the
-    result is exact; otherwise w doubles while live particles remain beyond
-    the edge.  The first window is twice the k0 increment, so a cascade of m
-    costs O(m log m) plus one pass over the living per doubling.  The fixed
-    point absorbs exactly the live positions at or below the returned
+    window: the k0 seeds are the prefix x[:k0], and the positions past them
+    up to lam_start + w, the range x[k0:hi] that searchsorted finds, are
+    handed to cascade_jump.  If the fixed point stays at or below the window
+    edge, particles beyond it cannot take part and the result is exact;
+    otherwise w doubles while particles remain beyond the edge.  The first
+    window is twice the k0 increment, so a cascade of m costs O(m log m)
+    plus a binary search per doubling, and no pass over the rest of x.  The
+    fixed point absorbs exactly the positions at or below the returned
     frontier.
     """
-    w = 2.0 * alpha * k0 / n_total
+    k0 = int(x.searchsorted(lam_start, side="right"))
+    if k0 == 0 or e.alpha == 0.0:
+        return lam_start
+    w = 2.0 * e.alpha * k0 / e.n_total
     while True:
         edge = lam_start + w
-        window = np.sort(live[live <= edge])
-        res = cascade_jump(window[k0:], lam_start, k0, alpha, n_total)
-        if res.new_frontier <= edge or len(window) == len(live):
+        hi = int(x.searchsorted(edge, side="right"))
+        res = cascade_jump(x[k0:hi], lam_start, k0, e.alpha, e.n_total)
+        if res.new_frontier <= edge or hi == len(x):
             return res.new_frontier
         w *= 2.0
 
@@ -370,23 +368,22 @@ def _move(e: Ensemble, i: int, z: np.ndarray, dt: float) -> None:
     e.tiers[i], e.danger[i] = _EMPTY, math.inf
 
 
-def _retier(e: Ensemble, cap: int, dt: float, frontier: float) -> None:
+def _retier(e: Ensemble, cap: int, dt: float) -> None:
     """Split tier 0, just realized with tiers 1..cap, by distance to the frontier.
 
     Each particle goes to the deepest tier i <= cap whose edge its distance
-    above the frontier reaches; order within a tier is kept.
+    above the frontier reaches.  Tier 0 is ascending, so the tiers are its
+    consecutive slices, each ascending, and a tier's first particle is its
+    lowest.
     """
     x = e.tiers[0]
     reach, edge = _tier_edges(dt)
-    d = x - frontier
-    tier = np.zeros(len(x), dtype=np.int8)
-    for i in range(1, cap + 1):
-        tier += d >= edge[i]
+    cut = [0, *(x - e.frontier).searchsorted(edge[1:cap + 1]), len(x)]
     for i in range(cap + 1):
-        e.tiers[i] = x[tier == i]
+        e.tiers[i] = x[cut[i]:cut[i + 1]]
         e.last[i] = e.step_index
         if i and len(e.tiers[i]):
-            e.danger[i] = float(e.tiers[i].min()) - reach[i]
+            e.danger[i] = float(e.tiers[i][0]) - reach[i]
 
 
 def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
@@ -394,11 +391,13 @@ def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
 
     Step k realizes the tiers i with 2**i dividing k (all of them when
     realize_all), drawing their increments from the (seed, k) stream in tier
-    order.  Realized particles at or below the frontier are absorbed and
-    cascade_jump semantics resolve the induced cascade; a sleeping tier whose
-    danger level the cascade reaches is realized from the same stream and
-    the cascade solved again from the step's starting frontier, until no
-    further tier is reached.  The survivors are then re-tiered.  Excursions
+    order, and sorts the realized positions.  The realized at or below the
+    frontier, a prefix, are absorbed and cascade_jump semantics resolve the
+    induced cascade; a sleeping tier whose danger level the cascade reaches
+    is realized from the same stream, its positions joined to the array and
+    sorted with it, and the cascade solved again from the step's starting
+    frontier, until no further tier is reached.  The survivors, the array
+    past the absorbed, are then re-tiered, each tier ascending.  Excursions
     below the frontier between a particle's realized positions are not seen
     (no bridge correction); the bias vanishes with sqrt(dt).  The tiers are
     sized for one dt, so dt may change only while no particle sleeps.  Step
@@ -414,22 +413,21 @@ def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
                           " where (seed, step) keys alias")
     e.dt = dt
     cap = min((k & -k).bit_length() - 1, TIER_CAP)
-    n_dead = e.n_dead
-    lam_start = e.alpha * n_dead / e.n_total
+    lam_start = e.frontier
     e.t += dt
     e.step_index = k
     gen = e._streams.generator(e.seed, k)
     x = _realize(e, range(TIER_CAP + 1 if realize_all else cap + 1), dt, gen)
     while True:
-        lam = _cascade_from(e, x, lam_start)
+        x.sort()
+        lam = _cascade_frontier(e, x, lam_start)
         woken = [i for i in range(1, TIER_CAP + 1) if e.danger[i] <= lam]
         if not woken:
             break
         x = np.concatenate((x, _realize(e, woken, dt, gen)))
-    e.tiers[0] = x[x > lam]
+    e.tiers[0] = x[x.searchsorted(lam, side="right"):]
     if cap:
-        n_dead += len(x) - len(e.tiers[0])
-        _retier(e, cap, dt, e.alpha * n_dead / e.n_total)
+        _retier(e, cap, dt)
     else:
         e.last[0] = k
     return e

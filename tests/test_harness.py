@@ -165,6 +165,26 @@ class TestBuildDensity:
         build_density(dict(spec, tail_breaks=[1.0, 2.0], tail_values=[0.3]))
 
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "power_gap", "alpha": True, "c": 0.5, "n": True, "delta": 1.0,
+         "steps": True},
+        {"family": "power_gap", "alpha": 1.0, "c": 0.8, "n": True, "delta": 1.0},
+        {"family": "power_gap", "alpha": 1.0, "c": 0.5, "n": 2, "delta": 1.0,
+         "tail_breaks": [1.0, True], "tail_values": [0.3]},
+        {"family": "oscillatory", "alpha1": 0.5, "alpha2": 1.2, "a1": True,
+         "p": 0.5, "q": 0.5, "n_levels": True},
+        {"family": "oscillatory", "alpha1": 0.5, "alpha2": 1.2, "a1": 0.8,
+         "p": 0.5, "q": 0.5, "n_levels": 3, "tail_hi": False},
+        {"family": "piecewise_constant", "breaks": [0.0, True], "values": [1.0]},
+        {"family": "piecewise_constant", "breaks": [0.0, 1.0], "values": [[True]]},
+    ])
+    def test_bool_parameters_rejected(self, spec):
+        # a JSON true is no number: the constructors would read it as 1,
+        # anywhere in the block, list elements included
+        with pytest.raises(ConfigError, match="not booleans"):
+            build_density(spec)
+
+
 class TestOverrides:
     def test_parses_scalars_by_type(self):
         cfg = quick_config()
@@ -542,7 +562,7 @@ class TestCli:
         "dt=nan", "alpha=inf", "t_end=inf", "dx=nan", "x_max=nan", "alpha=-inf",
         "dx=1e-320", "dx=1e200", 'density.breaks=["ab", 1.5]', "density.values=[NaN]",
         "density.values=[Infinity]", "density.breaks=[0, Infinity]",
-        "density.values=[1e-320]"])
+        "density.values=[1e-320]", "density.breaks=[0, true]", "density.values=[true]"])
     def test_ill_typed_override_exits_2(self, tmp_path, capsys, override):
         cfg_path = self.write_config(tmp_path, method="particle", n_particles=200)
         assert main(["simulate", str(cfg_path), "--set", override]) == 2

@@ -59,11 +59,11 @@ STEP_DT = 1e-6
 
 
 def _tiered(tiers, last, n_dead, seed, step_index, dt=STEP_DT):
-    """An ensemble with the given tiers, n_dead already absorbed."""
-    tiers = [np.asarray(a, dtype=float) for a in tiers]
+    """An ensemble with the given tiers, each sorted, n_dead already absorbed."""
+    tiers = [np.sort(np.asarray(a, dtype=float)) for a in tiers]
     tiers += [particle_mod._EMPTY] * (particle_mod.TIER_CAP + 1 - len(tiers))
     reach, _ = particle_mod._tier_edges(dt)
-    danger = [np.min(a) - r if i and len(a) else np.inf
+    danger = [a[0] - r if i and len(a) else np.inf
               for i, (a, r) in enumerate(zip(tiers, reach))]
     last = list(last) + [step_index] * (len(tiers) - len(last))
     return Ensemble(tiers=tiers, last=last, danger=danger,
@@ -83,9 +83,10 @@ def _expected_tiers(x, frontier, cap, dt):
 
 def test_step_bit_reproducible_regardless_of_history():
     # step 4 realizes tiers 0, 1 and 2 and draws their normals from the
-    # (seed, 4) stream in tier order, scaled by the time since each was last
-    # realized; tier 3 sleeps.  The draws do not depend on how many died, on
-    # t or on the steps before, and the survivors are re-tiered in order.
+    # (seed, 4) stream in tier order, each tier from its lowest particle up,
+    # scaled by the time since each was last realized; tier 3 sleeps.  The
+    # draws do not depend on how many died, on t or on the steps before, and
+    # the sorted survivors are re-tiered, each tier ascending.
     rng = np.random.default_rng(3)
     # b's frontier is 10/32; its tier 0 lies within three tier edges of it
     tiers = [10 / 32 + rng.uniform(0.002, 0.03, 8), rng.uniform(2.0, 3.0, 7),
@@ -98,22 +99,24 @@ def test_step_bit_reproducible_regardless_of_history():
     z = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence([7, 4]))).standard_normal(19)
     scale = np.sqrt(np.repeat([1, 2, 4], [8, 7, 4]) * STEP_DT)
-    x = np.concatenate(tiers[:3]) + scale * z
+    x = np.sort(np.concatenate([np.sort(t) for t in tiers[:3]]) + scale * z)
     for e, dead in ((a, 0), (b, 10)):
         assert e.n_dead == dead  # nobody absorbed by the step
         expect = _expected_tiers(x, e.frontier, 2, STEP_DT)
         for i in range(3):
             assert np.array_equal(e.tiers[i], expect[i])
             assert e.last[i] == 4
-        assert np.array_equal(e.tiers[3], tiers[3]) and e.last[3] == 0
+        assert np.array_equal(e.tiers[3], np.sort(tiers[3])) and e.last[3] == 0
     assert all(len(t) for t in b.tiers[:3])  # b's re-tiering fills each tier
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 2])
 def test_stream_is_gaussian_and_uncorrelated_across_keys(seed):
-    # fixed seeds, so the verdict cannot flake: the step increments are
-    # N(0, dt), and the streams of the next step, the next seed and the
-    # initial sample are uncorrelated with them to within 5 / sqrt(n)
+    # fixed seeds, so the verdict cannot flake: step k moves the particles
+    # by sqrt(dt) times the (seed, k) stream's normals, handed out in
+    # ascending order, so the sorted positions are the sorted moves; the
+    # stream is N(0, 1), and the streams of the next step, the next seed and
+    # the initial sample are uncorrelated with it to within 5 / sqrt(n)
     n, dt = 100_000, 1e-3
 
     def increments(s, k):
@@ -121,10 +124,13 @@ def test_stream_is_gaussian_and_uncorrelated_across_keys(seed):
                            step_index=k - 1)
         step(e, dt)
         assert e.n_alive == n and sum(len(t) > 0 for t in e.tiers) == 1
-        return e.positions - 10.0
+        z = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence([s, k]))).standard_normal(n)
+        assert np.array_equal(e.positions, np.sort(10.0 + np.sqrt(dt) * z))
+        return z
 
     z = increments(seed, 3)
-    assert stats.kstest(z, "norm", args=(0.0, np.sqrt(dt))).pvalue > 1e-3
+    assert stats.kstest(np.sqrt(dt) * z, "norm", args=(0.0, np.sqrt(dt))).pvalue > 1e-3
     init_draws = particle_mod._stream(seed, particle_mod.INIT_STREAM).random(n)
     for other in (increments(seed, 4), increments(seed + 1, 3), init_draws):
         assert abs(np.corrcoef(z, other)[0, 1]) < 5.0 / np.sqrt(n)
@@ -269,6 +275,45 @@ def test_cascade_wakes_a_sleeping_tier_in_the_same_step():
                           absorbed_mass=m / e.n_total, n_absorbed=m)
     assert verify_cascade_minimality(np.sort(x[x > lam0]), lam0, k0, alpha,
                                      e.n_total, observed)
+
+
+def _assert_tiers_sorted(e):
+    reach, _ = particle_mod._tier_edges(e.dt)
+    for i, tier in enumerate(e.tiers):
+        assert np.all(np.diff(tier) >= 0)
+        danger = tier[0] - reach[i] if i and len(tier) else np.inf
+        assert e.danger[i] == danger
+
+
+def test_tiers_stay_ascending_with_their_danger_at_the_lowest():
+    # after steps of every cap, each tier is ascending and its danger level
+    # is its first particle minus its reach
+    d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
+    e = init_ensemble(d, 4000, seed=2, alpha=2.0)
+    caps = set()
+    for _ in range(130):
+        step(e, 5e-4)
+        _assert_tiers_sorted(e)
+        caps.add(min((e.step_index & -e.step_index).bit_length() - 1,
+                     particle_mod.TIER_CAP))
+    assert caps == set(range(particle_mod.TIER_CAP + 1))
+    assert sum(len(t) > 0 for t in e.tiers[1:]) >= 3
+    # and after a cascade wakes tier 3 at step 2, whose survivors, tier 3's
+    # included, are re-tiered into tiers 0 and 1
+    dt, n_dead = 1e-8, 100
+    lam0 = n_dead / 402
+    spacing = 0.5 / 402
+    tier0 = np.concatenate([[lam0 - 0.05], lam0 + spacing * np.arange(1, 150)])
+    reach3 = particle_mod._tier_edges(dt)[0][3]
+    tier3 = np.concatenate([tier0[-1] + 0.5 * reach3 + spacing * np.arange(150),
+                            [5.0, 5.5, 6.0]])
+    e = _tiered([tier0, [], [], tier3], last=[1, 0, 0, 0], n_dead=n_dead,
+                seed=5, step_index=1, dt=dt)
+    step(e, dt)
+    assert e.last[3] == 0 and len(e.tiers[3]) == 0  # woken and moved
+    assert np.array_equal(e.tiers[1], e.positions)  # the three far ones
+    assert len(e.tiers[1]) == 3 and e.n_dead > n_dead + len(tier0)
+    _assert_tiers_sorted(e)
 
 
 def test_sleeping_tiers_keep_their_reach_clear_of_the_frontier():
@@ -460,8 +505,8 @@ def test_windowed_cascade_is_least_fixed_point(e):
     observed = JumpResult(delta=e.frontier - lam0, new_frontier=e.frontier,
                           absorbed_mass=m / e.n_total, n_absorbed=m)
     assert verify_cascade_minimality(above, lam0, k0, e.alpha, e.n_total, observed)
-    # the survivors are the packed positions above the new frontier, in order
-    assert np.array_equal(e.positions, before[before > e.frontier])
+    # the survivors are the positions above the new frontier, ascending
+    assert np.array_equal(e.positions, np.sort(before[before > e.frontier]))
 
 
 @pytest.mark.parametrize("segments", [2, 5])
