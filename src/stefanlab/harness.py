@@ -123,9 +123,9 @@ class ScenarioConfig:
         if self.x_max is not None and not _is_number(self.x_max):
             raise ConfigError("x_max must be a finite number")
         # seeds stay one unsigned 64-bit word, the range configs have always
-        # accepted; the particle stream's SeedSequence takes any nonnegative
-        # integer, so the seeds invariants derive from it (seed + 7) may
-        # pass 2**64
+        # accepted; particle._stream takes any nonnegative integer and keeps
+        # its streams apart below 2**94, so the seeds invariants derive from
+        # it (seed + 7) may pass 2**64
         if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         for name, least in (("n_particles", 1), ("sample_every", 1),

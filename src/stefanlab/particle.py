@@ -27,17 +27,16 @@ until it reaches no further tier.  So the law is that of the end-of-step
 Euler scheme to within 2 Phi(-REACH) per skipped stretch, the frontier is the
 least fixed point of the cascade, and lambda = alpha * dead / N stays exact.
 
-Randomness is keyed: the Gaussian increments of step k come from the SFC64
-state that SeedSequence([seed, k]) gives, drawn for the tiers due at k in tier
-order, then for the tiers the step wakes early, in the order they wake; each
-tier is ascending, so within a tier they go to the particles from the lowest
-up.  The states are not built one step at a time: _step_states applies
-SeedSequence's hashing and SFC64's warm-up to a block of keys at once, in
-array arithmetic, and each ensemble reseeds its one SFC64 generator to step
-k's state.  Replays are bit-identical for a fixed (seed, dt, N), and a run
-split into continued runs equals one run.  A snapshot step realizes every
-tier, so a run with snapshots differs from one without in its realization, not
-in its law.
+Randomness: each ensemble owns one SFC64 generator, made from (seed,
+STEP_STREAM) when the ensemble is built, and every step draws its Gaussian
+increments from it, for the tiers due at the step in tier order, then for the
+tiers the step wakes early, in the order they wake; each tier is ascending,
+so within a tier they go to the particles from the lowest up.  Replays are
+bit-identical for a fixed (seed, dt, N) and history of steps, a run split
+into continued runs equals one run, and the generator travels with the
+ensemble, so a deep copy steps like the original.  A snapshot step realizes
+every tier, so a run with snapshots differs from one without in its
+realization, not in its law.
 """
 from __future__ import annotations
 
@@ -51,20 +50,10 @@ from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, FrontierPath, JumpRecord
 from stefanlab.jump_rule import cascade_jump
 
-# Stream tag for the initial uniform sample; step indices stay far below this.
+# Stream tags of the steps' Gaussian increments and of the initial uniform
+# sample (see _stream on why no two (seed, tag) pairs alias).
+STEP_STREAM = 0
 INIT_STREAM = 2 ** 62
-# Step keys stay below 2**32.  SeedSequence hashes the 32-bit words of
-# (seed, k) in a row, so a key of two words could alias another (seed, key)
-# pair; step raises ConfigError instead of keying step 2**32.
-KEY_LIMIT = 2 ** 32
-# The most and the fewest step states derived at a time: 4096 rows of four
-# uint64 words are 128 KiB, whatever the run's length.  On 2 cores (numpy
-# 2.4.6) a block costs 0.21 us a key at 4096 keys, 0.31 us at 2000 and 0.50
-# us at 1024, against 14-24 us for one Generator(SFC64(SeedSequence([seed,
-# k]))); below 64 keys it costs what 64 do (0.33 ms), as the array
-# operations' fixed cost dominates.
-STATE_BLOCK = 4096
-MIN_BLOCK = 64
 
 # A tier's reach in standard deviations of the stretch it skips: a sleeping
 # particle's skipped positions fall below its danger level with probability
@@ -84,123 +73,25 @@ GUARD = 0.25
 
 _EMPTY = np.empty(0)
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
-    """The generator keyed by (seed, tag), for the tag INIT_STREAM.
+    """The SFC64 generator of (seed, tag), for the tags STEP_STREAM and INIT_STREAM.
 
-    SeedSequence hashes the pair into SFC64's state and takes any
-    nonnegative integers, seeds past 2**64 included.  It hashes the pair's
-    32-bit words in a row, so a tag of 2**32 or more can alias another
-    (seed, tag) pair; INIT_STREAM's low word is zero, which cannot be the
-    top word of a seed of more than one word.  A step k < KEY_LIMIT draws
-    from the state this generator would have for tag k, derived in blocks
-    by _step_states instead of one SeedSequence at a time.
-    """
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, tag])))
-
-
-def _hash_run(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**j mod 2**32 for j = 0..n, as a uint32 column."""
-    h = [init]
-    for _ in range(n):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return np.array(h, dtype=np.uint32)[:, None]
-
-
-def _hashmix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of v, one row per call along the constant run h.
-
-    Row j xors h[j] into v, multiplies by h[j + 1] and folds the high half
-    in, as SeedSequence's hashmix does when its running constant is h[j].
-    """
-    v = v ^ h[:-1]
-    v *= h[1:]
-    v ^= v >> 16
-    return v
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of the words x and y."""
-    r = x * _MIX_L
-    r -= y * _MIX_R
-    r ^= r >> 16
-    return r
-
-
-def _step_states(seed: int, first: int, count: int) -> np.ndarray:
-    """SFC64 states of the keys first .. first + count - 1 under seed.
-
-    Row j equals np.random.SFC64(np.random.SeedSequence([seed, first + j]))
-    .state's state vector, for first + count <= KEY_LIMIT.  It is computed
-    the way numpy computes it, for every key at once in wrapping uint32 and
-    uint64 array arithmetic: the entropy words (the seed's 32-bit words,
-    low first, then the key) are hashed into a pool of four, the pool words
-    are mixed into each other (and with any entropy words beyond four),
-    generate_state(3, uint64) hashes the pool into three words, and SFC64
-    sets them with a counter of 1 and discards twelve outputs.
+    SeedSequence hashes the 32-bit words of seed and then tag, each low word
+    first and zero as the one word 0, padded with zero words to four; a
+    fifth word is mixed in on top.  Below 2**94 a seed has at most three
+    words, the third below 2**30.  (seed, STEP_STREAM) then reads the seed's
+    words and zeros, four words with the fourth 0, which fix the seed.
+    (seed, INIT_STREAM) reads the seed's words, 0 and 2**30: five words for
+    a seed of three, else four with 2**30 third or fourth, which fix the
+    seed too.  So no two of these pairs alias below 2**94, and the lab's
+    seeds stay below 2**64 + 8: configs take seeds below 2**64, and the
+    invariants add at most 7.  Past 2**94 pairs can alias: (s + 2**94,
+    STEP_STREAM) gives the state of (s, INIT_STREAM).
     """
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    words = [seed & 0xFFFFFFFF]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
-    n_entropy = len(words) + 1
-    entropy = np.zeros((max(n_entropy, 4), count), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(first, first + count)
-    h = _hash_run(_INIT_A, _MULT_A, 16 + 4 * max(n_entropy - 4, 0))
-    pool = _hashmix(entropy[:4], h[:5])
-    j = 4
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[j:j + 4]))
-        j += 3
-    for src in range(4, n_entropy):
-        pool = _mix(pool, _hashmix(entropy[src], h[j:j + 5]))
-        j += 4
-    w = _hashmix(pool[[0, 1, 2, 3, 0, 1]], _hash_run(_INIT_B, _MULT_B, 6))
-    w = w.astype(np.uint64)
-    a, b, c = w[0::2] | (w[1::2] << 32)
-    for counter in range(1, 13):
-        tmp = a + b
-        tmp += counter
-        a, b, c = b ^ (b >> 11), c + (c << 3), (c << 24) | (c >> 40)
-        c += tmp
-    return np.stack((a, b, c, np.full(count, 13, dtype=np.uint64)), axis=1)
-
-
-class _StepStreams:
-    """An ensemble's one SFC64/Generator pair and a block of step states.
-
-    generator(seed, k) reseeds the pair to step k's state and returns the
-    Generator.  The state comes from the block derived last; a key outside
-    it derives a new block from k on, through stop (the last step of the
-    run under way, which run sets), at least MIN_BLOCK and at most
-    STATE_BLOCK keys long and never reaching KEY_LIMIT.
-    """
-
-    def __init__(self):
-        self.bits = np.random.SFC64(0)
-        self.gen = np.random.Generator(self.bits)
-        self.seed = None
-        self.first = 0
-        self.states = np.empty((0, 4), dtype=np.uint64)
-        self.stop = 0
-
-    def generator(self, seed: int, k: int) -> np.random.Generator:
-        i = k - self.first
-        if seed != self.seed or not 0 <= i < len(self.states):
-            count = min(max(self.stop + 1 - k, MIN_BLOCK), STATE_BLOCK, KEY_LIMIT - k)
-            self.states = _step_states(seed, k, count)
-            self.seed, self.first, i = seed, k, 0
-        self.bits.state = {"bit_generator": "SFC64", "state": {"state": self.states[i]},
-                           "has_uint32": 0, "uinteger": 0}
-        return self.gen
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, tag])))
 
 
 @functools.lru_cache(maxsize=8)
@@ -225,9 +116,10 @@ class Ensemble:
     that step's sorted array), and danger[i] is its first, lowest position
     minus its reach (inf when empty; tier 0, realized every step, is never
     asleep).  dt is the step the tiers were sized for, None before the first
-    step.  frontier is always alpha * n_dead / n_total.  _streams holds the
-    ensemble's own generator, reseeded at every step, so ensembles stepped in
-    turn never share one.
+    step.  frontier is always alpha * n_dead / n_total.  _rng is the
+    ensemble's own generator, made from (seed, STEP_STREAM) at construction
+    and drawn from by every step, so ensembles stepped in turn never share
+    one and a deep copy steps like the original.
     """
 
     tiers: list[np.ndarray]
@@ -239,8 +131,10 @@ class Ensemble:
     t: float = 0.0
     step_index: int = 0
     dt: float | None = None
-    _streams: _StepStreams = field(default_factory=_StepStreams, init=False,
-                                   repr=False, compare=False)
+    _rng: np.random.Generator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rng = _stream(self.seed, STEP_STREAM)
 
     @classmethod
     def awake(cls, positions, n_total: int, alpha: float, seed: int,
@@ -342,18 +236,19 @@ def _cascade_frontier(e: Ensemble, x: np.ndarray, lam_start: float) -> float:
         w *= 2.0
 
 
-def _realize(e: Ensemble, which, dt: float, gen: np.random.Generator) -> np.ndarray:
+def _realize(e: Ensemble, which, dt: float) -> np.ndarray:
     """Positions at step e.step_index of the tiers in which, which are emptied.
 
-    One normal per particle from gen, tier by tier in the order given,
-    scaled by the root of the time since the tier's last realization.
+    One normal per particle from the ensemble's generator, tier by tier in
+    the order given, scaled by the root of the time since the tier's last
+    realization.
     """
     if len(which) == 1:
-        z = gen.standard_normal(len(e.tiers[which[0]]))
+        z = e._rng.standard_normal(len(e.tiers[which[0]]))
         _move(e, which[0], z, dt)
         return z
     sizes = [len(e.tiers[i]) for i in which]
-    z = gen.standard_normal(sum(sizes))
+    z = e._rng.standard_normal(sum(sizes))
     a = 0
     for i, n in zip(which, sizes):
         _move(e, i, z[a:a + n], dt)
@@ -390,41 +285,37 @@ def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
     """One Euler step of the tiered ensemble: moves, absorption, cascade.
 
     Step k realizes the tiers i with 2**i dividing k (all of them when
-    realize_all), drawing their increments from the (seed, k) stream in tier
-    order, and sorts the realized positions.  The realized at or below the
-    frontier, a prefix, are absorbed and cascade_jump semantics resolve the
-    induced cascade; a sleeping tier whose danger level the cascade reaches
-    is realized from the same stream, its positions joined to the array and
-    sorted with it, and the cascade solved again from the step's starting
-    frontier, until no further tier is reached.  The survivors, the array
-    past the absorbed, are then re-tiered, each tier ascending.  Excursions
-    below the frontier between a particle's realized positions are not seen
-    (no bridge correction); the bias vanishes with sqrt(dt).  The tiers are
-    sized for one dt, so dt may change only while no particle sleeps.  Step
-    indices stop short of KEY_LIMIT, where the stream keys would alias.
+    realize_all), drawing their increments from the ensemble's generator in
+    tier order, and sorts the realized positions.  The realized at or below
+    the frontier, a prefix, are absorbed and cascade_jump semantics resolve
+    the induced cascade; a sleeping tier whose danger level the cascade
+    reaches is realized with the generator's next draws, its positions joined
+    to the array and sorted with it, and the cascade solved again from the
+    step's starting frontier, until no further tier is reached.  The
+    survivors, the array past the absorbed, are then re-tiered, each tier
+    ascending.  Excursions below the frontier between a particle's realized
+    positions are not seen (no bridge correction); the bias vanishes with
+    sqrt(dt).  The tiers are sized for one dt, so dt may change only while
+    no particle sleeps.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
     if dt != e.dt and any(len(a) for a in e.tiers[1:]):
         raise ConfigError("dt changed while particles sleep in tiers sized for another dt")
     k = e.step_index + 1
-    if k >= KEY_LIMIT:
-        raise ConfigError(f"step {k} would key its stream past {KEY_LIMIT - 1},"
-                          " where (seed, step) keys alias")
     e.dt = dt
     cap = min((k & -k).bit_length() - 1, TIER_CAP)
     lam_start = e.frontier
     e.t += dt
     e.step_index = k
-    gen = e._streams.generator(e.seed, k)
-    x = _realize(e, range(TIER_CAP + 1 if realize_all else cap + 1), dt, gen)
+    x = _realize(e, range(TIER_CAP + 1 if realize_all else cap + 1), dt)
     while True:
         x.sort()
         lam = _cascade_frontier(e, x, lam_start)
         woken = [i for i in range(1, TIER_CAP + 1) if e.danger[i] <= lam]
         if not woken:
             break
-        x = np.concatenate((x, _realize(e, woken, dt, gen)))
+        x = np.concatenate((x, _realize(e, woken, dt)))
     e.tiers[0] = x[x.searchsorted(lam, side="right"):]
     if cap:
         _retier(e, cap, dt)
@@ -475,7 +366,6 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     if snapshots:
         snapshots_out.append(_snapshot(e))
 
-    e._streams.stop = e.step_index + n_steps
     for k in range(1, n_steps + 1):
         before = lam
         snap = snapshots and (k % snapshot_every == 0 or k == n_steps)

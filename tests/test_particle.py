@@ -1,6 +1,6 @@
 """Interacting-particle solver: sampling, reproducibility, mass identity."""
+import copy
 import threading
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -83,10 +83,10 @@ def _expected_tiers(x, frontier, cap, dt):
 
 def test_step_bit_reproducible_regardless_of_history():
     # step 4 realizes tiers 0, 1 and 2 and draws their normals from the
-    # (seed, 4) stream in tier order, each tier from its lowest particle up,
-    # scaled by the time since each was last realized; tier 3 sleeps.  The
-    # draws do not depend on how many died, on t or on the steps before, and
-    # the sorted survivors are re-tiered, each tier ascending.
+    # ensemble's generator in tier order, each tier from its lowest particle
+    # up, scaled by the time since each was last realized; tier 3 sleeps.
+    # The draws do not depend on how many died or on t, and the sorted
+    # survivors are re-tiered, each tier ascending.
     rng = np.random.default_rng(3)
     # b's frontier is 10/32; its tier 0 lies within three tier edges of it
     tiers = [10 / 32 + rng.uniform(0.002, 0.03, 8), rng.uniform(2.0, 3.0, 7),
@@ -94,10 +94,9 @@ def test_step_bit_reproducible_regardless_of_history():
     a = _tiered(tiers, last=[3, 2, 0, 0], n_dead=0, seed=7, step_index=3)
     b = _tiered(tiers, last=[3, 2, 0, 0], n_dead=10, seed=7, step_index=3)
     b.t = 123.0
+    z = copy.deepcopy(a._rng).standard_normal(19)
     step(a, STEP_DT)
     step(b, STEP_DT)
-    z = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence([7, 4]))).standard_normal(19)
     scale = np.sqrt(np.repeat([1, 2, 4], [8, 7, 4]) * STEP_DT)
     x = np.sort(np.concatenate([np.sort(t) for t in tiers[:3]]) + scale * z)
     for e, dead in ((a, 0), (b, 10)):
@@ -112,91 +111,66 @@ def test_step_bit_reproducible_regardless_of_history():
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 2])
 def test_stream_is_gaussian_and_uncorrelated_across_keys(seed):
-    # fixed seeds, so the verdict cannot flake: step k moves the particles
-    # by sqrt(dt) times the (seed, k) stream's normals, handed out in
-    # ascending order, so the sorted positions are the sorted moves; the
-    # stream is N(0, 1), and the streams of the next step, the next seed and
-    # the initial sample are uncorrelated with it to within 5 / sqrt(n)
+    # fixed seeds, so the verdict cannot flake: a step that realizes every
+    # particle, all in tier 0 and ascending, moves them by sqrt(dt) times the
+    # normals its generator draws, handed out in ascending order; the step
+    # stream is N(0, 1), and its own next draws, the step stream of seed + 1
+    # and the initial sample's stream are uncorrelated with it to within
+    # 5 / sqrt(n)
     n, dt = 100_000, 1e-3
 
-    def increments(s, k):
-        e = Ensemble.awake(np.full(n, 10.0), n_total=n, alpha=0.0, seed=s,
-                           step_index=k - 1)
+    def fresh(s):
+        # step 3 realizes tier 0 only, step 4 tiers 0 to 2
+        return Ensemble.awake(np.full(n, 10.0), n_total=n, alpha=0.0, seed=s,
+                              step_index=2)
+
+    def increments(e):
+        assert len(e.tiers[0]) == e.n_alive == n
+        before = e.tiers[0]
+        z = copy.deepcopy(e._rng).standard_normal(n)
         step(e, dt)
-        assert e.n_alive == n and sum(len(t) > 0 for t in e.tiers) == 1
-        z = np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence([s, k]))).standard_normal(n)
-        assert np.array_equal(e.positions, np.sort(10.0 + np.sqrt(dt) * z))
+        assert e.n_alive == n
+        assert np.array_equal(e.positions, np.sort(before + np.sqrt(dt) * z))
         return z
 
-    z = increments(seed, 3)
+    e = fresh(seed)
+    z = increments(e)
     assert stats.kstest(np.sqrt(dt) * z, "norm", args=(0.0, np.sqrt(dt))).pvalue > 1e-3
     init_draws = particle_mod._stream(seed, particle_mod.INIT_STREAM).random(n)
-    for other in (increments(seed, 4), increments(seed + 1, 3), init_draws):
+    for other in (increments(e), increments(fresh(seed + 1)), init_draws):
         assert abs(np.corrcoef(z, other)[0, 1]) < 5.0 / np.sqrt(n)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 6])
-def test_step_states_equal_seed_sequence_states(seed):
-    # the block derivation is numpy's SeedSequence and SFC64 seeding, bit for
-    # bit, for seeds of one, two and three words (the invariants derive
-    # seed + 7 from seeds up to 2**64 - 1), at both ends of a block and at
-    # the top of the key range; the wrapping arithmetic raises no warning
-    block = particle_mod.STATE_BLOCK
-    keys = [1, 2, block - 1, block, block + 1, 2 ** 31, 2 ** 32 - 1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        first = particle_mod._step_states(seed, 1, block + 2)
-        top = particle_mod._step_states(seed, 2 ** 32 - 3, 3)
-        single = {k: particle_mod._step_states(seed, k, 1)[0] for k in keys}
-    assert first.shape == (block + 2, 4) and first.dtype == np.uint64
-    for k in keys:
-        expect = np.random.SFC64(np.random.SeedSequence([seed, k])).state["state"]["state"]
-        assert np.array_equal(single[k], expect)
-        if k <= block + 1:
-            assert np.array_equal(first[k - 1], expect)
-    assert np.array_equal(top[-1], single[2 ** 32 - 1])
-
-    # a reseeded generator draws what a fresh one does, also after a draw
-    # that left half a word buffered, and the block of states is keyed by
-    # the seed as well as the step
-    streams = particle_mod._StepStreams()
-    for s, k in ((seed, 1), (seed + 1, 2), (seed, 2 ** 32 - 1)):
-        streams.gen.integers(0, 2 ** 32, dtype=np.uint32)
-        gen = streams.generator(s, k)
-        fresh = particle_mod._stream(s, k)
-        assert np.array_equal(gen.standard_normal(1000), fresh.standard_normal(1000))
-        assert np.array_equal(gen.integers(0, 2 ** 32, 5, dtype=np.uint32),
-                              fresh.integers(0, 2 ** 32, 5, dtype=np.uint32))
-
-
-def test_step_rejects_the_key_limit():
-    # step 2**32 - 1 draws from its own key; step 2**32 would need a second
-    # key word, which can alias another (seed, key) pair, so it is refused
-    # and the ensemble is left as it was
+def test_stream_refuses_a_negative_seed():
+    # a negative seed keys no stream: neither the step stream an ensemble
+    # makes when it is built nor the initial sample's
     x = np.array([1.0, 2.0, 3.0])
-    dt = 1e-3
-    e = Ensemble.awake(x, n_total=3, alpha=1.0, seed=9, step_index=2 ** 32 - 2)
-    step(e, dt)
-    z = particle_mod._stream(9, 2 ** 32 - 1).standard_normal(3)
-    assert np.array_equal(e.positions, x + np.sqrt(dt) * z)
-    e = Ensemble.awake(x, n_total=3, alpha=1.0, seed=9, step_index=2 ** 32 - 1)
-    with pytest.raises(ConfigError, match="alias"):
-        step(e, dt)
-    assert e.step_index == 2 ** 32 - 1 and e.t == 0.0
-    assert np.array_equal(e.positions, x)
-    with pytest.raises(ConfigError, match="alias"):
-        run(Ensemble.awake(x, n_total=3, alpha=1.0, seed=9, step_index=2 ** 32 - 3),
-            t_end=5 * dt, dt=dt)
-    # nor does a negative seed key a stream
     with pytest.raises(ConfigError, match="seed"):
-        step(Ensemble.awake(x, n_total=3, alpha=1.0, seed=-1), dt)
+        step(Ensemble.awake(x, n_total=3, alpha=1.0, seed=-1), 1e-3)
+    for sampling in ("stratified", "uniform"):
+        with pytest.raises(ConfigError, match="seed"):
+            init_ensemble(uniform02(), 4, seed=-1, sampling=sampling)
+
+
+def test_step_and_init_streams_do_not_alias():
+    # seeds of one, two and three words, up to the largest the invariants
+    # derive, key distinct states under both tags; past 2**94 a step pair
+    # can alias an init pair, as _stream says
+    def state(seed, tag):
+        return tuple(particle_mod._stream(seed, tag).bit_generator.state["state"]["state"])
+
+    step_tag, init_tag = particle_mod.STEP_STREAM, particle_mod.INIT_STREAM
+    seeds = [0, 1, 2 ** 30, 2 ** 32 - 1, 2 ** 32, 2 ** 62, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 7]
+    pairs = [(s, tag) for s in seeds for tag in (step_tag, init_tag)]
+    assert len({state(*p) for p in pairs}) == len(pairs)
+    assert state(5 + 2 ** 94, step_tag) == state(5, init_tag)
 
 
 def test_interleaved_ensembles_equal_their_solo_runs():
     # two ensembles stepped in turn, a, b, a, b, ..., or run at once in two
-    # threads, each keep their own generator and state block: each equals
-    # its solo run bit for bit
+    # threads, each keep their own generator: each equals its solo run bit
+    # for bit, and so does a deep copy taken mid-run and stepped in turn
+    # with the original
     d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
     dt, n_steps = 5e-4, 150
     solo = [run(init_ensemble(d, n, seed=seed, alpha=2.0), t_end=n_steps * dt, dt=dt)
@@ -211,7 +185,7 @@ def test_interleaved_ensembles_equal_their_solo_runs():
         assert np.array_equal(path.lam[1:], lam)
         assert np.array_equal(e.positions, ref.positions)
         assert e.n_dead == ref.n_dead > 0
-    # the two runs continued in turn, a block of states each
+    # the two runs continued in turn
     pair = [init_ensemble(d, n, seed=seed, alpha=2.0) for n, seed in ((3000, 4), (2000, 5))]
     for _ in range(3):
         for e in pair:
@@ -227,30 +201,21 @@ def test_interleaved_ensembles_equal_their_solo_runs():
         t.join()
     for (_, ref), e in zip(solo, pair):
         assert np.array_equal(e.positions, ref.positions)
-
-
-def test_run_across_state_blocks_matches_step_loop():
-    # a run longer than one block of states equals the plain step loop,
-    # which derives its states in blocks of other lengths, and keeps no more
-    # than one block
-    block = particle_mod.STATE_BLOCK
-    n_steps, dt = block + 70, 2e-5
-    ref = init_ensemble(uniform02(), 200, seed=13)
-    ref_lam = []
-    for _ in range(n_steps):
-        step(ref, dt)
-        ref_lam.append(ref.frontier)
-    assert ref.n_dead > 0
-    path, e = run(init_ensemble(uniform02(), 200, seed=13), t_end=n_steps * dt, dt=dt)
-    assert np.array_equal(path.lam[1:], ref_lam)
-    assert np.array_equal(e.positions, ref.positions)
-    assert len(e._streams.states) <= block
+    e = init_ensemble(d, 3000, seed=4, alpha=2.0)
+    run(e, t_end=70 * dt, dt=dt)
+    twin = copy.deepcopy(e)
+    for _ in range(n_steps - 70):
+        step(e, dt)
+        step(twin, dt)
+        assert twin.frontier == e.frontier
+    assert np.array_equal(twin.positions, e.positions)
+    assert np.array_equal(e.positions, solo[0][1].positions)
 
 
 def test_cascade_wakes_a_sleeping_tier_in_the_same_step():
     # a cascade through tier 0 reaches the danger level of tier 3, asleep at
-    # step 1: the step realizes tier 3 from the (seed, 1) stream after tier
-    # 0's draws, solves the cascade again over every realized position, and
+    # step 1: the step realizes tier 3 with its generator's next draws after
+    # tier 0's, solves the cascade again over every realized position, and
     # the result is the least fixed point; tier 3's two far particles survive
     alpha, n_dead, dt = 1.0, 100, 1e-8  # _tiered's alpha
     lam0 = alpha * n_dead / 402
@@ -262,9 +227,8 @@ def test_cascade_wakes_a_sleeping_tier_in_the_same_step():
     e = _tiered([tier0, [], [], tier3], last=[0, 0, 0, 0], n_dead=n_dead,
                 seed=5, step_index=0, dt=dt)
     assert e.danger[3] <= tier0[-1] and e.frontier == lam0
+    z = copy.deepcopy(e._rng).standard_normal(302)
     step(e, dt)
-    z = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence([5, 1]))).standard_normal(302)
     x = np.concatenate([tier0, tier3]) + np.sqrt(dt) * z
     assert all(len(t) == 0 for t in e.tiers[1:]) and e.danger[3] == np.inf
     assert np.array_equal(e.positions, x[-2:])
