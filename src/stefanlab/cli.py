@@ -138,11 +138,12 @@ def _cmd_sweep(args) -> int:
     batch = read_json(args.batch)
     if not isinstance(batch, list):
         raise ConfigError("sweep batch must be a JSON array of scenario configs")
+    # every entry is checked, with the overrides, before any of them runs
+    cfgs = [scenario_from_dict(raw) for raw in batch]
+    if args.set:
+        cfgs = [apply_overrides(cfg, args.set) for cfg in cfgs]
     worst = EXIT_PASS
-    for raw in batch:
-        cfg = scenario_from_dict(raw)
-        if args.set:
-            cfg = apply_overrides(cfg, args.set)
+    for cfg in cfgs:
         code = EXIT_PASS
         try:
             result = run_scenario(cfg, write=True)

@@ -10,8 +10,8 @@ Tiered stepping.  Only particles near the frontier can be absorbed, so the
 living are kept in tiers 0..TIER_CAP, and tier i is realized (moved and
 checked) only at the steps divisible by 2**i, with one N(0, (k - last) dt)
 increment per particle for the steps since its last realization.  After each
-step the realized positions are sorted, so the absorbed are a prefix and a
-cascade's window is a searchsorted range of the step's array, and the
+step the realized positions are sorted, so the absorbed are a prefix, one
+cascade_jump solve runs on the sorted array past the seeds, and the
 survivors are re-tiered: a particle at distance d above the new frontier goes
 to the deepest tier i <= min(trailing zeros of k, TIER_CAP) with
 d >= reach_i + guard, where reach_i = REACH * sqrt(2**i dt) and guard =
@@ -199,41 +199,30 @@ def init_ensemble(d, n: int, seed: int, sampling: str = "stratified",
     return Ensemble.awake(d.quantile(u), n_total=n, alpha=float(alpha), seed=seed)
 
 
-def _absorb_below_frontier(e: Ensemble) -> None:
-    """Absorb the living at or below the frontier and the cascade they seed.
+def _absorb(e: Ensemble, x: np.ndarray, lam_start: float, dt: float) -> None:
+    """Absorb the realized x at or below lam_start and the cascade they seed.
 
-    For an ensemble with every particle in tier 0, as at t = 0: tier 0 is
-    sorted, and the absorbed are its prefix at or below the new frontier.
+    x holds the realized positions and is sorted in place, so the caller
+    passes an array it owns: a step the one _realize returns, run at t = 0
+    a copy of tier 0, which Ensemble.awake may share with its caller.  The
+    k0 seeds at or below lam_start are the prefix of x, and cascade_jump
+    solves the least fixed point once on the rest, x[k0:].  A sleeping tier
+    whose danger level the new frontier reaches is realized with the
+    generator's next draws, its positions joined to x, and the cascade
+    solved again from lam_start, until no further tier is reached.  The
+    survivors, the slice of x past the frontier, become tier 0.
     """
-    x = np.sort(e.tiers[0])
-    e.tiers[0] = x[x.searchsorted(_cascade_frontier(e, x, e.frontier), side="right"):]
-
-
-def _cascade_frontier(e: Ensemble, x: np.ndarray, lam_start: float) -> float:
-    """Frontier after the cascade seeded by the ascending x at or below lam_start.
-
-    Semantics are exactly cascade_jump's least fixed point, computed on a
-    window: the k0 seeds are the prefix x[:k0], and the positions past them
-    up to lam_start + w, the range x[k0:hi] that searchsorted finds, are
-    handed to cascade_jump.  If the fixed point stays at or below the window
-    edge, particles beyond it cannot take part and the result is exact;
-    otherwise w doubles while particles remain beyond the edge.  The first
-    window is twice the k0 increment, so a cascade of m costs O(m log m)
-    plus a binary search per doubling, and no pass over the rest of x.  The
-    fixed point absorbs exactly the positions at or below the returned
-    frontier.
-    """
-    k0 = int(x.searchsorted(lam_start, side="right"))
-    if k0 == 0 or e.alpha == 0.0:
-        return lam_start
-    w = 2.0 * e.alpha * k0 / e.n_total
     while True:
-        edge = lam_start + w
-        hi = int(x.searchsorted(edge, side="right"))
-        res = cascade_jump(x[k0:hi], lam_start, k0, e.alpha, e.n_total)
-        if res.new_frontier <= edge or hi == len(x):
-            return res.new_frontier
-        w *= 2.0
+        x.sort()
+        k0 = int(x.searchsorted(lam_start, side="right"))
+        lam = lam_start
+        if k0 and e.alpha:
+            lam = cascade_jump(x[k0:], lam_start, k0, e.alpha, e.n_total).new_frontier
+        woken = [i for i in range(1, TIER_CAP + 1) if e.danger[i] <= lam]
+        if not woken:
+            break
+        x = np.concatenate((x, _realize(e, woken, dt)))
+    e.tiers[0] = x[x.searchsorted(lam, side="right"):]
 
 
 def _realize(e: Ensemble, which, dt: float) -> np.ndarray:
@@ -243,10 +232,6 @@ def _realize(e: Ensemble, which, dt: float) -> np.ndarray:
     the order given, scaled by the root of the time since the tier's last
     realization.
     """
-    if len(which) == 1:
-        z = e._rng.standard_normal(len(e.tiers[which[0]]))
-        _move(e, which[0], z, dt)
-        return z
     sizes = [len(e.tiers[i]) for i in which]
     z = e._rng.standard_normal(sum(sizes))
     a = 0
@@ -286,16 +271,12 @@ def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
 
     Step k realizes the tiers i with 2**i dividing k (all of them when
     realize_all), drawing their increments from the ensemble's generator in
-    tier order, and sorts the realized positions.  The realized at or below
-    the frontier, a prefix, are absorbed and cascade_jump semantics resolve
-    the induced cascade; a sleeping tier whose danger level the cascade
-    reaches is realized with the generator's next draws, its positions joined
-    to the array and sorted with it, and the cascade solved again from the
-    step's starting frontier, until no further tier is reached.  The
-    survivors, the array past the absorbed, are then re-tiered, each tier
-    ascending.  Excursions below the frontier between a particle's realized
-    positions are not seen (no bridge correction); the bias vanishes with
-    sqrt(dt).  The tiers are sized for one dt, so dt may change only while
+    tier order, and _absorb sorts the realized positions, absorbs the prefix
+    at or below the frontier and solves the cascade it seeds, waking any
+    sleeping tier the cascade reaches.  The survivors are then re-tiered,
+    each tier ascending.  Excursions below the frontier between a
+    particle's realized positions are not seen (no bridge correction); the
+    bias vanishes with sqrt(dt).  The tiers are sized for one dt, so dt may change only while
     no particle sleeps.
     """
     if dt <= 0:
@@ -308,15 +289,8 @@ def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
     lam_start = e.frontier
     e.t += dt
     e.step_index = k
-    x = _realize(e, range(TIER_CAP + 1 if realize_all else cap + 1), dt)
-    while True:
-        x.sort()
-        lam = _cascade_frontier(e, x, lam_start)
-        woken = [i for i in range(1, TIER_CAP + 1) if e.danger[i] <= lam]
-        if not woken:
-            break
-        x = np.concatenate((x, _realize(e, woken, dt)))
-    e.tiers[0] = x[x.searchsorted(lam, side="right"):]
+    _absorb(e, _realize(e, range(TIER_CAP + 1 if realize_all else cap + 1), dt),
+            lam_start, dt)
     if cap:
         _retier(e, cap, dt)
     else:
@@ -353,7 +327,7 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     jumps: list[JumpRecord] = []
     lam_before = e.frontier
     if e.step_index == 0 and e.t == 0.0:
-        _absorb_below_frontier(e)
+        _absorb(e, e.tiers[0].copy(), lam_before, dt)
     if e.frontier - lam_before > threshold:
         jumps.append(JumpRecord(0.0, lam_before, e.frontier,
                                 mass=(e.frontier - lam_before) / e.alpha if e.alpha else 0.0))

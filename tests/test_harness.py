@@ -1,7 +1,10 @@
 """Tests for scenario configs, artifact layout, the invariant suite, and the CLI."""
+import importlib
+import importlib.util
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -677,6 +680,15 @@ class TestCli:
                               encoding="utf-8")
         assert main(["sweep", str(batch_path)]) == 2
 
+    def test_sweep_checks_every_entry_before_running(self, tmp_path, capsys):
+        valid = dict(scenario_id="a", density=UNIFORM, alpha=0.7, method="grid",
+                     dt=2e-3, dx=0.05, t_end=0.05, refinement_levels=1,
+                     outdir=str(tmp_path / "out"))
+        batch_path = tmp_path / "batch.json"
+        batch_path.write_text(json.dumps([valid, {"x": 1}]), encoding="utf-8")
+        assert main(["sweep", str(batch_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 # Config fuzz: a plausible config with up to two entries, at the top level
 # or in the density block, replaced by ill-typed, out-of-range or non-finite
@@ -766,3 +778,16 @@ def test_config_fuzz_validates_or_raises_config_error(tmp_path_factory, case):
     code = main(["simulate", str(path), *(a for o in overrides for a in ("--set", o))])
     assert code in ((2,) if cfg is None else (0, 2, 3))
 
+
+def test_traced_names_resolve():
+    # perfbench/spans.py wraps these module attributes in a traced run; a
+    # renamed or deleted one would otherwise surface only in the benchmark's
+    # traced self-test
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(modname, name) for modname, names in spans.TARGETS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(modname), name, None))]
+    assert not missing

@@ -235,7 +235,7 @@ def test_cascade_monotone_in_seed():
     alive = np.sort(rng.uniform(0.01, 2.0, 12))
     deltas = []
     for k0 in range(0, 5):
-        res = cascade_jump(alive[k0:] if False else alive, 0.0, k0, 1.0, 20)
+        res = cascade_jump(alive, 0.0, k0, 1.0, 20)
         deltas.append(res.delta)
     assert all(b >= a - 1e-15 for a, b in zip(deltas, deltas[1:]))
 

@@ -426,9 +426,8 @@ def clustered_ensembles(draw):
 
     k0 alive particles sit at or below the frontier; right above it a
     cluster of at least 16 * k0 particles is spaced closer than alpha / N, so
-    the cascade swallows all of it and overruns the first two windows.  The
-    rest lie beyond a gap, or are absent, which makes the cascade a total
-    freeze.
+    the cascade swallows all of it.  The rest lie beyond a gap, or are
+    absent, which makes the cascade a total freeze.
     """
     n_total = draw(st.integers(200, 1200))
     alpha = draw(st.floats(0.5, 3.0))
@@ -454,7 +453,7 @@ def clustered_ensembles(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(clustered_ensembles())
-def test_windowed_cascade_is_least_fixed_point(e):
+def test_cascade_is_least_fixed_point(e):
     lam0 = e.frontier
     k0 = int(np.count_nonzero(e.positions <= lam0))
     before = e.positions.copy()
@@ -462,9 +461,9 @@ def test_windowed_cascade_is_least_fixed_point(e):
     dead_before = e.n_dead
     with mock.patch.object(particle_mod, "cascade_jump",
                            wraps=particle_mod.cascade_jump) as spy:
-        particle_mod._absorb_below_frontier(e)
-    # the first window and its double both end inside the cluster
-    assert spy.call_count >= 3
+        particle_mod._absorb(e, e.tiers[0].copy(), lam0, 1e-3)
+    # one solve per absorption, on the whole array past the seeds
+    assert spy.call_count == 1
     m = e.n_dead - dead_before - k0
     observed = JumpResult(delta=e.frontier - lam0, new_frontier=e.frontier,
                           absorbed_mass=m / e.n_total, n_absorbed=m)
