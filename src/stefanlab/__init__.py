@@ -10,7 +10,7 @@ profile, and the classification of points on the free boundary.
 from stefanlab.densities import Density, oscillatory_density, piecewise_constant, power_gap_density
 from stefanlab.jump_rule import (JumpResult, cascade_jump, continuum_jump, density_knots,
                                  verify_cascade_minimality)
-from stefanlab.particle import Ensemble, Snapshot, empirical_field, init_ensemble, run, step
+from stefanlab.particle import Ensemble, init_ensemble, run, step
 from stefanlab.grid import GridState, run_grid
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
 from stefanlab.potential import PotentialField, ResidualReport, bound_suite, compute_w, obstacle_residual

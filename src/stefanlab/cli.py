@@ -139,9 +139,15 @@ def _cmd_sweep(args) -> int:
     if not isinstance(batch, list):
         raise ConfigError("sweep batch must be a JSON array of scenario configs")
     # every entry is checked, with the overrides, before any of them runs
-    cfgs = [scenario_from_dict(raw) for raw in batch]
-    if args.set:
-        cfgs = [apply_overrides(cfg, args.set) for cfg in cfgs]
+    cfgs = []
+    for i, raw in enumerate(batch):
+        try:
+            cfg = scenario_from_dict(raw)
+            cfgs.append(apply_overrides(cfg, args.set) if args.set else cfg)
+        except ConfigError as exc:
+            sid = raw.get("scenario_id") if isinstance(raw, dict) else None
+            name = f"batch entry {i}" + (f" ({sid})" if isinstance(sid, str) else "")
+            raise ConfigError(f"{name}: {exc}") from None
     worst = EXIT_PASS
     for cfg in cfgs:
         code = EXIT_PASS

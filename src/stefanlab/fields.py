@@ -1,8 +1,9 @@
 """Shared result containers: frontier paths, space-time fields, weights.
 
-Both solvers emit the same FrontierPath and Field shapes so the analysis
-modules and the cross-method comparison never care which method produced
-them.
+Both solvers return a FrontierPath and a Field first: run_grid its sampled
+temperature, particle.run the histogram of its living positions at its
+snapshot steps (None without snapshots).  So the analysis modules and the
+cross-method comparison never care which method produced them.
 """
 from __future__ import annotations
 

@@ -23,10 +23,10 @@ weight is set once.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from stefanlab.errors import ConfigError, NumericalAbort, TruncationError
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
@@ -67,6 +67,14 @@ class GridState:
         return float(self.u[-1] * self.dx)
 
 
+@functools.cache
+def _lapack():
+    """scipy's (dgtsv, dgttrf, dgttrs), imported by the first grid step, so
+    that a particle-only run or a refused config never loads scipy."""
+    from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+    return dgtsv, dgttrf, dgttrs
+
+
 def _diagonals(m: int, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the implicit step on m alive cells.
 
@@ -99,6 +107,7 @@ def diffuse_step(state: GridState, dt: float) -> GridState:
         return state
     r = 0.5 * dt / state.dx ** 2
     b = state.u[a:]
+    dgtsv, dgttrf, dgttrs = _lapack()
     if m == 1:
         b /= _diagonals(1, r)[0]
         x, info = b, 0

@@ -198,9 +198,10 @@ class ScenarioConfig:
 
         Counts, in 8-byte values, what the finest level keeps to its end:
         the sampled field (rows x cells, for the grid and for the snapshots
-        of a particle-only run), the frontier samples and one array per
-        particle.  It is a lower bound of the run's footprint, so no config
-        that fits is rejected.
+        of a particle-only run, which are binned as they are taken, so their
+        rows are all that snapshots keep), the frontier samples and one
+        array per particle.  It is a lower bound of the run's footprint, so
+        no config that fits is rejected.
         """
         memory = _physical_memory()
         if memory is None:
@@ -444,21 +445,16 @@ def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
     if cfg.method in ("particle", "both"):
         ens = pt.init_ensemble(d, p["n_particles"], seed=cfg.seed,
                                sampling=cfg.sampling, alpha=cfg.alpha)
-        # a method="both" level writes the grid's field, so only a
-        # particle-only run takes snapshots
-        snaps: list = []
         p_thr = jump_threshold(cfg, "particle", level)
-        p_frontier, _ = pt.run(
+        # a method="both" level writes the grid's field, so only a
+        # particle-only run takes snapshots, binned on the level's cells
+        every = cfg.snapshot_every if cfg.method == "particle" else 0
+        x_grid = (np.arange(int(round(cfg.x_max / p["dx"]))) + 0.5) * p["dx"] if every else None
+        res.p_frontier, res.p_field = pt.run(
             ens, t_end=cfg.t_end, dt=p["dt"], sample_every=cfg.sample_every,
-            jump_threshold=p_thr,
-            snapshots_out=snaps if cfg.method == "particle" else None,
-            snapshot_every=cfg.snapshot_every)
-        res.p_frontier = p_frontier
-        res.p_jumps = detect_jumps(p_frontier, p_thr)
-        if snaps:
-            x_grid = (np.arange(int(round(cfg.x_max / p["dx"]))) + 0.5) * p["dx"]
-            res.p_field = pt.empirical_field(snaps, x_grid)
-        res.reports["particle"] = {**_route_record(p_frontier, res.p_jumps),
+            jump_threshold=p_thr, snapshot_every=every, x_grid=x_grid)
+        res.p_jumps = detect_jumps(res.p_frontier, p_thr)
+        res.reports["particle"] = {**_route_record(res.p_frontier, res.p_jumps),
                                    "n_particles": p["n_particles"]}
 
     if cfg.method == "both":

@@ -34,7 +34,8 @@ tiers the step wakes early, in the order they wake; each tier is ascending,
 so within a tier they go to the particles from the lowest up.  Replays are
 bit-identical for a fixed (seed, dt, N) and history of steps, a run split
 into continued runs equals one run, and the generator travels with the
-ensemble, so a deep copy steps like the original.  A snapshot step realizes
+ensemble, so a deep copy steps like the original.  run bins the living
+positions into the Field it returns at each snapshot step, which realizes
 every tier, so a run with snapshots differs from one without in its
 realization, not in its law.
 """
@@ -167,17 +168,6 @@ class Ensemble:
         return self.alpha * self.n_dead / self.n_total
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Alive positions at one instant, for empirical density estimates."""
-
-    t: float
-    alive_positions: np.ndarray
-    n_dead: int
-    n_total: int
-    alpha: float
-
-
 def init_ensemble(d, n: int, seed: int, sampling: str = "stratified",
                   alpha: float = 1.0) -> Ensemble:
     """Draw n initial positions from a Density by inverse CDF.
@@ -276,8 +266,8 @@ def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
     sleeping tier the cascade reaches.  The survivors are then re-tiered,
     each tier ascending.  Excursions below the frontier between a
     particle's realized positions are not seen (no bridge correction); the
-    bias vanishes with sqrt(dt).  The tiers are sized for one dt, so dt may change only while
-    no particle sleeps.
+    bias vanishes with sqrt(dt).  The tiers are sized for one dt, so dt may
+    change only while no particle sleeps.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -299,27 +289,46 @@ def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
 
 
 def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
-        jump_threshold: float | None = None,
-        snapshots_out: list | None = None, snapshot_every: int = 0) -> tuple[FrontierPath, Ensemble]:
-    """Drive an ensemble to t_end, recording the frontier and its jumps.
+        jump_threshold: float | None = None, snapshot_every: int = 0,
+        x_grid: np.ndarray | None = None) -> tuple[FrontierPath, Field | None]:
+    """Drive an ensemble to t_end in place, recording the frontier and its jumps.
 
     The t=0 jump is resolved first through the cascade seeded by the
     particles at or below zero (for data supported in (0, inf) that seed is
     empty and the macroscopic initial jump instead emerges over the first few
     diffusion steps).  A frontier increment above max(5*alpha/N, threshold)
     within a single step enters the jump registry.  Samples land every
-    sample_every steps; optional position snapshots land in snapshots_out
-    every snapshot_every steps, and each snapshot step realizes every tier.
-    A continued run's first snapshot shows sleeping tiers where they were
-    last realized.
+    sample_every steps.  With snapshot_every = k > 0 the living positions are
+    binned on the cells centred at x_grid at t = 0, every k-th step and the
+    last step, each realizing every tier, into the rows of the returned Field
+    (None without snapshots); a row integrates to the living fraction.  A
+    continued run's first row shows sleeping tiers where they were last
+    realized.
     """
     if t_end <= 0 or dt <= 0:
         raise ConfigError("t_end and dt must be positive")
     if sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
+    if snapshot_every < 0:
+        raise ConfigError("snapshot_every must be >= 0")
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ConfigError("t_end shorter than one step")
+    rows = None
+    if snapshot_every:
+        if x_grid is None or len(x_grid) < 2:
+            raise ConfigError("snapshot_every > 0 needs an x_grid of at least two nodes")
+        x_grid = np.asarray(x_grid, dtype=float)
+        dx = float(x_grid[1] - x_grid[0])
+        edges = np.concatenate([x_grid - 0.5 * dx, [x_grid[-1] + 0.5 * dx]])
+        # t = 0, every snapshot_every-th step and the last step
+        rows = np.empty((1 + -(-n_steps // snapshot_every), len(x_grid)))
+        row_t, row_lam = [], []
+
+    def snapshot() -> None:
+        rows[len(row_t)] = np.histogram(e.positions, bins=edges)[0] / (e.n_total * dx)
+        row_t.append(e.t)
+        row_lam.append(e.frontier)
 
     registry_floor = 5.0 * e.alpha / e.n_total
     threshold = max(registry_floor, jump_threshold or 0.0)
@@ -336,13 +345,12 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     times = [e.t]
     lams = [lam]
     dead = [e.n_dead]
-    snapshots = snapshots_out is not None and snapshot_every
-    if snapshots:
-        snapshots_out.append(_snapshot(e))
+    if snapshot_every:
+        snapshot()
 
     for k in range(1, n_steps + 1):
         before = lam
-        snap = snapshots and (k % snapshot_every == 0 or k == n_steps)
+        snap = snapshot_every and (k % snapshot_every == 0 or k == n_steps)
         if snap:
             step(e, dt, realize_all=True)
         else:
@@ -356,39 +364,15 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
             lams.append(lam)
             dead.append(e.n_dead)
         if snap:
-            snapshots_out.append(_snapshot(e))
+            snapshot()
 
     path = FrontierPath(
         times=np.array(times), lam=np.array(lams), alpha=e.alpha, jumps=jumps,
         n_total=e.n_total, dead_count=np.array(dead, dtype=np.int64),
     )
-    return path, e
-
-
-def _snapshot(e: Ensemble) -> Snapshot:
-    return Snapshot(t=e.t, alive_positions=e.positions,
-                    n_dead=e.n_dead, n_total=e.n_total, alpha=e.alpha)
-
-
-def empirical_field(snapshots: list[Snapshot], x_grid: np.ndarray) -> Field:
-    """Histogram density estimate per snapshot, one bin per x_grid cell.
-
-    Normalization makes each row integrate to the alive fraction, matching
-    the grid solver's convention that mass 1 - lam/alpha survives.
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    if len(x_grid) < 2:
-        raise ConfigError("x_grid needs at least two nodes")
-    dx = float(x_grid[1] - x_grid[0])
-    edges = np.concatenate([x_grid - 0.5 * dx, [x_grid[-1] + 0.5 * dx]])
-    rows, lam, fidx, ts = [], [], [], []
-    for s in snapshots:
-        counts, _ = np.histogram(s.alive_positions, bins=edges)
-        rows.append(counts / (s.n_total * dx))
-        lam_s = s.alpha * s.n_dead / s.n_total
-        lam.append(lam_s)
-        fidx.append(int(np.searchsorted(edges, lam_s, side="right") - 1))
-        ts.append(s.t)
-    return Field(x=x_grid, t=np.array(ts), values=np.array(rows),
-                 frontier_index=np.clip(np.array(fidx), 0, len(x_grid) - 1),
-                 lam=np.array(lam), alpha=snapshots[0].alpha)
+    if rows is None:
+        return path, None
+    row_lam = np.array(row_lam)
+    fidx = np.clip(edges.searchsorted(row_lam, side="right") - 1, 0, len(x_grid) - 1)
+    return path, Field(x=x_grid, t=np.array(row_t), values=rows, frontier_index=fidx,
+                       lam=row_lam, alpha=e.alpha)

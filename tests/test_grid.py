@@ -1,11 +1,16 @@
 """Finite-volume solver: diffusion accuracy, frontier motion, weight record."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf
 
+import stefanlab
 from stefanlab import grid
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError, TruncationError
@@ -123,11 +128,12 @@ def test_diffuse_factor_cache_matches_banded_oracle_bitwise(schedule, monkeypatc
     # bit for bit, and the matrix is factored only when the alive count
     # (of at least 3 cells) or dt changed since the last factored step
     factored = []
+    dgtsv, dgttrf, dgttrs = grid._lapack()
 
     def counting(*args):
         factored.append(len(args[1]))
         return dgttrf(*args)
-    monkeypatch.setattr(grid, "dgttrf", counting)
+    monkeypatch.setattr(grid, "_lapack", lambda: (dgtsv, counting, dgttrs))
     n, dx = 8, 0.02
     u = np.random.default_rng(7).random(n)
     st = make_state(u.copy(), dx=dx)
@@ -142,6 +148,15 @@ def test_diffuse_factor_cache_matches_banded_oracle_bitwise(schedule, monkeypatc
             expect.append(n - j)
             last = (n - j, dt)
         assert factored == expect
+
+
+def test_import_leaves_scipy_unloaded():
+    # the grid step imports LAPACK on first use, so importing the package
+    # and its command line, as a particle-only run does, loads no scipy
+    code = "import stefanlab.cli, sys; assert 'scipy' not in sys.modules"
+    src = str(Path(stefanlab.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_diffuse_on_non_contiguous_u():

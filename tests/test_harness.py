@@ -688,6 +688,13 @@ class TestCli:
         batch_path.write_text(json.dumps([valid, {"x": 1}]), encoding="utf-8")
         assert main(["sweep", str(batch_path)]) == 2
         assert not (tmp_path / "out").exists()
+        assert "batch entry 1: unknown config keys: ['x']" in capsys.readouterr().err
+        # an override that breaks an entry names it, and its scenario_id
+        batch_path.write_text(json.dumps([valid, dict(valid, scenario_id="b")]),
+                              encoding="utf-8")
+        assert main(["sweep", str(batch_path), "--set", "dt=nan"]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "config error: batch entry 0 (a): " in capsys.readouterr().err
 
 
 # Config fuzz: a plausible config with up to two entries, at the top level

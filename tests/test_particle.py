@@ -1,6 +1,7 @@
 """Interacting-particle solver: sampling, reproducibility, mass identity."""
 import copy
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ from stefanlab.errors import ConfigError
 from stefanlab.jump_rule import JumpResult, cascade_jump, verify_cascade_minimality
 from stefanlab.particle import (
     Ensemble,
-    empirical_field,
     init_ensemble,
     run,
     step,
@@ -173,15 +173,15 @@ def test_interleaved_ensembles_equal_their_solo_runs():
     # with the original
     d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
     dt, n_steps = 5e-4, 150
-    solo = [run(init_ensemble(d, n, seed=seed, alpha=2.0), t_end=n_steps * dt, dt=dt)
-            for n, seed in ((3000, 4), (2000, 5))]
+    solo = [init_ensemble(d, n, seed=seed, alpha=2.0) for n, seed in ((3000, 4), (2000, 5))]
+    paths = [run(ref, t_end=n_steps * dt, dt=dt)[0] for ref in solo]
     pair = [init_ensemble(d, n, seed=seed, alpha=2.0) for n, seed in ((3000, 4), (2000, 5))]
     lams = [[], []]
     for _ in range(n_steps):
         for e, lam in zip(pair, lams):
             step(e, dt)
             lam.append(e.frontier)
-    for (path, ref), e, lam in zip(solo, pair, lams):
+    for path, ref, e, lam in zip(paths, solo, pair, lams):
         assert np.array_equal(path.lam[1:], lam)
         assert np.array_equal(e.positions, ref.positions)
         assert e.n_dead == ref.n_dead > 0
@@ -190,7 +190,7 @@ def test_interleaved_ensembles_equal_their_solo_runs():
     for _ in range(3):
         for e in pair:
             run(e, t_end=50 * dt, dt=dt)
-    for (_, ref), e in zip(solo, pair):
+    for ref, e in zip(solo, pair):
         assert np.array_equal(e.positions, ref.positions)
     pair = [init_ensemble(d, n, seed=seed, alpha=2.0) for n, seed in ((3000, 4), (2000, 5))]
     threads = [threading.Thread(target=run, args=(e,), kwargs={"t_end": n_steps * dt, "dt": dt})
@@ -199,7 +199,7 @@ def test_interleaved_ensembles_equal_their_solo_runs():
         t.start()
     for t in threads:
         t.join()
-    for (_, ref), e in zip(solo, pair):
+    for ref, e in zip(solo, pair):
         assert np.array_equal(e.positions, ref.positions)
     e = init_ensemble(d, 3000, seed=4, alpha=2.0)
     run(e, t_end=70 * dt, dt=dt)
@@ -209,7 +209,7 @@ def test_interleaved_ensembles_equal_their_solo_runs():
         step(twin, dt)
         assert twin.frontier == e.frontier
     assert np.array_equal(twin.positions, e.positions)
-    assert np.array_equal(e.positions, solo[0][1].positions)
+    assert np.array_equal(e.positions, solo[0].positions)
 
 
 def test_cascade_wakes_a_sleeping_tier_in_the_same_step():
@@ -358,16 +358,16 @@ def test_run_reproducible():
     d = uniform02()
     e1 = init_ensemble(d, 256, seed=5)
     e2 = init_ensemble(d, 256, seed=5)
-    p1, f1 = run(e1, t_end=0.05, dt=1e-3)
-    p2, f2 = run(e2, t_end=0.05, dt=1e-3)
-    assert np.array_equal(f1.positions, f2.positions)
+    p1, _ = run(e1, t_end=0.05, dt=1e-3)
+    p2, _ = run(e2, t_end=0.05, dt=1e-3)
+    assert np.array_equal(e1.positions, e2.positions)
     assert np.array_equal(p1.lam, p2.lam)
 
 
 def test_frontier_equals_alpha_times_dead_fraction():
     d = uniform02()
     e = init_ensemble(d, 2000, seed=9, alpha=1.0)
-    path, e = run(e, t_end=0.1, dt=5e-4)
+    path, _ = run(e, t_end=0.1, dt=5e-4)
     # exact integer identity at every sample
     assert np.array_equal(path.lam, e.alpha * path.dead_count / path.n_total)
     assert e.n_dead == int(path.dead_count[-1])
@@ -387,9 +387,9 @@ def test_absorbed_stay_absorbed():
     # living, all above the frontier, are the particles not counted dead
     d = uniform02()
     e = init_ensemble(d, 500, seed=3)
-    first, e = run(e, t_end=0.05, dt=1e-3)
+    first, _ = run(e, t_end=0.05, dt=1e-3)
     assert e.n_dead > 0
-    second, e = run(e, t_end=0.1, dt=1e-3)
+    second, _ = run(e, t_end=0.1, dt=1e-3)
     dead = np.concatenate([first.dead_count, second.dead_count])
     assert np.all(np.diff(dead) >= 0)
     assert dead[-1] + len(e.positions) == 500
@@ -494,7 +494,7 @@ def test_run_matches_serial_step_loop_and_releases_threads(segments):
     paths = []
     with mock.patch.object(particle_mod, "step", wraps=particle_mod.step) as spy:
         for chunk in np.array_split(np.arange(80), segments):
-            path, e = run(e, t_end=len(chunk) * dt, dt=dt)
+            path, _ = run(e, t_end=len(chunk) * dt, dt=dt)
             paths.append(path)
             assert threading.active_count() == threads_before
     assert spy.call_count == 80
@@ -527,7 +527,7 @@ def test_packed_layout_after_any_run(n, alpha, seed, sampling, steps):
     e = init_ensemble(d, n, seed=seed, sampling=sampling, alpha=alpha)
     dt = 1e-3
     for k in steps:
-        path, e = run(e, t_end=k * dt, dt=dt)
+        path, _ = run(e, t_end=k * dt, dt=dt)
         assert np.all(e.positions > e.frontier)
         assert path.dead_count[-1] + len(e.positions) == n
         assert np.array_equal(path.lam, e.alpha * path.dead_count / n)
@@ -538,7 +538,7 @@ def test_supercritical_initial_data_freezes_fast():
     # freezes almost immediately once diffusion starts
     d = piecewise_constant([0.0, 0.2], [5.0])
     e = init_ensemble(d, 5000, seed=4, alpha=2.0)
-    path, e = run(e, t_end=0.05, dt=1e-4)
+    path, _ = run(e, t_end=0.05, dt=1e-4)
     assert e.n_dead / e.n_total > 0.95
 
 
@@ -553,19 +553,72 @@ def test_jump_records_have_threshold_size():
     assert path.lam[-1] > 0.5
 
 
-def test_snapshots_and_empirical_field():
-    d = uniform02()
-    e = init_ensemble(d, 4000, seed=8)
-    snaps = []
-    run(e, t_end=0.04, dt=1e-3, snapshots_out=snaps, snapshot_every=10)
-    assert len(snaps) >= 4
+def test_run_bins_its_snapshots():
+    # the field's rows are the histograms of the living positions at t = 0,
+    # every 10th step and the last, each normalized to the living fraction;
+    # rows, lam and frontier_index equal np.histogram's oracle bit for bit
+    d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
     x = np.linspace(0, 3, 121)
-    fld = empirical_field(snaps, x)
-    assert fld.values.shape == (len(snaps), len(x))
-    # each histogram row integrates to the alive fraction at that time
-    for row, snap in zip(fld.values, snaps):
-        assert np.sum(row) * fld.dx == pytest.approx(
-            len(snap.alive_positions) / snap.n_total, abs=1e-9)
+    dx = x[1] - x[0]
+    edges = np.concatenate([x - 0.5 * dx, [x[-1] + 0.5 * dx]])
+    e = init_ensemble(d, 4000, seed=8)
+    seen = [(0.0, 0.0, e.positions.copy())]
+    serial_step = particle_mod.step
+
+    def spying(e, dt, realize_all=False):
+        serial_step(e, dt, realize_all=realize_all)
+        if realize_all:
+            seen.append((e.t, e.frontier, e.positions.copy()))
+        return e
+
+    with mock.patch.object(particle_mod, "step", spying):
+        path, fld = run(e, t_end=0.045, dt=1e-3, snapshot_every=10, x_grid=x)
+    assert len(seen) == 1 + 5
+    assert fld.lam[-1] == path.lam[-1] > 0.5
+    assert np.array_equal(fld.x, x)
+    assert np.array_equal(fld.t, [t for t, _, _ in seen])
+    assert np.array_equal(fld.lam, [lam for _, lam, _ in seen])
+    for k, (_, lam, pos) in enumerate(seen):
+        counts, _ = np.histogram(pos, bins=edges)
+        assert np.array_equal(fld.values[k], counts / (e.n_total * dx))
+        assert fld.frontier_index[k] == np.clip(
+            np.searchsorted(edges, lam, side="right") - 1, 0, len(x) - 1)
+        assert np.sum(fld.values[k]) * fld.dx == pytest.approx(
+            len(pos) / e.n_total, abs=1e-9)
+
+
+def test_run_without_snapshots_returns_no_field():
+    path, fld = run(init_ensemble(uniform02(), 100, seed=0), t_end=0.01, dt=1e-3,
+                    x_grid=np.linspace(0, 3, 121))
+    assert fld is None and len(path.lam) == 11
+
+
+@pytest.mark.parametrize("x_grid", [None, np.array([5.0])], ids=["none", "one-node"])
+def test_snapshots_refused_before_stepping(x_grid):
+    # a field needs two cells: refused before the t = 0 resolution (which
+    # replaces tier 0 by a sorted copy), not after the whole run
+    e = init_ensemble(uniform02(), 300, seed=0, alpha=0.7)
+    tier0 = e.tiers[0]
+    with pytest.raises(ConfigError, match="at least two nodes"):
+        run(e, t_end=0.01, dt=1e-3, snapshot_every=5, x_grid=x_grid)
+    assert e.step_index == 0 and e.t == 0.0 and e.n_dead == 0
+    assert e.tiers[0] is tier0
+
+
+def test_snapshots_keep_no_positions():
+    # each snapshot is binned as it is taken: a run that snapshots every
+    # step traces far less than keeping its positions would take
+    n, n_steps = 20_000, 50
+    e = init_ensemble(uniform02(), n, seed=3)
+    x = (np.arange(150) + 0.5) * 0.02
+    tracemalloc.start()
+    try:
+        _, fld = run(e, t_end=n_steps * 1e-3, dt=1e-3, snapshot_every=1, x_grid=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.values.shape == (n_steps + 1, len(x))
+    assert peak < (n_steps + 1) * n * 8 / 5
 
 
 def test_value_at_right_continuous_steps():
