@@ -20,7 +20,7 @@ from .exporters import (jsonify, read_frontier_csv, read_jumps_json,
                         read_json, read_matrix_csv, read_nu_csv, write_json)
 from .fields import Field, FrontierPath
 from .harness import (ScenarioConfig, analyze_route, apply_overrides,
-                      compare_methods, jump_threshold, run_scenario,
+                      compare_methods, jump_threshold, run_dir, run_scenario,
                       scenario_from_dict, scenario_from_json, verify_suite)
 # unused here, but perfbench/spans.py looks these names up in this module
 from .harness import (classify_points, compute_w, freezing_time,  # noqa: F401
@@ -123,14 +123,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, args.set or [])
-    result = run_scenario(cfg, write=not args.no_write)
-    ledger = verify_suite(cfg, result)
+    ledger = verify_suite(cfg, write=not args.no_write)
     for entry in ledger["invariants"]:
         print(f"{entry['verdict'].upper():4s} {entry['id']} -- {entry['detail']}")
     print(f"pass {ledger['n_pass']}  fail {ledger['n_fail']}"
           f"  skip {ledger['n_skip']}")
-    if result.outpath:
-        write_json(Path(result.outpath) / "verify.json", ledger)
+    if not args.no_write:
+        write_json(run_dir(cfg) / "verify.json", ledger)
     return EXIT_INVARIANT if ledger["n_fail"] else EXIT_PASS
 
 
@@ -152,16 +151,16 @@ def _cmd_sweep(args) -> int:
     for cfg in cfgs:
         code = EXIT_PASS
         try:
-            result = run_scenario(cfg, write=True)
-            detail = f"-> {result.outpath}"
+            detail = f"-> {run_dir(cfg)}"
             if args.verify:
-                ledger = verify_suite(cfg, result)
+                ledger = verify_suite(cfg, write=True)
                 detail += (f" pass {ledger['n_pass']} fail {ledger['n_fail']}"
                            f" skip {ledger['n_skip']}")
-                if result.outpath:
-                    write_json(Path(result.outpath) / "verify.json", ledger)
+                write_json(run_dir(cfg) / "verify.json", ledger)
                 if ledger["n_fail"]:
                     code = EXIT_INVARIANT
+            else:
+                run_scenario(cfg, write=True)
         except NumericalAbort as exc:
             detail, code = f"numerical abort: {exc}", EXIT_NUMERICAL
         print(f"{cfg.scenario_id}: {detail}")

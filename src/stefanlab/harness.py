@@ -7,15 +7,19 @@ writes the artifact set per level, and assembles a deterministic summary.
 analyze_route, the one analysis of a frontier and its field, serves both
 run_level and the analyze command.  verify_suite evaluates the registry of
 structural invariants against a scenario and reports one verdict per
-registry entry, never fewer.
+registry entry, never fewer.  Runs that depend on nothing but the config,
+the particle route of a "both" level and the invariants that rerun a
+solver, go to forked children (_start), so they use a second core.
 """
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import math
 import numbers
 import os
+import pickle
 import shutil
 import time
 from dataclasses import dataclass, field as dc_field, asdict
@@ -169,6 +173,11 @@ class ScenarioConfig:
             raise ConfigError(f"x_max / dx = {n_cells} must count at least one cell")
         if abs(n_cells - round(n_cells)) > 1e-9:
             raise ConfigError("dx must divide x_max")
+        if self.method == "particle" and self.snapshot_every and round(n_cells) < 2:
+            raise ConfigError(
+                f"snapshot_every > 0 bins the particles on the cells of level 0,"
+                f" but x_max = {self.x_max} holds one cell of dx = {self.dx};"
+                " it needs at least two")
         self._check_finest_level()
 
     def _check_finest_level(self) -> None:
@@ -429,31 +438,129 @@ def _route_record(frontier: FrontierPath, jumps: list) -> dict:
             "jumps_detected": [rec.to_dict() for rec in jumps]}
 
 
+def _start(name: str, call, *args):
+    """Start call(*args) in a forked child; return join, which waits for it.
+
+    join() returns the call's value or raises its exception, as though the
+    call had run here; a child that ends without a result (killed by a
+    signal, say) makes it raise RuntimeError naming the call by `name`.
+    The child pickles its outcome into a pipe and leaves through os._exit
+    on every path, so it never unwinds into its caller, runs no exit
+    handler and flushes no buffer it inherited.  join reads the pipe to its
+    end before it reaps the child, so a result larger than the pipe buffer
+    cannot deadlock.  Call join once on every path, or the child is left
+    unreaped (_discard does so when the outcome is no longer wanted).
+    Where os.fork is missing the call runs now, in this process.
+
+    The lab starts no thread; the BLAS pools that numpy and scipy may hold
+    register fork handlers of their own.
+    """
+    if not hasattr(os, "fork"):
+        try:
+            outcome = (True, call(*args))
+        except Exception as exc:
+            outcome = (False, exc)
+        return lambda: _unpack(outcome)
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, call(*args))
+            except Exception as exc:
+                outcome = (False, exc)
+            try:
+                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps((False, RuntimeError(
+                    f"{name}: its outcome does not pickle: {exc!r}")))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def join():
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"{name} ended by {how} without a result")
+        return _unpack(pickle.loads(data))
+    return join
+
+
+def _unpack(outcome):
+    ok, value = outcome
+    if ok:
+        return value
+    raise value
+
+
+def _discard(join) -> None:
+    """Wait for a started call whose outcome is no longer wanted."""
+    with contextlib.suppress(Exception):
+        join()
+
+
+def _particle_route(cfg: ScenarioConfig, level: int, d: Density):
+    """The particle run of one level and its detected jumps: (frontier, field, jumps)."""
+    p = cfg.level_params(level)
+    ens = pt.init_ensemble(d, p["n_particles"], seed=cfg.seed,
+                           sampling=cfg.sampling, alpha=cfg.alpha)
+    thr = jump_threshold(cfg, "particle", level)
+    # a method="both" level writes the grid's field, so only a
+    # particle-only run takes snapshots, binned on the level's cells
+    every = cfg.snapshot_every if cfg.method == "particle" else 0
+    x_grid = (np.arange(int(round(cfg.x_max / p["dx"]))) + 0.5) * p["dx"] if every else None
+    frontier, fld = pt.run(ens, t_end=cfg.t_end, dt=p["dt"],
+                           sample_every=cfg.sample_every, jump_threshold=thr,
+                           snapshot_every=every, x_grid=x_grid)
+    return frontier, fld, detect_jumps(frontier, thr)
+
+
 def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
+    """Run cfg's method(s) on one refinement level, with their analysis.
+
+    A "both" level starts its particle route in a forked child (_start),
+    runs the grid route and its analysis here, then joins the child, which
+    sends back the frontier and its jumps, a few kB.  Grid and particle-only
+    levels run here alone: a grid level's field and w reach 120 MB, and a
+    particle-only run returns its snapshot field.
+    """
     p = cfg.level_params(level)
     res = LevelResult(level=level, params=dict(p))
+    particle = None
+    if cfg.method == "both":
+        particle = _start(f"the particle route of level {level}",
+                          _particle_route, cfg, level, d)
 
     if cfg.method in ("grid", "both"):
-        thr = jump_threshold(cfg, "grid", level)
-        frontier, fld, nu = run_grid(
-            d, alpha=cfg.alpha, t_end=cfg.t_end, dt=p["dt"], dx=p["dx"],
-            x_max=cfg.x_max, sample_every=cfg.sample_every, jump_threshold=thr)
-        res.frontier, res.field, res.nu = frontier, fld, nu
-        res.jumps, res.w, res.profile, res.reports = analyze_route(
-            cfg, "grid", frontier, fld, nu, thr)
+        try:
+            thr = jump_threshold(cfg, "grid", level)
+            frontier, fld, nu = run_grid(
+                d, alpha=cfg.alpha, t_end=cfg.t_end, dt=p["dt"], dx=p["dx"],
+                x_max=cfg.x_max, sample_every=cfg.sample_every, jump_threshold=thr)
+            res.frontier, res.field, res.nu = frontier, fld, nu
+            res.jumps, res.w, res.profile, res.reports = analyze_route(
+                cfg, "grid", frontier, fld, nu, thr)
+        except BaseException:
+            if particle is not None:
+                _discard(particle)
+            raise
 
     if cfg.method in ("particle", "both"):
-        ens = pt.init_ensemble(d, p["n_particles"], seed=cfg.seed,
-                               sampling=cfg.sampling, alpha=cfg.alpha)
-        p_thr = jump_threshold(cfg, "particle", level)
-        # a method="both" level writes the grid's field, so only a
-        # particle-only run takes snapshots, binned on the level's cells
-        every = cfg.snapshot_every if cfg.method == "particle" else 0
-        x_grid = (np.arange(int(round(cfg.x_max / p["dx"]))) + 0.5) * p["dx"] if every else None
-        res.p_frontier, res.p_field = pt.run(
-            ens, t_end=cfg.t_end, dt=p["dt"], sample_every=cfg.sample_every,
-            jump_threshold=p_thr, snapshot_every=every, x_grid=x_grid)
-        res.p_jumps = detect_jumps(res.p_frontier, p_thr)
+        res.p_frontier, res.p_field, res.p_jumps = (
+            particle() if particle is not None else _particle_route(cfg, level, d))
         res.reports["particle"] = {**_route_record(res.p_frontier, res.p_jumps),
                                    "n_particles": p["n_particles"]}
 
@@ -508,6 +615,11 @@ def _write_level(lvl_dir: Path, res: LevelResult) -> list[str]:
     return ["frontier.csv", "jumps.json"]
 
 
+def run_dir(cfg: ScenarioConfig) -> Path:
+    """The directory run_scenario writes cfg's artifacts into."""
+    return Path(cfg.outdir) / cfg.scenario_id
+
+
 def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
     d = build_density(cfg.density)
     levels = [run_level(cfg, level, d=d) for level in range(cfg.refinement_levels)]
@@ -518,7 +630,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
     }
     outpath = None
     if write:
-        root = Path(cfg.outdir) / cfg.scenario_id
+        root = run_dir(cfg)
         # each level is formatted once, under L{k}; the finest level's files
         # are then copied flat to the scenario root, so single-level
         # consumers see the canonical layout.  Copies, not links: editing a
@@ -1102,26 +1214,52 @@ INVARIANT_REGISTRY = (
     ("compare.jump_alignment", _iv_compare_jumps),
     ("harness.summary_deterministic", _iv_summary_deterministic),
 )
+# the invariants that rerun a solver on the config alone, not on the
+# scenario's result: verify_suite starts them in forked children
+_RERUN_INVARIANTS = frozenset({"particle.bit_reproducible",
+                              "particle.convergence_in_n",
+                              "harness.summary_deterministic"})
 
 
-def verify_suite(cfg: ScenarioConfig, result: ScenarioResult | None = None) -> dict:
+def _evaluate(func, ctx) -> dict:
+    """One invariant's verdict; an invariant that raises is a failure."""
+    try:
+        return func(ctx)
+    except Exception as exc:
+        return {"verdict": "fail", "detail": f"invariant raised {exc!r}"}
+
+
+def verify_suite(cfg: ScenarioConfig, result: ScenarioResult | None = None,
+                 write: bool = False) -> dict:
     """Evaluate every registry invariant against one scenario.
 
     Every id in the registry appears exactly once in the report, with verdict
     pass, fail, or skip plus a reason.  A missing precondition is a skip,
     never a silent omission; an invariant that raises is a failure.
+
+    The invariants that rerun a solver read only the config and the
+    density, so each starts in a forked child (_start) before the scenario
+    runs, and is joined in registry order; every other entry runs here on
+    the result.  Without a result the scenario is run here, writing its
+    artifacts when write is true; a given result is checked as it is, and
+    write is unused.
     """
-    if result is None:
-        result = run_scenario(cfg, write=False)
-    ctx = {"cfg": cfg, "density": build_density(cfg.density),
-           "levels": result.levels, "result": result}
-    entries = []
-    for name, func in INVARIANT_REGISTRY:
-        try:
-            out = func(ctx)
-        except Exception as exc:
-            out = {"verdict": "fail", "detail": f"invariant raised {exc!r}"}
-        entries.append({"id": name, **out})
+    d = build_density(cfg.density)
+    reruns = {}
+    try:
+        for name, func in INVARIANT_REGISTRY:
+            if name in _RERUN_INVARIANTS:
+                reruns[name] = _start(f"invariant {name}", _evaluate, func,
+                                      {"cfg": cfg, "density": d})
+        if result is None:
+            result = run_scenario(cfg, write=write)
+        ctx = {"cfg": cfg, "density": d, "levels": result.levels, "result": result}
+        entries = [{"id": name, **(reruns.pop(name)() if name in reruns
+                                   else _evaluate(func, ctx))}
+                   for name, func in INVARIANT_REGISTRY]
+    finally:
+        for join in reruns.values():
+            _discard(join)
     counts = {"pass": 0, "fail": 0, "skip": 0}
     for e in entries:
         counts[e["verdict"]] += 1

@@ -325,8 +325,12 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
         rows = np.empty((1 + -(-n_steps // snapshot_every), len(x_grid)))
         row_t, row_lam = [], []
 
-    def snapshot() -> None:
-        rows[len(row_t)] = np.histogram(e.positions, bins=edges)[0] / (e.n_total * dx)
+    def snapshot(x: np.ndarray) -> None:
+        # x ascending: the counts np.histogram takes after sorting, its
+        # last cell closed
+        cum = np.concatenate((x.searchsorted(edges[:-1], side="left"),
+                              x.searchsorted(edges[-1:], side="right")))
+        rows[len(row_t)] = np.diff(cum) / (e.n_total * dx)
         row_t.append(e.t)
         row_lam.append(e.frontier)
 
@@ -335,7 +339,8 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
 
     jumps: list[JumpRecord] = []
     lam_before = e.frontier
-    if e.step_index == 0 and e.t == 0.0:
+    fresh = e.step_index == 0 and e.t == 0.0
+    if fresh:
         _absorb(e, e.tiers[0].copy(), lam_before, dt)
     if e.frontier - lam_before > threshold:
         jumps.append(JumpRecord(0.0, lam_before, e.frontier,
@@ -345,8 +350,11 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     times = [e.t]
     lams = [lam]
     dead = [e.n_dead]
+    # each tier is ascending, and after _absorb or a step that realizes
+    # every tier the tiers are consecutive slices of one sorted array; a
+    # continued run's first row shows tiers last realized at other steps
     if snapshot_every:
-        snapshot()
+        snapshot(e.positions if fresh else np.sort(e.positions))
 
     for k in range(1, n_steps + 1):
         before = lam
@@ -364,7 +372,7 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
             lams.append(lam)
             dead.append(e.n_dead)
         if snap:
-            snapshot()
+            snapshot(e.positions)
 
     path = FrontierPath(
         times=np.array(times), lam=np.array(lams), alpha=e.alpha, jumps=jumps,

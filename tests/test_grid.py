@@ -152,8 +152,10 @@ def test_diffuse_factor_cache_matches_banded_oracle_bitwise(schedule, monkeypatc
 
 def test_import_leaves_scipy_unloaded():
     # the grid step imports LAPACK on first use, so importing the package
-    # and its command line, as a particle-only run does, loads no scipy
-    code = "import stefanlab.cli, sys; assert 'scipy' not in sys.modules"
+    # and its command line, as a particle-only run does, loads no scipy;
+    # forked runs use os.fork and pickle, not a process pool
+    code = ("import stefanlab.cli, sys; loaded = {'scipy', 'multiprocessing',"
+            " 'concurrent.futures'} & set(sys.modules); assert not loaded, loaded")
     src = str(Path(stefanlab.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})

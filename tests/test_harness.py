@@ -3,7 +3,10 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import pickle
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stefanlab.harness as harness_mod
+import stefanlab.particle as particle_mod
 from stefanlab.cli import main
-from stefanlab.errors import ConfigError
+from stefanlab.errors import ConfigError, NumericalAbort
 from stefanlab.exporters import (read_frontier_csv, read_json, read_matrix_csv,
                                  read_nu_csv)
 from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
@@ -36,6 +40,12 @@ README_DEMO = dict(scenario_id="uniform-demo",
                             "breaks": [0.0, 1.5], "values": [0.6667]},
                    alpha=0.7, method="both", n_particles=20_000, dt=1e-3,
                    dx=0.02, t_end=1.0, seed=7, refinement_levels=1)
+# the smoke.json of the CI workflow
+SMOKE = dict(scenario_id="smoke", alpha=0.7, method="both",
+             density={"family": "piecewise_constant", "breaks": [0.0, 1.5],
+                      "values": [0.6667]},
+             n_particles=500, dt=0.002, dx=0.05, t_end=0.1,
+             thresholds={"interior_margin": 0.05}, outdir="unused")
 
 
 def quick_config(**kw):
@@ -84,6 +94,15 @@ class TestConfigValidation:
         cfg = quick_config(x_max=None)
         assert cfg.x_max >= cfg.alpha + 1.5 + 4 * np.sqrt(cfg.t_end)
         assert abs(cfg.x_max / cfg.dx - round(cfg.x_max / cfg.dx)) < 1e-9
+
+    def test_rejects_particle_snapshots_of_one_cell(self):
+        # snapshots bin on the level's cells; a grid run or a particle run
+        # without snapshots on the same one-cell level is accepted
+        with pytest.raises(ConfigError, match="snapshot_every") as info:
+            quick_config(method="particle", snapshot_every=5, dx=10.0)
+        assert "dx = 10.0" in str(info.value) and "x_max = 10.0" in str(info.value)
+        quick_config(method="particle", dx=10.0)
+        quick_config(method="grid", snapshot_every=5, dx=10.0)
 
     def test_level_params_halve_steps_and_quadruple_particles(self):
         cfg = quick_config(n_particles=100, refinement_levels=3)
@@ -392,6 +411,120 @@ class TestVerifySuite:
         from stefanlab.exporters import jsonify
         assert json.dumps(jsonify(a), sort_keys=True) == \
             json.dumps(jsonify(b), sort_keys=True)
+
+
+def assert_no_child_left():
+    # every forked child has been reaped: none is running or a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def replace_invariants(monkeypatch, **funcs):
+    """Swap registry entries, by id with '.' written '__', for funcs."""
+    funcs = {name.replace("__", "."): f for name, f in funcs.items()}
+    monkeypatch.setattr(harness_mod, "INVARIANT_REGISTRY", tuple(
+        (name, funcs.get(name, func)) for name, func in INVARIANT_REGISTRY))
+
+
+@pytest.fixture
+def deadline():
+    """Raise in a test that waits over two minutes on a child, not hang."""
+    def expire(signum, frame):
+        raise TimeoutError("a forked child was not joined within 120 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def boom(ctx):
+    raise ValueError("boom")
+
+
+def killed(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestForkedRuns:
+    @pytest.mark.parametrize("raw", [SMOKE, dict(README_DEMO, n_particles=2000,
+                                                 outdir="unused")],
+                             ids=["smoke", "readme-demo"])
+    def test_ledger_equals_in_process_evaluation(self, raw, monkeypatch, deadline):
+        cfg = ScenarioConfig(**raw)
+        ledger = verify_suite(cfg)
+        assert_no_child_left()
+        # the reference: one run with no fork, then every entry evaluated
+        # here in registry order
+        monkeypatch.delattr(os, "fork")
+        result = run_scenario(cfg, write=False)
+        ctx = {"cfg": cfg, "density": build_density(cfg.density),
+               "levels": result.levels, "result": result}
+        reference = []
+        for name, func in INVARIANT_REGISTRY:
+            try:
+                out = func(ctx)
+            except Exception as exc:
+                out = {"verdict": "fail", "detail": f"invariant raised {exc!r}"}
+            reference.append({"id": name, **out})
+        assert ledger["invariants"] == reference
+        # where os.fork is missing the suite runs every entry in process
+        assert verify_suite(cfg) == ledger
+
+    def test_invariant_raising_in_a_child_fails_as_in_process(self, monkeypatch,
+                                                               deadline):
+        # particle.convergence_in_n runs in a child, grid.decay_bound here
+        replace_invariants(monkeypatch, particle__convergence_in_n=boom,
+                           grid__decay_bound=boom)
+        entries = {e["id"]: e for e in verify_suite(ScenarioConfig(**SMOKE))["invariants"]}
+        for name in ("particle.convergence_in_n", "grid.decay_bound"):
+            assert entries[name] == {"id": name, "verdict": "fail",
+                                     "detail": "invariant raised ValueError('boom')"}
+        assert_no_child_left()
+
+    def test_killed_invariant_child_raises_naming_it(self, monkeypatch, deadline):
+        replace_invariants(monkeypatch, particle__bit_reproducible=killed)
+        with pytest.raises(RuntimeError, match=r"invariant particle\.bit_reproducible"
+                                               r" ended by signal 9"):
+            verify_suite(ScenarioConfig(**SMOKE))
+        assert_no_child_left()
+
+    def test_killed_particle_route_raises_naming_it(self, monkeypatch, deadline):
+        monkeypatch.setattr(particle_mod, "run", killed)
+        with pytest.raises(RuntimeError, match="the particle route of level 0"
+                                               " ended by signal 9"):
+            run_scenario(ScenarioConfig(**SMOKE), write=False)
+        assert_no_child_left()
+
+    def test_parent_error_reaps_every_child(self, monkeypatch, deadline):
+        # the reruns and the level's particle route are running when the
+        # scenario's grid route raises
+        def abort(*args, **kwargs):
+            raise NumericalAbort("grid aborted")
+        monkeypatch.setattr(harness_mod, "run_grid", abort)
+        with pytest.raises(NumericalAbort, match="grid aborted"):
+            verify_suite(ScenarioConfig(**SMOKE))
+        assert_no_child_left()
+
+    def test_particle_path_beyond_the_pipe_buffer_returns_intact(self, monkeypatch,
+                                                                  deadline):
+        cfg = ScenarioConfig(**dict(SMOKE, dt=1e-4, t_end=0.5))
+        d = build_density(cfg.density)
+        forked = harness_mod.run_level(cfg, 0, d)
+        assert_no_child_left()
+        assert len(pickle.dumps(forked.p_frontier)) > 2 ** 16
+        monkeypatch.delattr(os, "fork")
+        inline = harness_mod.run_level(cfg, 0, d)
+        a, b = forked.p_frontier, inline.p_frontier
+        for name in ("times", "lam", "dead_count"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.alpha, a.n_total) == (b.alpha, b.n_total)
+        assert repr(a.jumps) == repr(b.jumps)
+        assert repr(forked.p_jumps) == repr(inline.p_jumps)
+        assert forked.p_field is None and inline.p_field is None
+        assert forked.reports == inline.reports
 
 
 class TestCli:

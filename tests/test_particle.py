@@ -553,16 +553,10 @@ def test_jump_records_have_threshold_size():
     assert path.lam[-1] > 0.5
 
 
-def test_run_bins_its_snapshots():
-    # the field's rows are the histograms of the living positions at t = 0,
-    # every 10th step and the last, each normalized to the living fraction;
-    # rows, lam and frontier_index equal np.histogram's oracle bit for bit
-    d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
-    x = np.linspace(0, 3, 121)
-    dx = x[1] - x[0]
-    edges = np.concatenate([x - 0.5 * dx, [x[-1] + 0.5 * dx]])
-    e = init_ensemble(d, 4000, seed=8)
-    seen = [(0.0, 0.0, e.positions.copy())]
+def run_seen(e, **kw):
+    """run(e, **kw), with the positions before it and after each step that
+    realizes every tier: (path, field, [(t, frontier, positions), ...])."""
+    seen = [(e.t, e.frontier, e.positions.copy())]
     serial_step = particle_mod.step
 
     def spying(e, dt, realize_all=False):
@@ -572,19 +566,52 @@ def test_run_bins_its_snapshots():
         return e
 
     with mock.patch.object(particle_mod, "step", spying):
-        path, fld = run(e, t_end=0.045, dt=1e-3, snapshot_every=10, x_grid=x)
+        path, fld = run(e, **kw)
+    return path, fld, seen
+
+
+def assert_rows_are_histograms(fld, seen, n_total):
+    x = fld.x
+    dx = x[1] - x[0]
+    edges = np.concatenate([x - 0.5 * dx, [x[-1] + 0.5 * dx]])
+    for k, (_, lam, pos) in enumerate(seen):
+        counts, _ = np.histogram(pos, bins=edges)
+        assert np.array_equal(fld.values[k], counts / (n_total * dx))
+        assert fld.frontier_index[k] == np.clip(
+            np.searchsorted(edges, lam, side="right") - 1, 0, len(x) - 1)
+        assert np.sum(fld.values[k]) * fld.dx == pytest.approx(
+            len(pos) / n_total, abs=1e-9)
+
+
+def test_run_bins_its_snapshots():
+    # the field's rows are the histograms of the living positions at t = 0,
+    # every 10th step and the last, each normalized to the living fraction;
+    # rows, lam and frontier_index equal np.histogram's oracle bit for bit
+    d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
+    x = np.linspace(0, 3, 121)
+    e = init_ensemble(d, 4000, seed=8)
+    path, fld, seen = run_seen(e, t_end=0.045, dt=1e-3, snapshot_every=10, x_grid=x)
     assert len(seen) == 1 + 5
     assert fld.lam[-1] == path.lam[-1] > 0.5
     assert np.array_equal(fld.x, x)
     assert np.array_equal(fld.t, [t for t, _, _ in seen])
     assert np.array_equal(fld.lam, [lam for _, lam, _ in seen])
-    for k, (_, lam, pos) in enumerate(seen):
-        counts, _ = np.histogram(pos, bins=edges)
-        assert np.array_equal(fld.values[k], counts / (e.n_total * dx))
-        assert fld.frontier_index[k] == np.clip(
-            np.searchsorted(edges, lam, side="right") - 1, 0, len(x) - 1)
-        assert np.sum(fld.values[k]) * fld.dx == pytest.approx(
-            len(pos) / e.n_total, abs=1e-9)
+    assert_rows_are_histograms(fld, seen, e.n_total)
+
+
+def test_continued_run_bins_its_snapshots():
+    # a continued run's first row shows tiers last realized at different
+    # steps, not one ascending array; it too equals np.histogram's counts
+    d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
+    e = init_ensemble(d, 4000, seed=8)
+    run(e, t_end=0.013, dt=1e-3)
+    path, fld, seen = run_seen(e, t_end=0.02, dt=1e-3, snapshot_every=7,
+                               x_grid=np.linspace(0, 3, 121))
+    assert np.any(np.diff(seen[0][2]) < 0)
+    assert len(seen) == 1 + 3
+    assert np.array_equal(fld.t, [t for t, _, _ in seen])
+    assert fld.lam[-1] == path.lam[-1]
+    assert_rows_are_histograms(fld, seen, e.n_total)
 
 
 def test_run_without_snapshots_returns_no_field():
