@@ -175,7 +175,7 @@ def classify_points(profile: FreezingProfile, field: Field,
 
 def _pre_freeze_value(field: Field, xi: float, si: float) -> float:
     """Temperature at (xi, si-) by linear-in-time extrapolation from below."""
-    col = int(np.argmin(np.abs(field.x - xi)))
+    col = _nearest(field.x, xi)
     k_end = int(np.searchsorted(field.t, si, side="left"))  # rows strictly before si
     k_lo = max(0, k_end - N_EXTRAP)
     if k_end - k_lo < 1:
@@ -187,6 +187,24 @@ def _pre_freeze_value(field: Field, xi: float, si: float) -> float:
         return float(uv[0])
     a, b = np.polyfit(tv, uv, 1)
     return float(a * si + b)
+
+
+def _nearest(x: np.ndarray, xi: float) -> int:
+    """argmin(|x - xi|) on ascending x, found by bisection.
+
+    Float subtraction is monotone, so |x - xi| falls up to the nodes around
+    xi and rises after them, and the nearer of the two is the minimum; of
+    two equal distances argmin takes the lower index.  Where the node below
+    the choice is as near (distances that rounding makes equal, or a NaN),
+    the first of the equal run is argmin's own answer.
+    """
+    i = int(np.searchsorted(x, xi))
+    col = min(i, len(x) - 1)
+    if 0 < i < len(x) and abs(x[i - 1] - xi) <= abs(x[i] - xi):
+        col = i - 1
+    if col > 0 and not abs(x[col - 1] - xi) > abs(x[col] - xi):
+        return int(np.argmin(np.abs(x - xi)))
+    return col
 
 
 def oscillation_count(field: Field, t: float, eps_slope: float) -> int:

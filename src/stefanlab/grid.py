@@ -95,38 +95,39 @@ def diffuse_step(state: GridState, dt: float) -> GridState:
     Neumann at the right wall (ghost cell u_{n-1}).  Unconditionally stable
     and positivity-preserving; mass leaves only through the frontier face.
     The matrix is factored only when the alive-cell count or dt changes
-    (state.factors); each step is then one in-place gttrs solve.
+    (state.factors); each step is then one in-place gttrs solve, the path
+    tried first.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    n = len(state.u)
-    a = state.j
-    m = n - a
-    if m <= 0:
+    m = len(state.u) - state.j
+    r = 0.5 * dt / state.dx ** 2
+    b = state.u[state.j:]
+    f = state.factors
+    if f is not None and f[0] == m and f[1] == r:
+        x, info = _lapack()[2](*f[2:], b, overwrite_b=1)
+    elif m <= 0:
         state.t += dt
         return state
-    r = 0.5 * dt / state.dx ** 2
-    b = state.u[a:]
-    dgtsv, dgttrf, dgttrs = _lapack()
-    if m == 1:
+    elif m == 1:
         b /= _diagonals(1, r)[0]
         x, info = b, 0
     elif m == 2:
         # scipy's gttrf wrapper rejects two cells (its du2 would be empty),
         # so they are solved by gtsv, which factors and solves in one call
         diag, off = _diagonals(m, r)
-        *_, x, info = dgtsv(off, diag, off.copy(), b, 1, 1, 1, 1)
+        *_, x, info = _lapack()[0](off, diag, off.copy(), b, 1, 1, 1, 1)
     else:
         # strictly diagonally dominant, so gttrf eliminates without pivoting
         # and gttrs repeats gtsv's arithmetic: the cached factors give the
         # same bits as factoring afresh every step
-        if state.factors is None or state.factors[:2] != (m, r):
-            diag, off = _diagonals(m, r)
-            *lu, info = dgttrf(off, diag, off.copy(), 1, 1, 1)
-            if info != 0:
-                raise NumericalAbort(f"tridiagonal factorization failed (LAPACK info {info})")
-            state.factors = (m, r, *lu)
-        x, info = dgttrs(*state.factors[2:], b, overwrite_b=1)
+        _, dgttrf, dgttrs = _lapack()
+        diag, off = _diagonals(m, r)
+        *lu, info = dgttrf(off, diag, off.copy(), 1, 1, 1)
+        if info != 0:
+            raise NumericalAbort(f"tridiagonal factorization failed (LAPACK info {info})")
+        state.factors = (m, r, *lu)
+        x, info = dgttrs(*lu, b, overwrite_b=1)
     if info != 0:
         raise NumericalAbort(f"tridiagonal solve failed (LAPACK info {info})")
     if x is not b:
@@ -153,14 +154,21 @@ def _cell_cdf_jump(state: GridState) -> JumpResult:
     """
     a, dx = state.j, state.dx
     x_face = a * dx
-    swept = state.u[a] * dx
-    if dx / state.alpha - swept > tie_guard(swept, x_face, dx, state.alpha):
+    if _no_jump_can_start(state):
         return JumpResult(0.0, x_face, 0.0)
     k = min(int((state.alpha + 2 * dx) / dx + 1e-9), len(state.u) - a)
     faces = dx * np.arange(k + 1)
     cum = np.concatenate(([0.0], np.cumsum(state.u[a:a + k]) * dx))
     return continuum_jump(lambda x: np.interp(x, x_face + faces, cum),
                           x_face, state.alpha, faces[1:])
+
+
+def _no_jump_can_start(state: GridState) -> bool:
+    """The frontier cell's shortfall at the first face, dx/alpha - u[j]*dx,
+    exceeds the tie guard: the jump rule would return delta = 0."""
+    a, dx = state.j, state.dx
+    swept = state.u.item(a) * dx
+    return dx / state.alpha - swept > tie_guard(swept, a * dx, dx, state.alpha)
 
 
 def _freeze_cells(state: GridState, j_new: int, weights: np.ndarray | None) -> float:
@@ -188,12 +196,21 @@ def advance_front(state: GridState, jump_threshold: float = 0.0) -> list[JumpRec
     cascade.  Then the jump rule is solved exactly against the discrete
     temperature CDF, with the cell faces as knots.  Jump records beyond
     jump_threshold are returned.  alpha = 0 leaves the frontier at 0.
+
+    Most steps neither freeze a cell nor can start a jump; they are settled
+    by one mass sum and the frontier-cell test, in the floats the loop below
+    would compute.
     """
     if state.alpha == 0.0:
         state.lam = 0.0
         return []
-    records: list[JumpRecord] = []
     n = len(state.u)
+    lam = state.alpha * (1.0 - float(np.add.reduce(state.u[state.j:]) * state.dx))
+    if (state.j < n and int(round(lam / state.dx)) <= state.j
+            and _no_jump_can_start(state)):
+        state.lam = lam
+        return []
+    records: list[JumpRecord] = []
     for _ in range(n + 2):
         moved = False
         # smooth advance: freeze cells the balance frontier has swept past

@@ -14,6 +14,7 @@ solver, go to forked children (_start), so they use a second core.
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import json
 import math
@@ -39,7 +40,7 @@ from stefanlab.exporters import (jsonify, read_json, write_field_artifacts,
 from stefanlab.fields import Field, FrontierPath, WeightField
 from stefanlab.grid import run_grid
 from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
-from stefanlab.potential import compute_w, obstacle_residual
+from stefanlab.potential import PotentialField, compute_w, obstacle_residual
 
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
@@ -208,7 +209,8 @@ class ScenarioConfig:
         Counts, in 8-byte values, what the finest level keeps to its end:
         the sampled field (rows x cells, for the grid and for the snapshots
         of a particle-only run, which are binned as they are taken, so their
-        rows are all that snapshots keep), the frontier samples and one
+        rows are all that snapshots keep), the grid's w (rows x cells, which
+        analyze_route holds beside the field), the frontier samples and one
         array per particle.  It is a lower bound of the run's footprint, so
         no config that fits is rejected.
         """
@@ -218,8 +220,8 @@ class ScenarioConfig:
         rows = 1 + -(-n_steps // self.sample_every)
         values, parts = 0, []
         if self.method in ("grid", "both"):
-            values += rows * (n_cells + 3)
-            parts.append(f"{_approx(rows)} x {_approx(n_cells)} grid field")
+            values += rows * (2 * n_cells + 3)
+            parts.append(f"{_approx(rows)} x {_approx(n_cells)} grid field and its w")
         if self.method in ("particle", "both"):
             particles = self.n_particles * 4 ** (self.refinement_levels - 1)
             values += 3 * rows + particles
@@ -357,20 +359,29 @@ def _parse_value(text: str):
 
 @dataclass
 class LevelResult:
-    """Everything one refinement level produced, per method."""
+    """Everything one refinement level produced, per method.
+
+    The grid route's potential w is not kept with the run: the w property
+    computes it from field the first time something reads it (the artifact
+    writer, the potential invariants) and keeps it from then on.  A level
+    without a grid route has none.
+    """
 
     level: int
     params: dict
     frontier: FrontierPath | None = None          # grid route
     field: Field | None = None
     nu: WeightField | None = None
-    w: object = None
     profile: object = None
     jumps: list = dc_field(default_factory=list)  # recovered from the path
     p_frontier: FrontierPath | None = None        # particle route
     p_field: Field | None = None
     p_jumps: list = dc_field(default_factory=list)
     reports: dict = dc_field(default_factory=dict)
+
+    @functools.cached_property
+    def w(self) -> PotentialField | None:
+        return None if self.field is None else compute_w(self.field)
 
 
 @dataclass
@@ -534,8 +545,9 @@ def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
     A "both" level starts its particle route in a forked child (_start),
     runs the grid route and its analysis here, then joins the child, which
     sends back the frontier and its jumps, a few kB.  Grid and particle-only
-    levels run here alone: a grid level's field and w reach 120 MB, and a
-    particle-only run returns its snapshot field.
+    levels run here alone: a grid level's field and, while it is analysed,
+    its w reach 120 MB, and a particle-only run returns its snapshot field.
+    The level keeps no w (LevelResult.w recomputes it when read).
     """
     p = cfg.level_params(level)
     res = LevelResult(level=level, params=dict(p))
@@ -551,7 +563,7 @@ def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
                 d, alpha=cfg.alpha, t_end=cfg.t_end, dt=p["dt"], dx=p["dx"],
                 x_max=cfg.x_max, sample_every=cfg.sample_every, jump_threshold=thr)
             res.frontier, res.field, res.nu = frontier, fld, nu
-            res.jumps, res.w, res.profile, res.reports = analyze_route(
+            res.jumps, _, res.profile, res.reports = analyze_route(
                 cfg, "grid", frontier, fld, nu, thr)
         except BaseException:
             if particle is not None:

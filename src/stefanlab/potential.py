@@ -20,6 +20,8 @@ from stefanlab.fields import Field, WeightField
 # block's few (rows, span) temporaries stay in cache instead of each being
 # a region-wide array.
 RESIDUAL_ROWS = 128
+# Rows per block of compute_w, whose increments are summed while in cache.
+W_ROWS = 32
 
 
 def default_eps_w(dx: float, alpha: float) -> float:
@@ -79,11 +81,25 @@ class PotentialField:
 
         Frozen cells hold exact zeros, so w > 0 marks the true interface; a
         floor eps would misplace it by the sub-threshold band, which is
-        still liquid.
+        still liquid.  Every row is scanned only up to the first column
+        with a positive tail_bound, where a nonnegative temperature keeps w
+        positive on all rows but the last; a row with no positive w there
+        reads the rest of its row.  The answer is exact for any w.
         """
-        liquid = self.w > 0
-        first = np.argmax(liquid, axis=1)
-        return np.where(liquid[np.arange(len(self.t)), first], self.x[first], np.inf)
+        warm = np.flatnonzero(self.tail_bound > 0)
+        c = int(warm[0]) + 1 if len(warm) else self.w.shape[1]
+        out = _first_positive(self.w[:, :c], self.x[:c])
+        rest = np.flatnonzero(out == np.inf)
+        if len(rest) and c < self.w.shape[1]:
+            out[rest] = _first_positive(self.w[rest, c:], self.x[c:])
+        return out
+
+
+def _first_positive(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row of w, the x of its first positive entry (+inf if none)."""
+    liquid = w > 0
+    first = np.argmax(liquid, axis=1)
+    return np.where(liquid[np.arange(len(w)), first], x[first], np.inf)
 
 
 def compute_w(field: Field) -> PotentialField:
@@ -91,7 +107,9 @@ def compute_w(field: Field) -> PotentialField:
 
     The tail beyond the final sample is dropped, not modeled; the final
     temperature is reported per column as tail_bound (the surviving mass is
-    field.mass_at(-1)).
+    field.mass_at(-1)).  w is built from the last row up in blocks of
+    W_ROWS rows, each block's increments summed while it is in cache, so
+    the lattice is swept once.
     """
     t = np.asarray(field.t, dtype=float)
     u = np.asarray(field.values, dtype=float)
@@ -99,16 +117,22 @@ def compute_w(field: Field) -> PotentialField:
         raise ConfigError("field values must be (len(t), len(x))")
     dt_steps = np.diff(t)
     # reverse cumulative trapezoid: w[k] = sum_{j>=k} (u[j] + u[j+1])/2 * dt_j,
-    # the increments built inside w and summed from the last row up, one
-    # contiguous row at a time: w[k] = inc[k] + w[k+1]
+    # one contiguous row at a time, w[k] = inc[k] + w[k+1].  The last
+    # increment row is w[-2] as it stands, never added to the zero row,
+    # which would turn a -0.0 into +0.0
     w = np.empty_like(u)
     w[-1:] = 0.0
-    inc = w[:-1]
-    np.add(u[:-1], u[1:], out=inc)
-    inc *= 0.5
-    inc *= dt_steps[:, None]
-    for k in range(len(inc) - 2, -1, -1):
-        np.add(inc[k], inc[k + 1], out=inc[k])
+    below = None
+    for hi in range(len(t) - 1, 0, -W_ROWS):
+        lo = max(hi - W_ROWS, 0)
+        inc = w[lo:hi]
+        np.add(u[lo:hi], u[lo + 1:hi + 1], out=inc)
+        inc *= 0.5
+        inc *= dt_steps[lo:hi, None]
+        for row in inc[::-1]:
+            if below is not None:
+                np.add(row, below, out=row)
+            below = row
     tail = u[-1].copy()
     return PotentialField(x=field.x.copy(), t=t.copy(), w=w, tail_bound=tail,
                           alpha=field.alpha)
@@ -153,8 +177,10 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     The freeze times, the stencil, the region masks and the after-freeze
     count are evaluated only on the span of columns from the first to the
     last admitted one, the last three in blocks of RESIDUAL_ROWS interior
-    rows; count_w_negative and the frontier row alone read the whole
-    lattice.
+    rows, and the residuals are gathered into one buffer sized for the
+    span's interior, of which only the filled prefix is ever touched.  The
+    frontier row (PotentialField.front) reads each row up to the first
+    column with a tail, and count_w_negative alone reads the whole lattice.
     """
     if interior_margin <= 0:
         raise ConfigError("interior_margin must be positive")
@@ -184,10 +210,12 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     x_s, s_s, nu_s, ok_s = x[span], w.freeze_time(span), nu.nu[span], col_ok[span]
 
     # the stencil of w_t - w_xx/2 and the region masks are evaluated densely
-    # on blocks of interior rows; the residuals are gathered at the region's
-    # nodes block by block, which keeps their row-major order, so the sum
-    # below sees the same array; counts and maxima combine exactly
-    vals: list[np.ndarray] = []
+    # on blocks of interior rows; the residuals at the region's nodes are
+    # written block by block into vals[:n] in row-major order, the array a
+    # gather over the whole region would give, so its sum is the same;
+    # counts and maxima combine exactly
+    vals = np.empty((nt - 2) * (c1 - c0))
+    n = 0
     comp: list[float] = []
     count_wt_pos = count_pos_frozen = 0
     for r0 in range(1, nt - 1, RESIDUAL_ROWS):
@@ -203,13 +231,15 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
         region &= (tt >= interior_margin) & (tt <= t_hi) & ok_s
         from_front = x_s - lam_row[r0:r1, None]
         region &= np.abs(from_front, out=from_front) >= interior_margin
-        if not region.any():
+        k = int(np.count_nonzero(region))
+        if not k:
             continue
         w_t = ((W[r0 + 1:r1 + 1, span] - W[r0 - 1:r1 - 1, span])
                / (t[r0 + 1:r1 + 1] - t[r0 - 1:r1 - 1])[:, None])
         w_xx = (W[r0:r1, c0 - 1:c1 - 1] - 2.0 * w_c + W[r0:r1, c0 + 1:c1 + 1]) / dx ** 2
         op = w_t - 0.5 * w_xx
-        vals.append(np.abs(op + nu_s * chi)[region])
+        vals[n:n + k] = np.abs(op + nu_s * chi)[region]
+        n += k
         count_wt_pos += int(np.count_nonzero((w_t > eps) & region))
         # complementarity slack: on the liquid side the operator misfit
         # vanishes, on the frozen side w itself does, so the pointwise
@@ -217,14 +247,12 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
         comp.append(np.max(np.abs(np.minimum(w_c, op + nu_s)), where=region,
                            initial=-np.inf))
 
-    n = sum(len(v) for v in vals)
     if n == 0:
         l1 = linf = comp_max = 0.0
     else:
-        all_vals = np.concatenate(vals)
         cell = dx * float(np.median(dt_steps))
-        l1 = float(np.sum(all_vals) * cell)
-        linf = float(np.max(all_vals))
+        l1 = float(np.sum(vals[:n]) * cell)
+        linf = float(np.max(vals[:n]))
         comp_max = float(np.max(comp))
 
     # one min pass, with no mask, settles the usual case; a NaN minimum

@@ -255,3 +255,15 @@ class TestSpeedFormula:
         rep = speed_formula_check(prof, field)
         assert rep.n_points >= 20
         assert rep.median_rel_err < 0.02
+
+
+def test_nearest_column_is_argmin_of_the_distance():
+    # nodes, midpoints (ties go to the lower node), points outside the grid,
+    # far enough out that rounding makes many distances equal, and NaN
+    from stefanlab.boundary import _nearest
+    x = (np.arange(40) + 0.5) * 0.025
+    probes = [*x, *(0.5 * (x[:-1] + x[1:])), -1.0, -1e-3, 0.0, x[-1] + 1e-3,
+              3.0, 1e17, -1e17, 1e300, -1e300, np.nan]
+    for xi in probes:
+        assert _nearest(x, xi) == int(np.argmin(np.abs(x - xi))), xi
+    assert _nearest(np.array([0.25]), 7.0) == 0

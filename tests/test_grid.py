@@ -388,3 +388,26 @@ def test_run_grid_samples_every_kth_step_and_the_last():
     assert np.array_equal(fld.values, full.values[keep])
     assert np.array_equal(fld.frontier_index, full.frontier_index[keep])
     assert np.array_equal(path.lam, full_path.lam[keep])
+
+
+@pytest.mark.parametrize("d, alpha, x_max, jumps_in_prefix", [
+    # the benchmark band: a jump at t = 0.03, inside the prefix
+    (piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15]), 2.0, 9.28, 1),
+    # the README demo: subcritical, no jump
+    (piecewise_constant([0.0, 1.5], [0.6667]), 0.7, 6.2, 0)],
+    ids=["band", "readme-demo"])
+def test_run_grid_prefix_equals_the_longer_run(d, alpha, x_max, jumps_in_prefix):
+    # a step depends only on the state before it, so a run to 200 dt is the
+    # first 201 samples of the run to t_end = 1, bit for bit
+    kw = dict(alpha=alpha, dt=1e-3, dx=0.02, x_max=x_max)
+    full_path, full, _ = run_grid(d, t_end=1.0, **kw)
+    path, fld, _ = run_grid(d, t_end=200 * 1e-3, **kw)
+    assert len(fld.t) == 201
+    assert np.array_equal(path.times, full_path.times[:201])
+    assert np.array_equal(path.lam, full_path.lam[:201])
+    assert np.array_equal(fld.t, full.t[:201])
+    assert np.array_equal(fld.values, full.values[:201])
+    assert np.array_equal(fld.frontier_index, full.frontier_index[:201])
+    early = [rec for rec in full_path.jumps if rec.t <= fld.t[-1]]
+    assert path.jumps == early
+    assert len(early) == jumps_in_prefix

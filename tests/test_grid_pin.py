@@ -1,0 +1,157 @@
+"""Pinned outputs of two small grid runs, digest by digest.
+
+Each level's frontier, field, weight, potential w, freezing profile and
+reports are hashed; the digests were recorded once and must not change
+under a refactor that claims identical output.  Floating-point results may
+differ across numpy and scipy builds, so the pin applies only to the
+versions it was recorded with, which CI installs through
+.github/constraints.txt, and the test skips on any other.
+
+To record new digests after a deliberate change of output, run this file
+as a script: it prints the table below.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+import scipy
+
+from stefanlab.exporters import jsonify
+from stefanlab.harness import run_scenario, scenario_from_dict
+
+PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+BAND = {"family": "piecewise_constant", "breaks": [0.2, 0.6, 3.2667],
+        "values": [1.5, 0.15]}
+CONFIGS = {
+    # the benchmark's reduced grid ladder: three levels, a jump on each
+    "grid-ladder-tiny": {
+        "scenario_id": "grid-ladder", "density": BAND, "alpha": 2.0,
+        "method": "grid", "dx": 0.04, "dt": 2e-3, "t_end": 0.2,
+        "refinement_levels": 3, "seed": 1},
+    # the README demo's grid route, cut to t_end = 0.2
+    "readme-demo-grid": {
+        "scenario_id": "uniform-demo",
+        "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
+                    "values": [0.6667]},
+        "alpha": 0.7, "method": "grid", "n_particles": 20000, "dt": 1e-3,
+        "dx": 0.02, "t_end": 0.2, "seed": 7, "refinement_levels": 1},
+}
+
+DIGESTS = {
+    "grid-ladder-tiny": [
+        {
+            "frontier": "3b6d1e16af4da91733f859b2293a54ecb7eea02be058bf3c51f189f7b5f539ec",
+            "field": "28bf65eb24248b15a20f397fa7cb3b7b7b5233bdcaad0f601aa968d4a8beca5f",
+            "nu": "7ca2257c3949e64c073b9ed5c8bed6f279af428eb3422476023241e5d3081e25",
+            "w": "6ff3289a14b5ac981525d3bf75e4d74565f53f52e1b3db7f8cf9e23c3e366a1c",
+            "profile": "f3426f21e97834e402c7be23e84061f020a2c03051f829f0093f7045bc3d4e14",
+            "jumps": "4315fb808167494dea7ecda0da2540f3f506c889b769746daa6a3001795aa398",
+            "report.grid": "f51abd4de660a32efd2b533b97c16f0f7b3a4777f99bb4e18e5a821fa87aba99",
+            "report.nondegeneracy_constant": "712eed3f44ae84298950470570d5cecb9451a0bcbf502da574773f363abfbd06",
+            "report.obstacle": "eaadb0bc67356cbf7fb73f40a2922ea9f91561abc98db2ecae773430dea50164",
+            "report.speed": "dc93b7ebd2dc6a8eafa1b7329314b1c92c728936ac258238282ed9b7d6b9a54c",
+        },
+        {
+            "frontier": "2d6709376b9e5f5db2f2191c3c2c4d9f8036a550f88cffd039778eb3739f3e92",
+            "field": "fe5df00ec2ddcbc990d123fdaa9d0a8f326cae5612d3cf02d25121297bcd318b",
+            "nu": "95fce8dadbef9cdef8a4cd806acb6eb91a55140d3585a7af07e259c015249546",
+            "w": "aee37ac3aa9643849ba59cbee9354f7169ce562639c2ff27c2a77f14c56ba4a1",
+            "profile": "f8cecc6f0d10a14a6081db6fd6d2b4346b606ceedd621e7ce323b70f842f2b32",
+            "jumps": "558c3df64f5b4f17c2b50f6122a5005b123bd112218a16932f229405cef53bab",
+            "report.grid": "7cfb3b0a1d3333f5476ff8df523af7aba6e2f5976d8e6459c821c00a4af305db",
+            "report.nondegeneracy_constant": "8040f59dc5078c6871710bbd6a7b930dcc82690d1866f031a13ac0a5aa6a7144",
+            "report.obstacle": "c9e7487904821f0d572bcd3d5bb79d67e23f852630439ede403b766697c6505e",
+            "report.speed": "36bc40c23b576ddad0fc827e9f8b075b012980876f13e2a80509184192bca1bb",
+        },
+        {
+            "frontier": "95b716b50490a0d56764143badee63e5e2c25cdede8dede5f901a6863ce54afa",
+            "field": "a46560feff2a9aa2bc2d61dd04c8ed5e42b6bca354833847775bb2a7431ece64",
+            "nu": "bcc1f0430b616fa15c3576cce926cb519f29c78353077b231580851cce6a3c6e",
+            "w": "405e5561d4afc114e89ea32e0d4a65f32a2b19c7e810a808de8d0b1ec195d10e",
+            "profile": "77601d0f253e25422886a8dac78412e1956daab1f9356c2e9f56003f42d2eef8",
+            "jumps": "9723211c9dfb283c7e32eea4e66ff9bfc5dd1eac6ea7c72fd32d8edab1ba7ada",
+            "report.grid": "baf78d9bae4c70ad83827142f5596f338987d07b4a3cb3d21f3bd0e7d3b8b6b9",
+            "report.nondegeneracy_constant": "7c356de7e68136bc53d8327b84a8ccd85bd0ecef489746ea142b7daa249ea1e6",
+            "report.obstacle": "0dde380919d0e77c657b239e373d9704f61f17d272cabc97cfb586a85ced937d",
+            "report.speed": "cda7a2f74ea1905a3c6583b39eae52184d08f3dfb41710cca075bbc94aa62773",
+        },
+    ],
+    "readme-demo-grid": [
+        {
+            "frontier": "db4c5438fe576510426f0d4df80ed1f21cbf1a29f60ac4c66c7402badd1218c5",
+            "field": "82ae2cdc2304787b6a7f21d939fcca9ec054faf5df9a618364f7b280ca93f148",
+            "nu": "91f0c081d7982a19c32195c4a69802e3275941af35b6a869c04bcfaf3144aa34",
+            "w": "d4664e8e89e5653eed4770b3f8ad57f3b1e4fd6d165013f4ef0ced992527fcd0",
+            "profile": "ab9dba140326c80674374374b5f939a6c5d70b21905db50fb18fed26d9181a78",
+            "jumps": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            "report.grid": "04f7ffe20e73208d2d0ce5724d6dd9fd1e569946e586b1ce7ece74cae7cfc561",
+            "report.nondegeneracy_constant": "50759925406dda672038555573d37c51f85fb52a82a95ce092e9777760a42a43",
+            "report.obstacle": "e79618355b55a0d987c8aad59d9518c32819b74965bccb064315753400e286b1",
+            "report.speed": "51198d67d34e96f7f9621c9389d6b2f8bb815ad4deb5b0769bc791c2684b4b55",
+        },
+    ],
+}
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            h.update(part.encode())
+        else:
+            a = np.ascontiguousarray(part)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def level_digests(res) -> dict:
+    """One sha256 per output of a grid level."""
+    fr, fld, nu, w, prof = res.frontier, res.field, res.nu, res.w, res.profile
+    return {
+        "frontier": _sha(fr.times, fr.lam, json.dumps(
+            [rec.to_dict() for rec in fr.jumps], sort_keys=True)),
+        "field": _sha(fld.x, fld.t, fld.values, fld.frontier_index, fld.lam),
+        "nu": _sha(nu.x, nu.nu, nu.recorded),
+        "w": _sha(w.x, w.t, w.w, w.tail_bound),
+        "profile": _sha(prof.x, prof.s, prof.s_prime, prof.boundary_value,
+                        "\n".join(prof.labels)),
+        "jumps": _sha(json.dumps([rec.to_dict() for rec in res.jumps],
+                                 sort_keys=True)),
+        **{f"report.{key}": _sha(json.dumps(jsonify(rep), sort_keys=True))
+           for key, rep in sorted(res.reports.items())},
+    }
+
+
+def scenario_digests(name: str) -> list:
+    result = run_scenario(scenario_from_dict({**CONFIGS[name], "outdir": "unused"}),
+                          write=False)
+    return [level_digests(res) for res in result.levels]
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__)
+    != (PINNED_VERSIONS["numpy"], PINNED_VERSIONS["scipy"]),
+    reason=f"digests pinned on numpy {PINNED_VERSIONS['numpy']} and scipy"
+           f" {PINNED_VERSIONS['scipy']}; running numpy {np.__version__} and"
+           f" scipy {scipy.__version__}")
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_grid_outputs_match_the_pinned_digests(name):
+    got = scenario_digests(name)
+    assert len(got) == len(DIGESTS[name])
+    for level, (have, want) in enumerate(zip(got, DIGESTS[name])):
+        changed = sorted(k for k in want if have[k] != want[k])
+        assert not changed, f"{name} L{level}: {changed} differ from the pin"
+
+
+if __name__ == "__main__":
+    for name in sorted(CONFIGS):
+        print(f'    "{name}": [')
+        for d in scenario_digests(name):
+            print("        {")
+            for key, value in d.items():
+                print(f'            "{key}": "{value}",')
+            print("        },")
+        print("    ],")

@@ -23,7 +23,7 @@ from stefanlab.exporters import (read_frontier_csv, read_json, read_matrix_csv,
 from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
                                apply_overrides, build_density, run_scenario,
                                scenario_from_dict, verify_suite)
-from stefanlab.potential import obstacle_residual
+from stefanlab.potential import compute_w, obstacle_residual
 from test_exporters import MALFORMED_NPY
 
 UNIFORM = {"family": "piecewise_constant", "breaks": [0.0, 1.5],
@@ -128,12 +128,18 @@ class TestConfigValidation:
 
     def test_memory_bound_counts_the_kept_values(self, monkeypatch):
         # README demo: 1001 rows of 3 frontier samples each for both routes,
-        # 1001 x 310 field values and one array of 20 000 particles
-        need = 8 * (1001 * (310 + 3) + 3 * 1001 + 20_000)
+        # 1001 x 310 field values, as many values of w and one array of
+        # 20 000 particles
+        need = 8 * (1001 * (2 * 310 + 3) + 3 * 1001 + 20_000)
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need)
         quick_config(**README_DEMO)
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match=re.escape(f"{need:.3g} bytes")):
+            quick_config(**README_DEMO)
+        # room for the field but not for w beside it is refused as well
+        monkeypatch.setattr(harness_mod, "_physical_memory",
+                            lambda: need - 8 * 1001 * 310)
+        with pytest.raises(ConfigError, match="grid field and its w"):
             quick_config(**README_DEMO)
         # a method="both" run writes the grid's field and takes no snapshots
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need)
@@ -305,6 +311,28 @@ class TestArtifactLayout:
         nu = read_nu_csv(root / "nu.npy", cfg.alpha)
         assert np.array_equal(nu.nu, result.levels[-1].nu.nu)
         assert np.array_equal(nu.recorded, result.levels[-1].nu.recorded)
+
+    def test_level_computes_w_from_its_field_when_read(self, monkeypatch):
+        # the level keeps no w: the first read computes compute_w(field),
+        # bit for bit, and later reads return that same potential; a level
+        # without a grid route has none
+        calls = []
+
+        def counted(fld):
+            calls.append(fld)
+            return compute_w(fld)
+        monkeypatch.setattr(harness_mod, "compute_w", counted)
+        res = run_scenario(quick_config(refinement_levels=2), write=False).levels[-1]
+        assert "w" not in vars(res)
+        calls.clear()
+        w, want = res.w, compute_w(res.field)
+        assert calls == [res.field] and res.w is w
+        for got, ref in ((w.w, want.w), (w.t, want.t), (w.x, want.x),
+                         (w.tail_bound, want.tail_bound)):
+            assert got.tobytes() == ref.tobytes()
+        particle = run_scenario(quick_config(method="particle", n_particles=200),
+                                write=False).levels[0]
+        assert particle.w is None
 
     def test_both_run_takes_no_snapshots(self, tmp_path):
         # the level writes the grid's field, so snapshot_every changes no file

@@ -6,8 +6,8 @@ from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, WeightField
 from stefanlab.grid import run_grid
-from stefanlab.potential import (RESIDUAL_ROWS, bound_suite, compute_w,
-                                 default_eps_w, obstacle_residual,
+from stefanlab.potential import (RESIDUAL_ROWS, PotentialField, bound_suite,
+                                 compute_w, default_eps_w, obstacle_residual,
                                  residual_l1_window)
 from stefanlab.synthetic import (caloric_polynomial_field,
                                  critical_profile_potential,
@@ -374,3 +374,68 @@ def test_obstacle_residual_at_block_edges(nt, eps_w):
 def test_default_eps_w_scales_with_resolution():
     assert default_eps_w(0.02, 2.0) == pytest.approx(10 * 0.02 ** 2 / 2.0)
     assert default_eps_w(0.01, 2.0) < default_eps_w(0.02, 2.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits: -0.0 differs from 0.0, as NaN payloads do."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("nt", [1, 2, 31, 32, 33, 65])
+def test_compute_w_matches_reference_at_block_edges(nt):
+    # the rows around one and two blocks of increments; signed temperatures,
+    # a column of -0.0 (whose w keeps its sign but on the zero last row) and
+    # a column mixing -0.0 with negative values
+    rng = np.random.default_rng(nt)
+    x = (np.arange(6) + 0.5) * 0.1
+    t = np.cumsum(rng.uniform(0.5, 1.5, nt)) * 1e-2
+    u = rng.standard_normal((nt, 6))
+    u[:, 2] = -0.0
+    u[:, 4] = np.where(rng.random(nt) < 0.5, -0.0, -rng.random(nt))
+    f = Field(x=x, t=t, values=u, frontier_index=np.zeros(nt, dtype=np.int64),
+              lam=np.zeros(nt), alpha=1.0)
+    w = compute_w(f).w
+    assert same_bits(w, reference_w(u, t))
+    if nt > 1:
+        assert np.all(np.signbit(w[:-1, 2])) and not np.signbit(w[-1, 2])
+
+
+def reference_front(w: PotentialField) -> np.ndarray:
+    liquid = w.w > 0
+    return np.where(liquid.any(axis=1), w.x[np.argmax(liquid, axis=1)], np.inf)
+
+
+@pytest.mark.parametrize("tail_col", [None, 0, 3, 9], ids=["no-tail", "first", "mid", "last"])
+def test_front_reads_past_the_first_tail_column_only_when_needed(tail_col):
+    # rows whose first positive w lies before, at and past the first column
+    # with a tail, rows with none at all, negative and -0.0 entries
+    nt, nx = 8, 10
+    x = (np.arange(nx) + 0.5) * 0.1
+    W = np.zeros((nt, nx))
+    W[0, 1:] = 1.0             # before any tail column but "first"
+    W[1, 3:] = 2.0             # at "mid"
+    W[2, 6] = 1e-300           # past "mid": the fallback
+    W[3, :] = -1.0             # no positive entry
+    W[4, 9] = 0.5              # only the last column
+    W[5, :5] = -0.0
+    W[5, 7] = 3.0
+    W[6, 0] = 4.0              # the first column
+    tail = np.zeros(nx)
+    if tail_col is not None:
+        tail[tail_col:] = 0.25
+    w = PotentialField(x=x, t=np.arange(nt) * 0.1, w=W, tail_bound=tail, alpha=1.0)
+    assert same_bits(w.front(), reference_front(w))
+
+
+def test_obstacle_residual_with_an_empty_span():
+    # every column still warm at t_end: no column is admitted, the buffer
+    # of residuals is empty and the report counts nothing
+    _, f, nu = run_grid(piecewise_constant([0.0, 1.0], [1.0]), alpha=0.7,
+                        x_max=6.0, dx=0.05, dt=1e-3, t_end=0.2)
+    f.values[-1] = np.maximum(f.values[-1], 1e-6)
+    w = compute_w(f)
+    rep = obstacle_residual(w, nu, interior_margin=0.02).to_dict()
+    assert rep["n_nodes"] == 0
+    assert rep["l1"] == rep["linf"] == rep["complementarity_max"] == 0.0
+    assert repr(rep) == repr(reference_residual(w, nu, 0.02))
