@@ -20,10 +20,11 @@ from .exporters import (jsonify, read_frontier_csv, read_jumps_json,
                         read_json, read_matrix_csv, read_nu_csv, write_json)
 from .fields import Field, FrontierPath
 from .harness import (ScenarioConfig, analyze_route, apply_overrides,
-                      compare_methods, jump_threshold, run_dir, run_scenario,
-                      scenario_from_dict, scenario_from_json, verify_suite)
+                      compare_methods, compute_w, jump_threshold, run_dir,
+                      run_scenario, scenario_from_dict, scenario_from_json,
+                      verify_suite)
 # unused here, but perfbench/spans.py looks these names up in this module
-from .harness import (classify_points, compute_w, freezing_time,  # noqa: F401
+from .harness import (classify_points, freezing_time,  # noqa: F401
                       obstacle_residual, speed_formula_check)
 
 EXIT_PASS = 0
@@ -100,14 +101,15 @@ def _cmd_analyze(args) -> int:
         _check_finest_grid(nu_path, nu.x, cfg)
 
     thr = jump_threshold(cfg, method, cfg.refinement_levels - 1)
-    _, w, _, reports = analyze_route(cfg, method, frontier, field, nu, thr)
+    _, _, reports = analyze_route(cfg, method, frontier, field, nu, thr)
     report = {"scenario_id": cfg.scenario_id, **reports}
     w_path = root / "w.npy"
     if w_path.exists():
         _, _, w_stored = read_matrix_csv(w_path)
-        if w_stored.shape != w.w.shape:
+        if w_stored.shape != field.values.shape:
             raise ConfigError(f"{w_path} does not match the grid of {field_path}")
-        report["w_reconstruction_gap"] = float(np.max(np.abs(w_stored - w.w)))
+        w = compute_w(field).w
+        report["w_reconstruction_gap"] = float(np.max(np.abs(w_stored - w)))
 
     write_json(root / "analysis.json", report)
     print(json.dumps(jsonify(report), indent=2, sort_keys=True))

@@ -23,7 +23,7 @@ import os
 import pickle
 import shutil
 import time
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, field as dc_field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,8 @@ from stefanlab.exporters import (jsonify, read_json, write_field_artifacts,
 from stefanlab.fields import Field, FrontierPath, WeightField
 from stefanlab.grid import run_grid
 from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
-from stefanlab.potential import PotentialField, compute_w, obstacle_residual
+from stefanlab.potential import (PotentialField, compute_w, obstacle_residual,
+                                 residual_window)
 
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
@@ -210,9 +211,14 @@ class ScenarioConfig:
         the sampled field (rows x cells, for the grid and for the snapshots
         of a particle-only run, which are binned as they are taken, so their
         rows are all that snapshots keep), the grid's w (rows x cells, which
-        analyze_route holds beside the field), the frontier samples and one
-        array per particle.  It is a lower bound of the run's footprint, so
-        no config that fits is rejected.
+        the artifact writer of simulate and verify computes beside the
+        field), the frontier samples and one array per particle.  Runs that
+        do not write need less where the analysis reads a window of the
+        finest level's columns: compare builds no whole w, and verify
+        --no-write on a ladder only the coarsest level's, which its
+        potential invariants read.  The count is the same for them, a lower
+        bound of a writing run's footprint, so no config that fits is
+        rejected.
         """
         memory = _physical_memory()
         if memory is None:
@@ -407,24 +413,27 @@ def jump_threshold(cfg: ScenarioConfig, method: str, level: int) -> float:
 
 def analyze_route(cfg: ScenarioConfig, method: str, frontier: FrontierPath,
                   fld: Field, nu: WeightField | None, thr: float):
-    """Jumps above thr, w, the classified freezing profile, and the reports:
+    """Jumps above thr, the classified freezing profile, and the reports:
     obstacle (when nu is given), speed, non-degeneracy and the method's
-    record.  Returns (jumps, w, profile, reports); run_level calls it in
-    memory, the analyze command on the artifacts on disk.  Each step is
-    called through this module's globals, where perfbench/spans.py wraps it.
+    record.  Returns (jumps, profile, reports); run_level calls it in
+    memory, the analyze command on the artifacts on disk.  The obstacle
+    report's w covers only the columns it reads (_residual_inputs), and
+    none is returned.  Each step is called through this module's globals,
+    where perfbench/spans.py wraps it.
     """
     jumps = detect_jumps(frontier, thr)
-    w = compute_w(fld)
     prof = classify_points(
         freezing_time(frontier, fld.x), fld, jumps,
         eps_u=cfg.threshold("eps_u", None),
         endpoint_band=cfg.threshold("endpoint_band", None))
     reports: dict = {}
     if nu is not None:
+        eps_w = cfg.threshold("eps_w", None)
+        w, nu_w = _residual_inputs(fld, nu, eps_w)
         try:
             reports["obstacle"] = obstacle_residual(
-                w, nu, interior_margin=cfg.threshold("interior_margin", 0.1),
-                eps_w=cfg.threshold("eps_w", None)).to_dict()
+                w, nu_w, interior_margin=cfg.threshold("interior_margin", 0.1),
+                eps_w=eps_w).to_dict()
         except ConfigError as exc:
             reports["obstacle"] = {"error": str(exc)}
     reports["speed"] = speed_formula_check(prof, fld).to_dict()
@@ -439,7 +448,29 @@ def analyze_route(cfg: ScenarioConfig, method: str, frontier: FrontierPath,
     reports[method] = {**_route_record(frontier, jumps),
                        "surviving_mass": fld.mass_at(-1),
                        "fraction_unresolved": prof.fraction_unresolved()}
-    return jumps, w, prof, reports
+    return jumps, prof, reports
+
+
+def _residual_inputs(fld: Field, nu: WeightField, eps_w: float | None):
+    """w and nu on the leading columns obstacle_residual's report reads.
+
+    The window is potential.residual_window's; on it the report equals the
+    whole lattice's bit for bit, given the two conditions left to this
+    caller, checked here: eps_w >= 0, and a positive w inside the window on
+    every row but the last.  Where they fail, or nu is not on fld's grid
+    (an error the report must still raise), w and nu cover the whole
+    lattice.
+    """
+    nx = len(fld.x)
+    c = nx
+    if len(nu.nu) == nx and (eps_w is None or eps_w >= 0):
+        c = residual_window(fld)
+    if c < nx:
+        w = compute_w(replace(fld, x=fld.x[:c], values=fld.values[:, :c]))
+        if np.isfinite(w.front()[:-1]).all():
+            return w, replace(nu, x=nu.x[:c], nu=nu.nu[:c],
+                              recorded=nu.recorded[:c])
+    return compute_w(fld), nu
 
 
 def _route_record(frontier: FrontierPath, jumps: list) -> dict:
@@ -545,9 +576,11 @@ def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
     A "both" level starts its particle route in a forked child (_start),
     runs the grid route and its analysis here, then joins the child, which
     sends back the frontier and its jumps, a few kB.  Grid and particle-only
-    levels run here alone: a grid level's field and, while it is analysed,
-    its w reach 120 MB, and a particle-only run returns its snapshot field.
-    The level keeps no w (LevelResult.w recomputes it when read).
+    levels run here alone: a grid level's field alone reaches 59 MB on the
+    benchmark's finest level, and a particle-only run returns its snapshot
+    field.  The analysis builds w only on the columns its obstacle report
+    reads (a fifth of that field there), and the level keeps no w
+    (LevelResult.w computes the whole one when read).
     """
     p = cfg.level_params(level)
     res = LevelResult(level=level, params=dict(p))
@@ -563,7 +596,7 @@ def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
                 d, alpha=cfg.alpha, t_end=cfg.t_end, dt=p["dt"], dx=p["dx"],
                 x_max=cfg.x_max, sample_every=cfg.sample_every, jump_threshold=thr)
             res.frontier, res.field, res.nu = frontier, fld, nu
-            res.jumps, _, res.profile, res.reports = analyze_route(
+            res.jumps, res.profile, res.reports = analyze_route(
                 cfg, "grid", frontier, fld, nu, thr)
         except BaseException:
             if particle is not None:

@@ -22,6 +22,9 @@ from stefanlab.fields import Field, WeightField
 RESIDUAL_ROWS = 128
 # Rows per block of compute_w, whose increments are summed while in cache.
 W_ROWS = 32
+# A column whose final temperature is at most this is frozen at the horizon;
+# obstacle_residual admits a column only where its stencil's three are.
+FROZEN_TAIL = 1e-12
 
 
 def default_eps_w(dx: float, alpha: float) -> float:
@@ -138,6 +141,40 @@ def compute_w(field: Field) -> PotentialField:
                           alpha=field.alpha)
 
 
+def residual_window(field: Field) -> int:
+    """How many leading columns of field obstacle_residual's report reads.
+
+    Read off the final sample (compute_w's tail_bound): C = max(last
+    admitted column + 2, first column with a positive tail + 1), which
+    holds the region and its stencil, freeze_time(span) and the scan of
+    PotentialField.front.  compute_w works column by column, so its w on
+    these columns is the whole w's, bit for bit.  count_w_negative reads
+    every column, but counts nothing past C where the values there are
+    nonnegative (no NaN) and the times strictly increase: w there sums
+    nonnegative trapezoid increments.  Where that fails, or C < 3, this
+    returns the cell count: the whole lattice.
+
+    Two conditions are left to the caller: eps_w >= 0, and a positive w
+    inside the window on every row but the last (all zeros), without
+    which front() would read past it.
+    """
+    u = field.values
+    nx = u.shape[1]
+    if len(u) == 0:
+        return nx
+    dead = u[-1] <= FROZEN_TAIL
+    # column admitted[k] + 1 is admitted, as in obstacle_residual's col_ok
+    admitted = np.flatnonzero(dead[:-2] & dead[1:-1] & dead[2:])
+    warm = np.flatnonzero(u[-1] > 0)
+    c = max(int(admitted[-1]) + 3 if len(admitted) else 0,
+            int(warm[0]) + 1 if len(warm) else 0)
+    if c < 3 or c >= nx:
+        return nx
+    if not (u[:, c:].min() >= 0 and np.all(np.diff(field.t) > 0)):
+        return nx
+    return c
+
+
 @dataclass
 class ResidualReport:
     """Interior misfit of w against the weighted obstacle equation."""
@@ -180,7 +217,9 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     rows, and the residuals are gathered into one buffer sized for the
     span's interior, of which only the filled prefix is ever touched.  The
     frontier row (PotentialField.front) reads each row up to the first
-    column with a tail, and count_w_negative alone reads the whole lattice.
+    column with a tail, and count_w_negative alone reads every column of w.
+    So a w computed on the first residual_window(field) columns alone gives
+    the same report, under the conditions that function states.
     """
     if interior_margin <= 0:
         raise ConfigError("interior_margin must be positive")
@@ -197,7 +236,7 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     t_hi = t[-1] - interior_margin
 
     col_ok = np.zeros(nx, dtype=bool)
-    dead = w.tail_bound <= 1e-12
+    dead = w.tail_bound <= FROZEN_TAIL
     col_ok[1:-1] = dead[:-2] & dead[1:-1] & dead[2:]
     # region nodes lie in the columns from the first to the last col_ok one;
     # the arrays below cover only that span, in which the nodes keep their

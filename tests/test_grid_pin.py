@@ -1,4 +1,4 @@
-"""Pinned outputs of two small grid runs, digest by digest.
+"""Pinned outputs of three small grid runs, digest by digest.
 
 Each level's frontier, field, weight, potential w, freezing profile and
 reports are hashed; the digests were recorded once and must not change
@@ -30,6 +30,12 @@ CONFIGS = {
         "scenario_id": "grid-ladder", "density": BAND, "alpha": 2.0,
         "method": "grid", "dx": 0.04, "dt": 2e-3, "t_end": 0.2,
         "refinement_levels": 3, "seed": 1},
+    # the same band on two levels to t_end = 1: its analysis reads a narrow
+    # window of columns on every level, and each level jumps
+    "band-ladder": {
+        "scenario_id": "band-ladder", "density": BAND, "alpha": 2.0,
+        "method": "grid", "dx": 0.04, "dt": 2e-3, "t_end": 1.0,
+        "refinement_levels": 2, "seed": 1},
     # the README demo's grid route, cut to t_end = 0.2
     "readme-demo-grid": {
         "scenario_id": "uniform-demo",
@@ -40,6 +46,32 @@ CONFIGS = {
 }
 
 DIGESTS = {
+    "band-ladder": [
+        {
+            "frontier": "7d33873190a481069b5fac1a6fc42c50cdc2ea185eb6c606cf0bcffee3008fc6",
+            "field": "105ad36714ef38c054e771eb24a8f551b5119a98c1362bec8b4b9eddf0f3a0e8",
+            "nu": "059104310cb88026834356be1d17dc73b99cbe4a1d09d1eb1059acd856f6bf82",
+            "w": "0e2363db09d80e4027301a81446d466196a57380614c766e5384dce3e46cd183",
+            "profile": "f32f562c70aea1daed60b76ea1347774675e62ab1df5b5bcc76d0ae279573292",
+            "jumps": "4315fb808167494dea7ecda0da2540f3f506c889b769746daa6a3001795aa398",
+            "report.grid": "f1a495bbe1eabf3b10123ae4ade18569f93fc9c93f1197def6e58b6f7c41c29a",
+            "report.nondegeneracy_constant": "64c1086eb6a8e8b383017e965d5e92759735bafd85891d5aecdd3e764ec53867",
+            "report.obstacle": "11730ea2494d395941b04dd09451a3b0fcc5a12691e87a1809238687b4d9bbbd",
+            "report.speed": "66765dc12b4cf85189faf7ed363bf8ad9fa3063e919731f03175d33a876635d9",
+        },
+        {
+            "frontier": "4102e8f9934d5a96fcab920fa7780597082d7a864fa5dd7d79c65f72c402e128",
+            "field": "4eb88ff813943d61bae6483b12d6214bb456fc736bbd34f54d56bae4ab7a27d3",
+            "nu": "d675438973601566e547ea6d3db119fa0792f966bacca4a08e56f93d7b0143d3",
+            "w": "e9627f46a6b90da76847aafa8208b0c672045295252d7282a330b36e98c441a0",
+            "profile": "6164bfd106f4933a5234fc364bcc8ef85e77b0c3373ff3ad5a4466f50906cfb7",
+            "jumps": "5c40ace40d8ad0d2ee0967f2ed0912754c626128bafb83272df4a5735474b2dd",
+            "report.grid": "8b64127200bdc0b76e41bbd5c6e533e9f56305db55da10b6feab2622dac16847",
+            "report.nondegeneracy_constant": "bdad6e01ebf98faaf7ef531922d00560832193d642c919254bcf602633e2661c",
+            "report.obstacle": "c8f9ee97a8d7089d0cca9a07ddda69fad26012d765ea5c62a43f344348eb4777",
+            "report.speed": "815ea3f090ff7656cf001017d44e7efaf515d424b9323a44b9952f148fb6149f",
+        },
+    ],
     "grid-ladder-tiny": [
         {
             "frontier": "3b6d1e16af4da91733f859b2293a54ecb7eea02be058bf3c51f189f7b5f539ec",

@@ -7,6 +7,7 @@ import os
 import pickle
 import re
 import signal
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,13 @@ from stefanlab.cli import main
 from stefanlab.errors import ConfigError, NumericalAbort
 from stefanlab.exporters import (read_frontier_csv, read_json, read_matrix_csv,
                                  read_nu_csv)
+from stefanlab.fields import Field, WeightField
 from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
                                apply_overrides, build_density, run_scenario,
                                scenario_from_dict, verify_suite)
-from stefanlab.potential import compute_w, obstacle_residual
+from stefanlab.potential import compute_w, obstacle_residual, residual_window
 from test_exporters import MALFORMED_NPY
+from test_grid_pin import CONFIGS as PIN_CONFIGS
 
 UNIFORM = {"family": "piecewise_constant", "breaks": [0.0, 1.5],
            "values": [1.0 / 1.5]}
@@ -366,6 +369,126 @@ class TestArtifactLayout:
         assert "written_at" not in json.dumps(summary)
         meta = read_json(tmp_path / "stamp" / "meta.json")
         assert "written_at" in meta
+
+
+def _bits(report: dict) -> dict:
+    """A report with every float spelled out bit for bit."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
+
+
+def crafted_field() -> Field:
+    """A front that moves from 0 to 0.3 by t = 0.8 and then stops.
+
+    The last row is zero on the 15 columns below 0.3 and positive past
+    them, so the residual window is the first 16 of 50 columns.
+    """
+    x = (np.arange(50) + 0.5) * 0.02
+    t = np.linspace(0.0, 1.0, 41)
+    lam = np.minimum(0.3, 0.375 * t)
+    u = np.maximum(x[None, :] - lam[:, None], 0.0)
+    return Field(x=x, t=t, values=u, frontier_index=np.searchsorted(x, lam),
+                 lam=lam, alpha=1.0)
+
+
+def crafted_nu(x: np.ndarray) -> WeightField:
+    frozen = x < 0.3
+    return WeightField(x=x, nu=frozen * 1.0, alpha=1.0, recorded=frozen)
+
+
+def _negative_past_window(f):
+    f.values[5, 40] = -100.0
+
+
+def _nan_past_window(f):
+    f.values[5, 40] = np.nan
+
+
+def _time_runs_back(f):
+    # w turns negative on the row before the last; a negative value on a
+    # frozen column keeps that row's w positive in the window
+    f.t[-1] = f.t[-2] - 0.01
+    f.values[-2, 14] = -1.0
+
+
+def _row_zero_in_window(f):
+    # the increment of the first warm column's last step cancels, so its w
+    # is zero on the row before the last, as on every frozen column
+    f.values[-2, 15] = -f.values[-1, 15]
+
+
+class TestResidualWindow:
+    """The obstacle report on the windowed w equals the whole lattice's."""
+
+    @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+    def test_report_matches_the_whole_lattice_on_every_level(self, name):
+        # the pinned tiny ladder's far columns are still below the frozen
+        # tail at t_end = 0.2, so its analysis takes the whole lattice
+        cfg = scenario_from_dict({**PIN_CONFIGS[name], "outdir": "unused"})
+        for res in run_scenario(cfg, write=False).levels:
+            want = obstacle_residual(
+                compute_w(res.field), res.nu,
+                interior_margin=cfg.threshold("interior_margin", 0.1),
+                eps_w=cfg.threshold("eps_w", None)).to_dict()
+            assert _bits(res.reports["obstacle"]) == _bits(want)
+            narrow = residual_window(res.field) < len(res.field.x)
+            assert narrow == (name != "grid-ladder-tiny")
+
+    def test_crafted_field_is_windowed(self):
+        f = crafted_field()
+        assert residual_window(f) == 16
+        w, nu = harness_mod._residual_inputs(f, crafted_nu(f.x), None)
+        assert len(w.x) == len(nu.nu) == 16
+        want = obstacle_residual(compute_w(f), crafted_nu(f.x), 0.05)
+        assert _bits(obstacle_residual(w, nu, 0.05).to_dict()) == _bits(want.to_dict())
+
+    @pytest.mark.parametrize("spoil", [_negative_past_window, _nan_past_window,
+                                       _time_runs_back, _row_zero_in_window])
+    def test_falls_back_to_the_whole_lattice(self, spoil):
+        f = crafted_field()
+        spoil(f)
+        whole = compute_w(f)
+        want = obstacle_residual(whole, crafted_nu(f.x), 0.05).to_dict()
+        w, nu = harness_mod._residual_inputs(f, crafted_nu(f.x), None)
+        assert len(w.x) == len(nu.nu) == 50
+        assert _bits(obstacle_residual(w, nu, 0.05).to_dict()) == _bits(want)
+        # what the window alone would have got wrong
+        cut = compute_w(replace(f, x=f.x[:16], values=f.values[:, :16]))
+        if spoil in (_negative_past_window, _time_runs_back):
+            part = obstacle_residual(cut, replace(nu, nu=nu.nu[:16]), 0.05)
+            assert part.count_w_negative < want["count_w_negative"]
+        if spoil is _row_zero_in_window:
+            assert cut.front()[-2] == np.inf > whole.front()[-2]
+
+    def test_negative_eps_w_and_a_foreign_nu_take_the_whole_lattice(self):
+        # eps_w < 0 would count w >= 0 past the window; a nu of another
+        # length must still make the report raise
+        f = crafted_field()
+        nu = crafted_nu(f.x)
+        w, _ = harness_mod._residual_inputs(f, nu, -1.0)
+        assert len(w.x) == 50
+        short = replace(nu, x=nu.x[:-1], nu=nu.nu[:-1], recorded=nu.recorded[:-1])
+        w, got = harness_mod._residual_inputs(f, short, None)
+        assert len(w.x) == 50 and got is short
+        with pytest.raises(ConfigError, match="weight grid"):
+            obstacle_residual(w, got, 0.05)
+
+    def test_only_the_writer_computes_a_whole_level_w(self, monkeypatch, tmp_path):
+        # the band ladder is windowed on every level, so its analysis never
+        # computes w on a level's whole field; the artifact writer does, once
+        shapes = []
+
+        def counted(fld):
+            shapes.append(fld.values.shape)
+            return compute_w(fld)
+        monkeypatch.setattr(harness_mod, "compute_w", counted)
+        cfg = scenario_from_dict({**PIN_CONFIGS["band-ladder"],
+                                  "outdir": str(tmp_path)})
+        for write, per_level in ((True, 1), (False, 0)):
+            shapes.clear()
+            levels = run_scenario(cfg, write=write).levels
+            assert len(levels) == 2
+            for res in levels:
+                assert shapes.count(res.field.values.shape) == per_level
 
 
 class TestVerifySuite:
