@@ -7,9 +7,9 @@ writes the artifact set per level, and assembles a deterministic summary.
 analyze_route, the one analysis of a frontier and its field, serves both
 run_level and the analyze command.  verify_suite evaluates the registry of
 structural invariants against a scenario and reports one verdict per
-registry entry, never fewer.  Runs that depend on nothing but the config,
-the particle route of a "both" level and the invariants that rerun a
-solver, go to forked children (_start), so they use a second core.
+registry entry, never fewer.  A level runs all its routes in the calling
+process; only the three invariants that rerun a solver on the config alone
+go to a standard-library process pool, so they overlap the scenario's run.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import json
 import math
 import numbers
 import os
-import pickle
 import shutil
 import time
 from dataclasses import dataclass, field as dc_field, asdict, replace
@@ -186,8 +185,9 @@ class ScenarioConfig:
         """Reject a finest level that no run could finish.
 
         Its step count t_end / dt and cell count x_max / dx must be floats,
-        its kept arrays must fit in physical memory, and, checked last, it
-        may take at most MAX_STEPS steps.
+        t_end must be a whole number of steps, its kept arrays must fit in
+        physical memory, and, checked last, it may take at most MAX_STEPS
+        steps.
         """
         up = self.refinement_levels - 1
         dt, dx = math.ldexp(self.dt, -up), math.ldexp(self.dx, -up)
@@ -197,6 +197,11 @@ class ScenarioConfig:
             raise ConfigError(f"at {self.refinement_levels} refinement level(s) the"
                               " finest level's step count t_end / dt or cell count"
                               " x_max / dx is beyond the float range")
+        # the solvers take round(t_end / dt) steps
+        n = self.t_end / self.dt
+        if abs(n - round(n)) > 1e-9:
+            raise ConfigError(f"t_end must be a whole number of steps dt:"
+                              f" t_end / dt = {n!r}")
         n_steps = int(round(steps))
         self._check_fits_in_memory(n_steps, int(round(cells)))
         if n_steps > MAX_STEPS:
@@ -368,9 +373,9 @@ class LevelResult:
     """Everything one refinement level produced, per method.
 
     The grid route's potential w is not kept with the run: the w property
-    computes it from field the first time something reads it (the artifact
-    writer, the potential invariants) and keeps it from then on.  A level
-    without a grid route has none.
+    computes it from field the first time something reads it (the potential
+    invariants) and keeps it from then on; the artifact writer computes its
+    own and drops it.  A level without a grid route has none.
     """
 
     level: int
@@ -480,80 +485,6 @@ def _route_record(frontier: FrontierPath, jumps: list) -> dict:
             "jumps_detected": [rec.to_dict() for rec in jumps]}
 
 
-def _start(name: str, call, *args):
-    """Start call(*args) in a forked child; return join, which waits for it.
-
-    join() returns the call's value or raises its exception, as though the
-    call had run here; a child that ends without a result (killed by a
-    signal, say) makes it raise RuntimeError naming the call by `name`.
-    The child pickles its outcome into a pipe and leaves through os._exit
-    on every path, so it never unwinds into its caller, runs no exit
-    handler and flushes no buffer it inherited.  join reads the pipe to its
-    end before it reaps the child, so a result larger than the pipe buffer
-    cannot deadlock.  Call join once on every path, or the child is left
-    unreaped (_discard does so when the outcome is no longer wanted).
-    Where os.fork is missing the call runs now, in this process.
-
-    The lab starts no thread; the BLAS pools that numpy and scipy may hold
-    register fork handlers of their own.
-    """
-    if not hasattr(os, "fork"):
-        try:
-            outcome = (True, call(*args))
-        except Exception as exc:
-            outcome = (False, exc)
-        return lambda: _unpack(outcome)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, call(*args))
-            except Exception as exc:
-                outcome = (False, exc)
-            try:
-                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                data = pickle.dumps((False, RuntimeError(
-                    f"{name}: its outcome does not pickle: {exc!r}")))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-
-    def join():
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code:
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise RuntimeError(f"{name} ended by {how} without a result")
-        return _unpack(pickle.loads(data))
-    return join
-
-
-def _unpack(outcome):
-    ok, value = outcome
-    if ok:
-        return value
-    raise value
-
-
-def _discard(join) -> None:
-    """Wait for a started call whose outcome is no longer wanted."""
-    with contextlib.suppress(Exception):
-        join()
-
-
 def _particle_route(cfg: ScenarioConfig, level: int, d: Density):
     """The particle run of one level and its detected jumps: (frontier, field, jumps)."""
     p = cfg.level_params(level)
@@ -573,39 +504,26 @@ def _particle_route(cfg: ScenarioConfig, level: int, d: Density):
 def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
     """Run cfg's method(s) on one refinement level, with their analysis.
 
-    A "both" level starts its particle route in a forked child (_start),
-    runs the grid route and its analysis here, then joins the child, which
-    sends back the frontier and its jumps, a few kB.  Grid and particle-only
-    levels run here alone: a grid level's field alone reaches 59 MB on the
-    benchmark's finest level, and a particle-only run returns its snapshot
-    field.  The analysis builds w only on the columns its obstacle report
-    reads (a fifth of that field there), and the level keeps no w
+    Everything runs in the calling process: a "both" level runs its grid
+    route and that route's analysis, then its particle route.  The analysis
+    builds w only on the columns its obstacle report reads (a fifth of the
+    field on the benchmark's finest level), and the level keeps no w
     (LevelResult.w computes the whole one when read).
     """
     p = cfg.level_params(level)
     res = LevelResult(level=level, params=dict(p))
-    particle = None
-    if cfg.method == "both":
-        particle = _start(f"the particle route of level {level}",
-                          _particle_route, cfg, level, d)
 
     if cfg.method in ("grid", "both"):
-        try:
-            thr = jump_threshold(cfg, "grid", level)
-            frontier, fld, nu = run_grid(
-                d, alpha=cfg.alpha, t_end=cfg.t_end, dt=p["dt"], dx=p["dx"],
-                x_max=cfg.x_max, sample_every=cfg.sample_every, jump_threshold=thr)
-            res.frontier, res.field, res.nu = frontier, fld, nu
-            res.jumps, res.profile, res.reports = analyze_route(
-                cfg, "grid", frontier, fld, nu, thr)
-        except BaseException:
-            if particle is not None:
-                _discard(particle)
-            raise
+        thr = jump_threshold(cfg, "grid", level)
+        frontier, fld, nu = run_grid(
+            d, alpha=cfg.alpha, t_end=cfg.t_end, dt=p["dt"], dx=p["dx"],
+            x_max=cfg.x_max, sample_every=cfg.sample_every, jump_threshold=thr)
+        res.frontier, res.field, res.nu = frontier, fld, nu
+        res.jumps, res.profile, res.reports = analyze_route(
+            cfg, "grid", frontier, fld, nu, thr)
 
     if cfg.method in ("particle", "both"):
-        res.p_frontier, res.p_field, res.p_jumps = (
-            particle() if particle is not None else _particle_route(cfg, level, d))
+        res.p_frontier, res.p_field, res.p_jumps = _particle_route(cfg, level, d)
         res.reports["particle"] = {**_route_record(res.p_frontier, res.p_jumps),
                                    "n_particles": p["n_particles"]}
 
@@ -651,7 +569,9 @@ def _write_level(lvl_dir: Path, res: LevelResult) -> list[str]:
     fr = res.frontier if res.frontier is not None else res.p_frontier
     fld = res.field if res.field is not None else res.p_field
     if fld is not None:
-        return write_field_artifacts(lvl_dir, fr, fld, nu=res.nu, w=res.w,
+        # not res.w, which would keep every level's w to the end of the run
+        w = None if res.field is None else compute_w(res.field)
+        return write_field_artifacts(lvl_dir, fr, fld, nu=res.nu, w=w,
                                      profile=res.profile)
     # particle run without snapshots still leaves the frontier
     lvl_dir.mkdir(parents=True, exist_ok=True)
@@ -1260,7 +1180,7 @@ INVARIANT_REGISTRY = (
     ("harness.summary_deterministic", _iv_summary_deterministic),
 )
 # the invariants that rerun a solver on the config alone, not on the
-# scenario's result: verify_suite starts them in forked children
+# scenario's result: verify_suite hands them to a process pool
 _RERUN_INVARIANTS = frozenset({"particle.bit_reproducible",
                               "particle.convergence_in_n",
                               "harness.summary_deterministic"})
@@ -1274,6 +1194,12 @@ def _evaluate(func, ctx) -> dict:
         return {"verdict": "fail", "detail": f"invariant raised {exc!r}"}
 
 
+def _rerun(name: str, ctx: dict) -> dict:
+    """Registry entry `name`'s verdict, in a pool worker, which looks the
+    function up in the registry it inherited: entries go by id, not value."""
+    return _evaluate(dict(INVARIANT_REGISTRY)[name], ctx)
+
+
 def verify_suite(cfg: ScenarioConfig, result: ScenarioResult | None = None,
                  write: bool = False) -> dict:
     """Evaluate every registry invariant against one scenario.
@@ -1283,28 +1209,42 @@ def verify_suite(cfg: ScenarioConfig, result: ScenarioResult | None = None,
     never a silent omission; an invariant that raises is a failure.
 
     The invariants that rerun a solver read only the config and the
-    density, so each starts in a forked child (_start) before the scenario
-    runs, and is joined in registry order; every other entry runs here on
-    the result.  Without a result the scenario is run here, writing its
-    artifacts when write is true; a given result is checked as it is, and
-    write is unused.
+    density.  Where os.fork exists each goes, by registry id, to a worker
+    of a forked process pool before the scenario runs, and is joined in
+    registry order; a worker that dies raises RuntimeError naming the
+    reruns not yet joined.  Every other entry, and every entry without
+    os.fork, is evaluated here.  Without a result the scenario is run here,
+    writing its artifacts when write is true; a given result is checked as
+    it is, and write is unused.
     """
     d = build_density(cfg.density)
-    reruns = {}
-    try:
-        for name, func in INVARIANT_REGISTRY:
-            if name in _RERUN_INVARIANTS:
-                reruns[name] = _start(f"invariant {name}", _evaluate, func,
-                                      {"cfg": cfg, "density": d})
+    fork = hasattr(os, "fork")
+    if fork:
+        # imported here, so that importing stefanlab.cli loads neither
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    with (ProcessPoolExecutor(len(_RERUN_INVARIANTS),
+                              mp_context=multiprocessing.get_context("fork"))
+          if fork else contextlib.nullcontext()) as pool:
+        reruns = {name: pool.submit(_rerun, name, {"cfg": cfg, "density": d})
+                  for name, _ in INVARIANT_REGISTRY
+                  if fork and name in _RERUN_INVARIANTS}
         if result is None:
             result = run_scenario(cfg, write=write)
         ctx = {"cfg": cfg, "density": d, "levels": result.levels, "result": result}
-        entries = [{"id": name, **(reruns.pop(name)() if name in reruns
-                                   else _evaluate(func, ctx))}
-                   for name, func in INVARIANT_REGISTRY]
-    finally:
-        for join in reruns.values():
-            _discard(join)
+        entries = []
+        for name, func in INVARIANT_REGISTRY:
+            if name not in reruns:
+                entries.append({"id": name, **_evaluate(func, ctx)})
+                continue
+            try:
+                out = reruns.pop(name).result()
+            except RuntimeError as exc:
+                # a worker that dies breaks the pool (BrokenProcessPool);
+                # _rerun returns whatever an invariant raises as its verdict
+                raise RuntimeError(f"rerun invariant {', '.join([name, *reruns])}"
+                                   f" got no result: {exc}") from exc
+            entries.append({"id": name, **out})
     counts = {"pass": 0, "fail": 0, "skip": 0}
     for e in entries:
         counts[e["verdict"]] += 1

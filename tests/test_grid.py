@@ -153,7 +153,7 @@ def test_diffuse_factor_cache_matches_banded_oracle_bitwise(schedule, monkeypatc
 def test_import_leaves_scipy_unloaded():
     # the grid step imports LAPACK on first use, so importing the package
     # and its command line, as a particle-only run does, loads no scipy;
-    # forked runs use os.fork and pickle, not a process pool
+    # verify imports its process pool only when it runs
     code = ("import stefanlab.cli, sys; loaded = {'scipy', 'multiprocessing',"
             " 'concurrent.futures'} & set(sys.modules); assert not loaded, loaded")
     src = str(Path(stefanlab.__file__).resolve().parents[1])

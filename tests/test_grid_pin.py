@@ -1,7 +1,8 @@
-"""Pinned outputs of three small grid runs, digest by digest.
+"""Pinned outputs of three small grid runs and one run of both methods.
 
 Each level's frontier, field, weight, potential w, freezing profile and
-reports are hashed; the digests were recorded once and must not change
+reports are hashed, and where the level ran the particles, their frontier
+and detected jumps too; the digests were recorded once and must not change
 under a refactor that claims identical output.  Floating-point results may
 differ across numpy and scipy builds, so the pin applies only to the
 versions it was recorded with, which CI installs through
@@ -42,6 +43,14 @@ CONFIGS = {
         "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
                     "values": [0.6667]},
         "alpha": 0.7, "method": "grid", "n_particles": 20000, "dt": 1e-3,
+        "dx": 0.02, "t_end": 0.2, "seed": 7, "refinement_levels": 1},
+    # the README demo with both methods, cut to t_end = 0.2 and 2000
+    # particles: its reports hold the particle route and the comparison
+    "readme-demo-both": {
+        "scenario_id": "uniform-demo",
+        "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
+                    "values": [0.6667]},
+        "alpha": 0.7, "method": "both", "n_particles": 2000, "dt": 1e-3,
         "dx": 0.02, "t_end": 0.2, "seed": 7, "refinement_levels": 1},
 }
 
@@ -110,6 +119,24 @@ DIGESTS = {
             "report.speed": "cda7a2f74ea1905a3c6583b39eae52184d08f3dfb41710cca075bbc94aa62773",
         },
     ],
+    "readme-demo-both": [
+        {
+            "frontier": "db4c5438fe576510426f0d4df80ed1f21cbf1a29f60ac4c66c7402badd1218c5",
+            "field": "82ae2cdc2304787b6a7f21d939fcca9ec054faf5df9a618364f7b280ca93f148",
+            "nu": "91f0c081d7982a19c32195c4a69802e3275941af35b6a869c04bcfaf3144aa34",
+            "w": "d4664e8e89e5653eed4770b3f8ad57f3b1e4fd6d165013f4ef0ced992527fcd0",
+            "profile": "ab9dba140326c80674374374b5f939a6c5d70b21905db50fb18fed26d9181a78",
+            "jumps": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            "p_frontier": "5aeb2c4b1508b411882a4b4131de0f0f996f5981402c17f1dba0645f2caf7454",
+            "p_jumps": "1e99524bbf0c76f18894e64f2cd2946d0484ca5af6ccd48b7ebf431ad4f7b9b5",
+            "report.compare": "dcdace8c082afafc5d2ee083c217d4a5e1aad7b5a2821ed0c24230929419f3bd",
+            "report.grid": "04f7ffe20e73208d2d0ce5724d6dd9fd1e569946e586b1ce7ece74cae7cfc561",
+            "report.nondegeneracy_constant": "50759925406dda672038555573d37c51f85fb52a82a95ce092e9777760a42a43",
+            "report.obstacle": "e79618355b55a0d987c8aad59d9518c32819b74965bccb064315753400e286b1",
+            "report.particle": "ac647fa973c70ded8da7ad8bd72340d667769fc1b72c5aa4841138873d656464",
+            "report.speed": "51198d67d34e96f7f9621c9389d6b2f8bb815ad4deb5b0769bc791c2684b4b55",
+        },
+    ],
     "readme-demo-grid": [
         {
             "frontier": "db4c5438fe576510426f0d4df80ed1f21cbf1a29f60ac4c66c7402badd1218c5",
@@ -140,8 +167,18 @@ def _sha(*parts) -> str:
 
 
 def level_digests(res) -> dict:
-    """One sha256 per output of a grid level."""
+    """One sha256 per output of a level's grid route, and of its particle
+    route where it has one."""
     fr, fld, nu, w, prof = res.frontier, res.field, res.nu, res.w, res.profile
+    particle = {}
+    if res.p_frontier is not None:
+        pf = res.p_frontier
+        particle = {
+            "p_frontier": _sha(pf.times, pf.lam, pf.dead_count, json.dumps(
+                [rec.to_dict() for rec in pf.jumps], sort_keys=True)),
+            "p_jumps": _sha(json.dumps([rec.to_dict() for rec in res.p_jumps],
+                                       sort_keys=True)),
+        }
     return {
         "frontier": _sha(fr.times, fr.lam, json.dumps(
             [rec.to_dict() for rec in fr.jumps], sort_keys=True)),
@@ -152,6 +189,7 @@ def level_digests(res) -> dict:
                         "\n".join(prof.labels)),
         "jumps": _sha(json.dumps([rec.to_dict() for rec in res.jumps],
                                  sort_keys=True)),
+        **particle,
         **{f"report.{key}": _sha(json.dumps(jsonify(rep), sort_keys=True))
            for key, rep in sorted(res.reports.items())},
     }
@@ -163,12 +201,16 @@ def scenario_digests(name: str) -> list:
     return [level_digests(res) for res in result.levels]
 
 
-@pytest.mark.skipif(
+# marks a test that compares against DIGESTS
+pinned = pytest.mark.skipif(
     (np.__version__, scipy.__version__)
     != (PINNED_VERSIONS["numpy"], PINNED_VERSIONS["scipy"]),
     reason=f"digests pinned on numpy {PINNED_VERSIONS['numpy']} and scipy"
            f" {PINNED_VERSIONS['scipy']}; running numpy {np.__version__} and"
            f" scipy {scipy.__version__}")
+
+
+@pinned
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_grid_outputs_match_the_pinned_digests(name):
     got = scenario_digests(name)

@@ -4,9 +4,9 @@ import importlib.util
 import json
 import math
 import os
-import pickle
 import re
 import signal
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stefanlab.harness as harness_mod
-import stefanlab.particle as particle_mod
 from stefanlab.cli import main
 from stefanlab.errors import ConfigError, NumericalAbort
 from stefanlab.exporters import (read_frontier_csv, read_json, read_matrix_csv,
@@ -28,6 +27,8 @@ from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
 from stefanlab.potential import compute_w, obstacle_residual, residual_window
 from test_exporters import MALFORMED_NPY
 from test_grid_pin import CONFIGS as PIN_CONFIGS
+from test_grid_pin import DIGESTS as PIN_DIGESTS
+from test_grid_pin import pinned, scenario_digests
 
 UNIFORM = {"family": "piecewise_constant", "breaks": [0.0, 1.5],
            "values": [1.0 / 1.5]}
@@ -106,6 +107,14 @@ class TestConfigValidation:
         assert "dx = 10.0" in str(info.value) and "x_max = 10.0" in str(info.value)
         quick_config(method="particle", dx=10.0)
         quick_config(method="grid", snapshot_every=5, dx=10.0)
+
+    @pytest.mark.parametrize("t_end", [0.107, 0.105, 0.001])
+    def test_rejects_t_end_between_steps(self, t_end):
+        # the solvers would stop at the step nearest t_end: 0.108 for 0.107
+        # and 0.104 for 0.105 at dt = 0.002
+        with pytest.raises(ConfigError, match="t_end must be a whole number of steps"):
+            quick_config(t_end=t_end)
+        quick_config(t_end=0.108)
 
     def test_level_params_halve_steps_and_quadruple_particles(self):
         cfg = quick_config(n_particles=100, refinement_levels=3)
@@ -283,7 +292,7 @@ class TestOverrides:
 
     def test_original_config_is_untouched(self):
         cfg = quick_config()
-        apply_overrides(cfg, ["dt=0.009"])
+        apply_overrides(cfg, ["dt=0.005"])
         assert cfg.dt == 2e-3
 
 
@@ -637,21 +646,13 @@ class TestForkedRuns:
 
     def test_killed_invariant_child_raises_naming_it(self, monkeypatch, deadline):
         replace_invariants(monkeypatch, particle__bit_reproducible=killed)
-        with pytest.raises(RuntimeError, match=r"invariant particle\.bit_reproducible"
-                                               r" ended by signal 9"):
+        with pytest.raises(RuntimeError, match=r"invariant particle\.bit_reproducible"):
             verify_suite(ScenarioConfig(**SMOKE))
         assert_no_child_left()
 
-    def test_killed_particle_route_raises_naming_it(self, monkeypatch, deadline):
-        monkeypatch.setattr(particle_mod, "run", killed)
-        with pytest.raises(RuntimeError, match="the particle route of level 0"
-                                               " ended by signal 9"):
-            run_scenario(ScenarioConfig(**SMOKE), write=False)
-        assert_no_child_left()
-
     def test_parent_error_reaps_every_child(self, monkeypatch, deadline):
-        # the reruns and the level's particle route are running when the
-        # scenario's grid route raises
+        # the reruns are running in the pool when the scenario's grid route
+        # raises
         def abort(*args, **kwargs):
             raise NumericalAbort("grid aborted")
         monkeypatch.setattr(harness_mod, "run_grid", abort)
@@ -659,23 +660,23 @@ class TestForkedRuns:
             verify_suite(ScenarioConfig(**SMOKE))
         assert_no_child_left()
 
-    def test_particle_path_beyond_the_pipe_buffer_returns_intact(self, monkeypatch,
-                                                                  deadline):
-        cfg = ScenarioConfig(**dict(SMOKE, dt=1e-4, t_end=0.5))
-        d = build_density(cfg.density)
-        forked = harness_mod.run_level(cfg, 0, d)
+    def test_verify_leaves_no_process_thread_or_tracker(self, deadline):
+        # the pool is shut down on return: its workers are reaped, its
+        # threads joined, and fork workers need no resource tracker
+        from multiprocessing import resource_tracker
+        threads = set(threading.enumerate())
+        verify_suite(ScenarioConfig(**SMOKE))
         assert_no_child_left()
-        assert len(pickle.dumps(forked.p_frontier)) > 2 ** 16
-        monkeypatch.delattr(os, "fork")
-        inline = harness_mod.run_level(cfg, 0, d)
-        a, b = forked.p_frontier, inline.p_frontier
-        for name in ("times", "lam", "dead_count"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert (a.alpha, a.n_total) == (b.alpha, b.n_total)
-        assert repr(a.jumps) == repr(b.jumps)
-        assert repr(forked.p_jumps) == repr(inline.p_jumps)
-        assert forked.p_field is None and inline.p_field is None
-        assert forked.reports == inline.reports
+        assert set(threading.enumerate()) == threads
+        assert getattr(resource_tracker._resource_tracker, "_pid", None) is None
+
+    @pinned
+    def test_both_level_forks_nothing(self, monkeypatch):
+        # a both level runs its particle route in process
+        def no_fork():
+            raise AssertionError("a level forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert scenario_digests("readme-demo-both") == PIN_DIGESTS["readme-demo-both"]
 
 
 class TestCli:
@@ -903,7 +904,8 @@ class TestCli:
     @pytest.mark.parametrize("method", ["grid", "particle"])
     @pytest.mark.parametrize("override", [
         "sampling=bogus", "snapshot_every=-1", "thresholds.interior_margin=-1",
-        "thresholds.nondeg_r=0", "thresholds.eps_w=-1", "thresholds.eps_u=-1"])
+        "thresholds.nondeg_r=0", "thresholds.eps_w=-1", "thresholds.eps_u=-1",
+        "t_end=0.107"])
     def test_bad_value_exits_2_whatever_the_method(self, tmp_path, capsys,
                                                     method, override):
         cfg_path = self.write_config(tmp_path, method=method, n_particles=200)
