@@ -3,9 +3,10 @@
 The small tables are CSV and JSON text.  Numbers in CSV are written with
 repr, the shortest digit string that round-trips the exact float; text files
 use '.' decimals, '\\n' newlines, UTF-8.  The matrices (field, w) and the
-freezing weight are binary .npy float64 arrays, written by np.save and read
-without unpickling, which keep every bit of every value, NaN payloads
-included.  Rereading an artifact reproduces the run bit for bit.
+freezing weight are binary .npy float64 arrays in np.save's format (the
+matrices written in row blocks), read without unpickling, which keep every
+bit of every value, NaN payloads included.  Rereading an artifact
+reproduces the run bit for bit.
 """
 from __future__ import annotations
 
@@ -76,6 +77,8 @@ def read_frontier_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 NPY_MAGIC = np.lib.format.MAGIC_PREFIX
+# rows per block in which write_matrix_csv borders and writes a matrix
+MATRIX_ROWS = 256
 
 
 def _save(path, a: np.ndarray) -> None:
@@ -104,24 +107,56 @@ def _load(path) -> np.ndarray:
 # first: perfbench/spans.py looks them up by name and sizes each file from
 # the first argument.
 
-def write_matrix_csv(path, x: np.ndarray, t: np.ndarray, values: np.ndarray) -> None:
+def write_matrix_csv(path, x: np.ndarray, t: np.ndarray, values) -> None:
     """Matrix layout in .npy: first row holds x, first column holds t,
-    corner is nan."""
-    if values.shape != (len(t), len(x)):
-        raise ConfigError("matrix shape does not match axes")
-    a = np.empty((len(t) + 1, len(x) + 1))
-    a[0, 0] = np.nan
-    a[0, 1:] = x
-    a[1:, 0] = t
-    a[1:, 1:] = values
-    _save(path, a)
+    corner is nan.
+
+    values is the (len(t), len(x)) matrix, or an iterable of (lo, rows)
+    blocks that give its rows lo, lo + 1, ... and cover each row once, in
+    any order (potential.w_rows).  The header is written first, then each
+    block, bordered by its t, at its own row of the file, so no bordered
+    copy of the whole matrix is made; the bytes are np.save's of that copy.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    nt, nx = len(t), len(x)
+    blocks = values
+    if isinstance(values, np.ndarray):
+        if values.shape != (nt, nx):
+            raise ConfigError("matrix shape does not match axes")
+        blocks = ((lo, values[lo:lo + MATRIX_ROWS])
+                  for lo in range(0, nt, MATRIX_ROWS))
+    row_bytes = 8 * (nx + 1)
+    buf = np.empty((0, nx + 1))
+    covered = 0
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(buf.dtype),
+            "fortran_order": False, "shape": (nt + 1, nx + 1)})
+        start = fh.tell()
+        fh.write(np.concatenate(([np.nan], x)).tobytes())
+        for lo, rows in blocks:
+            k = len(rows)
+            if rows.shape != (k, nx) or not 0 <= lo <= nt - k:
+                raise ConfigError("matrix block does not match axes")
+            if len(buf) < k:
+                buf = np.empty((k, nx + 1))
+            block = buf[:k]
+            block[:, 0] = t[lo:lo + k]
+            block[:, 1:] = rows
+            fh.seek(start + (1 + lo) * row_bytes)
+            fh.write(block)
+            covered += k
+    if covered != nt:
+        raise ConfigError("matrix blocks do not cover its rows")
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, t, values) of a matrix file, views of the one array loaded."""
     a = _load(path)
     if a.size == 0 or not np.isnan(a[0, 0]):
         raise ConfigError(f"{path}: corner cell must be nan")
-    return a[0, 1:].copy(), a[1:, 0].copy(), a[1:, 1:].copy()
+    return a[0, 1:], a[1:, 0], a[1:, 1:]
 
 
 def write_nu_csv(path, nu: WeightField) -> None:
@@ -208,7 +243,9 @@ def write_field_artifacts(outdir, frontier: FrontierPath, field: Field,
                           w=None, profile=None) -> list[str]:
     """Write the per-run artifact set into outdir (created if needed).
 
-    Returns the names of the files written.
+    w, when given, is the potential's values on field's lattice, as
+    write_matrix_csv takes them: the matrix or its row blocks.  Returns the
+    names of the files written.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +257,7 @@ def write_field_artifacts(outdir, frontier: FrontierPath, field: Field,
         write_nu_csv(out / "nu.npy", nu)
         names.append("nu.npy")
     if w is not None:
-        write_matrix_csv(out / "w.npy", w.x, w.t, w.w)
+        write_matrix_csv(out / "w.npy", field.x, field.t, w)
         names.append("w.npy")
     if profile is not None:
         write_profile_csv(out / "profile.csv", profile)

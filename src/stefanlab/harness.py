@@ -8,8 +8,9 @@ analyze_route, the one analysis of a frontier and its field, serves both
 run_level and the analyze command.  verify_suite evaluates the registry of
 structural invariants against a scenario and reports one verdict per
 registry entry, never fewer.  A level runs all its routes in the calling
-process; only the three invariants that rerun a solver on the config alone
-go to a standard-library process pool, so they overlap the scenario's run.
+process, and a ladder runs its finest level first; only the invariants
+that rerun a solver on the config alone go to a standard-library process
+pool, so they overlap the scenario's run.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from stefanlab.fields import Field, FrontierPath, WeightField
 from stefanlab.grid import run_grid
 from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
 from stefanlab.potential import (PotentialField, compute_w, obstacle_residual,
-                                 residual_window)
+                                 residual_window, w_rows)
 
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
@@ -215,15 +216,15 @@ class ScenarioConfig:
         Counts, in 8-byte values, what the finest level keeps to its end:
         the sampled field (rows x cells, for the grid and for the snapshots
         of a particle-only run, which are binned as they are taken, so their
-        rows are all that snapshots keep), the grid's w (rows x cells, which
-        the artifact writer of simulate and verify computes beside the
-        field), the frontier samples and one array per particle.  Runs that
-        do not write need less where the analysis reads a window of the
-        finest level's columns: compare builds no whole w, and verify
-        --no-write on a ladder only the coarsest level's, which its
-        potential invariants read.  The count is the same for them, a lower
-        bound of a writing run's footprint, so no config that fits is
-        rejected.
+        rows are all that snapshots keep), the grid's w (rows x cells), the
+        frontier samples and one array per particle.  w is counted because
+        verify's potential invariants keep the coarsest level's whole w
+        (LevelResult.w), which on a one-level config is the finest.  Other
+        runs hold less where the analysis reads a window of the finest
+        level's columns: simulate writes w.npy in row blocks from w's
+        recurrence and holds no whole w, compare builds none, and verify on
+        a ladder keeps only the coarsest level's.  The count is the same
+        for them, so it can reject such a run that would just fit.
         """
         memory = _physical_memory()
         if memory is None:
@@ -374,8 +375,9 @@ class LevelResult:
 
     The grid route's potential w is not kept with the run: the w property
     computes it from field the first time something reads it (the potential
-    invariants) and keeps it from then on; the artifact writer computes its
-    own and drops it.  A level without a grid route has none.
+    invariants) and keeps it from then on; the artifact writer writes its
+    own in row blocks as they are computed (potential.w_rows) and keeps
+    none.  A level without a grid route has none.
     """
 
     level: int
@@ -565,12 +567,15 @@ def _level_summary(res: LevelResult) -> dict:
 
 
 def _write_level(lvl_dir: Path, res: LevelResult) -> list[str]:
-    """Write one level's artifacts into lvl_dir; returns the file names."""
+    """Write one level's artifacts into lvl_dir; returns the file names.
+
+    A grid level's w.npy is written block by block as potential.w_rows
+    computes it, so no whole w is held, and res.w is neither read nor set.
+    """
     fr = res.frontier if res.frontier is not None else res.p_frontier
     fld = res.field if res.field is not None else res.p_field
     if fld is not None:
-        # not res.w, which would keep every level's w to the end of the run
-        w = None if res.field is None else compute_w(res.field)
+        w = None if res.field is None else w_rows(res.field)
         return write_field_artifacts(lvl_dir, fr, fld, nu=res.nu, w=w,
                                      profile=res.profile)
     # particle run without snapshots still leaves the frontier
@@ -586,8 +591,19 @@ def run_dir(cfg: ScenarioConfig) -> Path:
 
 
 def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
+    """Run cfg's ladder, and with write, its artifacts, summary and meta.
+
+    The levels run from the finest down, so the finest level's analysis,
+    the largest transient of a ladder, never sits on top of the coarse
+    levels' fields; they are returned in ascending order.  So a ladder
+    that aborts may do so after its finer levels have run, and where
+    several levels would abort, it raises the finest one's NumericalAbort.
+    With write, the levels are written in ascending order once all have
+    run (_write_level), and the finest level's files copied to the root.
+    """
     d = build_density(cfg.density)
-    levels = [run_level(cfg, level, d=d) for level in range(cfg.refinement_levels)]
+    levels = [run_level(cfg, level, d=d)
+              for level in reversed(range(cfg.refinement_levels))][::-1]
     summary = {
         "scenario_id": cfg.scenario_id,
         "config": cfg.to_dict(),
@@ -1209,26 +1225,28 @@ def verify_suite(cfg: ScenarioConfig, result: ScenarioResult | None = None,
     never a silent omission; an invariant that raises is a failure.
 
     The invariants that rerun a solver read only the config and the
-    density.  Where os.fork exists each goes, by registry id, to a worker
-    of a forked process pool before the scenario runs, and is joined in
-    registry order; a worker that dies raises RuntimeError naming the
-    reruns not yet joined.  Every other entry, and every entry without
-    os.fork, is evaluated here.  Without a result the scenario is run here,
-    writing its artifacts when write is true; a given result is checked as
-    it is, and write is unused.
+    density.  Where os.fork exists each that reruns one on cfg (on a grid
+    config the particle reruns only skip) goes, by registry id, to a worker
+    of a forked process pool, one worker each, before the scenario runs,
+    and is joined in registry order; a worker that dies raises RuntimeError
+    naming the reruns not yet joined.  Every other entry, and every entry
+    without os.fork, is evaluated here.  Without a result the scenario is
+    run here, writing its artifacts when write is true; a given result is
+    checked as it is, and write is unused.
     """
     d = build_density(cfg.density)
-    fork = hasattr(os, "fork")
-    if fork:
+    pooled = [name for name, _ in INVARIANT_REGISTRY if name in _RERUN_INVARIANTS
+              and not (cfg.method == "grid" and name.startswith("particle."))
+              ] if hasattr(os, "fork") else []
+    if pooled:
         # imported here, so that importing stefanlab.cli loads neither
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(len(_RERUN_INVARIANTS),
+    with (ProcessPoolExecutor(len(pooled),
                               mp_context=multiprocessing.get_context("fork"))
-          if fork else contextlib.nullcontext()) as pool:
+          if pooled else contextlib.nullcontext()) as pool:
         reruns = {name: pool.submit(_rerun, name, {"cfg": cfg, "density": d})
-                  for name, _ in INVARIANT_REGISTRY
-                  if fork and name in _RERUN_INVARIANTS}
+                  for name in pooled}
         if result is None:
             result = run_scenario(cfg, write=write)
         ctx = {"cfg": cfg, "density": d, "levels": result.levels, "result": result}

@@ -110,25 +110,56 @@ def compute_w(field: Field) -> PotentialField:
 
     The tail beyond the final sample is dropped, not modeled; the final
     temperature is reported per column as tail_bound (the surviving mass is
-    field.mass_at(-1)).  w is built from the last row up in blocks of
-    W_ROWS rows, each block's increments summed while it is in cache, so
-    the lattice is swept once.
+    field.mass_at(-1)).  w is the whole lattice's, filled by w_rows in
+    place, so the lattice is swept once.
     """
+    t, u = _lattice(field)
+    w = np.empty_like(u)
+    for _ in w_rows(field, out=w):
+        pass
+    tail = u[-1].copy()
+    return PotentialField(x=field.x.copy(), t=t.copy(), w=w, tail_bound=tail,
+                          alpha=field.alpha)
+
+
+def _lattice(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """field's sample times and values as float arrays, checked to match."""
     t = np.asarray(field.t, dtype=float)
     u = np.asarray(field.values, dtype=float)
     if u.ndim != 2 or u.shape[0] != len(t):
         raise ConfigError("field values must be (len(t), len(x))")
+    return t, u
+
+
+def w_rows(field: Field, out: np.ndarray | None = None):
+    """compute_w's w, from the last row up, as (lo, rows) blocks.
+
+    rows holds w's rows lo, lo + 1, ... .  The first block is the last row,
+    all zeros; each later one holds W_ROWS rows or fewer, its increments
+    summed while in cache.  With out, the whole w, each block is a view of
+    out; without it, each lives in one of two buffers of W_ROWS rows and is
+    overwritten two blocks later, so a consumer that writes the blocks
+    away (the w.npy writer, analyze's reconstruction gap) never holds a
+    whole w.  Either way the arithmetic, and so every bit, is the same.
+    """
+    t, u = _lattice(field)
+    nt, nx = u.shape
+    if out is None:
+        bufs = np.empty((2, min(W_ROWS, nt), nx))
+        last = bufs[1, :1]
+    else:
+        last = out[-1:]
+    last[...] = 0.0
+    yield nt - 1, last
     dt_steps = np.diff(t)
     # reverse cumulative trapezoid: w[k] = sum_{j>=k} (u[j] + u[j+1])/2 * dt_j,
     # one contiguous row at a time, w[k] = inc[k] + w[k+1].  The last
     # increment row is w[-2] as it stands, never added to the zero row,
     # which would turn a -0.0 into +0.0
-    w = np.empty_like(u)
-    w[-1:] = 0.0
     below = None
-    for hi in range(len(t) - 1, 0, -W_ROWS):
+    for i, hi in enumerate(range(nt - 1, 0, -W_ROWS)):
         lo = max(hi - W_ROWS, 0)
-        inc = w[lo:hi]
+        inc = out[lo:hi] if out is not None else bufs[i % 2][:hi - lo]
         np.add(u[lo:hi], u[lo + 1:hi + 1], out=inc)
         inc *= 0.5
         inc *= dt_steps[lo:hi, None]
@@ -136,9 +167,7 @@ def compute_w(field: Field) -> PotentialField:
             if below is not None:
                 np.add(row, below, out=row)
             below = row
-    tail = u[-1].copy()
-    return PotentialField(x=field.x.copy(), t=t.copy(), w=w, tail_bound=tail,
-                          alpha=field.alpha)
+        yield lo, inc
 
 
 def residual_window(field: Field) -> int:

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stefanlab.errors import ConfigError
-from stefanlab.exporters import (read_frontier_csv, read_json, read_jumps_json,
-                                 read_matrix_csv, read_nu_csv,
+from stefanlab.exporters import (MATRIX_ROWS, read_frontier_csv, read_json,
+                                 read_jumps_json, read_matrix_csv, read_nu_csv,
                                  write_frontier_csv, write_matrix_csv,
                                  write_nu_csv, write_profile_csv)
 
@@ -72,6 +72,51 @@ def test_matrix_npy_round_trips_bit_for_bit(tmp_path_factory, mat):
     assert same_bits(raw[1:, 1:], values)
     rx, rt, rv = read_matrix_csv(path)
     assert same_bits(rx, x) and same_bits(rt, t) and same_bits(rv, values)
+
+
+def np_save_bytes(x, t, values) -> bytes:
+    """np.save of the bordered matrix: the bytes write_matrix_csv must give."""
+    a = np.empty((len(t) + 1, len(x) + 1))
+    a[0, 0] = NAN
+    a[0, 1:], a[1:, 0], a[1:, 1:] = x, t, values
+    buf = io.BytesIO()
+    np.save(buf, a, allow_pickle=False)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [1, MATRIX_ROWS - 1, MATRIX_ROWS, MATRIX_ROWS + 1,
+                                  2 * MATRIX_ROWS + 1])
+def test_matrix_written_in_blocks_equals_np_save(tmp_path, rows):
+    # one row and the row counts around one and two blocks; NaN payloads,
+    # signed zeros and subnormals in every part of the file
+    rng = np.random.default_rng(rows)
+    special = np.array(SPECIAL + [NEG_NAN, PAYLOAD_NAN])
+    x = np.concatenate((special, rng.standard_normal(3)))
+    t = rng.choice(special, rows)
+    values = rng.standard_normal((rows, len(x)))
+    values[rng.random(values.shape) < 0.3] = PAYLOAD_NAN
+    values[:, 1] = -0.0
+    values[-1, :len(special)] = special[::-1]
+    want = np_save_bytes(x, t, values)
+    write_matrix_csv(tmp_path / "a.npy", x, t, values)
+    assert (tmp_path / "a.npy").read_bytes() == want
+    # the same rows given as blocks, last first, as w's recurrence gives them
+    blocks = [(lo, values[lo:lo + 7]) for lo in range(0, rows, 7)][::-1]
+    write_matrix_csv(tmp_path / "b.npy", x, t, iter(blocks))
+    assert (tmp_path / "b.npy").read_bytes() == want
+    rx, rt, rv = read_matrix_csv(tmp_path / "b.npy")
+    assert same_bits(rx, x) and same_bits(rt, t) and same_bits(rv, values)
+
+
+@pytest.mark.parametrize("blocks", [
+    [(0, np.zeros((2, 3)))],                        # a row missing
+    [(0, np.zeros((3, 2)))],                        # too narrow
+    [(2, np.zeros((2, 3))), (0, np.zeros((1, 3)))],  # past the last row
+], ids=["short", "narrow", "past-the-end"])
+def test_matrix_blocks_that_miss_the_axes_are_refused(tmp_path, blocks):
+    with pytest.raises(ConfigError, match="matrix block"):
+        write_matrix_csv(tmp_path / "m.npy", np.arange(3.0), np.arange(3.0),
+                         iter(blocks))
 
 
 @settings(max_examples=60, deadline=None)

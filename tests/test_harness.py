@@ -7,6 +7,7 @@ import os
 import re
 import signal
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stefanlab.harness as harness_mod
-from stefanlab.cli import main
+from stefanlab.cli import _reconstruction_gap, main
 from stefanlab.errors import ConfigError, NumericalAbort
 from stefanlab.exporters import (read_frontier_csv, read_json, read_matrix_csv,
                                  read_nu_csv)
@@ -24,11 +25,11 @@ from stefanlab.fields import Field, WeightField
 from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
                                apply_overrides, build_density, run_scenario,
                                scenario_from_dict, verify_suite)
-from stefanlab.potential import compute_w, obstacle_residual, residual_window
+from stefanlab.potential import compute_w, obstacle_residual, residual_window, w_rows
 from test_exporters import MALFORMED_NPY
 from test_grid_pin import CONFIGS as PIN_CONFIGS
 from test_grid_pin import DIGESTS as PIN_DIGESTS
-from test_grid_pin import pinned, scenario_digests
+from test_grid_pin import _sha, level_digests, pinned, scenario_digests
 
 UNIFORM = {"family": "piecewise_constant", "breaks": [0.0, 1.5],
            "values": [1.0 / 1.5]}
@@ -483,21 +484,62 @@ class TestResidualWindow:
 
     def test_only_the_writer_computes_a_whole_level_w(self, monkeypatch, tmp_path):
         # the band ladder is windowed on every level, so its analysis never
-        # computes w on a level's whole field; the artifact writer does, once
-        shapes = []
+        # computes w on a level's whole field; the artifact writer does,
+        # once, and in blocks (w_rows), never as one array (compute_w)
+        shapes = {"compute_w": [], "w_rows": []}
 
-        def counted(fld):
-            shapes.append(fld.values.shape)
-            return compute_w(fld)
-        monkeypatch.setattr(harness_mod, "compute_w", counted)
+        def counted(name, fn):
+            def call(fld, *args):
+                shapes[name].append(fld.values.shape)
+                return fn(fld, *args)
+            return call
+        monkeypatch.setattr(harness_mod, "compute_w", counted("compute_w", compute_w))
+        monkeypatch.setattr(harness_mod, "w_rows", counted("w_rows", w_rows))
         cfg = scenario_from_dict({**PIN_CONFIGS["band-ladder"],
                                   "outdir": str(tmp_path)})
         for write, per_level in ((True, 1), (False, 0)):
-            shapes.clear()
+            for calls in shapes.values():
+                calls.clear()
             levels = run_scenario(cfg, write=write).levels
             assert len(levels) == 2
             for res in levels:
-                assert shapes.count(res.field.values.shape) == per_level
+                assert shapes["compute_w"].count(res.field.values.shape) == 0
+                assert shapes["w_rows"].count(res.field.values.shape) == per_level
+
+
+class TestLadderOrder:
+    def test_finest_analysis_does_not_sit_on_the_coarse_fields(self):
+        # the levels run finest first, so the ladder's peak stays below the
+        # finest level's own peak plus the coarse levels' fields; run
+        # coarsest first, the finest analysis ran on top of them all
+        cfg = scenario_from_dict({**PIN_CONFIGS["grid-ladder-tiny"],
+                                  "outdir": "unused"})
+        d = build_density(cfg.density)
+        harness_mod.run_level(cfg, 0, d)  # first-call work (LAPACK's import)
+        tracemalloc.start()
+        try:
+            harness_mod.run_level(cfg, 2, d)
+            finest = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            levels = run_scenario(cfg, write=False).levels
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [res.level for res in levels] == [0, 1, 2]
+        coarse = sum(res.field.values.nbytes for res in levels[:-1])
+        assert peak < finest + coarse
+
+    def test_each_level_of_a_both_ladder_equals_the_level_run_alone(self):
+        cfg = ScenarioConfig(**dict(README_DEMO, n_particles=500, t_end=0.2,
+                                    refinement_levels=2, outdir="unused"))
+        levels = run_scenario(cfg, write=False).levels
+        assert [res.level for res in levels] == [0, 1]
+        for res in levels:
+            alone = harness_mod.run_level(cfg, res.level, build_density(cfg.density))
+            assert level_digests(res) == level_digests(alone)
 
 
 class TestVerifySuite:
@@ -610,8 +652,10 @@ def killed(*args, **kwargs):
 
 class TestForkedRuns:
     @pytest.mark.parametrize("raw", [SMOKE, dict(README_DEMO, n_particles=2000,
-                                                 outdir="unused")],
-                             ids=["smoke", "readme-demo"])
+                                                 outdir="unused"),
+                                     dict(PIN_CONFIGS["grid-ladder-tiny"],
+                                          outdir="unused")],
+                             ids=["smoke", "readme-demo", "grid-ladder-tiny"])
     def test_ledger_equals_in_process_evaluation(self, raw, monkeypatch, deadline):
         cfg = ScenarioConfig(**raw)
         ledger = verify_suite(cfg)
@@ -632,6 +676,33 @@ class TestForkedRuns:
         assert ledger["invariants"] == reference
         # where os.fork is missing the suite runs every entry in process
         assert verify_suite(cfg) == ledger
+
+    @pytest.mark.parametrize("raw, pooled", [
+        (SMOKE, ["particle.bit_reproducible", "particle.convergence_in_n",
+                 "harness.summary_deterministic"]),
+        (dict(PIN_CONFIGS["grid-ladder-tiny"], outdir="unused"),
+         ["harness.summary_deterministic"])], ids=["both", "grid"])
+    def test_pool_holds_only_the_reruns_that_run_a_solver(self, raw, pooled,
+                                                          monkeypatch, deadline):
+        # on a grid config the particle reruns only skip, in process
+        import concurrent.futures
+        sizes, submitted = [], []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+            def submit(self, fn, name, *args):
+                submitted.append(name)
+                return super().submit(fn, name, *args)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        ledger = verify_suite(scenario_from_dict(raw))
+        assert sizes == [len(pooled)] and submitted == pooled
+        assert_no_child_left()
+        verdicts = {e["id"]: e["verdict"] for e in ledger["invariants"]}
+        for name in ("particle.bit_reproducible", "particle.convergence_in_n"):
+            assert (verdicts[name] == "skip") == (raw["method"] == "grid")
 
     def test_invariant_raising_in_a_child_fails_as_in_process(self, monkeypatch,
                                                                deadline):
@@ -697,6 +768,65 @@ class TestCli:
         report = read_json(rundir / "analysis.json")
         assert report["w_reconstruction_gap"] == 0.0
         assert "obstacle" in report
+
+    @pytest.mark.parametrize("raw", [SMOKE, PIN_CONFIGS["band-ladder"]],
+                             ids=["smoke", "band-ladder"])
+    def test_simulate_analyze_round_trip(self, tmp_path, capsys, raw):
+        # CI's smoke round trip: the matrices and the weight are .npy, and
+        # analyze recomputes the finest level's reports and w from them;
+        # each level's files read back as the run kept them, bit for bit
+        raw = {**raw, "outdir": str(tmp_path / "out")}
+        assert main(["simulate", str(self.write_config(tmp_path, **raw))]) == 0
+        run = tmp_path / "out" / raw["scenario_id"]
+        assert main(["analyze", str(run)]) == 0
+        for name in ("field.npy", "w.npy", "nu.npy"):
+            assert (run / name).exists(), name
+        assert not (run / "field.csv").exists()
+        analysis = read_json(run / "analysis.json")
+        level = read_json(run / "summary.json")["levels"][-1]
+        for key in ("obstacle", "speed"):
+            assert analysis[key] == level[key], key
+        assert analysis["w_reconstruction_gap"] == 0.0
+        levels = run_scenario(scenario_from_dict(raw), write=False).levels
+        for res in levels:
+            dirs = [run / f"L{res.level}"] + ([run] if res is levels[-1] else [])
+            for d in dirs:
+                x, t, values = read_matrix_csv(d / "field.npy")
+                assert _sha(x, t, values) == _sha(res.field.x, res.field.t,
+                                                  res.field.values)
+                x, t, w = read_matrix_csv(d / "w.npy")
+                assert _sha(x, t, w) == _sha(res.w.x, res.w.t, res.w.w)
+                nu = read_nu_csv(d / "nu.npy", raw["alpha"])
+                assert _sha(nu.x, nu.nu, nu.recorded) == _sha(
+                    res.nu.x, res.nu.nu, res.nu.recorded)
+
+    @pinned
+    def test_written_w_matches_the_pin(self, tmp_path, capsys):
+        # the w.npy of each level, and the finest one at the root, hash to
+        # the pinned digest of the level's w (its tail bound is the field's
+        # last row)
+        raw = {**PIN_CONFIGS["band-ladder"], "outdir": str(tmp_path / "out")}
+        assert main(["simulate", str(self.write_config(tmp_path, **raw))]) == 0
+        run = tmp_path / "out" / raw["scenario_id"]
+        pins = PIN_DIGESTS["band-ladder"]
+        for k, d in [(k, run / f"L{k}") for k in range(len(pins))] + [(len(pins) - 1, run)]:
+            x, t, w = read_matrix_csv(d / "w.npy")
+            tail = read_matrix_csv(d / "field.npy")[2][-1]
+            assert _sha(x, t, w, tail) == pins[k]["w"], d
+
+    def test_reconstruction_gap_is_the_max_over_the_whole_lattice(self):
+        # blockwise, as one max of |w_stored - w| over every row would be,
+        # NaN included
+        f = run_scenario(quick_config(), write=False).levels[0].field
+        w = compute_w(f).w
+        assert len(w) > 32
+        stored = w.copy()
+        assert _reconstruction_gap(f, stored) == 0.0
+        stored[3, 4] += 0.25
+        stored[-2, 1] -= 0.5
+        assert _reconstruction_gap(f, stored) == float(np.max(np.abs(stored - w)))
+        stored[-1, 0] = np.nan
+        assert math.isnan(_reconstruction_gap(f, stored))
 
     @pytest.mark.parametrize("raw", [
         README_DEMO,

@@ -4,11 +4,12 @@ import pytest
 
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
+from stefanlab.exporters import read_matrix_csv, write_matrix_csv
 from stefanlab.fields import Field, WeightField
 from stefanlab.grid import run_grid
-from stefanlab.potential import (RESIDUAL_ROWS, PotentialField, bound_suite,
-                                 compute_w, default_eps_w, obstacle_residual,
-                                 residual_l1_window)
+from stefanlab.potential import (RESIDUAL_ROWS, W_ROWS, PotentialField,
+                                 bound_suite, compute_w, default_eps_w,
+                                 obstacle_residual, residual_l1_window, w_rows)
 from stefanlab.synthetic import (caloric_polynomial_field,
                                  critical_profile_potential,
                                  vanishing_profile_potential)
@@ -382,23 +383,49 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("nt", [1, 2, 31, 32, 33, 65])
-def test_compute_w_matches_reference_at_block_edges(nt):
-    # the rows around one and two blocks of increments; signed temperatures,
-    # a column of -0.0 (whose w keeps its sign but on the zero last row) and
-    # a column mixing -0.0 with negative values
+def signed_field(nt: int) -> Field:
+    """Signed temperatures on nt rows, a column of -0.0 (whose w keeps its
+    sign but on the zero last row) and a column mixing -0.0 with negative
+    values."""
     rng = np.random.default_rng(nt)
     x = (np.arange(6) + 0.5) * 0.1
     t = np.cumsum(rng.uniform(0.5, 1.5, nt)) * 1e-2
     u = rng.standard_normal((nt, 6))
     u[:, 2] = -0.0
     u[:, 4] = np.where(rng.random(nt) < 0.5, -0.0, -rng.random(nt))
-    f = Field(x=x, t=t, values=u, frontier_index=np.zeros(nt, dtype=np.int64),
-              lam=np.zeros(nt), alpha=1.0)
+    return Field(x=x, t=t, values=u, frontier_index=np.zeros(nt, dtype=np.int64),
+                 lam=np.zeros(nt), alpha=1.0)
+
+
+BLOCK_EDGES = [1, 2, W_ROWS - 1, W_ROWS, W_ROWS + 1, 2 * W_ROWS + 1]
+
+
+@pytest.mark.parametrize("nt", BLOCK_EDGES)
+def test_compute_w_matches_reference_at_block_edges(nt):
+    # the rows around one and two blocks of increments
+    f = signed_field(nt)
     w = compute_w(f).w
-    assert same_bits(w, reference_w(u, t))
+    assert same_bits(w, reference_w(f.values, f.t))
     if nt > 1:
         assert np.all(np.signbit(w[:-1, 2])) and not np.signbit(w[-1, 2])
+
+
+@pytest.mark.parametrize("nt", BLOCK_EDGES)
+def test_w_streamed_to_npy_equals_np_save_of_compute_w(tmp_path, nt):
+    # the blocks of w_rows, each overwritten two blocks later, written
+    # away as they come: the file is np.save's of the bordered whole w,
+    # with the -0.0 rows of column 2 intact
+    f = signed_field(nt)
+    w = compute_w(f)
+    a = np.empty((nt + 1, len(f.x) + 1))
+    a[0, 0] = np.nan
+    a[0, 1:], a[1:, 0], a[1:, 1:] = w.x, w.t, w.w
+    np.save(tmp_path / "want.npy", a, allow_pickle=False)
+    write_matrix_csv(tmp_path / "w.npy", f.x, f.t, w_rows(f))
+    assert (tmp_path / "w.npy").read_bytes() == (tmp_path / "want.npy").read_bytes()
+    _, _, stored = read_matrix_csv(tmp_path / "w.npy")
+    if nt > 1:
+        assert np.all(np.signbit(stored[:-1, 2])) and not np.signbit(stored[-1, 2])
 
 
 def reference_front(w: PotentialField) -> np.ndarray:
