@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalAbort
-from .exporters import (jsonify, read_frontier_csv, read_jumps_json,
-                        read_json, read_matrix_csv, read_nu_csv, write_json)
+from .exporters import (MatrixRows, jsonify, read_frontier_csv,
+                        read_jumps_json, read_json, read_matrix_csv,
+                        read_nu_csv, write_json)
 from .fields import Field, FrontierPath
 from .harness import (ScenarioConfig, analyze_route, apply_overrides,
                       compare_methods, jump_threshold, run_dir, run_scenario,
@@ -105,19 +106,19 @@ def _cmd_analyze(args) -> int:
     report = {"scenario_id": cfg.scenario_id, **reports}
     w_path = root / "w.npy"
     if w_path.exists():
-        _, _, w_stored = read_matrix_csv(w_path)
-        if w_stored.shape != field.values.shape:
-            raise ConfigError(f"{w_path} does not match the grid of {field_path}")
-        report["w_reconstruction_gap"] = _reconstruction_gap(field, w_stored)
+        # read a block at a time, each checked against field.npy's axes
+        with MatrixRows(w_path, field.x, field.t) as w_stored:
+            report["w_reconstruction_gap"] = _reconstruction_gap(field, w_stored)
 
     write_json(root / "analysis.json", report)
     print(json.dumps(jsonify(report), indent=2, sort_keys=True))
     return EXIT_PASS
 
 
-def _reconstruction_gap(field: Field, w_stored: np.ndarray) -> float:
+def _reconstruction_gap(field: Field, w_stored) -> float:
     """max |w_stored - w| for the w of field, compared block by block as
-    w_rows computes it; a NaN anywhere makes it NaN, as one max would."""
+    w_rows computes it; a NaN anywhere makes it NaN, as one max would.
+    w_stored is the stored matrix, or a MatrixRows reading it by slices."""
     gap = -np.inf
     for lo, rows in w_rows(field):
         diff = np.subtract(w_stored[lo:lo + len(rows)], rows)

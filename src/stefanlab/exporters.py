@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,92 @@ def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if a.size == 0 or not np.isnan(a[0, 0]):
         raise ConfigError(f"{path}: corner cell must be nan")
     return a[0, 1:], a[1:, 0], a[1:, 1:]
+
+
+class MatrixRows:
+    """The values of a matrix file on the axes x and t, read by row slices.
+
+    rows[lo:hi] reads rows lo..hi-1 of the file, bordered by their times,
+    from their own offset into one buffer that the next slice reuses, and
+    returns the values; so a consumer that walks the rows block by block
+    holds one block, never the whole matrix.  Opening checks the header
+    (a 2-d C-ordered float64 .npy array of len(t) + 1 rows and len(x) + 1
+    columns), the file's length, the nan corner and the x row against x;
+    each slice checks its times against t.  Any of these that fails is a
+    ConfigError naming the file.  Use it as a context manager.
+    """
+
+    def __init__(self, path, x: np.ndarray, t: np.ndarray):
+        self.path, self._t = path, np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        self.shape = (len(self._t), len(x))
+        try:
+            self._fh = open(path, "rb")
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+        try:
+            self._open(x)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _open(self, x: np.ndarray) -> None:
+        fh, path = self._fh, self.path
+        fmt = np.lib.format
+        try:
+            version = fmt.read_magic(fh)
+            read_header = {(1, 0): fmt.read_array_header_1_0,
+                           (2, 0): fmt.read_array_header_2_0}.get(version)
+            if read_header is None:
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, dtype = read_header(fh)
+        except (OSError, ValueError, EOFError) as exc:
+            raise ConfigError(f"{path}: cannot read: {exc}") from None
+        if len(shape) != 2 or dtype != np.float64 or fortran_order:
+            raise ConfigError(f"{path}: expected a 2-d C-ordered float64 .npy array")
+        nt, nx = self.shape
+        if shape != (nt + 1, nx + 1):
+            raise ConfigError(f"{path}: a {shape[0] - 1} x {shape[1] - 1} matrix,"
+                              f" not {nt} x {nx} on the given axes")
+        self._row_bytes = 8 * (nx + 1)
+        self._start = fh.tell()
+        if os.fstat(fh.fileno()).st_size != self._start + shape[0] * self._row_bytes:
+            raise ConfigError(f"{path}: cannot read: file length does not match"
+                              f" its {shape[0]} x {shape[1]} header")
+        self._buf = np.empty((1, nx + 1))
+        self._read(-1, 1)
+        if not np.isnan(self._buf[0, 0]):
+            raise ConfigError(f"{path}: corner cell must be nan")
+        if not np.array_equal(self._buf[0, 1:], x):
+            raise ConfigError(f"{path}: its x row is not the given x axis")
+
+    def _read(self, lo: int, k: int) -> np.ndarray:
+        """Rows lo..lo+k-1 of the values, bordered, into the buffer; row -1
+        is the x row."""
+        if len(self._buf) < k:
+            self._buf = np.empty((k, self.shape[1] + 1))
+        block = self._buf[:k]
+        self._fh.seek(self._start + (1 + lo) * self._row_bytes)
+        if self._fh.readinto(block) != block.nbytes:
+            raise ConfigError(f"{self.path}: cannot read: file is truncated")
+        return block
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        block = self._read(lo, hi - lo)
+        if not np.array_equal(block[:, 0], self._t[lo:hi]):
+            raise ConfigError(f"{self.path}: its t column is not the given t axis"
+                              f" on rows {lo} to {hi - 1}")
+        return block[:, 1:]
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def write_nu_csv(path, nu: WeightField) -> None:

@@ -40,8 +40,8 @@ from stefanlab.exporters import (jsonify, read_json, write_field_artifacts,
 from stefanlab.fields import Field, FrontierPath, WeightField
 from stefanlab.grid import run_grid
 from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
-from stefanlab.potential import (PotentialField, compute_w, obstacle_residual,
-                                 residual_window, w_rows)
+from stefanlab.potential import (SCAN_ROWS, PotentialField, compute_w,
+                                 obstacle_residual, residual_window, w_rows)
 
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
@@ -747,7 +747,9 @@ def _iv_continuum_particle_consistency(ctx):
                                 density_knots(d, 0.0, cfg.alpha)).delta
     details, gaps = [], []
     for n in (1_000, 10_000, 100_000):
-        pos = np.sort(d.quantile((np.arange(n) + 0.5) / n))
+        # sorted in place: the quantile's output is this loop's own
+        pos = d.quantile((np.arange(n) + 0.5) / n)
+        pos.sort()
         delta_n = cascade_jump(pos, 0.0, 1, cfg.alpha, n).delta
         gaps.append(abs(delta_n - delta_cont))
         details.append(f"N={n}: gap {gaps[-1]:.2e}")
@@ -879,10 +881,31 @@ def _iv_grid_decay_bound(ctx):
     rows = fld.t >= 10 * dt0
     if not rows.any():
         return _skip("horizon too short for the decay window")
-    peak = np.max(fld.values[rows], axis=1) * np.sqrt(2 * np.pi * fld.t[rows])
+    # each row's maximum in place, then the rows kept: no copy of the rows
+    peak = np.max(fld.values, axis=1)[rows] * np.sqrt(2 * np.pi * fld.t[rows])
     worst = float(np.max(peak))
     return _verdict(worst <= 1.05,
                     f"max of u_max(t) sqrt(2 pi t) = {worst:.4f} (bound 1)")
+
+
+def _time_integral(u: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """Per column, the sum over k of the trapezoid 0.5 (u[k] + u[k+1]) dts[k].
+
+    The trapezoid rows are made SCAN_ROWS at a time in one buffer and added
+    one at a time, in row order, to zeros.  np.sum(rows, axis=0) adds them
+    so on two or more columns (a -0.0 sum comes out +0.0 there too), so
+    this is its sum bit for bit; on one column numpy sums pairwise instead.
+    """
+    buf = np.empty((min(SCAN_ROWS, len(dts)), u.shape[1]))
+    integral = np.zeros(u.shape[1])
+    for lo in range(0, len(dts), SCAN_ROWS):
+        hi = min(lo + SCAN_ROWS, len(dts))
+        inc = np.add(u[lo:hi], u[lo + 1:hi + 1], out=buf[:hi - lo])
+        inc *= 0.5
+        inc *= dts[lo:hi, None]
+        for row in inc:
+            integral += row
+    return integral
 
 
 def _iv_grid_time_integral(ctx):
@@ -891,10 +914,8 @@ def _iv_grid_time_integral(ctx):
         return _skip("no grid run in this scenario")
     fld = res.field
     dts = np.diff(fld.t)
-    integral = np.sum(0.5 * (fld.values[:-1] + fld.values[1:]) * dts[:, None],
-                      axis=0)
     slack = 2 * fld.dx + float(np.max(fld.values[0])) * float(np.max(dts))
-    worst = float(np.max(integral - 2.0 * fld.x - slack))
+    worst = float(np.max(_time_integral(fld.values, dts) - 2.0 * fld.x - slack))
     return _verdict(worst <= 0, f"max of (integral of u dt) - 2x: {worst:.3e}"
                                 f" below slack {slack:.3e}")
 
@@ -917,20 +938,14 @@ def _iv_potential_band_agreement(ctx):
     except ConfigError as exc:
         return _skip(f"no positivity floor: {exc}")
     s_col = w.freeze_time()
-    live = w.w > eps
-    should = w.t[:, None] < s_col[None, :]
     # only columns that froze within the horizon carry a well-defined s.
     # the last w row is zero by construction (empty tail integral), so the
     # freeze time alone cannot tell live columns apart; the final
     # temperature can, and only exact zero works: absorption zeroes cells
     # exactly, while far-tail live columns hold tiny positive diffusion
     frozen_cols = w.tail_bound == 0.0
-    mismatch = (live != should) & frozen_cols[None, :]
     if not frozen_cols.any():
         return _skip("no column froze within the horizon")
-    if not mismatch.any():
-        return _verdict(True, "positivity set and liquid set agree on every"
-                              " frozen column")
     # mismatches may only sit where w is climbing through eps: within a few
     # cells of the frontier, inside a jump interval (linear drainage there
     # stretches the sub-eps band to the jump width), or within the time the
@@ -938,20 +953,38 @@ def _iv_potential_band_agreement(ctx):
     # frontier is fast: the sub-eps strip is thin in time, eps over the
     # local temperature, but its spatial footprint scales with the speed.
     # A drainage plateau of tiny positive w would still exceed it and flag
-    dist = np.abs(w.x[None, :] - w.front()[:, None])
-    allowed = dist <= 4 * w.dx + 1e-12
+    near_jump = np.zeros(len(w.x), dtype=bool)
     for rec in res.jumps:
-        inside = (w.x >= rec.lambda_minus - w.dx) & (w.x <= rec.lambda_plus + w.dx)
-        allowed |= inside[None, :]
-    if res.field is not None:
-        u_col = np.max(res.field.values, axis=0)
-        with np.errstate(divide="ignore"):
-            time_allow = np.where(u_col > 0, 3.0 * eps / np.maximum(u_col, 1e-300),
-                                  np.inf)
-        allowed |= (s_col[None, :] - w.t[:, None]) <= time_allow[None, :]
-    n_stray = int(np.sum(mismatch & ~allowed))
+        near_jump |= (w.x >= rec.lambda_minus - w.dx) & (w.x <= rec.lambda_plus + w.dx)
+    # w is computed from the field, so the level has one
+    u_col = np.max(res.field.values, axis=0)
+    with np.errstate(divide="ignore"):
+        time_allow = np.where(u_col > 0, 3.0 * eps / np.maximum(u_col, 1e-300),
+                              np.inf)
+    # the lattice is walked SCAN_ROWS rows at a time: a node mismatches
+    # where w > eps (live) differs from t < s (should be liquid), and the
+    # allowance is formed only in blocks that hold a mismatch
+    front = None
+    n_mismatch = n_stray = 0
+    for r0 in range(0, len(w.t), SCAN_ROWS):
+        t_col = w.t[r0:r0 + SCAN_ROWS, None]
+        mismatch = (w.w[r0:r0 + SCAN_ROWS] > eps) != (t_col < s_col)
+        mismatch &= frozen_cols
+        k = int(np.count_nonzero(mismatch))
+        if not k:
+            continue
+        n_mismatch += k
+        if front is None:
+            front = w.front()
+        allowed = np.abs(w.x - front[r0:r0 + SCAN_ROWS, None]) <= 4 * w.dx + 1e-12
+        allowed |= near_jump
+        allowed |= (s_col - t_col) <= time_allow
+        n_stray += int(np.count_nonzero(mismatch & ~allowed))
+    if not n_mismatch:
+        return _verdict(True, "positivity set and liquid set agree on every"
+                              " frozen column")
     return _verdict(n_stray == 0,
-                    f"{int(mismatch.sum())} mismatched nodes, {n_stray} outside"
+                    f"{n_mismatch} mismatched nodes, {n_stray} outside"
                     " the frontier band, jump intervals, and drainage strip")
 
 

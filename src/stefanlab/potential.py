@@ -22,6 +22,10 @@ from stefanlab.fields import Field, WeightField
 RESIDUAL_ROWS = 128
 # Rows per block of compute_w, whose increments are summed while in cache.
 W_ROWS = 32
+# Rows per block of the scans that read every row of w (freeze_time, front)
+# and of the grid and potential invariants, so that each holds block-sized
+# masks and differences instead of lattice-sized ones.
+SCAN_ROWS = 128
 # A column whose final temperature is at most this is frozen at the horizon;
 # obstacle_residual admits a column only where its stencil's three are.
 FROZEN_TAIL = 1e-12
@@ -74,10 +78,18 @@ class PotentialField:
         the freeze time s(x); a floor eps would put it far too early on a
         slowly creeping frontier.
         """
-        # one contiguous row per column, so the first zero is a row scan
-        zero = np.ascontiguousarray((self.w[:, cols] <= 0).T)
-        first = np.argmax(zero, axis=1)
-        return np.where(zero[np.arange(len(first)), first], self.t[first], np.inf)
+        # rows in blocks: a column's first zero row is recorded in the
+        # first block that holds one, and the scan stops once every column
+        # has one
+        w = self.w[:, cols]
+        first = np.full(w.shape[1], -1)
+        for r0 in range(0, len(w), SCAN_ROWS):
+            zero = w[r0:r0 + SCAN_ROWS] <= 0
+            new = (first < 0) & zero.any(axis=0)
+            first[new] = r0 + np.argmax(zero[:, new], axis=0)
+            if (first >= 0).all():
+                break
+        return np.where(first >= 0, self.t[first], np.inf)
 
     def front(self) -> np.ndarray:
         """Per row, the x of the first column with w > 0 (+inf if none).
@@ -99,10 +111,15 @@ class PotentialField:
 
 
 def _first_positive(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per row of w, the x of its first positive entry (+inf if none)."""
-    liquid = w > 0
-    first = np.argmax(liquid, axis=1)
-    return np.where(liquid[np.arange(len(w)), first], x[first], np.inf)
+    """Per row of w, the x of its first positive entry (+inf if none),
+    SCAN_ROWS rows at a time."""
+    out = np.empty(len(w))
+    for r0 in range(0, len(w), SCAN_ROWS):
+        liquid = w[r0:r0 + SCAN_ROWS] > 0
+        first = np.argmax(liquid, axis=1)
+        out[r0:r0 + len(first)] = np.where(
+            liquid[np.arange(len(first)), first], x[first], np.inf)
+    return out
 
 
 def compute_w(field: Field) -> PotentialField:

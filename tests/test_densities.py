@@ -1,9 +1,12 @@
 """Density construction, exact CDFs, and the three profile families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stefanlab.densities import (
+    QUANTILE_BLOCK,
     Density,
     oscillatory_density,
     piecewise_constant,
@@ -253,3 +256,78 @@ def test_default_tail_is_flat_to_twice_the_support(family, params, lo):
 def test_tail_errors(family, args, tail, match):
     with pytest.raises(ConfigError, match=match):
         family(*args, **tail)
+
+
+def reference_quantile(d, u):
+    """quantile's formula on the whole array at once, as it was evaluated
+    before the blocks."""
+    u = np.asarray(u, dtype=float)
+    cum = d._cum
+    idx = np.clip(np.searchsorted(cum, u, side="left"), 1, len(cum) - 1)
+    lo_c, hi_c = cum[idx - 1], cum[idx]
+    lo_x, hi_x = d.breaks[idx - 1], d.breaks[idx]
+    span = hi_c - lo_c
+    frac = np.where(span > 0, (u - lo_c) / np.where(span > 0, span, 1.0), 0.0)
+    out = lo_x + frac * (hi_x - lo_x)
+    return out if out.ndim else float(out)
+
+
+QUANTILE_DENSITIES = {
+    # the README demo's data, the benchmark's band (a jump at t = 0), and a
+    # profile with a vacuum gap and a zero-density step: flat CDF pieces
+    "readme-demo": ([0.0, 1.5], [0.6667]),
+    "band": ([0.2, 0.6, 3.2667], [1.5, 0.15]),
+    "flat-pieces": ([0.0, 0.3, 1.0, 1.2, 1.5, 2.0], [2.0, 0.0, 0.5, 0.0, 0.6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUANTILE_DENSITIES))
+def test_quantile_blocks_match_the_whole_array_formula(name):
+    d = piecewise_constant(*QUANTILE_DENSITIES[name])
+    n = 3 * QUANTILE_BLOCK + 5
+    cum = list(d._cum)
+    rng = np.random.default_rng(5)
+    cases = {
+        "lattice": (np.arange(n) + 0.5) / n,
+        "iid": rng.random(n),
+        # 0 and 1, and every break's cumulative mass, where flat pieces
+        # resolve leftward, inside a run of block-straddling arguments
+        "edges": np.array(([0.0, 1.0] + cum) * (QUANTILE_BLOCK // 4)),
+        "2-d": rng.random((QUANTILE_BLOCK // 16 + 3, 33)),
+        "empty": np.empty((0, 4)),
+    }
+    for case, u in cases.items():
+        got = d.quantile(u)
+        want = reference_quantile(d, u)
+        assert got.shape == want.shape, case
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case
+    for u in (0.0, 1.0, *cum, np.float64(0.37), np.array(0.5)):
+        got = d.quantile(u)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(reference_quantile(d, u)).tobytes()
+
+
+def test_quantile_refuses_an_argument_out_of_range_in_any_block():
+    d = piecewise_constant([0.0, 1.5], [0.6667])
+    for bad in (-1e-300, 1.0 + 1e-15):
+        u = np.full(2 * QUANTILE_BLOCK + 1, 0.5)
+        u[-1] = bad
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            d.quantile(u)
+
+
+def test_quantile_allocates_blocks_not_argument_sized_arrays():
+    # the particle solver's N = 1e5 start: beyond its output, quantile
+    # holds a few block-sized temporaries at a time
+    d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
+    n = 100_000
+    u = (np.arange(n) + 0.5) / n
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = d.quantile(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 1_000_000, peak

@@ -1,8 +1,10 @@
-"""Pinned outputs of three small grid runs and one run of both methods.
+"""Pinned outputs of three small grid runs and one run of both methods,
+and pinned verify ledgers of two configs.
 
 Each level's frontier, field, weight, potential w, freezing profile and
 reports are hashed, and where the level ran the particles, their frontier
-and detected jumps too; the digests were recorded once and must not change
+and detected jumps too; so is verify_suite's ledger, every verdict and
+detail, as sorted JSON.  The digests were recorded once and must not change
 under a refactor that claims identical output.  Floating-point results may
 differ across numpy and scipy builds, so the pin applies only to the
 versions it was recorded with, which CI installs through
@@ -19,7 +21,7 @@ import pytest
 import scipy
 
 from stefanlab.exporters import jsonify
-from stefanlab.harness import run_scenario, scenario_from_dict
+from stefanlab.harness import run_scenario, scenario_from_dict, verify_suite
 
 PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -154,6 +156,24 @@ DIGESTS = {
 }
 
 
+# verify_suite's ledger of CI's smoke config and of the README demo cut to
+# t_end = 0.2
+LEDGER_CONFIGS = {
+    "smoke": {
+        "scenario_id": "smoke", "alpha": 0.7, "method": "both",
+        "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
+                    "values": [0.6667]},
+        "n_particles": 500, "dt": 0.002, "dx": 0.05, "t_end": 0.1,
+        "thresholds": {"interior_margin": 0.05}},
+    "readme-demo": {**CONFIGS["readme-demo-both"], "n_particles": 20000},
+}
+
+LEDGER_DIGESTS = {
+    "readme-demo": "3636afcec49873dc7e3f7dc02533a49e89b15fff86e7802597b2565afc9484cb",
+    "smoke": "bf2980792b3e3e0fe527a688e341d23cae5cd0a2adb66b2556d772b587afb428",
+}
+
+
 def _sha(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -201,7 +221,14 @@ def scenario_digests(name: str) -> list:
     return [level_digests(res) for res in result.levels]
 
 
-# marks a test that compares against DIGESTS
+def ledger_digest(name: str) -> str:
+    ledger = verify_suite(scenario_from_dict({**LEDGER_CONFIGS[name],
+                                              "outdir": "unused"}))
+    return hashlib.sha256(
+        json.dumps(jsonify(ledger), sort_keys=True).encode()).hexdigest()
+
+
+# marks a test that compares against DIGESTS or LEDGER_DIGESTS
 pinned = pytest.mark.skipif(
     (np.__version__, scipy.__version__)
     != (PINNED_VERSIONS["numpy"], PINNED_VERSIONS["scipy"]),
@@ -220,6 +247,12 @@ def test_grid_outputs_match_the_pinned_digests(name):
         assert not changed, f"{name} L{level}: {changed} differ from the pin"
 
 
+@pinned
+@pytest.mark.parametrize("name", sorted(LEDGER_CONFIGS))
+def test_verify_ledger_matches_the_pin(name):
+    assert ledger_digest(name) == LEDGER_DIGESTS[name]
+
+
 if __name__ == "__main__":
     for name in sorted(CONFIGS):
         print(f'    "{name}": [')
@@ -229,3 +262,7 @@ if __name__ == "__main__":
                 print(f'            "{key}": "{value}",')
             print("        },")
         print("    ],")
+    print("LEDGER_DIGESTS = {")
+    for name in sorted(LEDGER_CONFIGS):
+        print(f'    "{name}": "{ledger_digest(name)}",')
+    print("}")

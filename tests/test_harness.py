@@ -20,12 +20,14 @@ import stefanlab.harness as harness_mod
 from stefanlab.cli import _reconstruction_gap, main
 from stefanlab.errors import ConfigError, NumericalAbort
 from stefanlab.exporters import (read_frontier_csv, read_json, read_matrix_csv,
-                                 read_nu_csv)
+                                 read_nu_csv, write_matrix_csv)
 from stefanlab.fields import Field, WeightField
 from stefanlab.harness import (INVARIANT_REGISTRY, ScenarioConfig,
                                apply_overrides, build_density, run_scenario,
                                scenario_from_dict, verify_suite)
-from stefanlab.potential import compute_w, obstacle_residual, residual_window, w_rows
+from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
+from stefanlab.potential import (SCAN_ROWS, compute_w, obstacle_residual,
+                                 residual_window, w_rows)
 from test_exporters import MALFORMED_NPY
 from test_grid_pin import CONFIGS as PIN_CONFIGS
 from test_grid_pin import DIGESTS as PIN_DIGESTS
@@ -615,6 +617,164 @@ class TestVerifySuite:
             json.dumps(jsonify(b), sort_keys=True)
 
 
+def reference_continuum_particle_consistency(ctx):
+    """The invariant as it was, np.sort's copy of each lattice included."""
+    d, cfg = ctx["density"], ctx["cfg"]
+    delta_cont = continuum_jump(d.cdf, 0.0, cfg.alpha,
+                                density_knots(d, 0.0, cfg.alpha)).delta
+    details, gaps = [], []
+    for n in (1_000, 10_000, 100_000):
+        pos = np.sort(d.quantile((np.arange(n) + 0.5) / n))
+        delta_n = cascade_jump(pos, 0.0, 1, cfg.alpha, n).delta
+        gaps.append(abs(delta_n - delta_cont))
+        details.append(f"N={n}: gap {gaps[-1]:.2e}")
+    floor = 3.0 * cfg.alpha / 100_000 + 3e-3
+    monotone = all(b <= a * (1 + 1e-9) + 1e-12 for a, b in zip(gaps, gaps[1:]))
+    ok = monotone and (gaps[-1] <= floor or gaps[-1] <= gaps[0] / 3.0)
+    return {"verdict": "pass" if ok else "fail",
+            "detail": "; ".join(details) + f"; floor {floor:.2e}, monotone={monotone}"}
+
+
+def reference_decay_bound(ctx):
+    """grid.decay_bound on a copy of the kept rows, as it was."""
+    fld = ctx["levels"][0].field
+    dt0 = fld.t[1] - fld.t[0]
+    rows = fld.t >= 10 * dt0
+    peak = np.max(fld.values[rows], axis=1) * np.sqrt(2 * np.pi * fld.t[rows])
+    worst = float(np.max(peak))
+    return {"verdict": "pass" if worst <= 1.05 else "fail",
+            "detail": f"max of u_max(t) sqrt(2 pi t) = {worst:.4f} (bound 1)"}
+
+
+def reference_time_integral(u, t):
+    """The time integral of grid.time_integral_bound as one whole-lattice sum."""
+    return np.sum(0.5 * (u[:-1] + u[1:]) * np.diff(t)[:, None], axis=0)
+
+
+def reference_time_integral_bound(ctx):
+    fld = ctx["levels"][0].field
+    dts = np.diff(fld.t)
+    integral = reference_time_integral(fld.values, fld.t)
+    slack = 2 * fld.dx + float(np.max(fld.values[0])) * float(np.max(dts))
+    worst = float(np.max(integral - 2.0 * fld.x - slack))
+    return {"verdict": "pass" if worst <= 0 else "fail",
+            "detail": f"max of (integral of u dt) - 2x: {worst:.3e}"
+                      f" below slack {slack:.3e}"}
+
+
+def reference_band_agreement(ctx):
+    """potential.band_agreement on whole-lattice masks, as it was."""
+    res = ctx["levels"][0]
+    w = res.w
+    eps = w.eps_w()
+    s_col = w.freeze_time()
+    live = w.w > eps
+    should = w.t[:, None] < s_col[None, :]
+    frozen_cols = w.tail_bound == 0.0
+    mismatch = (live != should) & frozen_cols[None, :]
+    if not frozen_cols.any():
+        return {"verdict": "skip", "detail": "no column froze within the horizon"}
+    if not mismatch.any():
+        return {"verdict": "pass", "detail": "positivity set and liquid set agree"
+                                             " on every frozen column"}
+    dist = np.abs(w.x[None, :] - w.front()[:, None])
+    allowed = dist <= 4 * w.dx + 1e-12
+    for rec in res.jumps:
+        inside = (w.x >= rec.lambda_minus - w.dx) & (w.x <= rec.lambda_plus + w.dx)
+        allowed |= inside[None, :]
+    u_col = np.max(res.field.values, axis=0)
+    with np.errstate(divide="ignore"):
+        time_allow = np.where(u_col > 0, 3.0 * eps / np.maximum(u_col, 1e-300),
+                              np.inf)
+    allowed |= (s_col[None, :] - w.t[:, None]) <= time_allow[None, :]
+    n_stray = int(np.sum(mismatch & ~allowed))
+    return {"verdict": "pass" if n_stray == 0 else "fail",
+            "detail": f"{int(mismatch.sum())} mismatched nodes, {n_stray} outside"
+                      " the frontier band, jump intervals, and drainage strip"}
+
+
+BLOCKED_INVARIANTS = {
+    "jump.continuum_particle_consistency": reference_continuum_particle_consistency,
+    "grid.decay_bound": reference_decay_bound,
+    "grid.time_integral_bound": reference_time_integral_bound,
+    "potential.band_agreement": reference_band_agreement,
+}
+
+
+class TestBlockedInvariants:
+    """The invariants that walk the lattice in row blocks give the verdicts
+    of the whole-array expressions they replace, on the README demo's grid
+    route, on the band (a jump at t = 0, and mismatches outside the
+    allowance) and on the demo at a quarter of its dt (4001 rows)."""
+
+    @pytest.fixture(scope="class", params=["readme-demo", "band", "tall"])
+    def ctx(self, request):
+        raw = {
+            "readme-demo": dict(README_DEMO, method="grid", outdir="unused"),
+            "band": dict(scenario_id="band", density=BAND, alpha=2.0,
+                         method="grid", dt=2e-3, dx=0.04, t_end=1.0, seed=3,
+                         outdir="unused"),
+            "tall": dict(README_DEMO, method="grid", dt=2.5e-4, outdir="unused"),
+        }[request.param]
+        cfg = scenario_from_dict(raw)
+        result = run_scenario(cfg, write=False)
+        result.levels[0].w  # computed once, before any allocation is traced
+        return {"cfg": cfg, "density": build_density(cfg.density),
+                "levels": result.levels, "result": result}
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_INVARIANTS))
+    def test_verdict_matches_the_whole_array_expression(self, ctx, name):
+        got = dict(INVARIANT_REGISTRY)[name](ctx)
+        assert got == BLOCKED_INVARIANTS[name](ctx)
+        assert got["verdict"] != "skip"
+
+    def test_allowance_is_exercised(self, ctx):
+        # every field has mismatched nodes, so the blocks' allowance is
+        # formed; on the band (a jump at t = 0) some fall outside it
+        detail = dict(INVARIANT_REGISTRY)["potential.band_agreement"](ctx)["detail"]
+        assert not detail.startswith("positivity set")
+        if ctx["cfg"].scenario_id == "band":
+            assert ctx["levels"][0].jumps and " 0 outside" not in detail
+
+    def test_time_integral_is_the_whole_lattice_sum_bit_for_bit(self, ctx):
+        fld = ctx["levels"][0].field
+        got = harness_mod._time_integral(fld.values, np.diff(fld.t))
+        want = reference_time_integral(fld.values, fld.t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["grid.decay_bound", "grid.time_integral_bound",
+                                      "potential.band_agreement"])
+    def test_holds_a_few_blocks_not_the_lattice(self, ctx, name):
+        # beyond the fields the level keeps, a few temporaries of SCAN_ROWS
+        # rows and O(nt + nx) values; the whole-array form held lattice-
+        # sized masks and products (about 82 blocks on the tall field)
+        nt, nx = ctx["levels"][0].field.values.shape
+        block = SCAN_ROWS * nx * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dict(INVARIANT_REGISTRY)[name](ctx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * block + 64 * (nt + nx), (peak, block)
+
+
+def test_time_integral_at_block_edges():
+    # row counts around one and two blocks of trapezoid rows, two to five
+    # columns, -0.0 and signed values: the row-order sum is np.sum's
+    rng = np.random.default_rng(2)
+    for nt in (1, 2, 3, SCAN_ROWS, SCAN_ROWS + 1, SCAN_ROWS + 2, 2 * SCAN_ROWS + 1):
+        for nx in (2, 5):
+            u = rng.standard_normal((nt, nx))
+            u[:, 0] = -0.0
+            t = np.cumsum(rng.uniform(0.5, 1.5, nt))
+            got = harness_mod._time_integral(u, np.diff(t))
+            want = reference_time_integral(u, t)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (nt, nx)
+
+
 def assert_no_child_left():
     # every forked child has been reaped: none is running or a zombie
     with pytest.raises(ChildProcessError):
@@ -932,6 +1092,41 @@ class TestCli:
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2] if case == "truncated"
                          else MALFORMED_NPY[case][1])
+        capsys.readouterr()
+        assert main(["analyze", str(path.parent)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["truncated", "x-shifted", "t-shifted"])
+    def test_analyze_refuses_a_w_npy_off_the_field_axes(self, tmp_path, capsys,
+                                                          case):
+        # a w.npy of field.npy's shape whose border is another grid's, or
+        # one cut short, is refused with the file named, not compared
+        assert main(["simulate", str(self.write_config(tmp_path))]) == 0
+        rundir = tmp_path / "out" / "cli"
+        path = rundir / "w.npy"
+        if case == "truncated":
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) - 8])
+        else:
+            x, t, w = (a.copy() for a in read_matrix_csv(path))
+            if case == "x-shifted":
+                x += x[1] - x[0]
+            else:
+                t[-1] += 1e-9
+            write_matrix_csv(path, x, t, w)
+        capsys.readouterr()
+        assert main(["analyze", str(rundir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}")
+        assert "Traceback" not in err
+        assert not (rundir / "analysis.json").exists()
+
+    def test_analyze_of_a_truncated_field_npy_exits_2(self, tmp_path, capsys):
+        # CI's smoke config with its field.npy cut to the first 100 bytes
+        cfg_path = self.write_config(tmp_path, **dict(SMOKE, outdir=str(tmp_path / "out")))
+        assert main(["simulate", str(cfg_path)]) == 0
+        path = tmp_path / "out" / "smoke" / "field.npy"
+        path.write_bytes(path.read_bytes()[:100])
         capsys.readouterr()
         assert main(["analyze", str(path.parent)]) == 2
         assert str(path) in capsys.readouterr().err

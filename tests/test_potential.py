@@ -7,7 +7,7 @@ from stefanlab.errors import ConfigError
 from stefanlab.exporters import read_matrix_csv, write_matrix_csv
 from stefanlab.fields import Field, WeightField
 from stefanlab.grid import run_grid
-from stefanlab.potential import (RESIDUAL_ROWS, W_ROWS, PotentialField,
+from stefanlab.potential import (RESIDUAL_ROWS, SCAN_ROWS, W_ROWS, PotentialField,
                                  bound_suite, compute_w, default_eps_w,
                                  obstacle_residual, residual_l1_window, w_rows)
 from stefanlab.synthetic import (caloric_polynomial_field,
@@ -466,3 +466,50 @@ def test_obstacle_residual_with_an_empty_span():
     assert rep["n_nodes"] == 0
     assert rep["l1"] == rep["linf"] == rep["complementarity_max"] == 0.0
     assert repr(rep) == repr(reference_residual(w, nu, 0.02))
+
+
+def reference_freeze_time(w: PotentialField, cols: slice = slice(None)) -> np.ndarray:
+    """freeze_time on the whole lattice at once, as it was before the blocks."""
+    zero = np.ascontiguousarray((w.w[:, cols] <= 0).T)
+    first = np.argmax(zero, axis=1)
+    return np.where(zero[np.arange(len(first)), first], w.t[first], np.inf)
+
+
+def block_edge_potential(nt: int) -> PotentialField:
+    """A w whose columns first reach zero on the rows around the scan's
+    block edges, on none, or on row 0, with NaN, -0.0 and negative entries,
+    and whose rows first turn positive on as mixed a set of columns."""
+    rng = np.random.default_rng(nt)
+    nx = 12
+    W = rng.uniform(0.1, 1.0, (nt, nx))
+    edges = [0, 1, SCAN_ROWS - 1, SCAN_ROWS, SCAN_ROWS + 1, 2 * SCAN_ROWS, nt - 1]
+    for col, row in enumerate(e for e in edges if e < nt):
+        W[row:, col] = 0.0
+    W[nt // 2, 8] = -0.0                      # one isolated zero
+    W[::3, 9] = np.nan                        # never <= 0, never > 0
+    W[:, 10] = -1.0                           # zero from the start
+    W[rng.random((nt, nx)) < 0.05] *= -1.0    # scattered negative cells
+    return PotentialField(x=(np.arange(nx) + 0.5) * 0.1,
+                          t=np.cumsum(rng.uniform(0.5, 1.5, nt)) * 1e-3,
+                          w=W, tail_bound=np.zeros(nx), alpha=1.0)
+
+
+@pytest.mark.parametrize("nt", [1, 2, SCAN_ROWS, SCAN_ROWS + 1, 2 * SCAN_ROWS + 3])
+def test_row_scans_match_the_whole_lattice_expressions(nt):
+    # freeze_time and front walk the rows in blocks of SCAN_ROWS; they
+    # give the whole-lattice expressions' values, bit for bit
+    w = block_edge_potential(nt)
+    for cols in (slice(None), slice(2, 9), slice(5, 5)):
+        assert same_bits(w.freeze_time(cols), reference_freeze_time(w, cols))
+    assert same_bits(w.front(), reference_front(w))
+
+
+@pytest.mark.parametrize("name", ["readme-demo", "band"])
+def test_row_scans_match_on_solver_output(name):
+    d = (piecewise_constant([0.0, 1.5], [0.6667]) if name == "readme-demo"
+         else piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15]))
+    alpha, x_max = (0.7, 6.2) if name == "readme-demo" else (2.0, 9.28)
+    _, f, _ = run_grid(d, alpha=alpha, x_max=x_max, dx=0.02, dt=1e-3, t_end=1.0)
+    w = compute_w(f)
+    assert same_bits(w.freeze_time(), reference_freeze_time(w))
+    assert same_bits(w.front(), reference_front(w))
