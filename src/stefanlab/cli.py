@@ -107,8 +107,8 @@ def _cmd_analyze(args) -> int:
     w_path = root / "w.npy"
     if w_path.exists():
         # read a block at a time, each checked against field.npy's axes
-        with MatrixRows(w_path, field.x, field.t) as w_stored:
-            report["w_reconstruction_gap"] = _reconstruction_gap(field, w_stored)
+        w_stored = MatrixRows(w_path, field.x, field.t)
+        report["w_reconstruction_gap"] = _reconstruction_gap(field, w_stored)
 
     write_json(root / "analysis.json", report)
     print(json.dumps(jsonify(report), indent=2, sort_keys=True))

@@ -19,6 +19,7 @@ import numpy as np
 
 from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
+from stefanlab.potential import row_blocks
 
 
 def _row(values) -> str:
@@ -78,8 +79,6 @@ def read_frontier_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 NPY_MAGIC = np.lib.format.MAGIC_PREFIX
-# rows per block in which write_matrix_csv borders and writes a matrix
-MATRIX_ROWS = 256
 
 
 def _save(path, a: np.ndarray) -> None:
@@ -112,11 +111,12 @@ def write_matrix_csv(path, x: np.ndarray, t: np.ndarray, values) -> None:
     """Matrix layout in .npy: first row holds x, first column holds t,
     corner is nan.
 
-    values is the (len(t), len(x)) matrix, or an iterable of (lo, rows)
-    blocks that give its rows lo, lo + 1, ... and cover each row once, in
-    any order (potential.w_rows).  The header is written first, then each
-    block, bordered by its t, at its own row of the file, so no bordered
-    copy of the whole matrix is made; the bytes are np.save's of that copy.
+    values is the (len(t), len(x)) matrix, walked by potential.row_blocks,
+    or an iterable of (lo, rows) blocks that give its rows lo, lo + 1, ...
+    and cover each row once, in any order (potential.w_rows).  The header
+    is written first, then each block, bordered by its t, at its own row
+    of the file, so no bordered copy of the whole matrix is made; the
+    bytes are np.save's of that copy.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -125,8 +125,7 @@ def write_matrix_csv(path, x: np.ndarray, t: np.ndarray, values) -> None:
     if isinstance(values, np.ndarray):
         if values.shape != (nt, nx):
             raise ConfigError("matrix shape does not match axes")
-        blocks = ((lo, values[lo:lo + MATRIX_ROWS])
-                  for lo in range(0, nt, MATRIX_ROWS))
+        blocks = row_blocks(values)
     row_bytes = 8 * (nx + 1)
     buf = np.empty((0, nx + 1))
     covered = 0
@@ -163,51 +162,39 @@ def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class MatrixRows:
     """The values of a matrix file on the axes x and t, read by row slices.
 
-    rows[lo:hi] reads rows lo..hi-1 of the file, bordered by their times,
-    from their own offset into one buffer that the next slice reuses, and
-    returns the values; so a consumer that walks the rows block by block
-    holds one block, never the whole matrix.  Opening checks the header
-    (a 2-d C-ordered float64 .npy array of len(t) + 1 rows and len(x) + 1
-    columns), the file's length, the nan corner and the x row against x;
-    each slice checks its times against t.  Any of these that fails is a
-    ConfigError naming the file.  Use it as a context manager.
+    rows[lo:hi] opens the file, reads rows lo..hi-1, bordered by their
+    times, from their own offset into one buffer that the next slice
+    reuses, and returns the values; so a consumer that walks the rows
+    block by block holds one block, never the whole matrix.  Making one
+    checks the header (a 2-d C-ordered float64 .npy array of len(t) + 1
+    rows and len(x) + 1 columns), the file's length, the nan corner and
+    the x row against x; each slice checks its times against t.  Any of
+    these that fails is a ConfigError naming the file.
     """
 
     def __init__(self, path, x: np.ndarray, t: np.ndarray):
         self.path, self._t = path, np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        self.shape = (len(self._t), len(x))
-        try:
-            self._fh = open(path, "rb")
-        except OSError as exc:
-            raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
-        try:
-            self._open(x)
-        except BaseException:
-            self._fh.close()
-            raise
-
-    def _open(self, x: np.ndarray) -> None:
-        fh, path = self._fh, self.path
+        self.shape = nt, nx = len(self._t), len(x)
         fmt = np.lib.format
         try:
-            version = fmt.read_magic(fh)
-            read_header = {(1, 0): fmt.read_array_header_1_0,
-                           (2, 0): fmt.read_array_header_2_0}.get(version)
-            if read_header is None:
-                raise ValueError(f"unsupported .npy version {version}")
-            shape, fortran_order, dtype = read_header(fh)
+            with open(path, "rb") as fh:
+                version = fmt.read_magic(fh)
+                read_header = {(1, 0): fmt.read_array_header_1_0,
+                               (2, 0): fmt.read_array_header_2_0}.get(version)
+                if read_header is None:
+                    raise ValueError(f"unsupported .npy version {version}")
+                shape, fortran_order, dtype = read_header(fh)
+                self._start, size = fh.tell(), os.fstat(fh.fileno()).st_size
         except (OSError, ValueError, EOFError) as exc:
             raise ConfigError(f"{path}: cannot read: {exc}") from None
         if len(shape) != 2 or dtype != np.float64 or fortran_order:
             raise ConfigError(f"{path}: expected a 2-d C-ordered float64 .npy array")
-        nt, nx = self.shape
         if shape != (nt + 1, nx + 1):
             raise ConfigError(f"{path}: a {shape[0] - 1} x {shape[1] - 1} matrix,"
                               f" not {nt} x {nx} on the given axes")
         self._row_bytes = 8 * (nx + 1)
-        self._start = fh.tell()
-        if os.fstat(fh.fileno()).st_size != self._start + shape[0] * self._row_bytes:
+        if size != self._start + shape[0] * self._row_bytes:
             raise ConfigError(f"{path}: cannot read: file length does not match"
                               f" its {shape[0]} x {shape[1]} header")
         self._buf = np.empty((1, nx + 1))
@@ -223,9 +210,10 @@ class MatrixRows:
         if len(self._buf) < k:
             self._buf = np.empty((k, self.shape[1] + 1))
         block = self._buf[:k]
-        self._fh.seek(self._start + (1 + lo) * self._row_bytes)
-        if self._fh.readinto(block) != block.nbytes:
-            raise ConfigError(f"{self.path}: cannot read: file is truncated")
+        with open(self.path, "rb") as fh:
+            fh.seek(self._start + (1 + lo) * self._row_bytes)
+            if fh.readinto(block) != block.nbytes:
+                raise ConfigError(f"{self.path}: cannot read: file is truncated")
         return block
 
     def __getitem__(self, rows: slice) -> np.ndarray:
@@ -235,15 +223,6 @@ class MatrixRows:
             raise ConfigError(f"{self.path}: its t column is not the given t axis"
                               f" on rows {lo} to {hi - 1}")
         return block[:, 1:]
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def write_nu_csv(path, nu: WeightField) -> None:

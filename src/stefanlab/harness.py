@@ -15,12 +15,12 @@ pool, so they overlap the scenario's run.
 from __future__ import annotations
 
 import contextlib
-import functools
 import inspect
 import json
 import math
 import numbers
 import os
+import platform
 import shutil
 import time
 from dataclasses import dataclass, field as dc_field, asdict, replace
@@ -40,8 +40,9 @@ from stefanlab.exporters import (jsonify, read_json, write_field_artifacts,
 from stefanlab.fields import Field, FrontierPath, WeightField
 from stefanlab.grid import run_grid
 from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
-from stefanlab.potential import (SCAN_ROWS, PotentialField, compute_w,
-                                 obstacle_residual, residual_window, w_rows)
+from stefanlab.potential import (SCAN_ROWS, compute_w, default_eps_w,
+                                 obstacle_residual, residual_window, row_blocks,
+                                 scan_first_positive, scan_first_zero, w_rows)
 
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
@@ -217,14 +218,14 @@ class ScenarioConfig:
         the sampled field (rows x cells, for the grid and for the snapshots
         of a particle-only run, which are binned as they are taken, so their
         rows are all that snapshots keep), the grid's w (rows x cells), the
-        frontier samples and one array per particle.  w is counted because
-        verify's potential invariants keep the coarsest level's whole w
-        (LevelResult.w), which on a one-level config is the finest.  Other
-        runs hold less where the analysis reads a window of the finest
-        level's columns: simulate writes w.npy in row blocks from w's
-        recurrence and holds no whole w, compare builds none, and verify on
-        a ladder keeps only the coarsest level's.  The count is the same
-        for them, so it can reject such a run that would just fit.
+        frontier samples and one array per particle.  No level keeps a w:
+        the writer and verify's potential invariants read it in row blocks
+        from its recurrence.  w is still counted because the obstacle
+        report builds a whole w on the leading columns it reads, and on the
+        whole lattice where that window cannot be used
+        (_residual_inputs), so a finest level may briefly hold a w as
+        large as its field.  A run whose window is narrow holds less, so
+        this can reject one that would just fit.
         """
         memory = _physical_memory()
         if memory is None:
@@ -373,11 +374,9 @@ def _parse_value(text: str):
 class LevelResult:
     """Everything one refinement level produced, per method.
 
-    The grid route's potential w is not kept with the run: the w property
-    computes it from field the first time something reads it (the potential
-    invariants) and keeps it from then on; the artifact writer writes its
-    own in row blocks as they are computed (potential.w_rows) and keeps
-    none.  A level without a grid route has none.
+    The grid route's potential w is not kept: whatever reads it (the
+    artifact writer, the potential invariants) computes it from field in
+    row blocks (potential.w_rows) and holds one block at a time.
     """
 
     level: int
@@ -391,10 +390,6 @@ class LevelResult:
     p_field: Field | None = None
     p_jumps: list = dc_field(default_factory=list)
     reports: dict = dc_field(default_factory=dict)
-
-    @functools.cached_property
-    def w(self) -> PotentialField | None:
-        return None if self.field is None else compute_w(self.field)
 
 
 @dataclass
@@ -509,8 +504,7 @@ def run_level(cfg: ScenarioConfig, level: int, d: Density) -> LevelResult:
     Everything runs in the calling process: a "both" level runs its grid
     route and that route's analysis, then its particle route.  The analysis
     builds w only on the columns its obstacle report reads (a fifth of the
-    field on the benchmark's finest level), and the level keeps no w
-    (LevelResult.w computes the whole one when read).
+    field on the benchmark's finest level), and the level keeps no w.
     """
     p = cfg.level_params(level)
     res = LevelResult(level=level, params=dict(p))
@@ -570,7 +564,7 @@ def _write_level(lvl_dir: Path, res: LevelResult) -> list[str]:
     """Write one level's artifacts into lvl_dir; returns the file names.
 
     A grid level's w.npy is written block by block as potential.w_rows
-    computes it, so no whole w is held, and res.w is neither read nor set.
+    computes it, so no whole w is held.
     """
     fr = res.frontier if res.frontier is not None else res.p_frontier
     fld = res.field if res.field is not None else res.p_field
@@ -623,10 +617,23 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
         write_json(root / "summary.json", summary)
         write_json(root / "meta.json",
                    {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                    "format": 2})
+                    "format": 2, "versions": _versions()})
         outpath = str(root)
     return ScenarioResult(config=cfg, levels=levels, summary=summary,
                           outpath=outpath)
+
+
+def _versions() -> dict:
+    """The package, Python, numpy and scipy versions; scipy's from its
+    installed metadata (None if none), so a particle run loads no scipy."""
+    import importlib.metadata
+    from stefanlab import __version__
+    try:
+        scipy = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy = None
+    return {"stefanlab": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy}
 
 
 def compare_methods(cfg: ScenarioConfig) -> dict:
@@ -898,11 +905,10 @@ def _time_integral(u: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """
     buf = np.empty((min(SCAN_ROWS, len(dts)), u.shape[1]))
     integral = np.zeros(u.shape[1])
-    for lo in range(0, len(dts), SCAN_ROWS):
-        hi = min(lo + SCAN_ROWS, len(dts))
-        inc = np.add(u[lo:hi], u[lo + 1:hi + 1], out=buf[:hi - lo])
+    for lo, d in row_blocks(dts):
+        inc = np.add(u[lo:lo + len(d)], u[lo + 1:lo + len(d) + 1], out=buf[:len(d)])
         inc *= 0.5
-        inc *= dts[lo:hi, None]
+        inc *= d[:, None]
         for row in inc:
             integral += row
     return integral
@@ -922,30 +928,37 @@ def _iv_grid_time_integral(ctx):
 
 def _iv_potential_nonnegative(ctx):
     res = ctx["levels"][0]
-    if res.w is None:
+    if res.field is None:
         return _skip("no potential in this scenario")
-    worst = float(res.w.w.min())
+    worst = float(np.min([rows.min() for _, rows in w_rows(res.field)]))
     return _verdict(worst >= -1e-12, f"min w = {worst:.3e}")
 
 
 def _iv_potential_band_agreement(ctx):
     res = ctx["levels"][0]
-    if res.w is None:
+    fld = res.field
+    if fld is None:
         return _skip("no potential in this scenario")
-    w = res.w
     try:
-        eps = w.eps_w()
+        eps = default_eps_w(fld.dx, fld.alpha)
     except ConfigError as exc:
         return _skip(f"no positivity floor: {exc}")
-    s_col = w.freeze_time()
     # only columns that froze within the horizon carry a well-defined s.
     # the last w row is zero by construction (empty tail integral), so the
     # freeze time alone cannot tell live columns apart; the final
     # temperature can, and only exact zero works: absorption zeroes cells
     # exactly, while far-tail live columns hold tiny positive diffusion
-    frozen_cols = w.tail_bound == 0.0
+    frozen_cols = fld.values[-1] == 0.0
     if not frozen_cols.any():
         return _skip("no column froze within the horizon")
+    x, t, dx = fld.x, fld.t, fld.dx
+    # w is read twice in w_rows' blocks: once for each column's freeze time
+    # s and each row's frontier, once to count mismatches
+    first, front = np.full(len(x), len(t)), np.empty(len(t))
+    for lo, rows in w_rows(fld):
+        scan_first_zero(first, lo, rows)
+        scan_first_positive(front, lo, rows, x)
+    s_col = np.append(t, np.inf)[first]
     # mismatches may only sit where w is climbing through eps: within a few
     # cells of the frontier, inside a jump interval (linear drainage there
     # stretches the sub-eps band to the jump width), or within the time the
@@ -953,30 +966,25 @@ def _iv_potential_band_agreement(ctx):
     # frontier is fast: the sub-eps strip is thin in time, eps over the
     # local temperature, but its spatial footprint scales with the speed.
     # A drainage plateau of tiny positive w would still exceed it and flag
-    near_jump = np.zeros(len(w.x), dtype=bool)
+    near_jump = np.zeros(len(x), dtype=bool)
     for rec in res.jumps:
-        near_jump |= (w.x >= rec.lambda_minus - w.dx) & (w.x <= rec.lambda_plus + w.dx)
-    # w is computed from the field, so the level has one
-    u_col = np.max(res.field.values, axis=0)
+        near_jump |= (x >= rec.lambda_minus - dx) & (x <= rec.lambda_plus + dx)
+    u_col = np.max(fld.values, axis=0)
     with np.errstate(divide="ignore"):
         time_allow = np.where(u_col > 0, 3.0 * eps / np.maximum(u_col, 1e-300),
                               np.inf)
-    # the lattice is walked SCAN_ROWS rows at a time: a node mismatches
-    # where w > eps (live) differs from t < s (should be liquid), and the
-    # allowance is formed only in blocks that hold a mismatch
-    front = None
+    # a node mismatches where w > eps (live) differs from t < s (should be
+    # liquid), and the allowance is formed only in blocks that hold one
     n_mismatch = n_stray = 0
-    for r0 in range(0, len(w.t), SCAN_ROWS):
-        t_col = w.t[r0:r0 + SCAN_ROWS, None]
-        mismatch = (w.w[r0:r0 + SCAN_ROWS] > eps) != (t_col < s_col)
+    for lo, rows in w_rows(fld):
+        t_col = t[lo:lo + len(rows), None]
+        mismatch = (rows > eps) != (t_col < s_col)
         mismatch &= frozen_cols
         k = int(np.count_nonzero(mismatch))
         if not k:
             continue
         n_mismatch += k
-        if front is None:
-            front = w.front()
-        allowed = np.abs(w.x - front[r0:r0 + SCAN_ROWS, None]) <= 4 * w.dx + 1e-12
+        allowed = np.abs(x - front[lo:lo + len(rows), None]) <= 4 * dx + 1e-12
         allowed |= near_jump
         allowed |= (s_col - t_col) <= time_allow
         n_stray += int(np.count_nonzero(mismatch & ~allowed))
@@ -999,7 +1007,9 @@ def _iv_potential_complementarity(ctx):
         return _skip(f"residual region unavailable: {rep['error']}")
     if rep["n_nodes"] == 0:
         return _skip("interior region is empty at this resolution")
-    tol = ctx["cfg"].threshold("complementarity_tol", 20.0 * res.w.eps_w())
+    tol = ctx["cfg"].threshold("complementarity_tol", None)
+    if tol is None:
+        tol = 20.0 * default_eps_w(res.field.dx, res.field.alpha)
     return _verdict(rep["complementarity_max"] <= tol,
                     f"max over region of |min(w, w_t - w_xx/2 + nu)| ="
                     f" {rep['complementarity_max']:.3e}, tol {tol:.3e}")

@@ -16,15 +16,11 @@ import numpy as np
 from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, WeightField
 
-# Interior rows per block of obstacle_residual's stencil pass, so that a
-# block's few (rows, span) temporaries stay in cache instead of each being
-# a region-wide array.
-RESIDUAL_ROWS = 128
 # Rows per block of compute_w, whose increments are summed while in cache.
 W_ROWS = 32
-# Rows per block of the scans that read every row of w (freeze_time, front)
-# and of the grid and potential invariants, so that each holds block-sized
-# masks and differences instead of lattice-sized ones.
+# Rows per block of row_blocks, the walk over a held lattice, so that each
+# walk holds block-sized masks and temporaries instead of lattice-sized
+# ones.  No result depends on it.
 SCAN_ROWS = 128
 # A column whose final temperature is at most this is frozen at the horizon;
 # obstacle_residual admits a column only where its stencil's three are.
@@ -78,18 +74,11 @@ class PotentialField:
         the freeze time s(x); a floor eps would put it far too early on a
         slowly creeping frontier.
         """
-        # rows in blocks: a column's first zero row is recorded in the
-        # first block that holds one, and the scan stops once every column
-        # has one
         w = self.w[:, cols]
-        first = np.full(w.shape[1], -1)
-        for r0 in range(0, len(w), SCAN_ROWS):
-            zero = w[r0:r0 + SCAN_ROWS] <= 0
-            new = (first < 0) & zero.any(axis=0)
-            first[new] = r0 + np.argmax(zero[:, new], axis=0)
-            if (first >= 0).all():
-                break
-        return np.where(first >= 0, self.t[first], np.inf)
+        first = np.full(w.shape[1], len(w))
+        for lo, rows in row_blocks(w):
+            scan_first_zero(first, lo, rows)
+        return np.append(self.t, np.inf)[first]
 
     def front(self) -> np.ndarray:
         """Per row, the x of the first column with w > 0 (+inf if none).
@@ -110,15 +99,37 @@ class PotentialField:
         return out
 
 
+def row_blocks(a: np.ndarray):
+    """a's rows as (lo, a[lo:lo + SCAN_ROWS]) blocks, top down: the (lo,
+    rows) protocol of w_rows, for an array already held."""
+    return ((lo, a[lo:lo + SCAN_ROWS]) for lo in range(0, len(a), SCAN_ROWS))
+
+
+# The two scans of w take its (lo, rows) blocks, each row once, in any order.
+
+def scan_first_zero(first: np.ndarray, lo: int, rows: np.ndarray) -> None:
+    """Per column, the least row with w <= 0 (len(w) if none) into first:
+    a column whose row so far lies before lo keeps it, any other takes
+    the block's first, so the order of the blocks changes no bit."""
+    zero = rows <= 0
+    new = (first > lo) & zero.any(axis=0)
+    first[new] = lo + np.argmax(zero[:, new], axis=0)
+
+
+def scan_first_positive(out: np.ndarray, lo: int, rows: np.ndarray,
+                        x: np.ndarray) -> None:
+    """Per row, the x of the first w > 0 (+inf if none) into out."""
+    liquid = rows > 0
+    first = np.argmax(liquid, axis=1)
+    out[lo:lo + len(rows)] = np.where(
+        liquid[np.arange(len(rows)), first], x[first], np.inf)
+
+
 def _first_positive(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per row of w, the x of its first positive entry (+inf if none),
-    SCAN_ROWS rows at a time."""
+    """Per row of w, the x of its first positive entry (+inf if none)."""
     out = np.empty(len(w))
-    for r0 in range(0, len(w), SCAN_ROWS):
-        liquid = w[r0:r0 + SCAN_ROWS] > 0
-        first = np.argmax(liquid, axis=1)
-        out[r0:r0 + len(first)] = np.where(
-            liquid[np.arange(len(first)), first], x[first], np.inf)
+    for lo, rows in row_blocks(w):
+        scan_first_positive(out, lo, rows, x)
     return out
 
 
@@ -127,13 +138,13 @@ def compute_w(field: Field) -> PotentialField:
 
     The tail beyond the final sample is dropped, not modeled; the final
     temperature is reported per column as tail_bound (the surviving mass is
-    field.mass_at(-1)).  w is the whole lattice's, filled by w_rows in
-    place, so the lattice is swept once.
+    field.mass_at(-1)).  w is the whole lattice's, copied block by block
+    from w_rows, so the lattice is swept once.
     """
     t, u = _lattice(field)
     w = np.empty_like(u)
-    for _ in w_rows(field, out=w):
-        pass
+    for lo, rows in w_rows(field):
+        w[lo:lo + len(rows)] = rows
     tail = u[-1].copy()
     return PotentialField(x=field.x.copy(), t=t.copy(), w=w, tail_bound=tail,
                           alpha=field.alpha)
@@ -148,24 +159,21 @@ def _lattice(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return t, u
 
 
-def w_rows(field: Field, out: np.ndarray | None = None):
-    """compute_w's w, from the last row up, as (lo, rows) blocks.
+def w_rows(field: Field):
+    """The potential w of field, from the last row up, as (lo, rows) blocks.
 
     rows holds w's rows lo, lo + 1, ... .  The first block is the last row,
     all zeros; each later one holds W_ROWS rows or fewer, its increments
-    summed while in cache.  With out, the whole w, each block is a view of
-    out; without it, each lives in one of two buffers of W_ROWS rows and is
-    overwritten two blocks later, so a consumer that writes the blocks
-    away (the w.npy writer, analyze's reconstruction gap) never holds a
-    whole w.  Either way the arithmetic, and so every bit, is the same.
+    summed while in cache.  Each lives in one of two buffers of W_ROWS rows
+    and is overwritten two blocks later, so a consumer that reads the
+    blocks as they come (compute_w, the w.npy writer, analyze's
+    reconstruction gap, verify's potential invariants) holds no whole w
+    unless it keeps one.
     """
     t, u = _lattice(field)
     nt, nx = u.shape
-    if out is None:
-        bufs = np.empty((2, min(W_ROWS, nt), nx))
-        last = bufs[1, :1]
-    else:
-        last = out[-1:]
+    bufs = np.empty((2, min(W_ROWS, nt), nx))
+    last = bufs[1, :1]
     last[...] = 0.0
     yield nt - 1, last
     dt_steps = np.diff(t)
@@ -176,7 +184,7 @@ def w_rows(field: Field, out: np.ndarray | None = None):
     below = None
     for i, hi in enumerate(range(nt - 1, 0, -W_ROWS)):
         lo = max(hi - W_ROWS, 0)
-        inc = out[lo:hi] if out is not None else bufs[i % 2][:hi - lo]
+        inc = bufs[i % 2][:hi - lo]
         np.add(u[lo:hi], u[lo + 1:hi + 1], out=inc)
         inc *= 0.5
         inc *= dt_steps[lo:hi, None]
@@ -259,7 +267,7 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
 
     The freeze times, the stencil, the region masks and the after-freeze
     count are evaluated only on the span of columns from the first to the
-    last admitted one, the last three in blocks of RESIDUAL_ROWS interior
+    last admitted one, the last three in blocks of SCAN_ROWS interior
     rows, and the residuals are gathered into one buffer sized for the
     span's interior, of which only the filled prefix is ever touched.  The
     frontier row (PotentialField.front) reads each row up to the first
@@ -303,9 +311,8 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     n = 0
     comp: list[float] = []
     count_wt_pos = count_pos_frozen = 0
-    for r0 in range(1, nt - 1, RESIDUAL_ROWS):
-        r1 = min(r0 + RESIDUAL_ROWS, nt - 1)
-        w_c = W[r0:r1, span]
+    for lo, w_c in row_blocks(W[1:-1, span]):
+        r0, r1 = lo + 1, lo + 1 + len(w_c)
         tt = t[r0:r1, None]
         chi = w_c > eps
         since_freeze = tt - s_s

@@ -20,7 +20,7 @@ from stefanlab.grid import run_grid
 from stefanlab.harness import ScenarioConfig, run_scenario
 from stefanlab.jump_rule import cascade_jump, verify_cascade_minimality
 from stefanlab.particle import init_ensemble, run
-from stefanlab.potential import bound_suite, residual_l1_window
+from stefanlab.potential import bound_suite, compute_w, residual_l1_window
 from stefanlab.synthetic import traveling_wave_field
 
 RUN_SECONDS = {}          # scenario tag -> wall time, checked at the end
@@ -202,7 +202,8 @@ def test_04_stopped_mass_weight_accounts_for_frontier():
 def test_05_potential_residual_shrinks_under_refinement(uniform3):
     _, result = uniform3
     box = (0.05, 0.40, 0.05, 0.90)
-    l1s = [residual_l1_window(res.w, res.nu, box)[0] for res in result.levels]
+    l1s = [residual_l1_window(compute_w(res.field), res.nu, box)[0]
+           for res in result.levels]
     _criterion(5, [(all(b < a for a, b in zip(l1s, l1s[1:])),
                     "windowed potential residual across 3 levels: "
                     + " -> ".join(f"{v:.3e}" for v in l1s))])
@@ -224,8 +225,8 @@ def test_06_nondegeneracy_constant_positive_and_stable(uniform3):
 
 def test_07_one_sided_bounds_stable_interior_singular_at_front(uniform3):
     _, result = uniform3
-    reps = [bound_suite(res.field, res.w, window=(0.05, 0.45, 0.1, 0.9),
-                        pad=0.1)
+    reps = [bound_suite(res.field, compute_w(res.field),
+                        window=(0.05, 0.45, 0.1, 0.9), pad=0.1)
             for res in result.levels]
     checks = []
     for name in ("max_u_t", "max_u_xx"):

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stefanlab.errors import ConfigError
-from stefanlab.exporters import (MATRIX_ROWS, read_frontier_csv, read_json,
-                                 read_jumps_json, read_matrix_csv, read_nu_csv,
-                                 write_frontier_csv, write_matrix_csv,
-                                 write_nu_csv, write_profile_csv)
+from stefanlab.exporters import (read_frontier_csv, read_json, read_jumps_json,
+                                 read_matrix_csv, read_nu_csv, write_frontier_csv,
+                                 write_matrix_csv, write_nu_csv, write_profile_csv)
+from stefanlab.potential import SCAN_ROWS
 
 
 def _bits(u: int) -> float:
@@ -84,10 +84,11 @@ def np_save_bytes(x, t, values) -> bytes:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("rows", [1, MATRIX_ROWS - 1, MATRIX_ROWS, MATRIX_ROWS + 1,
-                                  2 * MATRIX_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, SCAN_ROWS - 1, SCAN_ROWS, SCAN_ROWS + 1,
+                                  2 * SCAN_ROWS - 1, 2 * SCAN_ROWS, 2 * SCAN_ROWS + 1,
+                                  4 * SCAN_ROWS + 1])
 def test_matrix_written_in_blocks_equals_np_save(tmp_path, rows):
-    # one row and the row counts around one and two blocks; NaN payloads,
+    # one row and the row counts around one, two and four blocks; NaN payloads,
     # signed zeros and subnormals in every part of the file
     rng = np.random.default_rng(rows)
     special = np.array(SPECIAL + [NEG_NAN, PAYLOAD_NAN])

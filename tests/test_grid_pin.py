@@ -1,10 +1,13 @@
 """Pinned outputs of three small grid runs and one run of both methods,
-and pinned verify ledgers of two configs.
+the written files of two particle-only runs, and pinned verify ledgers of
+two configs.
 
 Each level's frontier, field, weight, potential w, freezing profile and
 reports are hashed, and where the level ran the particles, their frontier
 and detected jumps too; so is verify_suite's ledger, every verdict and
-detail, as sorted JSON.  The digests were recorded once and must not change
+detail, as sorted JSON.  Of the particle-only runs, which bin their
+snapshots into their own field, the bytes of the files simulate writes
+are hashed.  The digests were recorded once and must not change
 under a refactor that claims identical output.  Floating-point results may
 differ across numpy and scipy builds, so the pin applies only to the
 versions it was recorded with, which CI installs through
@@ -13,15 +16,21 @@ versions it was recorded with, which CI installs through
 To record new digests after a deliberate change of output, run this file
 as a script: it prints the table below.
 """
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+from stefanlab.cli import main
 from stefanlab.exporters import jsonify
 from stefanlab.harness import run_scenario, scenario_from_dict, verify_suite
+from stefanlab.potential import compute_w
 
 PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -174,6 +183,32 @@ LEDGER_DIGESTS = {
 }
 
 
+# particle-only runs with a snapshot every step, 301 rows of field.npy, one
+# per sampling
+SNAPSHOT_CONFIGS = {
+    f"snapshot-{sampling}": {
+        "scenario_id": f"snapshot-{sampling}", "alpha": 0.7, "method": "particle",
+        "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
+                    "values": [0.6667]},
+        "n_particles": 500, "dt": 1e-3, "dx": 0.05, "t_end": 0.3, "seed": 5,
+        "snapshot_every": 1, "sampling": sampling}
+    for sampling in ("stratified", "uniform")}
+SNAPSHOT_FILES = ("frontier.csv", "field.npy", "jumps.json")
+
+SNAPSHOT_DIGESTS = {
+    "snapshot-stratified": {
+        "frontier.csv": "c00cb8e0a1d218944f3fd4aeaaf717af30c73e2c7278ed4bcf3002afeeb21790",
+        "field.npy": "d87aca656991ec856af3b214be95c00d57550bf2abf79793b79907e832a91df7",
+        "jumps.json": "18cdd5ab3669a375837c69f33d6b35182f6959f8e205b8eddcf6daba97771971",
+    },
+    "snapshot-uniform": {
+        "frontier.csv": "c15a6b8f43b48c87d4a4c25b49467870670ec6391e6ae053f34519671a11bdf9",
+        "field.npy": "552115355ecb8da74f56f20610cd1eb2e922cb02c94acf6f629daf74c24f8ce7",
+        "jumps.json": "365c02815a53dbf9dfeeca487a77dc212bfb6bb9698eeaa77a97d563857cd150",
+    },
+}
+
+
 def _sha(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -189,7 +224,8 @@ def _sha(*parts) -> str:
 def level_digests(res) -> dict:
     """One sha256 per output of a level's grid route, and of its particle
     route where it has one."""
-    fr, fld, nu, w, prof = res.frontier, res.field, res.nu, res.w, res.profile
+    fr, fld, nu, prof = res.frontier, res.field, res.nu, res.profile
+    w = compute_w(fld)
     particle = {}
     if res.p_frontier is not None:
         pf = res.p_frontier
@@ -228,7 +264,21 @@ def ledger_digest(name: str) -> str:
         json.dumps(jsonify(ledger), sort_keys=True).encode()).hexdigest()
 
 
-# marks a test that compares against DIGESTS or LEDGER_DIGESTS
+def written_digests(name: str, tmp: Path) -> dict:
+    """sha256 of each file in SNAPSHOT_FILES that simulate writes for the
+    snapshot config name, run under the directory tmp."""
+    raw = {**SNAPSHOT_CONFIGS[name], "outdir": str(tmp / "out")}
+    cfg = tmp / f"{name}.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", str(cfg)]) == 0
+    run = tmp / "out" / raw["scenario_id"]
+    return {f: hashlib.sha256((run / f).read_bytes()).hexdigest()
+            for f in SNAPSHOT_FILES}
+
+
+# marks a test that compares against DIGESTS, SNAPSHOT_DIGESTS or
+# LEDGER_DIGESTS
 pinned = pytest.mark.skipif(
     (np.__version__, scipy.__version__)
     != (PINNED_VERSIONS["numpy"], PINNED_VERSIONS["scipy"]),
@@ -248,6 +298,12 @@ def test_grid_outputs_match_the_pinned_digests(name):
 
 
 @pinned
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_CONFIGS))
+def test_particle_snapshot_files_match_the_pin(name, tmp_path):
+    assert written_digests(name, tmp_path) == SNAPSHOT_DIGESTS[name]
+
+
+@pinned
 @pytest.mark.parametrize("name", sorted(LEDGER_CONFIGS))
 def test_verify_ledger_matches_the_pin(name):
     assert ledger_digest(name) == LEDGER_DIGESTS[name]
@@ -262,6 +318,14 @@ if __name__ == "__main__":
                 print(f'            "{key}": "{value}",')
             print("        },")
         print("    ],")
+    print("SNAPSHOT_DIGESTS = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(SNAPSHOT_CONFIGS):
+            print(f'    "{name}": {{')
+            for f, value in written_digests(name, Path(tmp)).items():
+                print(f'        "{f}": "{value}",')
+            print("    },")
+    print("}")
     print("LEDGER_DIGESTS = {")
     for name in sorted(LEDGER_CONFIGS):
         print(f'    "{name}": "{ledger_digest(name)}",')

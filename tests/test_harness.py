@@ -1,11 +1,15 @@
 """Tests for scenario configs, artifact layout, the invariant suite, and the CLI."""
 import importlib
+import importlib.metadata
 import importlib.util
 import json
 import math
 import os
+import platform
 import re
 import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stefanlab
 import stefanlab.harness as harness_mod
 from stefanlab.cli import _reconstruction_gap, main
 from stefanlab.errors import ConfigError, NumericalAbort
@@ -322,32 +327,31 @@ class TestArtifactLayout:
         x, t, vals = read_matrix_csv(root / "field.npy")
         assert np.array_equal(vals, result.levels[-1].field.values)
         _, _, w = read_matrix_csv(root / "w.npy")
-        assert np.array_equal(w, result.levels[-1].w.w)
+        assert np.array_equal(w, compute_w(result.levels[-1].field).w)
         nu = read_nu_csv(root / "nu.npy", cfg.alpha)
         assert np.array_equal(nu.nu, result.levels[-1].nu.nu)
         assert np.array_equal(nu.recorded, result.levels[-1].nu.recorded)
 
-    def test_level_computes_w_from_its_field_when_read(self, monkeypatch):
-        # the level keeps no w: the first read computes compute_w(field),
-        # bit for bit, and later reads return that same potential; a level
-        # without a grid route has none
-        calls = []
+    def test_no_whole_level_w_is_computed(self, monkeypatch):
+        # a level keeps no w, and neither the band ladder's run nor verify's
+        # invariants on it compute one on a level's whole field: the
+        # analysis reads a window of columns, the invariants read w_rows
+        shapes = []
 
         def counted(fld):
-            calls.append(fld)
+            shapes.append(fld.values.shape)
             return compute_w(fld)
         monkeypatch.setattr(harness_mod, "compute_w", counted)
-        res = run_scenario(quick_config(refinement_levels=2), write=False).levels[-1]
-        assert "w" not in vars(res)
-        calls.clear()
-        w, want = res.w, compute_w(res.field)
-        assert calls == [res.field] and res.w is w
-        for got, ref in ((w.w, want.w), (w.t, want.t), (w.x, want.x),
-                         (w.tail_bound, want.tail_bound)):
-            assert got.tobytes() == ref.tobytes()
-        particle = run_scenario(quick_config(method="particle", n_particles=200),
-                                write=False).levels[0]
-        assert particle.w is None
+        cfg = scenario_from_dict({**PIN_CONFIGS["band-ladder"], "outdir": "unused"})
+        result = run_scenario(cfg, write=False)
+        verdicts = {e["id"]: e["verdict"]
+                    for e in verify_suite(cfg, result)["invariants"]}
+        for name in ("potential.nonnegative", "potential.band_agreement",
+                     "potential.complementarity"):
+            assert verdicts[name] in ("pass", "fail"), name
+        whole = {res.field.values.shape for res in result.levels}
+        assert shapes and not whole & set(shapes)
+        assert not any(hasattr(res, "w") for res in result.levels)
 
     def test_both_run_takes_no_snapshots(self, tmp_path):
         # the level writes the grid's field, so snapshot_every changes no file
@@ -585,15 +589,16 @@ class TestVerifySuite:
         res = result.levels[0]
         [entry] = [e for e in verify_suite(cfg, result)["invariants"]
                    if e["id"] == "potential.complementarity"]
+        w = compute_w(res.field)
         try:
-            rep = obstacle_residual(res.w, res.nu,
+            rep = obstacle_residual(w, res.nu,
                                     interior_margin=cfg.thresholds["interior_margin"])
         except ConfigError as exc:
             assert entry["verdict"] == "skip"
             assert entry["detail"] == f"residual region unavailable: {exc}"
             return
         assert rep.n_nodes > 0
-        tol = 20.0 * res.w.eps_w()
+        tol = 20.0 * w.eps_w()
         assert entry["verdict"] == ("pass" if rep.complementarity_max <= tol else "fail")
         assert entry["detail"] == ("max over region of |min(w, w_t - w_xx/2 + nu)| ="
                                    f" {rep.complementarity_max:.3e}, tol {tol:.3e}")
@@ -665,7 +670,7 @@ def reference_time_integral_bound(ctx):
 def reference_band_agreement(ctx):
     """potential.band_agreement on whole-lattice masks, as it was."""
     res = ctx["levels"][0]
-    w = res.w
+    w = compute_w(res.field)
     eps = w.eps_w()
     s_col = w.freeze_time()
     live = w.w > eps
@@ -718,7 +723,6 @@ class TestBlockedInvariants:
         }[request.param]
         cfg = scenario_from_dict(raw)
         result = run_scenario(cfg, write=False)
-        result.levels[0].w  # computed once, before any allocation is traced
         return {"cfg": cfg, "density": build_density(cfg.density),
                 "levels": result.levels, "result": result}
 
@@ -743,7 +747,8 @@ class TestBlockedInvariants:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("name", ["grid.decay_bound", "grid.time_integral_bound",
-                                      "potential.band_agreement"])
+                                      "potential.band_agreement",
+                                      "potential.nonnegative"])
     def test_holds_a_few_blocks_not_the_lattice(self, ctx, name):
         # beyond the fields the level keeps, a few temporaries of SCAN_ROWS
         # rows and O(nt + nx) values; the whole-array form held lattice-
@@ -955,7 +960,8 @@ class TestCli:
                 assert _sha(x, t, values) == _sha(res.field.x, res.field.t,
                                                   res.field.values)
                 x, t, w = read_matrix_csv(d / "w.npy")
-                assert _sha(x, t, w) == _sha(res.w.x, res.w.t, res.w.w)
+                want = compute_w(res.field)
+                assert _sha(x, t, w) == _sha(want.x, want.t, want.w)
                 nu = read_nu_csv(d / "nu.npy", raw["alpha"])
                 assert _sha(nu.x, nu.nu, nu.recorded) == _sha(
                     res.nu.x, res.nu.nu, res.nu.recorded)
@@ -1230,6 +1236,8 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "sampling=bogus", "snapshot_every=-1", "thresholds.interior_margin=-1",
         "thresholds.nondeg_r=0", "thresholds.eps_w=-1", "thresholds.eps_u=-1",
+        "thresholds.complementarity_tol=-1", "thresholds.endpoint_band=-1",
+        "thresholds.nondeg_t_lo=-1", "thresholds.jump_threshold=-1",
         "t_end=0.107"])
     def test_bad_value_exits_2_whatever_the_method(self, tmp_path, capsys,
                                                     method, override):
@@ -1237,6 +1245,22 @@ class TestCli:
         assert main(["simulate", str(cfg_path), "--set", override]) == 2
         name = override.split("=")[0]
         assert f"config error: {name} must be" in capsys.readouterr().err
+
+    def test_meta_records_versions_without_loading_scipy(self, tmp_path):
+        # a particle-only simulate, in a fresh process, writes the package,
+        # Python, numpy and scipy versions into meta.json and loads no scipy
+        cfg_path = self.write_config(tmp_path, method="particle", n_particles=200)
+        code = ("import sys; from stefanlab.cli import main;"
+                f" assert main(['simulate', {str(cfg_path)!r}]) == 0;"
+                " assert 'scipy' not in sys.modules, 'scipy loaded'")
+        src = str(Path(stefanlab.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        meta = read_json(tmp_path / "out" / "cli" / "meta.json")
+        assert meta["format"] == 2
+        assert meta["versions"] == {
+            "stefanlab": stefanlab.__version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": importlib.metadata.version("scipy")}
 
     def test_truncation_exits_3(self, tmp_path, capsys):
         # tightest legal box, long horizon: heat must hit the right wall

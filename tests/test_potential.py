@@ -1,4 +1,6 @@
 """Tests for the time-tail potential and its obstacle-problem diagnostics."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from stefanlab.errors import ConfigError
 from stefanlab.exporters import read_matrix_csv, write_matrix_csv
 from stefanlab.fields import Field, WeightField
 from stefanlab.grid import run_grid
-from stefanlab.potential import (RESIDUAL_ROWS, SCAN_ROWS, W_ROWS, PotentialField,
+from stefanlab.potential import (SCAN_ROWS, W_ROWS, PotentialField,
                                  bound_suite, compute_w, default_eps_w,
-                                 obstacle_residual, residual_l1_window, w_rows)
+                                 obstacle_residual, residual_l1_window,
+                                 scan_first_positive, scan_first_zero, w_rows)
 from stefanlab.synthetic import (caloric_polynomial_field,
                                  critical_profile_potential,
                                  vanishing_profile_potential)
@@ -347,8 +350,7 @@ class TestMatchesReference:
 
 
 @pytest.mark.parametrize("eps_w", [None, 2e-3])
-@pytest.mark.parametrize("nt", [RESIDUAL_ROWS + 1, RESIDUAL_ROWS + 2,
-                                RESIDUAL_ROWS + 3, 3],
+@pytest.mark.parametrize("nt", [SCAN_ROWS + 1, SCAN_ROWS + 2, SCAN_ROWS + 3, 3],
                          ids=["block-less-1", "block", "block-plus-1", "one-row"])
 def test_obstacle_residual_at_block_edges(nt, eps_w):
     # nt - 2 interior rows: one short of a block, one block, one row into a
@@ -494,13 +496,45 @@ def block_edge_potential(nt: int) -> PotentialField:
                           w=W, tail_bound=np.zeros(nx), alpha=1.0)
 
 
+def blocks_in_order(W: np.ndarray, block: int, order: str) -> list:
+    """W's rows as (lo, rows) blocks of block rows: top down, as row_blocks
+    gives them, or bottom up, as w_rows does (the last row alone, then
+    blocks ending above it)."""
+    if order == "top-down":
+        return [(lo, W[lo:lo + block]) for lo in range(0, len(W), block)]
+    return [(len(W) - 1, W[-1:])] + [
+        (max(hi - block, 0), W[max(hi - block, 0):hi])
+        for hi in range(len(W) - 1, 0, -block)]
+
+
+def assert_scans_match(w: PotentialField) -> None:
+    """scan_first_zero and scan_first_positive, fed w in blocks of W_ROWS
+    and of SCAN_ROWS rows in either order, give the whole-lattice freeze
+    times and frontier bit for bit (a row of no columns has no frontier)."""
+    for block in (W_ROWS, SCAN_ROWS):
+        for order in ("top-down", "bottom-up"):
+            first, front = np.full(len(w.x), len(w.t)), np.empty(len(w.t))
+            for lo, rows in blocks_in_order(w.w, block, order):
+                scan_first_zero(first, lo, rows)
+                if len(w.x):
+                    scan_first_positive(front, lo, rows, w.x)
+            s = np.append(w.t, np.inf)[first]
+            assert same_bits(s, reference_freeze_time(w)), (block, order)
+            if len(w.x):
+                assert same_bits(front, reference_front(w)), (block, order)
+
+
 @pytest.mark.parametrize("nt", [1, 2, SCAN_ROWS, SCAN_ROWS + 1, 2 * SCAN_ROWS + 3])
 def test_row_scans_match_the_whole_lattice_expressions(nt):
-    # freeze_time and front walk the rows in blocks of SCAN_ROWS; they
-    # give the whole-lattice expressions' values, bit for bit
+    # freeze_time and front, which walk the rows top down in blocks of
+    # SCAN_ROWS, and the two scans in either order at two block sizes give
+    # the whole-lattice expressions' values, bit for bit, on every column
+    # slice
     w = block_edge_potential(nt)
     for cols in (slice(None), slice(2, 9), slice(5, 5)):
         assert same_bits(w.freeze_time(cols), reference_freeze_time(w, cols))
+        assert_scans_match(replace(w, x=w.x[cols], w=w.w[:, cols],
+                                   tail_bound=w.tail_bound[cols]))
     assert same_bits(w.front(), reference_front(w))
 
 
@@ -513,3 +547,4 @@ def test_row_scans_match_on_solver_output(name):
     w = compute_w(f)
     assert same_bits(w.freeze_time(), reference_freeze_time(w))
     assert same_bits(w.front(), reference_front(w))
+    assert_scans_match(w)
