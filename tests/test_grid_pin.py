@@ -1,13 +1,14 @@
 """Pinned outputs of three small grid runs and one run of both methods,
-the written files of two particle-only runs, and pinned verify ledgers of
-two configs.
+the written files of six simulate runs, and pinned verify ledgers of two
+configs.
 
 Each level's frontier, field, weight, potential w, freezing profile and
 reports are hashed, and where the level ran the particles, their frontier
 and detected jumps too; so is verify_suite's ledger, every verdict and
-detail, as sorted JSON.  Of the particle-only runs, which bin their
-snapshots into their own field, the bytes of the files simulate writes
-are hashed.  The digests were recorded once and must not change
+detail, as sorted JSON.  Of the simulate runs (two particle-only runs
+that bin their snapshots into their own field, and the power_gap and
+oscillatory families with both methods and with particle snapshots), the
+bytes of every file written but meta.json are hashed.  The digests were recorded once and must not change
 under a refactor that claims identical output.  Floating-point results may
 differ across numpy and scipy builds, so the pin applies only to the
 versions it was recorded with, which CI installs through
@@ -20,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -165,15 +167,18 @@ DIGESTS = {
 }
 
 
+# CI's smoke config
+SMOKE = {
+    "scenario_id": "smoke", "alpha": 0.7, "method": "both",
+    "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
+                "values": [0.6667]},
+    "n_particles": 500, "dt": 0.002, "dx": 0.05, "t_end": 0.1,
+    "thresholds": {"interior_margin": 0.05}}
+
 # verify_suite's ledger of CI's smoke config and of the README demo cut to
 # t_end = 0.2
 LEDGER_CONFIGS = {
-    "smoke": {
-        "scenario_id": "smoke", "alpha": 0.7, "method": "both",
-        "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
-                    "values": [0.6667]},
-        "n_particles": 500, "dt": 0.002, "dx": 0.05, "t_end": 0.1,
-        "thresholds": {"interior_margin": 0.05}},
+    "smoke": SMOKE,
     "readme-demo": {**CONFIGS["readme-demo-both"], "n_particles": 20000},
 }
 
@@ -183,28 +188,94 @@ LEDGER_DIGESTS = {
 }
 
 
-# particle-only runs with a snapshot every step, 301 rows of field.npy, one
-# per sampling
-SNAPSHOT_CONFIGS = {
-    f"snapshot-{sampling}": {
+# simulate runs whose written files are pinned: particle-only runs
+# with a snapshot every step, 301 rows of field.npy, one per sampling; and
+# the power_gap and oscillatory families at alpha = 1, each with both methods
+# and particle-only with a snapshot every 5th step
+FAMILIES = {
+    "power-gap": {"family": "power_gap", "alpha": 1.0, "c": 0.8, "n": 1,
+                  "delta": 1.0},
+    "oscillatory": {"family": "oscillatory", "alpha1": 0.5, "alpha2": 1.5,
+                    "a1": 0.8, "p": 0.5, "q": 0.5, "n_levels": 3},
+}
+WRITTEN_CONFIGS = {
+    **{f"snapshot-{sampling}": {
         "scenario_id": f"snapshot-{sampling}", "alpha": 0.7, "method": "particle",
-        "density": {"family": "piecewise_constant", "breaks": [0.0, 1.5],
-                    "values": [0.6667]},
-        "n_particles": 500, "dt": 1e-3, "dx": 0.05, "t_end": 0.3, "seed": 5,
-        "snapshot_every": 1, "sampling": sampling}
-    for sampling in ("stratified", "uniform")}
-SNAPSHOT_FILES = ("frontier.csv", "field.npy", "jumps.json")
+        "density": SMOKE["density"], "n_particles": 500, "dt": 1e-3, "dx": 0.05,
+        "t_end": 0.3, "seed": 5, "snapshot_every": 1, "sampling": sampling}
+       for sampling in ("stratified", "uniform")},
+    **{f"{family}{suffix}": {**SMOKE, "alpha": 1.0, "density": density, **extra}
+       for family, density in FAMILIES.items()
+       for suffix, extra in (("", {}), ("-snapshots", {"method": "particle",
+                                                       "snapshot_every": 5}))},
+}
 
-SNAPSHOT_DIGESTS = {
+WRITTEN_DIGESTS = {
+    "oscillatory": {
+        "L0/field.npy": "05deb2beb445bf66aed3fc4975800783b36498ef2a15910f6047671f841c84b1",
+        "L0/frontier.csv": "a84cdfb5d63c12ffa78cd138ccdfd7a38f4990fb0e3c959fa9e34db628c547c2",
+        "L0/jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "L0/nu.npy": "481c1ddd99a4b9d080b80117e154b168fed9219af10127002a1f9c3cf5339727",
+        "L0/profile.csv": "486d04360be3c2cda3059437dc201c41b7f00aeeb32e5bf699ed5978c902870c",
+        "L0/w.npy": "97e5372957d93cba964179f3ef582ebeb37b6615bc33226cca2083ad521e4aa8",
+        "field.npy": "05deb2beb445bf66aed3fc4975800783b36498ef2a15910f6047671f841c84b1",
+        "frontier.csv": "a84cdfb5d63c12ffa78cd138ccdfd7a38f4990fb0e3c959fa9e34db628c547c2",
+        "jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "nu.npy": "481c1ddd99a4b9d080b80117e154b168fed9219af10127002a1f9c3cf5339727",
+        "profile.csv": "486d04360be3c2cda3059437dc201c41b7f00aeeb32e5bf699ed5978c902870c",
+        "summary.json": "178f781ccd99d6595dfa9174220d337b257bdc540eaecb1e67d86ce517031574",
+        "w.npy": "97e5372957d93cba964179f3ef582ebeb37b6615bc33226cca2083ad521e4aa8",
+    },
+    "oscillatory-snapshots": {
+        "L0/field.npy": "ee7a4c5edfcadace4dcaf493d6bdef9d1f9ce145bee1e66e68ad9a3d5c174fbb",
+        "L0/frontier.csv": "829f6141bedf2e986387fe0483823f90e16bf313757cd6cce6b49cf293203df1",
+        "L0/jumps.json": "2418dcb17e967d07ac007fb10ae98b6bea7eee58ae22dc8e4f825dd7633d7754",
+        "field.npy": "ee7a4c5edfcadace4dcaf493d6bdef9d1f9ce145bee1e66e68ad9a3d5c174fbb",
+        "frontier.csv": "829f6141bedf2e986387fe0483823f90e16bf313757cd6cce6b49cf293203df1",
+        "jumps.json": "2418dcb17e967d07ac007fb10ae98b6bea7eee58ae22dc8e4f825dd7633d7754",
+        "summary.json": "f7fb0d7535bb48911b8f88821e377f674f7371b86fbe785af86f55b021b5417e",
+    },
+    "power-gap": {
+        "L0/field.npy": "e1367bb251154d32fedc19748a2a11d3eb7ef0492d92e22bc5dd3b0f939c484d",
+        "L0/frontier.csv": "c10984f0c5512969daa84f04008146e6ad319669193d44fb4928ffc70f6e06de",
+        "L0/jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "L0/nu.npy": "40c4e85353ad23453db361a8f3b9613cba6ffe2334df9d7ff44ead64ffefb12c",
+        "L0/profile.csv": "83025e66ebe1451c0aa8da0c4c6906088fce1afb26687b358fd98c9300b66b4d",
+        "L0/w.npy": "c18a8d4b1cb7b463cfa0fd468a45442e67f124d832cd142c9e8c26cd6bb12400",
+        "field.npy": "e1367bb251154d32fedc19748a2a11d3eb7ef0492d92e22bc5dd3b0f939c484d",
+        "frontier.csv": "c10984f0c5512969daa84f04008146e6ad319669193d44fb4928ffc70f6e06de",
+        "jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "nu.npy": "40c4e85353ad23453db361a8f3b9613cba6ffe2334df9d7ff44ead64ffefb12c",
+        "profile.csv": "83025e66ebe1451c0aa8da0c4c6906088fce1afb26687b358fd98c9300b66b4d",
+        "summary.json": "7bfc8d0b527f7e8bc1c6deade01fd5ed01c3bda3f2679560ef9c0b6c39bbf6ef",
+        "w.npy": "c18a8d4b1cb7b463cfa0fd468a45442e67f124d832cd142c9e8c26cd6bb12400",
+    },
+    "power-gap-snapshots": {
+        "L0/field.npy": "55731a6775fbc8ebbf448e91b6a572cb64fcc08733e98cc02030e61967d75845",
+        "L0/frontier.csv": "bf9783e94550fed413c9f00406b4b0dce06b736402bed8ff62d5b3cf70907ec9",
+        "L0/jumps.json": "dfc9fb60abb945ee77c1729a1f5bf689b1c09328a913c3403d18060a147a02e2",
+        "field.npy": "55731a6775fbc8ebbf448e91b6a572cb64fcc08733e98cc02030e61967d75845",
+        "frontier.csv": "bf9783e94550fed413c9f00406b4b0dce06b736402bed8ff62d5b3cf70907ec9",
+        "jumps.json": "dfc9fb60abb945ee77c1729a1f5bf689b1c09328a913c3403d18060a147a02e2",
+        "summary.json": "22c299150a908ec826153efc13f6a82900bf92152e229ee4187bbb7f671bfa4e",
+    },
     "snapshot-stratified": {
-        "frontier.csv": "c00cb8e0a1d218944f3fd4aeaaf717af30c73e2c7278ed4bcf3002afeeb21790",
+        "L0/field.npy": "d87aca656991ec856af3b214be95c00d57550bf2abf79793b79907e832a91df7",
+        "L0/frontier.csv": "c00cb8e0a1d218944f3fd4aeaaf717af30c73e2c7278ed4bcf3002afeeb21790",
+        "L0/jumps.json": "18cdd5ab3669a375837c69f33d6b35182f6959f8e205b8eddcf6daba97771971",
         "field.npy": "d87aca656991ec856af3b214be95c00d57550bf2abf79793b79907e832a91df7",
+        "frontier.csv": "c00cb8e0a1d218944f3fd4aeaaf717af30c73e2c7278ed4bcf3002afeeb21790",
         "jumps.json": "18cdd5ab3669a375837c69f33d6b35182f6959f8e205b8eddcf6daba97771971",
+        "summary.json": "1306596f6c3bd1226f263beb781c8ed4108294d87bcb16e858f4373767ff0d96",
     },
     "snapshot-uniform": {
-        "frontier.csv": "c15a6b8f43b48c87d4a4c25b49467870670ec6391e6ae053f34519671a11bdf9",
+        "L0/field.npy": "552115355ecb8da74f56f20610cd1eb2e922cb02c94acf6f629daf74c24f8ce7",
+        "L0/frontier.csv": "c15a6b8f43b48c87d4a4c25b49467870670ec6391e6ae053f34519671a11bdf9",
+        "L0/jumps.json": "365c02815a53dbf9dfeeca487a77dc212bfb6bb9698eeaa77a97d563857cd150",
         "field.npy": "552115355ecb8da74f56f20610cd1eb2e922cb02c94acf6f629daf74c24f8ce7",
+        "frontier.csv": "c15a6b8f43b48c87d4a4c25b49467870670ec6391e6ae053f34519671a11bdf9",
         "jumps.json": "365c02815a53dbf9dfeeca487a77dc212bfb6bb9698eeaa77a97d563857cd150",
+        "summary.json": "c23595356bb7278860e2f3a13cf37f13412a80d092946cf94958644369394380",
     },
 }
 
@@ -265,19 +336,25 @@ def ledger_digest(name: str) -> str:
 
 
 def written_digests(name: str, tmp: Path) -> dict:
-    """sha256 of each file in SNAPSHOT_FILES that simulate writes for the
-    snapshot config name, run under the directory tmp."""
-    raw = {**SNAPSHOT_CONFIGS[name], "outdir": str(tmp / "out")}
+    """sha256 of each file but meta.json that simulate writes for the
+    config name, by its path under the run directory.  The run is made in
+    the directory tmp with outdir "out", which summary.json records."""
+    raw = {**WRITTEN_CONFIGS[name], "outdir": "out"}
     cfg = tmp / f"{name}.json"
     cfg.write_text(json.dumps(raw), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["simulate", str(cfg)]) == 0
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(cfg)]) == 0
+    finally:
+        os.chdir(cwd)
     run = tmp / "out" / raw["scenario_id"]
-    return {f: hashlib.sha256((run / f).read_bytes()).hexdigest()
-            for f in SNAPSHOT_FILES}
+    return {f.relative_to(run).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(run.rglob("*")) if f.is_file() and f.name != "meta.json"}
 
 
-# marks a test that compares against DIGESTS, SNAPSHOT_DIGESTS or
+# marks a test that compares against DIGESTS, WRITTEN_DIGESTS or
 # LEDGER_DIGESTS
 pinned = pytest.mark.skipif(
     (np.__version__, scipy.__version__)
@@ -298,9 +375,16 @@ def test_grid_outputs_match_the_pinned_digests(name):
 
 
 @pinned
-@pytest.mark.parametrize("name", sorted(SNAPSHOT_CONFIGS))
+@pytest.mark.parametrize("name", ["snapshot-stratified", "snapshot-uniform"])
 def test_particle_snapshot_files_match_the_pin(name, tmp_path):
-    assert written_digests(name, tmp_path) == SNAPSHOT_DIGESTS[name]
+    assert written_digests(name, tmp_path) == WRITTEN_DIGESTS[name]
+
+
+@pinned
+@pytest.mark.parametrize("name", sorted(f"{family}{suffix}" for family in FAMILIES
+                                        for suffix in ("", "-snapshots")))
+def test_family_run_files_match_the_pin(name, tmp_path):
+    assert written_digests(name, tmp_path) == WRITTEN_DIGESTS[name]
 
 
 @pinned
@@ -318,13 +402,13 @@ if __name__ == "__main__":
                 print(f'            "{key}": "{value}",')
             print("        },")
         print("    ],")
-    print("SNAPSHOT_DIGESTS = {")
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(SNAPSHOT_CONFIGS):
-            print(f'    "{name}": {{')
+    print("WRITTEN_DIGESTS = {")
+    for name in sorted(WRITTEN_CONFIGS):
+        print(f'    "{name}": {{')
+        with tempfile.TemporaryDirectory() as tmp:
             for f, value in written_digests(name, Path(tmp)).items():
                 print(f'        "{f}": "{value}",')
-            print("    },")
+        print("    },")
     print("}")
     print("LEDGER_DIGESTS = {")
     for name in sorted(LEDGER_CONFIGS):
