@@ -207,18 +207,21 @@ def _nearest(x: np.ndarray, xi: float) -> int:
     return col
 
 
-def oscillation_count(field: Field, t: float, eps_slope: float) -> int:
+def oscillation_count(field: Field, frontier: FrontierPath, t: float,
+                      eps_slope: float) -> int:
     """Monotonicity changes of the temperature profile ahead of the frontier.
 
     Counts sign alternations of the discrete slope at time t, ignoring slopes
-    of magnitude at most eps_slope (sampling noise and flat stretches).
+    of magnitude at most eps_slope (sampling noise and flat stretches), on
+    the nodes past the frontier at the field's sample nearest t.
     """
     if t < 0:
         raise ConfigError("t must be nonnegative")
     if eps_slope < 0:
         raise ConfigError("eps_slope must be nonnegative")
     row = int(np.argmin(np.abs(field.t - t)))
-    start = int(field.frontier_index[row])
+    lam = frontier.value_at(field.t[row])
+    start = int(np.searchsorted(field.x, lam + 1e-12))
     u = field.values[row, start:]
     if len(u) < 3:
         return 0
@@ -275,12 +278,14 @@ class SpeedReport:
         return {"median_rel_err": self.median_rel_err, "n_points": self.n_points}
 
 
-def speed_formula_check(profile: FreezingProfile, field: Field) -> SpeedReport:
+def speed_formula_check(profile: FreezingProfile, field: Field,
+                        frontier: FrontierPath) -> SpeedReport:
     """Compare 1/s' with (alpha/2) times the temperature slope at the front.
 
     Runs over points labeled regular_vanishing whose slope exceeds the floor.
     The temperature slope is one-sided from the liquid side, via a quadratic
-    through the frontier (where u = 0) and the first two liquid cells.
+    through the frontier (where u = 0, read from frontier at the field's
+    first sample at or after s) and the first two liquid cells.
     """
     alpha = profile.alpha
     preds, meas = [], []
@@ -294,8 +299,7 @@ def speed_formula_check(profile: FreezingProfile, field: Field) -> SpeedReport:
         row = int(np.searchsorted(field.t, si, side="left"))
         if row >= len(field.t):
             continue
-        lam_row = field.lam[row]
-        slope = _one_sided_slope(field, row, lam_row)
+        slope = _one_sided_slope(field, row, frontier.value_at(field.t[row]))
         if not np.isfinite(slope):
             continue
         preds.append(1.0 / sp)

@@ -92,10 +92,7 @@ def _cmd_analyze(args) -> int:
                           " analysis needs a run with a sampled field")
     x, t, values = read_matrix_csv(field_path)
     _check_finest_grid(field_path, x, cfg)
-    lam_rows = frontier.value_at(t)
-    field = Field(x=x, t=t, values=values,
-                  frontier_index=np.searchsorted(x, lam_rows + 1e-12),
-                  lam=lam_rows, alpha=cfg.alpha)
+    field = Field(x=x, t=t, values=values, alpha=cfg.alpha)
     nu_path = root / "nu.npy"
     nu = read_nu_csv(nu_path, cfg.alpha) if nu_path.exists() else None
     if nu is not None:

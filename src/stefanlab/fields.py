@@ -3,7 +3,9 @@
 Both solvers return a FrontierPath and a Field first: run_grid its sampled
 temperature, particle.run the histogram of its living positions at its
 snapshot steps (None without snapshots).  So the analysis modules and the
-cross-method comparison never care which method produced them.
+cross-method comparison never care which method produced them.  The
+frontier is kept once, in the FrontierPath; an analysis that needs it at a
+field's rows reads frontier.value_at(field.t).
 """
 from __future__ import annotations
 
@@ -79,28 +81,21 @@ class FrontierPath:
 
 @dataclass
 class Field:
-    """Space-time temperature samples u(x_i, t_k) with the frontier location.
+    """Space-time temperature samples u(x_i, t_k).
 
     values[k, i] is the temperature at node x[i], sample time t[k].  Nodes are
-    cell centers with uniform spacing dx; frontier_index[k] is the first alive
-    cell at sample k (cells below it are frozen), and lam[k] the exact frontier
-    position.  Synthetic fields that have no frontier use frontier_index = 0
-    and lam = x[0] - dx.
+    cell centers with uniform spacing dx.
     """
 
     x: np.ndarray
     t: np.ndarray
     values: np.ndarray
-    frontier_index: np.ndarray
-    lam: np.ndarray
     alpha: float
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
         self.t = np.asarray(self.t, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        self.frontier_index = np.asarray(self.frontier_index, dtype=np.int64)
-        self.lam = np.asarray(self.lam, dtype=float)
         if self.values.shape != (len(self.t), len(self.x)):
             raise ValueError("values must be shaped (len(t), len(x))")
 

@@ -297,13 +297,11 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
     rows = np.empty((n_rows, n))
     times: list[float] = []
     lams: list[float] = []
-    fidx: list[int] = []
 
     def sample() -> None:
         rows[len(times)] = state.u
         times.append(state.t)
         lams.append(state.lam)
-        fidx.append(state.j)
 
     sample()
     for k in range(1, n_steps + 1):
@@ -318,8 +316,7 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
 
     path = FrontierPath(times=np.array(times), lam=np.array(lams), alpha=alpha,
                         jumps=jumps)
-    fld = Field(x=x, t=np.array(times), values=rows,
-                frontier_index=np.array(fidx), lam=np.array(lams), alpha=alpha)
+    fld = Field(x=x, t=np.array(times), values=rows, alpha=alpha)
     weights = WeightField(x=x, nu=state.nu, alpha=alpha,
                           recorded=np.arange(n) < state.j)
     return path, fld, weights

@@ -22,6 +22,7 @@ import numbers
 import os
 import platform
 import shutil
+import sys
 import time
 from dataclasses import dataclass, field as dc_field, asdict, replace
 from pathlib import Path
@@ -438,7 +439,7 @@ def analyze_route(cfg: ScenarioConfig, method: str, frontier: FrontierPath,
                 eps_w=eps_w).to_dict()
         except ConfigError as exc:
             reports["obstacle"] = {"error": str(exc)}
-    reports["speed"] = speed_formula_check(prof, fld).to_dict()
+    reports["speed"] = speed_formula_check(prof, fld, frontier).to_dict()
     try:
         reports["nondegeneracy_constant"] = nondegeneracy_constant(
             fld, frontier,
@@ -624,14 +625,19 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True) -> ScenarioResult:
 
 
 def _versions() -> dict:
-    """The package, Python, numpy and scipy versions; scipy's from its
+    """The package, Python, numpy and scipy versions.  scipy's is read from
+    the module where a grid step has loaded it, and otherwise from its
     installed metadata (None if none), so a particle run loads no scipy."""
-    import importlib.metadata
     from stefanlab import __version__
-    try:
-        scipy = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        scipy = None
+    loaded = sys.modules.get("scipy")
+    if loaded is not None:
+        scipy = loaded.__version__
+    else:
+        import importlib.metadata
+        try:
+            scipy = importlib.metadata.version("scipy")
+        except importlib.metadata.PackageNotFoundError:
+            scipy = None
     return {"stefanlab": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy}
 

@@ -323,7 +323,7 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
         edges = np.concatenate([x_grid - 0.5 * dx, [x_grid[-1] + 0.5 * dx]])
         # t = 0, every snapshot_every-th step and the last step
         rows = np.empty((1 + -(-n_steps // snapshot_every), len(x_grid)))
-        row_t, row_lam = [], []
+        row_t = []
 
     def snapshot(x: np.ndarray) -> None:
         # x ascending: the counts np.histogram takes after sorting, its
@@ -332,7 +332,6 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
                               x.searchsorted(edges[-1:], side="right")))
         rows[len(row_t)] = np.diff(cum) / (e.n_total * dx)
         row_t.append(e.t)
-        row_lam.append(e.frontier)
 
     registry_floor = 5.0 * e.alpha / e.n_total
     threshold = max(registry_floor, jump_threshold or 0.0)
@@ -380,7 +379,4 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     )
     if rows is None:
         return path, None
-    row_lam = np.array(row_lam)
-    fidx = np.clip(edges.searchsorted(row_lam, side="right") - 1, 0, len(x_grid) - 1)
-    return path, Field(x=x_grid, t=np.array(row_t), values=rows, frontier_index=fidx,
-                       lam=row_lam, alpha=e.alpha)
+    return path, Field(x=x_grid, t=np.array(row_t), values=rows, alpha=e.alpha)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stefanlab.errors import ConfigError
-from stefanlab.fields import Field, WeightField
+from stefanlab.fields import Field, FrontierPath, WeightField
 
 # Rows per block of compute_w, whose increments are summed while in cache.
 W_ROWS = 32
@@ -85,17 +85,11 @@ class PotentialField:
 
         Frozen cells hold exact zeros, so w > 0 marks the true interface; a
         floor eps would misplace it by the sub-threshold band, which is
-        still liquid.  Every row is scanned only up to the first column
-        with a positive tail_bound, where a nonnegative temperature keeps w
-        positive on all rows but the last; a row with no positive w there
-        reads the rest of its row.  The answer is exact for any w.
+        still liquid.
         """
-        warm = np.flatnonzero(self.tail_bound > 0)
-        c = int(warm[0]) + 1 if len(warm) else self.w.shape[1]
-        out = _first_positive(self.w[:, :c], self.x[:c])
-        rest = np.flatnonzero(out == np.inf)
-        if len(rest) and c < self.w.shape[1]:
-            out[rest] = _first_positive(self.w[rest, c:], self.x[c:])
+        out = np.empty(len(self.w))
+        for lo, rows in row_blocks(self.w):
+            scan_first_positive(out, lo, rows, self.x)
         return out
 
 
@@ -123,14 +117,6 @@ def scan_first_positive(out: np.ndarray, lo: int, rows: np.ndarray,
     first = np.argmax(liquid, axis=1)
     out[lo:lo + len(rows)] = np.where(
         liquid[np.arange(len(rows)), first], x[first], np.inf)
-
-
-def _first_positive(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per row of w, the x of its first positive entry (+inf if none)."""
-    out = np.empty(len(w))
-    for lo, rows in row_blocks(w):
-        scan_first_positive(out, lo, rows, x)
-    return out
 
 
 def compute_w(field: Field) -> PotentialField:
@@ -200,17 +186,18 @@ def residual_window(field: Field) -> int:
 
     Read off the final sample (compute_w's tail_bound): C = max(last
     admitted column + 2, first column with a positive tail + 1), which
-    holds the region and its stencil, freeze_time(span) and the scan of
-    PotentialField.front.  compute_w works column by column, so its w on
-    these columns is the whole w's, bit for bit.  count_w_negative reads
-    every column, but counts nothing past C where the values there are
-    nonnegative (no NaN) and the times strictly increase: w there sums
-    nonnegative trapezoid increments.  Where that fails, or C < 3, this
-    returns the cell count: the whole lattice.
+    holds the region and its stencil, freeze_time(span) and, under a
+    nonnegative temperature, a positive w on every row but the last (the
+    warm column's), so each row's PotentialField.front.  compute_w works
+    column by column, so its w on these columns is the whole w's, bit for
+    bit.  count_w_negative reads every column, but counts nothing past C
+    where the values there are nonnegative (no NaN) and the times strictly
+    increase: w there sums nonnegative trapezoid increments.  Where that
+    fails, or C < 3, this returns the cell count: the whole lattice.
 
     Two conditions are left to the caller: eps_w >= 0, and a positive w
     inside the window on every row but the last (all zeros), without
-    which front() would read past it.
+    which a row's front would lie past it.
     """
     u = field.values
     nx = u.shape[1]
@@ -270,8 +257,8 @@ def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float
     last admitted one, the last three in blocks of SCAN_ROWS interior
     rows, and the residuals are gathered into one buffer sized for the
     span's interior, of which only the filled prefix is ever touched.  The
-    frontier row (PotentialField.front) reads each row up to the first
-    column with a tail, and count_w_negative alone reads every column of w.
+    frontier row (PotentialField.front) is each row's first positive w, and
+    count_w_negative alone reads every column of w.
     So a w computed on the first residual_window(field) columns alone gives
     the same report, under the conditions that function states.
     """
@@ -411,14 +398,15 @@ class BoundReport:
         }
 
 
-def bound_suite(field: Field, w: PotentialField | None, window: tuple,
-                pad: float = 0.0) -> BoundReport:
+def bound_suite(field: Field, frontier: FrontierPath, w: PotentialField | None,
+                window: tuple, pad: float = 0.0) -> BoundReport:
     """Extrema of the discrete quotients that the theory bounds one-sidedly.
 
     u quantities are restricted to nodes whose whole stencil stays strictly
-    liquid and at least pad above the frontier; the same stencil within the
-    pad band feeds the unsigned curvature report, the negative control that
-    is allowed to blow up at the frontier.
+    liquid and at least pad above the frontier, read from frontier at the
+    field's sample times; the same stencil within the pad band feeds the
+    unsigned curvature report, the negative control that is allowed to
+    blow up at the frontier.
     """
     x_lo, x_hi, t_lo, t_hi = window
     if t_lo < 0 or t_hi <= t_lo or x_hi <= x_lo:
@@ -428,7 +416,7 @@ def bound_suite(field: Field, w: PotentialField | None, window: tuple,
     if nt < 3 or nx < 3:
         raise ConfigError("field too small for the difference stencils")
     dx = field.dx
-    lam = field.lam
+    lam = frontier.value_at(t)
 
     in_x = (x >= x_lo) & (x <= x_hi)
     in_t = (t >= t_lo) & (t <= t_hi)

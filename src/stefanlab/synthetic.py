@@ -29,12 +29,9 @@ def traveling_wave_field(alpha: float, speed: float, x_max: float, t_end: float,
     lam = speed * t
     xi = x[None, :] - lam[:, None]
     u = np.where(xi > 0, (1.0 - np.exp(-2.0 * speed * np.clip(xi, 0, None))) / alpha, 0.0)
-    frontier_index = np.searchsorted(x, lam, side="left")
     path = FrontierPath(times=t, lam=lam, alpha=alpha, jumps=[],
                         n_total=0, dead_count=np.zeros(len(t), dtype=np.int64))
-    field = Field(x=x, t=t, values=u, frontier_index=frontier_index, lam=lam,
-                  alpha=alpha)
-    return path, field
+    return path, Field(x=x, t=t, values=u, alpha=alpha)
 
 
 def caloric_polynomial_field(x_max: float, t_end: float, dx: float, dt: float) -> Field:
@@ -46,8 +43,7 @@ def caloric_polynomial_field(x_max: float, t_end: float, dx: float, dt: float) -
     x = (np.arange(int(round(x_max / dx))) + 0.5) * dx
     t = np.arange(0.0, t_end + dt / 2, dt)
     u = x[None, :] ** 2 + t[:, None]
-    return Field(x=x, t=t, values=u, frontier_index=np.zeros(len(t), dtype=np.int64),
-                 lam=np.zeros(len(t)), alpha=1.0)
+    return Field(x=x, t=t, values=u, alpha=1.0)
 
 
 def vanishing_profile_potential(alpha: float, x0: float, x_max: float, t_end: float,

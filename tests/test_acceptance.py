@@ -225,7 +225,7 @@ def test_06_nondegeneracy_constant_positive_and_stable(uniform3):
 
 def test_07_one_sided_bounds_stable_interior_singular_at_front(uniform3):
     _, result = uniform3
-    reps = [bound_suite(res.field, compute_w(res.field),
+    reps = [bound_suite(res.field, res.frontier, compute_w(res.field),
                         window=(0.05, 0.45, 0.1, 0.9), pad=0.1)
             for res in result.levels]
     checks = []
@@ -280,7 +280,7 @@ def test_09_future_jumps_need_past_oscillations(oscillatory3):
     checks = []
     for t0 in (0.05, 0.1):
         n_future = sum(1 for r in res.frontier.jumps if t0 < r.t <= 1.0)
-        count = oscillation_count(res.field, t0, eps_slope=0.05)
+        count = oscillation_count(res.field, res.frontier, t0, eps_slope=0.05)
         checks.append((count >= 2 * n_future - 1,
                        f"t0={t0}: {count} oscillations >="
                        f" 2*{n_future} future jumps - 1"))
@@ -302,9 +302,7 @@ def test_10_boundary_points_classify_by_vanishing_mode(uniform3):
     t = np.arange(0.0, 1.3 + 5e-4, 1e-3)
     lam = v * t
     u = np.where(x[None, :] > lam[:, None], 1.0 / alpha, 0.0)
-    plateau = Field(x=x, t=t, values=u,
-                    frontier_index=np.searchsorted(x, lam, side="left"),
-                    lam=lam, alpha=alpha)
+    plateau = Field(x=x, t=t, values=u, alpha=alpha)
     ppath = FrontierPath(times=t, lam=lam, alpha=alpha, jumps=[], n_total=0,
                          dead_count=np.zeros(len(t), dtype=np.int64))
     prof2 = classify_points(freezing_time(ppath, x), plateau, jumps=[])
@@ -343,7 +341,7 @@ def test_11_frontier_speed_tracks_boundary_gradient():
         path, field = traveling_wave_field(0.7, 0.5, x_max=1.0, t_end=1.6,
                                            dx=dx, dt=dt)
         prof = classify_points(freezing_time(path, field.x), field, jumps=[])
-        rep = speed_formula_check(prof, field)
+        rep = speed_formula_check(prof, field, path)
         assert rep.n_points > 0
         errs.append(rep.median_rel_err)
     _criterion(11, [

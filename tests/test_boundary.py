@@ -16,16 +16,19 @@ def flat_field(u_value, x_max=1.3, t_end=1.3, dx=0.01, dt=0.01, alpha=1.0):
     x = (np.arange(int(round(x_max / dx))) + 0.5) * dx
     t = np.arange(0.0, t_end + dt / 2, dt)
     u = np.full((len(t), len(x)), u_value)
-    return Field(x=x, t=t, values=u, frontier_index=np.zeros(len(t), dtype=np.int64),
-                 lam=np.zeros(len(t)), alpha=alpha)
+    return Field(x=x, t=t, values=u, alpha=alpha)
 
 
 def single_row_field(u_row, dx=0.01):
     x = (np.arange(len(u_row)) + 0.5) * dx
     t = np.array([0.0, 1.0])
     u = np.vstack([u_row, u_row])
-    return Field(x=x, t=t, values=u, frontier_index=np.zeros(2, dtype=np.int64),
-                 lam=np.zeros(2), alpha=1.0)
+    return Field(x=x, t=t, values=u, alpha=1.0)
+
+
+def resting_frontier(field, lam=0.0):
+    """A frontier held at lam at every sample time of field."""
+    return smooth_frontier_path(field.t, np.full(len(field.t), lam), field.alpha)
 
 
 class TestFreezingTime:
@@ -145,29 +148,38 @@ class TestOscillationCount:
     def test_monotone_profile_has_none(self):
         x = (np.arange(100) + 0.5) * 0.01
         f = single_row_field(np.exp(-x))
-        assert oscillation_count(f, 0.0, eps_slope=0.01) == 0
+        assert oscillation_count(f, resting_frontier(f), 0.0, eps_slope=0.01) == 0
 
     def test_single_hump(self):
         x = (np.arange(100) + 0.5) * 0.01
         f = single_row_field(np.sin(np.pi * x))
-        assert oscillation_count(f, 0.0, eps_slope=0.01) == 1
+        assert oscillation_count(f, resting_frontier(f), 0.0, eps_slope=0.01) == 1
+
+    def test_counts_past_the_frontier_only(self):
+        # the hump's rise lies behind a frontier at 0.6, and so does the
+        # first node past it, up to 1e-12
+        x = (np.arange(100) + 0.5) * 0.01
+        f = single_row_field(np.sin(np.pi * x))
+        for lam in (0.6, 0.605 - 1e-13):
+            assert oscillation_count(f, resting_frontier(f, lam), 1.0,
+                                     eps_slope=0.01) == 0
 
     def test_two_oscillations(self):
         x = (np.arange(100) + 0.5) * 0.01
         f = single_row_field(np.sin(2 * np.pi * x) + 1.1)
-        assert oscillation_count(f, 0.0, eps_slope=0.01) == 2
+        assert oscillation_count(f, resting_frontier(f), 0.0, eps_slope=0.01) == 2
 
     def test_sub_threshold_ripple_ignored(self):
         x = (np.arange(100) + 0.5) * 0.01
         f = single_row_field(1.0 - x + 1e-5 * np.sin(40 * np.pi * x))
-        assert oscillation_count(f, 0.0, eps_slope=0.01) == 0
+        assert oscillation_count(f, resting_frontier(f), 0.0, eps_slope=0.01) == 0
 
     def test_validation(self):
         f = single_row_field(np.ones(10))
         with pytest.raises(ConfigError):
-            oscillation_count(f, -1.0, eps_slope=0.01)
+            oscillation_count(f, resting_frontier(f), -1.0, eps_slope=0.01)
         with pytest.raises(ConfigError):
-            oscillation_count(f, 0.0, eps_slope=-0.01)
+            oscillation_count(f, resting_frontier(f), 0.0, eps_slope=-0.01)
 
 
 class TestNondegeneracy:
@@ -211,8 +223,9 @@ class TestNondegeneracy:
             frontier, _ = traveling_wave_field(alpha=1.0, speed=2.0, x_max=3.0,
                                                t_end=0.5, dx=0.02, dt=0.0037)
         elif given == "none":
-            # a path made of the field's own frontier samples
-            frontier = FrontierPath(times=field.t, lam=field.lam, alpha=field.alpha)
+            # a path made of the frontier's samples at the field's rows
+            frontier = FrontierPath(times=field.t, lam=frontier.value_at(field.t),
+                                    alpha=field.alpha)
         got = nondegeneracy_constant(field, frontier, window=window, r=r,
                                      offset_min=offset_min)
         want = reference_nondegeneracy(field, frontier, window, r, offset_min)
@@ -252,7 +265,7 @@ class TestSpeedFormula:
         prof = freezing_time(path, xs)
         prof = classify_points(prof, field, jumps=[])
         assert prof.labels.count("regular_vanishing") >= 20
-        rep = speed_formula_check(prof, field)
+        rep = speed_formula_check(prof, field, path)
         assert rep.n_points >= 20
         assert rep.median_rel_err < 0.02
 

