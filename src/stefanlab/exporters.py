@@ -78,29 +78,53 @@ def read_frontier_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
-NPY_MAGIC = np.lib.format.MAGIC_PREFIX
-
-
 def _save(path, a: np.ndarray) -> None:
     # through a file handle: np.save given a path appends '.npy' to it
     with open(path, "wb") as fh:
         np.save(fh, a, allow_pickle=False)
 
 
-def _load(path) -> np.ndarray:
-    """The 2-d float64 array stored in the .npy file at path."""
+def _header(path) -> tuple[tuple[int, int], int]:
+    """(shape, offset of the data) of the .npy file at path, whose header
+    must be a v1 or v2 one of a 2-d C-ordered float64 array and whose
+    length must match it; only the header is parsed, nothing unpickled."""
+    fmt = np.lib.format
     try:
         with open(path, "rb") as fh:
-            # np.load would take a pickle or a zip for other formats
-            if fh.read(len(NPY_MAGIC)) != NPY_MAGIC:
-                raise ValueError("not a .npy file")
-            fh.seek(0)
-            a = np.load(fh, allow_pickle=False)
+            version = fmt.read_magic(fh)
+            read_header = {(1, 0): fmt.read_array_header_1_0,
+                           (2, 0): fmt.read_array_header_2_0}.get(version)
+            if read_header is None:
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, dtype = read_header(fh)
+            offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
     except (OSError, ValueError, EOFError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from None
-    if a.ndim != 2 or a.dtype != np.float64:
-        raise ConfigError(f"{path}: expected a 2-d float64 .npy array")
-    return a
+    if len(shape) != 2 or dtype != np.float64 or fortran_order:
+        raise ConfigError(f"{path}: expected a 2-d C-ordered float64 .npy array")
+    if size != offset + 8 * shape[0] * shape[1]:
+        raise ConfigError(f"{path}: cannot read: file length does not match"
+                          f" its {shape[0]} x {shape[1]} header")
+    return shape, offset
+
+
+def _read(path, offset: int, out: np.ndarray) -> np.ndarray:
+    """out, filled with the file at path's bytes from offset on."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            n = fh.readinto(out)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
+    if n != out.nbytes:
+        raise ConfigError(f"{path}: cannot read: file is truncated")
+    return out
+
+
+def _load(path) -> np.ndarray:
+    """The 2-d float64 array stored in the .npy file at path."""
+    shape, offset = _header(path)
+    return _read(path, offset, np.empty(shape))
 
 
 # The four functions below keep "csv" in their names and take the file path
@@ -176,49 +200,23 @@ class MatrixRows:
         self.path, self._t = path, np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         self.shape = nt, nx = len(self._t), len(x)
-        fmt = np.lib.format
-        try:
-            with open(path, "rb") as fh:
-                version = fmt.read_magic(fh)
-                read_header = {(1, 0): fmt.read_array_header_1_0,
-                               (2, 0): fmt.read_array_header_2_0}.get(version)
-                if read_header is None:
-                    raise ValueError(f"unsupported .npy version {version}")
-                shape, fortran_order, dtype = read_header(fh)
-                self._start, size = fh.tell(), os.fstat(fh.fileno()).st_size
-        except (OSError, ValueError, EOFError) as exc:
-            raise ConfigError(f"{path}: cannot read: {exc}") from None
-        if len(shape) != 2 or dtype != np.float64 or fortran_order:
-            raise ConfigError(f"{path}: expected a 2-d C-ordered float64 .npy array")
+        shape, self._start = _header(path)
         if shape != (nt + 1, nx + 1):
             raise ConfigError(f"{path}: a {shape[0] - 1} x {shape[1] - 1} matrix,"
                               f" not {nt} x {nx} on the given axes")
-        self._row_bytes = 8 * (nx + 1)
-        if size != self._start + shape[0] * self._row_bytes:
-            raise ConfigError(f"{path}: cannot read: file length does not match"
-                              f" its {shape[0]} x {shape[1]} header")
-        self._buf = np.empty((1, nx + 1))
-        self._read(-1, 1)
+        self._buf = _read(path, self._start, np.empty((1, nx + 1)))
         if not np.isnan(self._buf[0, 0]):
             raise ConfigError(f"{path}: corner cell must be nan")
         if not np.array_equal(self._buf[0, 1:], x):
             raise ConfigError(f"{path}: its x row is not the given x axis")
 
-    def _read(self, lo: int, k: int) -> np.ndarray:
-        """Rows lo..lo+k-1 of the values, bordered, into the buffer; row -1
-        is the x row."""
-        if len(self._buf) < k:
-            self._buf = np.empty((k, self.shape[1] + 1))
-        block = self._buf[:k]
-        with open(self.path, "rb") as fh:
-            fh.seek(self._start + (1 + lo) * self._row_bytes)
-            if fh.readinto(block) != block.nbytes:
-                raise ConfigError(f"{self.path}: cannot read: file is truncated")
-        return block
-
     def __getitem__(self, rows: slice) -> np.ndarray:
         lo, hi, _ = rows.indices(self.shape[0])
-        block = self._read(lo, hi - lo)
+        if len(self._buf) < hi - lo:
+            self._buf = np.empty((hi - lo, self.shape[1] + 1))
+        # the values' row lo, bordered, is the file's row 1 + lo
+        block = _read(self.path, self._start + 8 * (1 + lo) * (self.shape[1] + 1),
+                      self._buf[:hi - lo])
         if not np.array_equal(block[:, 0], self._t[lo:hi]):
             raise ConfigError(f"{self.path}: its t column is not the given t axis"
                               f" on rows {lo} to {hi - 1}")

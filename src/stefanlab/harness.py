@@ -41,9 +41,9 @@ from stefanlab.exporters import (jsonify, read_json, write_field_artifacts,
 from stefanlab.fields import Field, FrontierPath, WeightField
 from stefanlab.grid import run_grid
 from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
-from stefanlab.potential import (SCAN_ROWS, compute_w, default_eps_w,
-                                 obstacle_residual, residual_window, row_blocks,
-                                 scan_first_positive, scan_first_zero, w_rows)
+from stefanlab.potential import (compute_w, default_eps_w, obstacle_residual,
+                                 residual_window, scan_first_positive,
+                                 scan_first_zero, w_rows)
 
 METHODS = ("particle", "grid", "both")
 SAMPLINGS = ("stratified", "uniform")
@@ -901,33 +901,15 @@ def _iv_grid_decay_bound(ctx):
                     f"max of u_max(t) sqrt(2 pi t) = {worst:.4f} (bound 1)")
 
 
-def _time_integral(u: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Per column, the sum over k of the trapezoid 0.5 (u[k] + u[k+1]) dts[k].
-
-    The trapezoid rows are made SCAN_ROWS at a time in one buffer and added
-    one at a time, in row order, to zeros.  np.sum(rows, axis=0) adds them
-    so on two or more columns (a -0.0 sum comes out +0.0 there too), so
-    this is its sum bit for bit; on one column numpy sums pairwise instead.
-    """
-    buf = np.empty((min(SCAN_ROWS, len(dts)), u.shape[1]))
-    integral = np.zeros(u.shape[1])
-    for lo, d in row_blocks(dts):
-        inc = np.add(u[lo:lo + len(d)], u[lo + 1:lo + len(d) + 1], out=buf[:len(d)])
-        inc *= 0.5
-        inc *= d[:, None]
-        for row in inc:
-            integral += row
-    return integral
-
-
 def _iv_grid_time_integral(ctx):
     res = ctx["levels"][0]
     if res.field is None:
         return _skip("no grid run in this scenario")
     fld = res.field
-    dts = np.diff(fld.t)
-    slack = 2 * fld.dx + float(np.max(fld.values[0])) * float(np.max(dts))
-    worst = float(np.max(_time_integral(fld.values, dts) - 2.0 * fld.x - slack))
+    slack = 2 * fld.dx + float(np.max(fld.values[0])) * float(np.max(np.diff(fld.t)))
+    # the integral over [0, T] is w(., 0): row 0 of w_rows' last block
+    *_, (_, rows) = w_rows(fld)
+    worst = float(np.max(rows[0] - 2.0 * fld.x - slack))
     return _verdict(worst <= 0, f"max of (integral of u dt) - 2x: {worst:.3e}"
                                 f" below slack {slack:.3e}")
 
@@ -1298,7 +1280,7 @@ def verify_suite(cfg: ScenarioConfig, result: ScenarioResult | None = None,
                   for name in pooled}
         if result is None:
             result = run_scenario(cfg, write=write)
-        ctx = {"cfg": cfg, "density": d, "levels": result.levels, "result": result}
+        ctx = {"cfg": cfg, "density": d, "levels": result.levels}
         entries = []
         for name, func in INVARIANT_REGISTRY:
             if name not in reruns:

@@ -138,13 +138,11 @@ class Ensemble:
         self._rng = _stream(self.seed, STEP_STREAM)
 
     @classmethod
-    def awake(cls, positions, n_total: int, alpha: float, seed: int,
-              step_index: int = 0) -> Ensemble:
-        """An ensemble with every living particle in tier 0 at step_index."""
+    def awake(cls, positions, n_total: int, alpha: float, seed: int) -> Ensemble:
+        """An ensemble with every living particle in tier 0 at step 0."""
         return cls(tiers=[np.asarray(positions, dtype=float)] + [_EMPTY] * TIER_CAP,
-                   last=[step_index] * (TIER_CAP + 1),
-                   danger=[np.inf] * (TIER_CAP + 1), n_total=n_total,
-                   alpha=alpha, seed=seed, step_index=step_index)
+                   last=[0] * (TIER_CAP + 1), danger=[np.inf] * (TIER_CAP + 1),
+                   n_total=n_total, alpha=alpha, seed=seed)
 
     @property
     def positions(self) -> np.ndarray:
@@ -298,12 +296,12 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     empty and the macroscopic initial jump instead emerges over the first few
     diffusion steps).  A frontier increment above max(5*alpha/N, threshold)
     within a single step enters the jump registry.  Samples land every
-    sample_every steps.  With snapshot_every = k > 0 the living positions are
-    binned on the cells centred at x_grid at t = 0, every k-th step and the
-    last step, each realizing every tier, into the rows of the returned Field
-    (None without snapshots); a row integrates to the living fraction.  A
-    continued run's first row shows sleeping tiers where they were last
-    realized.
+    sample_every steps, at each snapshot step and at the last step.  With
+    snapshot_every = k > 0 the living positions are binned on the cells
+    centred at x_grid at t = 0, every k-th step and the last step, each
+    realizing every tier, into the rows of the returned Field (None without
+    snapshots); a row integrates to the living fraction.  A continued run's
+    first row shows sleeping tiers where they were last realized.
     """
     if t_end <= 0 or dt <= 0:
         raise ConfigError("t_end and dt must be positive")
@@ -366,7 +364,7 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
         if lam - before > threshold:
             jumps.append(JumpRecord(e.t, before, lam,
                                     mass=(lam - before) / e.alpha if e.alpha else 0.0))
-        if k % sample_every == 0 or k == n_steps:
+        if snap or k % sample_every == 0 or k == n_steps:
             times.append(e.t)
             lams.append(lam)
             dead.append(e.n_dead)

@@ -106,11 +106,6 @@ def cross_powergap():
     return cfg, _timed("cross_powergap", lambda: run_scenario(cfg, write=False))
 
 
-def _raw_sup(res):
-    g, p = res.frontier, res.p_frontier
-    return float(np.max(np.abs(g.lam - p.value_at(g.times))))
-
-
 def test_01_cascade_matches_exhaustive_minimality():
     # least-fixed-point shortcut vs brute-force oracle, exact equality
     rng = np.random.default_rng(20260821)
@@ -398,7 +393,7 @@ def test_13_methods_agree_on_the_frontier(cross_uniform, cross_powergap):
     for cfg, result in (cross_uniform, cross_powergap):
         res = result.levels[-1]
         assert res.params["n_particles"] == 100_000
-        sup = _raw_sup(res)
+        sup = res.reports["compare"]["sup_distance"]
         bound = 0.05 * cfg.alpha
         checks.append((sup < bound,
                        f"{cfg.scenario_id} sup frontier distance {sup:.4f}"

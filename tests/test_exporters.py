@@ -203,6 +203,7 @@ MALFORMED_NPY = {
                                       allow_pickle=True)),
     "matrix-1d": ("matrix", _npy(np.arange(4.0))),
     "matrix-corner": ("matrix", _npy(_bordered(corner=0.0))),
+    "matrix-fortran": ("matrix", _npy(np.asfortranarray(_bordered()))),
     "nu": ("nu", _npy(_NU[:, :2])),
     "nu-recorded-half": ("nu", _npy(np.where(_NU == 1.0, 0.5, _NU))),
 }

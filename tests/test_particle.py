@@ -121,8 +121,8 @@ def test_stream_is_gaussian_and_uncorrelated_across_keys(seed):
 
     def fresh(s):
         # step 3 realizes tier 0 only, step 4 tiers 0 to 2
-        return Ensemble.awake(np.full(n, 10.0), n_total=n, alpha=0.0, seed=s,
-                              step_index=2)
+        return _tiered([np.full(n, 10.0)], last=[], n_dead=0, seed=s,
+                       step_index=2, dt=dt)
 
     def increments(e):
         assert len(e.tiers[0]) == e.n_alive == n
@@ -611,6 +611,20 @@ def test_continued_run_bins_its_snapshots():
     assert np.array_equal(fld.t, [t for t, _, _ in seen])
     assert np.array_equal(path.value_at(fld.t), [lam for _, lam, _ in seen])
     assert_rows_are_histograms(fld, seen, e.n_total)
+
+
+def test_snapshot_rows_read_their_own_frontier():
+    # where sample_every does not divide snapshot_every, each snapshot step
+    # is sampled too, so a row's frontier is the one the same run gives
+    # sampled every step, not the last sample before it
+    d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
+    x = np.linspace(0, 3, 121)
+    path, fld = run(init_ensemble(d, 4000, seed=8), t_end=0.05, dt=1e-3,
+                    sample_every=3, snapshot_every=5, x_grid=x)
+    ref, ref_fld = run(init_ensemble(d, 4000, seed=8), t_end=0.05, dt=1e-3,
+                       sample_every=1, snapshot_every=5, x_grid=x)
+    assert np.array_equal(fld.values, ref_fld.values)
+    assert np.array_equal(path.value_at(fld.t), ref.value_at(fld.t))
 
 
 def test_run_without_snapshots_returns_no_field():
