@@ -123,88 +123,57 @@ def classify_points(profile: FreezingProfile, field: Field,
     linearly in time from the last few samples before s(x): a value near zero
     is the continuously-vanishing regular case, a value near 1/alpha the
     critical singular case, anything else stays unresolved.  eps_u defaults
-    to 0.1/alpha; at alpha = 0 no point freezes and the default is 0.
+    to 0.1/alpha; at alpha = 0 no point freezes, the default is 0 and no
+    value is critical.
+
+    The pre-freeze value is read at the node nearest x (the lower one on a
+    tie) from the last N_EXTRAP samples strictly before s, or as many as
+    there are: their least-squares line at s, ubar + S_tu / S_tt (s - tbar),
+    the sample itself where there is one and NaN where there is none.  It
+    is estimated at every finite-s point, in one pass over all of them.
     """
     alpha = profile.alpha
     if eps_u is None:
         eps_u = 0.1 / alpha if alpha > 0 else 0.0
-    dx = field.dx
     if endpoint_band is None:
-        endpoint_band = 2.0 * dx
+        endpoint_band = 2.0 * field.dx
     x, s = profile.x, profile.s
-    labels = list(profile.labels)
+    in_jump = np.zeros(len(x), dtype=bool)
+    at_end = np.zeros(len(x), dtype=bool)
+    for rec in jumps:
+        in_jump |= ((rec.lambda_minus + endpoint_band < x)
+                    & (x < rec.lambda_plus - endpoint_band))
+        at_end |= ((np.abs(x - rec.lambda_minus) <= endpoint_band)
+                   | (np.abs(x - rec.lambda_plus) <= endpoint_band))
+
+    fin = np.isfinite(s)
+    xf, sf = x[fin], s[fin]
+    i = np.searchsorted(field.x, xf)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i, len(field.x) - 1)
+    col = np.where(np.abs(field.x[lo] - xf) <= np.abs(field.x[hi] - xf), lo, hi)
+    rows = np.searchsorted(field.t, sf, side="left")[:, None] + np.arange(-N_EXTRAP, 0)
+    kept = rows >= 0
+    rows = np.maximum(rows, 0)
+    m = kept.sum(axis=1)
+    t = np.where(kept, field.t[rows], 0.0)
+    u = np.where(kept, field.values[rows, col[:, None]], 0.0)
+    t_bar = t.sum(axis=1) / np.maximum(m, 1)
+    u_bar = u.sum(axis=1) / np.maximum(m, 1)
+    dt = np.where(kept, t - t_bar[:, None], 0.0)
+    s_tt = (dt * dt).sum(axis=1)
+    s_tu = (dt * (u - u_bar[:, None])).sum(axis=1)
+    slope = np.divide(s_tu, s_tt, out=np.zeros_like(s_tt), where=s_tt > 0)
     bv = profile.boundary_value.copy()
+    bv[fin] = np.where(m > 0, u_bar + slope * (sf - t_bar), np.nan)
 
-    for i in range(len(x)):
-        if not np.isfinite(s[i]):
-            labels[i] = "unresolved"
-            continue
-        xi = x[i]
-        in_jump = False
-        at_end = False
-        for rec in jumps:
-            if rec.lambda_minus + endpoint_band < xi < rec.lambda_plus - endpoint_band:
-                in_jump = True
-                break
-            if (abs(xi - rec.lambda_minus) <= endpoint_band
-                    or abs(xi - rec.lambda_plus) <= endpoint_band):
-                at_end = True
-        if in_jump:
-            labels[i] = "regular_in_jump"
-            bv[i] = _pre_freeze_value(field, xi, s[i])
-            continue
-        if at_end:
-            # endpoint status overrides any temperature estimate
-            labels[i] = "singular_endpoint"
-            bv[i] = _pre_freeze_value(field, xi, s[i])
-            continue
-        val = _pre_freeze_value(field, xi, s[i])
-        bv[i] = val
-        if not np.isfinite(val):
-            labels[i] = "unresolved"
-        elif val < eps_u:
-            labels[i] = "regular_vanishing"
-        elif abs(val - 1.0 / alpha) < eps_u:
-            labels[i] = "singular_critical"
-        else:
-            labels[i] = "unresolved"
-
+    crit = np.abs(bv - 1.0 / alpha) < eps_u if alpha > 0 else np.zeros_like(fin)
+    # endpoint status overrides any temperature estimate
+    labels = np.select(
+        [~fin, in_jump, at_end, ~np.isfinite(bv), bv < eps_u, crit],
+        ["unresolved", "regular_in_jump", "singular_endpoint", "unresolved",
+         "regular_vanishing", "singular_critical"], "unresolved").tolist()
     return FreezingProfile(x=x, s=s, s_prime=profile.s_prime, labels=labels,
                            boundary_value=bv, alpha=alpha)
-
-
-def _pre_freeze_value(field: Field, xi: float, si: float) -> float:
-    """Temperature at (xi, si-) by linear-in-time extrapolation from below."""
-    col = _nearest(field.x, xi)
-    k_end = int(np.searchsorted(field.t, si, side="left"))  # rows strictly before si
-    k_lo = max(0, k_end - N_EXTRAP)
-    if k_end - k_lo < 1:
-        return np.nan
-    rows = np.arange(k_lo, k_end)
-    tv = field.t[rows]
-    uv = field.values[rows, col]
-    if len(rows) == 1:
-        return float(uv[0])
-    a, b = np.polyfit(tv, uv, 1)
-    return float(a * si + b)
-
-
-def _nearest(x: np.ndarray, xi: float) -> int:
-    """argmin(|x - xi|) on ascending x, found by bisection.
-
-    Float subtraction is monotone, so |x - xi| falls up to the nodes around
-    xi and rises after them, and the nearer of the two is the minimum; of
-    two equal distances argmin takes the lower index.  Where the node below
-    the choice is as near (distances that rounding makes equal, or a NaN),
-    the first of the equal run is argmin's own answer.
-    """
-    i = int(np.searchsorted(x, xi))
-    col = min(i, len(x) - 1)
-    if 0 < i < len(x) and abs(x[i - 1] - xi) <= abs(x[i] - xi):
-        col = i - 1
-    if col > 0 and not abs(x[col - 1] - xi) > abs(x[col] - xi):
-        return int(np.argmin(np.abs(x - xi)))
-    return col
 
 
 def oscillation_count(field: Field, frontier: FrontierPath, t: float,
@@ -273,9 +242,6 @@ class SpeedReport:
 
     median_rel_err: float              # over the points checked
     n_points: int
-
-    def to_dict(self) -> dict:
-        return {"median_rel_err": self.median_rel_err, "n_points": self.n_points}
 
 
 def speed_formula_check(profile: FreezingProfile, field: Field,

@@ -219,7 +219,8 @@ class ScenarioConfig:
         the sampled field (rows x cells, for the grid and for the snapshots
         of a particle-only run, which are binned as they are taken, so their
         rows are all that snapshots keep), the grid's w (rows x cells), the
-        frontier samples and one array per particle.  No level keeps a w:
+        frontier samples (a particle-only run also samples at every
+        snapshot step) and one array per particle.  No level keeps a w:
         the writer and verify's potential invariants read it in row blocks
         from its recurrence.  w is still counted because the obstacle
         report builds a whole w on the leading columns it reads, and on the
@@ -238,12 +239,16 @@ class ScenarioConfig:
             parts.append(f"{_approx(rows)} x {_approx(n_cells)} grid field and its w")
         if self.method in ("particle", "both"):
             particles = self.n_particles * 4 ** (self.refinement_levels - 1)
-            values += 3 * rows + particles
+            samples = rows
             parts.append(f"{_approx(particles)} particles")
             if self.method == "particle" and self.snapshot_every:
-                snaps = 1 + -(-n_steps // self.snapshot_every)
+                a, b = self.sample_every, self.snapshot_every
+                samples = (1 + n_steps // a + n_steps // b - n_steps // math.lcm(a, b)
+                           + (n_steps % a != 0 and n_steps % b != 0))
+                snaps = 1 + -(-n_steps // b)
                 values += snaps * n_cells
                 parts.append(f"{_approx(snaps)} x {_approx(n_cells)} snapshot field")
+            values += 3 * samples + particles
         if 8 * values > memory:
             raise ConfigError(f"the finest level keeps at least {_approx(8 * values)}"
                               f" bytes ({', '.join(parts)}), more than the"
@@ -434,12 +439,12 @@ def analyze_route(cfg: ScenarioConfig, method: str, frontier: FrontierPath,
         eps_w = cfg.threshold("eps_w", None)
         w, nu_w = _residual_inputs(fld, nu, eps_w)
         try:
-            reports["obstacle"] = obstacle_residual(
+            reports["obstacle"] = asdict(obstacle_residual(
                 w, nu_w, interior_margin=cfg.threshold("interior_margin", 0.1),
-                eps_w=eps_w).to_dict()
+                eps_w=eps_w))
         except ConfigError as exc:
             reports["obstacle"] = {"error": str(exc)}
-    reports["speed"] = speed_formula_check(prof, fld, frontier).to_dict()
+    reports["speed"] = asdict(speed_formula_check(prof, fld, frontier))
     try:
         reports["nondegeneracy_constant"] = nondegeneracy_constant(
             fld, frontier,

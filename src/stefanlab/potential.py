@@ -230,16 +230,6 @@ class ResidualReport:
     count_positive_after_freeze: int   # w > eps_w at nodes past their freeze
     complementarity_max: float = 0.0   # max |min(w, w_t - w_xx/2 + nu)|
 
-    def to_dict(self) -> dict:
-        return {
-            "l1": self.l1, "linf": self.linf, "n_nodes": self.n_nodes,
-            "eps_w": self.eps_w, "margin": self.margin,
-            "count_w_negative": self.count_w_negative,
-            "count_w_t_positive": self.count_w_t_positive,
-            "count_positive_after_freeze": self.count_positive_after_freeze,
-            "complementarity_max": self.complementarity_max,
-        }
-
 
 def obstacle_residual(w: PotentialField, nu: WeightField, interior_margin: float,
                       eps_w: float | None = None) -> ResidualReport:
@@ -386,16 +376,6 @@ class BoundReport:
     min_u_x: float                     # centered, liquid side only
     near_front_max_abs_u_xx: float     # unsigned, inside the pad band
     n_liquid_nodes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "window": list(self.window), "pad": self.pad,
-            "max_w_t": self.max_w_t, "max_abs_w_xx": self.max_abs_w_xx,
-            "max_u_t": self.max_u_t, "max_u_xx": self.max_u_xx,
-            "min_u_x": self.min_u_x,
-            "near_front_max_abs_u_xx": self.near_front_max_abs_u_xx,
-            "n_liquid_nodes": self.n_liquid_nodes,
-        }
 
 
 def bound_suite(field: Field, frontier: FrontierPath, w: PotentialField | None,

@@ -1,15 +1,20 @@
 """Tests for freezing-time profiles, jump recovery and classification."""
+import warnings
+
 import numpy as np
 import pytest
 
-from stefanlab.boundary import (classify_points, detect_jumps, freezing_time,
+from stefanlab.boundary import (N_EXTRAP, FreezingProfile, classify_points,
+                                detect_jumps, freezing_time,
                                 nondegeneracy_constant, oscillation_count,
                                 speed_formula_check)
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
-from stefanlab.fields import Field, FrontierPath
+from stefanlab.fields import Field, FrontierPath, JumpRecord
 from stefanlab.grid import run_grid
+from stefanlab.harness import run_scenario, scenario_from_dict
 from stefanlab.synthetic import smooth_frontier_path, traveling_wave_field
+from test_grid_pin import CONFIGS as PIN_CONFIGS
 
 
 def flat_field(u_value, x_max=1.3, t_end=1.3, dx=0.01, dt=0.01, alpha=1.0):
@@ -270,13 +275,153 @@ class TestSpeedFormula:
         assert rep.median_rel_err < 0.02
 
 
-def test_nearest_column_is_argmin_of_the_distance():
-    # nodes, midpoints (ties go to the lower node), points outside the grid,
-    # far enough out that rounding makes many distances equal, and NaN
-    from stefanlab.boundary import _nearest
-    x = (np.arange(40) + 0.5) * 0.025
-    probes = [*x, *(0.5 * (x[:-1] + x[1:])), -1.0, -1e-3, 0.0, x[-1] + 1e-3,
-              3.0, 1e17, -1e17, 1e300, -1e300, np.nan]
-    for xi in probes:
-        assert _nearest(x, xi) == int(np.argmin(np.abs(x - xi))), xi
-    assert _nearest(np.array([0.25]), 7.0) == 0
+def reference_classify(profile, field, jumps, eps_u=None, endpoint_band=None):
+    """classify_points one point at a time, as the oracle: the column is
+    argmin of the distance, the pre-freeze value np.polyfit's line through
+    the last N_EXTRAP samples before s."""
+    alpha = profile.alpha
+    if eps_u is None:
+        eps_u = 0.1 / alpha if alpha > 0 else 0.0
+    if endpoint_band is None:
+        endpoint_band = 2.0 * field.dx
+    labels = list(profile.labels)
+    bv = profile.boundary_value.copy()
+    for i, (xi, si) in enumerate(zip(profile.x, profile.s)):
+        if not np.isfinite(si):
+            labels[i] = "unresolved"
+            continue
+        in_jump = at_end = False
+        for rec in jumps:
+            if rec.lambda_minus + endpoint_band < xi < rec.lambda_plus - endpoint_band:
+                in_jump = True
+                break
+            if (abs(xi - rec.lambda_minus) <= endpoint_band
+                    or abs(xi - rec.lambda_plus) <= endpoint_band):
+                at_end = True
+        col = int(np.argmin(np.abs(field.x - xi)))
+        k_end = int(np.searchsorted(field.t, si, side="left"))
+        rows = np.arange(max(0, k_end - N_EXTRAP), k_end)
+        if len(rows) == 0:
+            val = np.nan
+        elif len(rows) == 1:
+            val = float(field.values[rows[0], col])
+        else:
+            a, b = np.polyfit(field.t[rows], field.values[rows, col], 1)
+            val = float(a * si + b)
+        bv[i] = val
+        if in_jump:
+            labels[i] = "regular_in_jump"
+        elif at_end:
+            labels[i] = "singular_endpoint"
+        elif not np.isfinite(val):
+            labels[i] = "unresolved"
+        elif val < eps_u:
+            labels[i] = "regular_vanishing"
+        elif abs(val - 1.0 / alpha) < eps_u:
+            labels[i] = "singular_critical"
+        else:
+            labels[i] = "unresolved"
+    return labels, bv
+
+
+def assert_matches_reference(profile, field, jumps, **kw):
+    out = classify_points(profile, field, jumps, **kw)
+    labels, bv = reference_classify(profile, field, jumps, **kw)
+    assert out.labels == labels
+    assert np.array_equal(np.isnan(out.boundary_value), np.isnan(bv))
+    assert np.nanmax(np.abs(out.boundary_value - bv), initial=0.0) <= 1e-12
+    return out
+
+
+class TestClassifyInOnePass:
+    """classify_points against the per-point reference."""
+
+    @pytest.mark.parametrize("name", ["grid-ladder-tiny", "band-ladder",
+                                      "readme-demo-grid"])
+    def test_matches_the_reference_on_every_level(self, name):
+        cfg = scenario_from_dict({**PIN_CONFIGS[name], "outdir": "unused"})
+        levels = run_scenario(cfg, write=False).levels
+        for res in levels:
+            prof = freezing_time(res.frontier, res.field.x)
+            out = assert_matches_reference(prof, res.field, res.jumps)
+            assert out.labels == res.profile.labels
+        # every level but the README demo's has a jump to classify against
+        assert all(res.jumps for res in levels) == (name != "readme-demo-grid")
+
+    @pytest.mark.parametrize("u", [0.02, 0.5, 0.95])
+    def test_off_grid_profile_matches_the_reference(self, u):
+        prof, jumps = TestClassifyPoints().make_profile()
+        assert_matches_reference(prof, flat_field(u), jumps)
+
+    def test_zero_one_two_and_three_samples_before_s(self):
+        # u = t**2 + x on five sample times, so a line through three
+        # samples differs from one through two
+        x = (np.arange(10) + 0.5) * 0.1
+        t = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        field = Field(x=x, t=t, values=t[:, None] ** 2 + x[None, :], alpha=1.0)
+        s = np.array([0.0, 0.05, 0.1, 0.15, 0.35, 0.4, 1.0])
+        xs = np.full(len(s), x[3])
+        prof = FreezingProfile(x=xs, s=s, s_prime=np.full(len(s), np.nan),
+                               labels=["unresolved"] * len(s),
+                               boundary_value=np.full(len(s), np.nan), alpha=1.0)
+        out = assert_matches_reference(prof, field, [], eps_u=0.5)
+        bv = out.boundary_value
+        # no sample before s = 0: no value, unresolved
+        assert np.isnan(bv[0]) and out.labels[0] == "unresolved"
+        # one sample before s: its value
+        assert bv[1] == bv[2] == field.values[0, 3]
+        # two: the chord through them
+        assert bv[3] == pytest.approx(x[3] + 0.01 * 1.5, abs=1e-15)
+        # three: the least-squares line through the last three, of slope
+        # 0.4 through t = 0.1, 0.2, 0.3 and 0.6 through t = 0.2, 0.3, 0.4
+        for k, si, mean, slope, t_bar in ((4, 0.35, 0.14 / 3, 0.4, 0.2),
+                                          (5, 0.4, 0.14 / 3, 0.4, 0.2),
+                                          (6, 1.0, 0.29 / 3, 0.6, 0.3)):
+            want = x[3] + mean + slope * (si - t_bar)
+            assert bv[k] == pytest.approx(want, abs=1e-15)
+
+    def test_inside_any_jump_beats_near_any_edge(self):
+        # x = 0.46 is near the first jump's lower edge and inside the second
+        jumps = [JumpRecord(t=0.5, lambda_minus=0.45, lambda_plus=0.9),
+                 JumpRecord(t=0.2, lambda_minus=0.1, lambda_plus=0.5)]
+        xs = np.array([0.11, 0.3, 0.46, 0.47, 0.7, 0.91])
+        prof = FreezingProfile(x=xs, s=np.full(len(xs), 0.6),
+                               s_prime=np.full(len(xs), np.nan),
+                               labels=["unresolved"] * len(xs),
+                               boundary_value=np.full(len(xs), np.nan), alpha=1.0)
+        out = assert_matches_reference(prof, flat_field(0.02), jumps)
+        assert out.labels == ["singular_endpoint", "regular_in_jump",
+                              "regular_in_jump", "regular_in_jump",
+                              "regular_in_jump", "singular_endpoint"]
+
+    def test_alpha_zero_is_never_critical(self):
+        # 1/alpha is not a level at alpha = 0: a finite pre-freeze value is
+        # unresolved, with no division and no warning
+        x = np.array([0.105, 0.5])
+        prof = FreezingProfile(x=x, s=np.array([0.5, np.inf]),
+                               s_prime=np.full(2, np.nan),
+                               labels=["unresolved"] * 2,
+                               boundary_value=np.full(2, np.nan), alpha=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = classify_points(prof, flat_field(0.5, alpha=0.0), [])
+        assert out.labels == ["unresolved", "unresolved"]
+        assert out.boundary_value[0] == 0.5 and np.isnan(out.boundary_value[1])
+
+    def test_column_is_the_nearest_node(self):
+        # column i holds the value i in the one sample row, so the pre-freeze
+        # value reads back the column; nodes, midpoints (ties go to the lower
+        # node) and points outside the grid
+        x = (np.arange(40) + 0.5) * 0.025
+        field = Field(x=x, t=np.array([0.0]), values=np.arange(40.0)[None, :],
+                      alpha=1.0)
+        probes = np.array([*x, *(0.5 * (x[:-1] + x[1:])), -1.0, -1e-3, 0.0,
+                           x[-1] + 1e-3, 3.0, -1e17, -1e300])
+        n = len(probes)
+        prof = FreezingProfile(x=probes, s=np.full(n, 2.0),
+                               s_prime=np.full(n, np.nan),
+                               labels=["unresolved"] * n,
+                               boundary_value=np.full(n, np.nan), alpha=1.0)
+        got = classify_points(prof, field, []).boundary_value
+        want = [np.argmin(np.abs(x - xi)) for xi in probes]
+        assert np.array_equal(got, want)

@@ -15,13 +15,15 @@ so the pin applies only to the versions it was recorded with, which CI
 installs through .github/constraints.txt, and the test skips on any other.
 
 To record new digests after a deliberate change of output, run this file
-as a script: it prints the table below.
+as a script: it prints the tables below, and names on stderr each digest
+that differs from them, with its old and new value.
 """
 import contextlib
 import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -74,7 +76,7 @@ DIGESTS = {
             "field": "0b4abdb6e99f9d090fac7064a10d6429d96fcee90670e0f1e0b1861f37b1c327",
             "nu": "059104310cb88026834356be1d17dc73b99cbe4a1d09d1eb1059acd856f6bf82",
             "w": "0e2363db09d80e4027301a81446d466196a57380614c766e5384dce3e46cd183",
-            "profile": "f32f562c70aea1daed60b76ea1347774675e62ab1df5b5bcc76d0ae279573292",
+            "profile": "0e62bb5479ae432a1d6de8fab48103c2eb7d9fd77d3645766f0667fc79c368c8",
             "jumps": "4315fb808167494dea7ecda0da2540f3f506c889b769746daa6a3001795aa398",
             "report.grid": "f1a495bbe1eabf3b10123ae4ade18569f93fc9c93f1197def6e58b6f7c41c29a",
             "report.nondegeneracy_constant": "64c1086eb6a8e8b383017e965d5e92759735bafd85891d5aecdd3e764ec53867",
@@ -86,7 +88,7 @@ DIGESTS = {
             "field": "a04938e698d396464cbec18654d30e5ee37e29a0b822b3ef23a4ac7e6a18f7da",
             "nu": "d675438973601566e547ea6d3db119fa0792f966bacca4a08e56f93d7b0143d3",
             "w": "e9627f46a6b90da76847aafa8208b0c672045295252d7282a330b36e98c441a0",
-            "profile": "6164bfd106f4933a5234fc364bcc8ef85e77b0c3373ff3ad5a4466f50906cfb7",
+            "profile": "234abc7e33c820282689fd3ed5e030e3f14cd3bc089c0a75ca9d0c8a3751f1f9",
             "jumps": "5c40ace40d8ad0d2ee0967f2ed0912754c626128bafb83272df4a5735474b2dd",
             "report.grid": "8b64127200bdc0b76e41bbd5c6e533e9f56305db55da10b6feab2622dac16847",
             "report.nondegeneracy_constant": "bdad6e01ebf98faaf7ef531922d00560832193d642c919254bcf602633e2661c",
@@ -100,7 +102,7 @@ DIGESTS = {
             "field": "dc8c3d67130dd6d578b8a02570daa39244cfbe55a5bf7db83d4f731f36c4684c",
             "nu": "7ca2257c3949e64c073b9ed5c8bed6f279af428eb3422476023241e5d3081e25",
             "w": "6ff3289a14b5ac981525d3bf75e4d74565f53f52e1b3db7f8cf9e23c3e366a1c",
-            "profile": "f3426f21e97834e402c7be23e84061f020a2c03051f829f0093f7045bc3d4e14",
+            "profile": "85875ea9ed5fa9fb7cf7256edf326c12d244eeabea8e0075fe6c39618464c146",
             "jumps": "4315fb808167494dea7ecda0da2540f3f506c889b769746daa6a3001795aa398",
             "report.grid": "f51abd4de660a32efd2b533b97c16f0f7b3a4777f99bb4e18e5a821fa87aba99",
             "report.nondegeneracy_constant": "712eed3f44ae84298950470570d5cecb9451a0bcbf502da574773f363abfbd06",
@@ -112,7 +114,7 @@ DIGESTS = {
             "field": "c042863846b1ca2521eea16971136be0e0d0e441d50f4deaecc87d82ca62be98",
             "nu": "95fce8dadbef9cdef8a4cd806acb6eb91a55140d3585a7af07e259c015249546",
             "w": "aee37ac3aa9643849ba59cbee9354f7169ce562639c2ff27c2a77f14c56ba4a1",
-            "profile": "f8cecc6f0d10a14a6081db6fd6d2b4346b606ceedd621e7ce323b70f842f2b32",
+            "profile": "c796e5fd90eb6041042374bc187c539359726411f17428b4dc8df2060e167477",
             "jumps": "558c3df64f5b4f17c2b50f6122a5005b123bd112218a16932f229405cef53bab",
             "report.grid": "7cfb3b0a1d3333f5476ff8df523af7aba6e2f5976d8e6459c821c00a4af305db",
             "report.nondegeneracy_constant": "8040f59dc5078c6871710bbd6a7b930dcc82690d1866f031a13ac0a5aa6a7144",
@@ -124,7 +126,7 @@ DIGESTS = {
             "field": "ae095a51f311697840ac612507921635e25d672063546b99992d2c67defe9767",
             "nu": "bcc1f0430b616fa15c3576cce926cb519f29c78353077b231580851cce6a3c6e",
             "w": "405e5561d4afc114e89ea32e0d4a65f32a2b19c7e810a808de8d0b1ec195d10e",
-            "profile": "77601d0f253e25422886a8dac78412e1956daab1f9356c2e9f56003f42d2eef8",
+            "profile": "a709c25cd011a0e03e132390c5f7d0a35155fb63061d966c76ecf06c97188a08",
             "jumps": "9723211c9dfb283c7e32eea4e66ff9bfc5dd1eac6ea7c72fd32d8edab1ba7ada",
             "report.grid": "baf78d9bae4c70ad83827142f5596f338987d07b4a3cb3d21f3bd0e7d3b8b6b9",
             "report.nondegeneracy_constant": "7c356de7e68136bc53d8327b84a8ccd85bd0ecef489746ea142b7daa249ea1e6",
@@ -138,7 +140,7 @@ DIGESTS = {
             "field": "3ff3b32de17625c670f0d6ebe0602f57572d1908b15979fa63ef12136c48786d",
             "nu": "91f0c081d7982a19c32195c4a69802e3275941af35b6a869c04bcfaf3144aa34",
             "w": "d4664e8e89e5653eed4770b3f8ad57f3b1e4fd6d165013f4ef0ced992527fcd0",
-            "profile": "ab9dba140326c80674374374b5f939a6c5d70b21905db50fb18fed26d9181a78",
+            "profile": "d817eda7a331992053c6f6f7f8213cd3bb409bb186af015a51aa868b2e687aed",
             "jumps": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
             "p_frontier": "5aeb2c4b1508b411882a4b4131de0f0f996f5981402c17f1dba0645f2caf7454",
             "p_jumps": "1e99524bbf0c76f18894e64f2cd2946d0484ca5af6ccd48b7ebf431ad4f7b9b5",
@@ -156,7 +158,7 @@ DIGESTS = {
             "field": "3ff3b32de17625c670f0d6ebe0602f57572d1908b15979fa63ef12136c48786d",
             "nu": "91f0c081d7982a19c32195c4a69802e3275941af35b6a869c04bcfaf3144aa34",
             "w": "d4664e8e89e5653eed4770b3f8ad57f3b1e4fd6d165013f4ef0ced992527fcd0",
-            "profile": "ab9dba140326c80674374374b5f939a6c5d70b21905db50fb18fed26d9181a78",
+            "profile": "d817eda7a331992053c6f6f7f8213cd3bb409bb186af015a51aa868b2e687aed",
             "jumps": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
             "report.grid": "04f7ffe20e73208d2d0ce5724d6dd9fd1e569946e586b1ce7ece74cae7cfc561",
             "report.nondegeneracy_constant": "50759925406dda672038555573d37c51f85fb52a82a95ce092e9777760a42a43",
@@ -216,13 +218,13 @@ WRITTEN_DIGESTS = {
         "L0/frontier.csv": "a84cdfb5d63c12ffa78cd138ccdfd7a38f4990fb0e3c959fa9e34db628c547c2",
         "L0/jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "L0/nu.npy": "481c1ddd99a4b9d080b80117e154b168fed9219af10127002a1f9c3cf5339727",
-        "L0/profile.csv": "486d04360be3c2cda3059437dc201c41b7f00aeeb32e5bf699ed5978c902870c",
+        "L0/profile.csv": "aea0bb55406a77500dcbca9b242ad69dd24e1345e8f3405f37cf198146934273",
         "L0/w.npy": "97e5372957d93cba964179f3ef582ebeb37b6615bc33226cca2083ad521e4aa8",
         "field.npy": "05deb2beb445bf66aed3fc4975800783b36498ef2a15910f6047671f841c84b1",
         "frontier.csv": "a84cdfb5d63c12ffa78cd138ccdfd7a38f4990fb0e3c959fa9e34db628c547c2",
         "jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "nu.npy": "481c1ddd99a4b9d080b80117e154b168fed9219af10127002a1f9c3cf5339727",
-        "profile.csv": "486d04360be3c2cda3059437dc201c41b7f00aeeb32e5bf699ed5978c902870c",
+        "profile.csv": "aea0bb55406a77500dcbca9b242ad69dd24e1345e8f3405f37cf198146934273",
         "summary.json": "178f781ccd99d6595dfa9174220d337b257bdc540eaecb1e67d86ce517031574",
         "w.npy": "97e5372957d93cba964179f3ef582ebeb37b6615bc33226cca2083ad521e4aa8",
     },
@@ -240,13 +242,13 @@ WRITTEN_DIGESTS = {
         "L0/frontier.csv": "c10984f0c5512969daa84f04008146e6ad319669193d44fb4928ffc70f6e06de",
         "L0/jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "L0/nu.npy": "40c4e85353ad23453db361a8f3b9613cba6ffe2334df9d7ff44ead64ffefb12c",
-        "L0/profile.csv": "83025e66ebe1451c0aa8da0c4c6906088fce1afb26687b358fd98c9300b66b4d",
+        "L0/profile.csv": "3ecaa2c1d75ad8b0a71d9eee330122379cc892d5613c4517f2c6166c0f23db48",
         "L0/w.npy": "c18a8d4b1cb7b463cfa0fd468a45442e67f124d832cd142c9e8c26cd6bb12400",
         "field.npy": "e1367bb251154d32fedc19748a2a11d3eb7ef0492d92e22bc5dd3b0f939c484d",
         "frontier.csv": "c10984f0c5512969daa84f04008146e6ad319669193d44fb4928ffc70f6e06de",
         "jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "nu.npy": "40c4e85353ad23453db361a8f3b9613cba6ffe2334df9d7ff44ead64ffefb12c",
-        "profile.csv": "83025e66ebe1451c0aa8da0c4c6906088fce1afb26687b358fd98c9300b66b4d",
+        "profile.csv": "3ecaa2c1d75ad8b0a71d9eee330122379cc892d5613c4517f2c6166c0f23db48",
         "summary.json": "7bfc8d0b527f7e8bc1c6deade01fd5ed01c3bda3f2679560ef9c0b6c39bbf6ef",
         "w.npy": "c18a8d4b1cb7b463cfa0fd468a45442e67f124d832cd142c9e8c26cd6bb12400",
     },
@@ -393,24 +395,39 @@ def test_verify_ledger_matches_the_pin(name):
     assert ledger_digest(name) == LEDGER_DIGESTS[name]
 
 
+def _report_change(where: str, old, new: str) -> None:
+    """One stderr line for a digest that differs from its pin."""
+    if old != new:
+        print(f"{where}: {old} → {new}", file=sys.stderr)
+
+
 if __name__ == "__main__":
+    # prints the pin tables; every digest that differs from them is also
+    # named on stderr as "name Lk key: old → new"
     for name in sorted(CONFIGS):
         print(f'    "{name}": [')
-        for d in scenario_digests(name):
+        pins = DIGESTS.get(name, [])
+        for level, d in enumerate(scenario_digests(name)):
+            pin = pins[level] if level < len(pins) else {}
             print("        {")
             for key, value in d.items():
                 print(f'            "{key}": "{value}",')
+                _report_change(f"{name} L{level} {key}", pin.get(key), value)
             print("        },")
         print("    ],")
     print("WRITTEN_DIGESTS = {")
     for name in sorted(WRITTEN_CONFIGS):
         print(f'    "{name}": {{')
+        pin = WRITTEN_DIGESTS.get(name, {})
         with tempfile.TemporaryDirectory() as tmp:
             for f, value in written_digests(name, Path(tmp)).items():
                 print(f'        "{f}": "{value}",')
+                _report_change(f"{name} {f}", pin.get(f), value)
         print("    },")
     print("}")
     print("LEDGER_DIGESTS = {")
     for name in sorted(LEDGER_CONFIGS):
-        print(f'    "{name}": "{ledger_digest(name)}",')
+        value = ledger_digest(name)
+        print(f'    "{name}": "{value}",')
+        _report_change(f"{name} ledger", LEDGER_DIGESTS.get(name), value)
     print("}")

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,16 @@ class TestConfigValidation:
         # a method="both" run writes the grid's field and takes no snapshots
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need)
         quick_config(**dict(README_DEMO, snapshot_every=1))
+        # particle-only, the run samples the frontier at every 3rd and every
+        # 5th step: 1 + 333 + 200 - 66 = 468 samples beside the 201 x 310
+        # snapshot field
+        demo = dict(README_DEMO, method="particle", sample_every=3, snapshot_every=5)
+        need = 8 * (201 * 310 + 3 * 468 + 20_000)
+        monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need)
+        quick_config(**demo)
+        monkeypatch.setattr(harness_mod, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match=re.escape(f"{need:.3g} bytes")):
+            quick_config(**demo)
         monkeypatch.setattr(harness_mod, "_physical_memory", lambda: None)
         quick_config(**dict(README_DEMO, n_particles=10 ** 15))
 
@@ -441,10 +451,10 @@ class TestResidualWindow:
         # tail at t_end = 0.2, so its analysis takes the whole lattice
         cfg = scenario_from_dict({**PIN_CONFIGS[name], "outdir": "unused"})
         for res in run_scenario(cfg, write=False).levels:
-            want = obstacle_residual(
+            want = asdict(obstacle_residual(
                 compute_w(res.field), res.nu,
                 interior_margin=cfg.threshold("interior_margin", 0.1),
-                eps_w=cfg.threshold("eps_w", None)).to_dict()
+                eps_w=cfg.threshold("eps_w", None)))
             assert _bits(res.reports["obstacle"]) == _bits(want)
             narrow = residual_window(res.field) < len(res.field.x)
             assert narrow == (name != "grid-ladder-tiny")
@@ -455,7 +465,7 @@ class TestResidualWindow:
         w, nu = harness_mod._residual_inputs(f, crafted_nu(f.x), None)
         assert len(w.x) == len(nu.nu) == 16
         want = obstacle_residual(compute_w(f), crafted_nu(f.x), 0.05)
-        assert _bits(obstacle_residual(w, nu, 0.05).to_dict()) == _bits(want.to_dict())
+        assert _bits(asdict(obstacle_residual(w, nu, 0.05))) == _bits(asdict(want))
 
     @pytest.mark.parametrize("spoil", [_negative_past_window, _nan_past_window,
                                        _time_runs_back, _row_zero_in_window])
@@ -463,10 +473,10 @@ class TestResidualWindow:
         f = crafted_field()
         spoil(f)
         whole = compute_w(f)
-        want = obstacle_residual(whole, crafted_nu(f.x), 0.05).to_dict()
+        want = asdict(obstacle_residual(whole, crafted_nu(f.x), 0.05))
         w, nu = harness_mod._residual_inputs(f, crafted_nu(f.x), None)
         assert len(w.x) == len(nu.nu) == 50
-        assert _bits(obstacle_residual(w, nu, 0.05).to_dict()) == _bits(want)
+        assert _bits(asdict(obstacle_residual(w, nu, 0.05))) == _bits(want)
         # what the window alone would have got wrong
         cut = compute_w(replace(f, x=f.x[:16], values=f.values[:, :16]))
         if spoil in (_negative_past_window, _time_runs_back):

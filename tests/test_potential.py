@@ -1,5 +1,5 @@
 """Tests for the time-tail potential and its obstacle-problem diagnostics."""
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -330,7 +330,7 @@ class TestMatchesReference:
         f, nu = run
         run_id = request.node.callspec.params["run"]
         w = compute_w(f)
-        got = obstacle_residual(w, nu, interior_margin=margin).to_dict()
+        got = asdict(obstacle_residual(w, nu, interior_margin=margin))
         want = reference_residual(w, nu, margin)
         assert repr(got) == repr(want)
         if margin == 10.0 or run_id == "warm":
@@ -344,7 +344,7 @@ class TestMatchesReference:
         # gapped run columns 10 and 12 froze but are not admitted
         f, nu = run
         w = compute_w(f)
-        got = obstacle_residual(w, nu, interior_margin=0.02, eps_w=-1.0).to_dict()
+        got = asdict(obstacle_residual(w, nu, interior_margin=0.02, eps_w=-1.0))
         want = reference_residual(w, nu, 0.02, eps_w=-1.0)
         assert repr(got) == repr(want)
 
@@ -368,7 +368,7 @@ def test_obstacle_residual_at_block_edges(nt, eps_w):
     nu = WeightField(x=x, nu=rng.random(nx), alpha=1.0, recorded=np.ones(nx, bool))
     w = compute_w(f)
     assert np.array_equal(w.w, reference_w(u, t))
-    got = obstacle_residual(w, nu, interior_margin=0.5 * h, eps_w=eps_w).to_dict()
+    got = asdict(obstacle_residual(w, nu, interior_margin=0.5 * h, eps_w=eps_w))
     assert repr(got) == repr(reference_residual(w, nu, 0.5 * h, eps_w=eps_w))
     assert got["n_nodes"] > 0
 
@@ -440,7 +440,7 @@ def test_obstacle_residual_with_an_empty_span():
                         x_max=6.0, dx=0.05, dt=1e-3, t_end=0.2)
     f.values[-1] = np.maximum(f.values[-1], 1e-6)
     w = compute_w(f)
-    rep = obstacle_residual(w, nu, interior_margin=0.02).to_dict()
+    rep = asdict(obstacle_residual(w, nu, interior_margin=0.02))
     assert rep["n_nodes"] == 0
     assert rep["l1"] == rep["linf"] == rep["complementarity_max"] == 0.0
     assert repr(rep) == repr(reference_residual(w, nu, 0.02))
