@@ -1,5 +1,5 @@
 """Pinned outputs of three small grid runs and one run of both methods,
-the written files of six simulate runs, and pinned verify ledgers of two
+the written files of six simulate runs, and pinned verify ledgers of four
 configs.
 
 Each level's frontier, field, weight, potential w, freezing profile and
@@ -177,14 +177,18 @@ SMOKE = {
     "n_particles": 500, "dt": 0.002, "dx": 0.05, "t_end": 0.1,
     "thresholds": {"interior_margin": 0.05}}
 
-# verify_suite's ledger of CI's smoke config and of the README demo cut to
-# t_end = 0.2
+# verify_suite's ledger of CI's smoke config, of the README demo cut to
+# t_end = 0.2, and of the two band ladders, whose ledgers each hold one fail
 LEDGER_CONFIGS = {
     "smoke": SMOKE,
     "readme-demo": {**CONFIGS["readme-demo-both"], "n_particles": 20000},
+    "grid-ladder-tiny": CONFIGS["grid-ladder-tiny"],
+    "band-ladder": CONFIGS["band-ladder"],
 }
 
 LEDGER_DIGESTS = {
+    "band-ladder": "9a3c3830167ea241baf0e1db53d32d8e678cd1384ad2c172f39aeb92020d2cdf",
+    "grid-ladder-tiny": "42bd687dfd6b7572a624096857ea9e9d7f85275b49c122ffb35f138287c90c94",
     "readme-demo": "3636afcec49873dc7e3f7dc02533a49e89b15fff86e7802597b2565afc9484cb",
     "smoke": "bf2980792b3e3e0fe527a688e341d23cae5cd0a2adb66b2556d772b587afb428",
 }
