@@ -28,7 +28,7 @@ class FreezingProfile:
     """Freezing time s, its slope, and per-point classification on an x grid.
 
     s is +inf where the frontier never passed within the horizon; s_prime is
-    NaN wherever a centered difference would touch an infinite value.
+    NaN where s is infinite or has no finite neighbour.
     boundary_value estimates the temperature at the point just before it
     froze; NaN where not estimable.
     """
@@ -42,11 +42,13 @@ class FreezingProfile:
 
     def fraction_unresolved(self) -> float:
         """Unresolved share among finite-s points outside jumps and endpoints."""
-        cand = [(lb, sv) for lb, sv in zip(self.labels, self.s)
-                if np.isfinite(sv) and lb not in ("regular_in_jump", "singular_endpoint")]
-        if not cand:
+        labels = np.asarray(self.labels, dtype=str)
+        cand = np.isfinite(self.s) & ~np.isin(
+            labels, ("regular_in_jump", "singular_endpoint"))
+        n = np.count_nonzero(cand)
+        if not n:
             return 0.0
-        return sum(1 for lb, _ in cand if lb == "unresolved") / len(cand)
+        return float(np.count_nonzero(cand & (labels == "unresolved")) / n)
 
 
 def freezing_time(frontier: FrontierPath, x_grid) -> FreezingProfile:
@@ -54,7 +56,8 @@ def freezing_time(frontier: FrontierPath, x_grid) -> FreezingProfile:
 
     s(x) = first sample time with frontier strictly above x; +inf if that
     never happens within the horizon.  Slopes by centered differences over
-    finite neighbors, one-sided at the ends of the finite range.
+    finite neighbors, one-sided at the ends of a finite run, NaN at an
+    isolated finite point.
     """
     x = np.asarray(x_grid, dtype=float)
     lam = frontier.lam
@@ -65,18 +68,25 @@ def freezing_time(frontier: FrontierPath, x_grid) -> FreezingProfile:
     n = len(x)
     sp = np.full(n, np.nan)
     fin = np.isfinite(s)
-    for i in range(n):
-        if not fin[i]:
-            continue
-        lo, hi = i - 1, i + 1
-        if lo >= 0 and hi < n and fin[lo] and fin[hi]:
-            sp[i] = (s[hi] - s[lo]) / (x[hi] - x[lo])
-        elif hi < n and fin[hi]:
-            sp[i] = (s[hi] - s[i]) / (x[hi] - x[i])
-        elif lo >= 0 and fin[lo]:
-            sp[i] = (s[i] - s[lo]) / (x[i] - x[lo])
+    left = np.zeros(n, dtype=bool)
+    left[1:] = fin[:-1]
+    right = np.zeros(n, dtype=bool)
+    right[:-1] = fin[1:]
+    # differences are taken only between finite values
+    i = np.flatnonzero(fin & left & right)
+    sp[i] = (s[i + 1] - s[i - 1]) / (x[i + 1] - x[i - 1])
+    i = np.flatnonzero(fin & right & ~left)
+    sp[i] = (s[i + 1] - s[i]) / (x[i + 1] - x[i])
+    i = np.flatnonzero(fin & left & ~right)
+    sp[i] = (s[i] - s[i - 1]) / (x[i] - x[i - 1])
     return FreezingProfile(x=x, s=s, s_prime=sp, labels=["unresolved"] * n,
                            boundary_value=np.full(n, np.nan), alpha=frontier.alpha)
+
+
+def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each run of True in flags, and one past its last."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], flags, [False]))))
+    return edges[::2], edges[1::2]
 
 
 def detect_jumps(frontier: FrontierPath, threshold: float) -> list[JumpRecord]:
@@ -94,21 +104,11 @@ def detect_jumps(frontier: FrontierPath, threshold: float) -> list[JumpRecord]:
     if len(times) and times[0] == 0.0 and lam[0] > threshold:
         recs.append(JumpRecord(t=0.0, lambda_minus=0.0, lambda_plus=float(lam[0]),
                                mass=float(lam[0] / frontier.alpha)))
-    inc = np.diff(lam)
-    above = inc > threshold
-    k = 0
-    while k < len(inc):
-        if above[k]:
-            j = k
-            while j + 1 < len(inc) and above[j + 1]:
-                j += 1
-            recs.append(JumpRecord(
-                t=float(times[k + 1]), lambda_minus=float(lam[k]),
-                lambda_plus=float(lam[j + 1]),
-                mass=float((lam[j + 1] - lam[k]) / frontier.alpha)))
-            k = j + 1
-        else:
-            k += 1
+    start, stop = _runs(np.diff(lam) > threshold)
+    recs += [JumpRecord(t=float(times[a + 1]), lambda_minus=float(lam[a]),
+                        lambda_plus=float(lam[b]),
+                        mass=float((lam[b] - lam[a]) / frontier.alpha))
+             for a, b in zip(start, stop)]
     return recs
 
 
@@ -251,41 +251,32 @@ def speed_formula_check(profile: FreezingProfile, field: Field,
     Runs over points labeled regular_vanishing whose slope exceeds the floor.
     The temperature slope is one-sided from the liquid side, via a quadratic
     through the frontier (where u = 0, read from frontier at the field's
-    first sample at or after s) and the first two liquid cells.
+    first sample at or after s) and the first two liquid cells.  A point
+    past the last sample, or without two increasing nodes past the
+    frontier, is skipped; so is one whose slope is not finite.
     """
-    alpha = profile.alpha
-    preds, meas = [], []
-    for i in range(len(profile.x)):
-        if profile.labels[i] != "regular_vanishing":
-            continue
-        sp = profile.s_prime[i]
-        if not np.isfinite(sp) or sp <= S_PRIME_FLOOR:
-            continue
-        si = profile.s[i]
-        row = int(np.searchsorted(field.t, si, side="left"))
-        if row >= len(field.t):
-            continue
-        slope = _one_sided_slope(field, row, frontier.value_at(field.t[row]))
-        if not np.isfinite(slope):
-            continue
-        preds.append(1.0 / sp)
-        meas.append(0.5 * alpha * slope)
-    preds = np.asarray(preds)
-    meas = np.asarray(meas)
+    sp = profile.s_prime
+    pick = ((np.asarray(profile.labels, dtype=str) == "regular_vanishing")
+            & np.isfinite(sp) & (sp > S_PRIME_FLOOR))
+    sp = sp[pick]
+    row = np.searchsorted(field.t, profile.s[pick], side="left")
+    kept = row < len(field.t)
+    sp, row = sp[kept], row[kept]
+    lam = frontier.value_at(field.t[row])
+    i0 = np.searchsorted(field.x, lam + 1e-12, side="right")
+    # the quadratic needs two nodes past the frontier
+    kept = i0 + 1 < len(field.x)
+    sp, row, lam, i0 = sp[kept], row[kept], lam[kept], i0[kept]
+    d1 = field.x[i0] - lam
+    d2 = field.x[i0 + 1] - lam
+    kept = (d1 > 0) & (d2 > d1)
+    sp, row, i0, d1, d2 = sp[kept], row[kept], i0[kept], d1[kept], d2[kept]
+    u1 = field.values[row, i0]
+    u2 = field.values[row, i0 + 1]
+    slope = (u1 * d2 ** 2 - u2 * d1 ** 2) / (d1 * d2 * (d2 - d1))
+    kept = np.isfinite(slope)
+    preds = 1.0 / sp[kept]
+    meas = 0.5 * profile.alpha * slope[kept]
     rel = np.abs(preds - meas) / np.where(preds != 0, preds, 1.0)
     med = float(np.median(rel)) if len(rel) else np.nan
     return SpeedReport(median_rel_err=med, n_points=len(rel))
-
-
-def _one_sided_slope(field: Field, row: int, lam_row: float) -> float:
-    """du/dx at the frontier from the liquid side, quadratic through zero."""
-    i0 = int(np.searchsorted(field.x, lam_row + 1e-12, side="right"))
-    if i0 + 1 >= len(field.x):
-        return np.nan
-    d1 = field.x[i0] - lam_row
-    d2 = field.x[i0 + 1] - lam_row
-    if d1 <= 0 or d2 <= d1:
-        return np.nan
-    u1 = field.values[row, i0]
-    u2 = field.values[row, i0 + 1]
-    return float((u1 * d2 ** 2 - u2 * d1 ** 2) / (d1 * d2 * (d2 - d1)))

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from stefanlab import particle as pt
-from stefanlab.boundary import (classify_points, detect_jumps, freezing_time,
+from stefanlab.boundary import (_runs, classify_points, detect_jumps, freezing_time,
                                 nondegeneracy_constant, speed_formula_check)
 from stefanlab.densities import (Density, oscillatory_density,
                                  piecewise_constant, power_gap_density)
@@ -304,11 +304,12 @@ def build_density(spec: dict) -> Density:
     if "tail_hi" in p and p["tail_hi"] is None and p.get("tail_breaks") is None:
         raise ConfigError("density tail_hi must be a number")
     try:
-        # arithmetic that overflows (a power_gap delta of 1e154, say)
-        # refuses the profile like any other invalid parameter
+        # arithmetic that overflows (a power_gap delta of 1e154, say) and
+        # arrays too large to allocate (1e12 power_gap steps) refuse the
+        # profile like any other invalid parameter
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return family(**p)
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError, MemoryError) as exc:
         # ConfigError is a ValueError: every refusal names the density block
         raise ConfigError(f"density must be a valid {fam!r} profile: {exc}") from None
 
@@ -860,7 +861,7 @@ def _iv_grid_mass_balance(ctx):
     if res.frontier is None:
         return _skip("no grid run in this scenario")
     fld, fr = res.field, res.frontier
-    masses = np.array([fld.mass_at(k) for k in range(len(fld.t))])
+    masses = fld.values.sum(axis=1) * fld.dx
     if fr.alpha > 0:
         drift = np.abs(fr.value_at(fld.t) / fr.alpha + masses - 1.0)
         what = "|lam/alpha + mass - 1|"
@@ -1017,19 +1018,6 @@ def _iv_s_monotone(ctx):
     return _verdict(worst >= -1e-12, f"min s increment {worst:.3e}")
 
 
-def _constancy_runs(x: np.ndarray, s: np.ndarray) -> list:
-    runs = []
-    k = 0
-    while k < len(s) - 1:
-        j = k
-        while j + 1 < len(s) and s[j + 1] == s[k]:
-            j += 1
-        if j > k:
-            runs.append((float(x[k]), float(x[j])))
-        k = j + 1
-    return runs
-
-
 def _iv_s_constant_on_jumps(ctx):
     res = ctx["levels"][0]
     prof = res.profile
@@ -1050,7 +1038,10 @@ def _iv_s_constant_on_jumps(ctx):
         if len(vals) and float(np.ptp(vals)) > 1e-12:
             bad.append(rec.t)
     fin = np.isfinite(prof.s)
-    runs = _constancy_runs(prof.x[fin], prof.s[fin])
+    x, s = prof.x[fin], prof.s[fin]
+    # runs of equal s over the finite points, as (first x, last x)
+    start, stop = _runs(s[1:] == s[:-1])
+    runs = [(float(x[a]), float(x[b])) for a, b in zip(start, stop)]
     stray = [r for r in runs if r[1] - r[0] > cutoff and not any(
         rec.lambda_minus - 2 * dx <= r[0] and r[1] <= rec.lambda_plus + 2 * dx
         for rec in res.jumps)]

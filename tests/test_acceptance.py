@@ -21,7 +21,7 @@ from stefanlab.harness import ScenarioConfig, run_scenario
 from stefanlab.jump_rule import cascade_jump, verify_cascade_minimality
 from stefanlab.particle import init_ensemble, run
 from stefanlab.potential import bound_suite, compute_w, residual_l1_window
-from stefanlab.synthetic import traveling_wave_field
+from synthetic import traveling_wave_field
 
 RUN_SECONDS = {}          # scenario tag -> wall time, checked at the end
 PER_RUN_BUDGET = 120.0

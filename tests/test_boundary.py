@@ -4,16 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from stefanlab.boundary import (N_EXTRAP, FreezingProfile, classify_points,
-                                detect_jumps, freezing_time,
+from stefanlab.boundary import (N_EXTRAP, S_PRIME_FLOOR, FreezingProfile,
+                                SpeedReport, _runs, classify_points, detect_jumps, freezing_time,
                                 nondegeneracy_constant, oscillation_count,
                                 speed_formula_check)
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
 from stefanlab.fields import Field, FrontierPath, JumpRecord
 from stefanlab.grid import run_grid
-from stefanlab.harness import run_scenario, scenario_from_dict
-from stefanlab.synthetic import smooth_frontier_path, traveling_wave_field
+from stefanlab.harness import jump_threshold, run_scenario, scenario_from_dict
+from synthetic import smooth_frontier_path, traveling_wave_field
 from test_grid_pin import CONFIGS as PIN_CONFIGS
 
 
@@ -72,6 +72,47 @@ class TestFreezingTime:
         assert np.allclose(prof.s_prime[1:-1], 2.0, rtol=0.02)
 
 
+    @pytest.mark.parametrize("xs, nan_at", [
+        # finite runs at both ends around an infinite point, and an isolated
+        # finite point between two infinite ones
+        ([0.1, 0.2, 0.9, 0.3, 0.95, 0.4, 0.45], [2, 3, 4]),
+        ([0.1], [0]),
+        ([0.9, 0.95, 0.99], [0, 1, 2]),
+        ([0.9, 0.1, 0.2, 0.3], [0])],
+        ids=["runs-at-both-ends-and-isolated", "single-point", "all-inf",
+             "run-touching-the-end"])
+    def test_slopes_match_the_reference(self, xs, nan_at):
+        path = smooth_frontier_path([0.0, 0.25, 0.5, 0.75, 1.0],
+                                    [0.0, 0.15, 0.25, 0.4, 0.5], alpha=1.0)
+        prof = freezing_time(path, xs)
+        assert same_bits(prof.s_prime, reference_s_prime(prof.x, prof.s))
+        assert np.flatnonzero(np.isnan(prof.s_prime)).tolist() == nan_at
+
+
+def reference_s_prime(x, s):
+    """freezing_time's slope one point at a time, as the oracle."""
+    n = len(x)
+    sp = np.full(n, np.nan)
+    fin = np.isfinite(s)
+    for i in range(n):
+        if not fin[i]:
+            continue
+        lo, hi = i - 1, i + 1
+        if lo >= 0 and hi < n and fin[lo] and fin[hi]:
+            sp[i] = (s[hi] - s[lo]) / (x[hi] - x[lo])
+        elif hi < n and fin[hi]:
+            sp[i] = (s[hi] - s[i]) / (x[hi] - x[i])
+        elif lo >= 0 and fin[lo]:
+            sp[i] = (s[i] - s[lo]) / (x[i] - x[lo])
+    return sp
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: NaN where NaN, and -0.0 apart from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestDetectJumps:
     def test_smooth_path_has_none(self):
         t = np.linspace(0, 1, 101)
@@ -98,10 +139,96 @@ class TestDetectJumps:
         assert rec.lambda_plus == pytest.approx(0.5)
         assert rec.mass == pytest.approx(0.49 / 2.0)
 
+    @pytest.mark.parametrize("lam, want", [
+        # an initial jump, then at once an increment above the threshold
+        ([0.6, 0.9, 0.91], [(0.0, 0.0, 0.6), (0.1, 0.6, 0.9)]),
+        # a run of increments that reaches the last sample
+        ([0.0, 0.01, 0.3, 0.6], [(0.2, 0.01, 0.6)]),
+        # increments exactly at the threshold are no jump, nor is a start
+        # exactly at it
+        ([0.25, 0.5, 0.75, 0.8], []),
+        ([0.0, 0.25, 0.5, 0.6], []),
+        # two runs apart, one of a single increment
+        ([0.0, 0.3, 0.31, 0.6, 0.9, 0.91], [(0.1, 0.0, 0.3), (0.3, 0.31, 0.9)]),
+        ([0.0], []), ([0.7], [(0.0, 0.0, 0.7)])],
+        ids=["initial-then-jump", "run-to-the-end", "at-threshold",
+             "at-threshold-from-zero", "two-runs", "one-sample",
+             "one-sample-initial"])
+    def test_matches_the_reference(self, lam, want):
+        path = smooth_frontier_path(0.1 * np.arange(len(lam)), lam, alpha=2.0)
+        recs = detect_jumps(path, threshold=0.25)
+        assert repr(recs) == repr(reference_detect_jumps(path, 0.25))
+        got = [(r.t, r.lambda_minus, r.lambda_plus) for r in recs]
+        assert np.allclose(np.reshape(got, (-1, 3)), np.reshape(want, (-1, 3)))
+
     def test_threshold_validation(self):
         path = smooth_frontier_path([0.0, 0.1], [0.0, 0.1], alpha=1.0)
         with pytest.raises(ConfigError):
             detect_jumps(path, threshold=-1.0)
+
+
+def reference_detect_jumps(frontier, threshold):
+    """detect_jumps' merge of increments one at a time, as the oracle."""
+    times, lam = frontier.times, frontier.lam
+    recs = []
+    if len(times) and times[0] == 0.0 and lam[0] > threshold:
+        recs.append(JumpRecord(t=0.0, lambda_minus=0.0, lambda_plus=float(lam[0]),
+                               mass=float(lam[0] / frontier.alpha)))
+    inc = np.diff(lam)
+    above = inc > threshold
+    k = 0
+    while k < len(inc):
+        if above[k]:
+            j = k
+            while j + 1 < len(inc) and above[j + 1]:
+                j += 1
+            recs.append(JumpRecord(
+                t=float(times[k + 1]), lambda_minus=float(lam[k]),
+                lambda_plus=float(lam[j + 1]),
+                mass=float((lam[j + 1] - lam[k]) / frontier.alpha)))
+            k = j + 1
+        else:
+            k += 1
+    return recs
+
+
+def reference_constancy_runs(x, s):
+    """Runs of equal s, as (first x, last x), one point at a time: the
+    oracle of the runs boundary.s_constant_on_jumps reads."""
+    runs = []
+    k = 0
+    while k < len(s) - 1:
+        j = k
+        while j + 1 < len(s) and s[j + 1] == s[k]:
+            j += 1
+        if j > k:
+            runs.append((float(x[k]), float(x[j])))
+        k = j + 1
+    return runs
+
+
+def constancy_runs(x, s):
+    """The same runs through _runs, as the invariant finds them."""
+    start, stop = _runs(s[1:] == s[:-1])
+    return [(float(x[a]), float(x[b])) for a, b in zip(start, stop)]
+
+
+@pytest.mark.parametrize("s", [
+    [], [1.0], [1.0, 1.0], [1.0, 2.0], [1.0, 1.0, 2.0, 3.0, 3.0, 3.0],
+    [0.0, 1.0, 1.0, 2.0], [5.0, 5.0, 5.0, 5.0], [1.0, 2.0, 2.0, 1.0, 1.0]])
+def test_constancy_runs_match_the_reference(s):
+    s = np.asarray(s, dtype=float)
+    x = 0.1 * np.arange(len(s))
+    assert constancy_runs(x, s) == reference_constancy_runs(x, s)
+
+
+def reference_fraction_unresolved(profile):
+    """FreezingProfile.fraction_unresolved one point at a time, as the oracle."""
+    cand = [(lb, sv) for lb, sv in zip(profile.labels, profile.s)
+            if np.isfinite(sv) and lb not in ("regular_in_jump", "singular_endpoint")]
+    if not cand:
+        return 0.0
+    return sum(1 for lb, _ in cand if lb == "unresolved") / len(cand)
 
 
 class TestClassifyPoints:
@@ -147,6 +274,12 @@ class TestClassifyPoints:
         assert out.fraction_unresolved() == pytest.approx(1.0)
         cold = classify_points(prof, flat_field(0.02), jumps)
         assert cold.fraction_unresolved() == pytest.approx(0.0)
+        # and the same on the unclassified profile and with all s infinite
+        never = freezing_time(smooth_frontier_path([0.0, 1.0], [0.0, 0.0], 1.0),
+                              [0.1, 0.2])
+        for p in (out, cold, prof, never):
+            assert repr(p.fraction_unresolved()) == repr(reference_fraction_unresolved(p))
+        assert never.fraction_unresolved() == 0.0
 
 
 class TestOscillationCount:
@@ -273,6 +406,110 @@ class TestSpeedFormula:
         rep = speed_formula_check(prof, field, path)
         assert rep.n_points >= 20
         assert rep.median_rel_err < 0.02
+
+
+    def test_skips_like_the_reference(self):
+        # one sample row per s; the frontier's place on each row selects a
+        # node pair: two liquid nodes (rows 0, 2 and the last, 4), a
+        # repeated node, so d2 = d1 (row 1), and no second node (row 3);
+        # s = 0.45 is past the last sample
+        x = np.array([0.05, 0.15, 0.25, 0.25, 0.35, 0.45])
+        t = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        field = Field(x=x, t=t, values=1.0 + x[None, :] + t[:, None], alpha=1.0)
+        path = smooth_frontier_path(t, [0.0, 0.2, 0.3, 0.4, 0.1], alpha=1.0)
+        s = np.array([0.0, 0.05, 0.15, 0.25, 0.35, 0.45, 0.0, 0.0, 0.15, np.inf])
+        sp = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, np.nan, S_PRIME_FLOOR, 0.5,
+                       np.nan])
+        labels = ["regular_vanishing"] * 8 + ["unresolved"] * 2
+        prof = FreezingProfile(x=np.zeros(len(s)), s=s, s_prime=sp, labels=labels,
+                               boundary_value=np.full(len(s), np.nan), alpha=1.0)
+        rep = speed_formula_check(prof, field, path)
+        assert repr(rep) == repr(reference_speed(prof, field, path))
+        assert rep.n_points == 3
+        # no point checked: NaN, as the reference
+        none = FreezingProfile(**{**prof.__dict__, "labels": ["unresolved"] * len(s)})
+        rep = speed_formula_check(none, field, path)
+        assert repr(rep) == repr(reference_speed(none, field, path))
+        assert rep.n_points == 0 and np.isnan(rep.median_rel_err)
+
+
+def reference_speed(profile, field, frontier):
+    """speed_formula_check one point at a time, as the oracle."""
+    preds, meas = [], []
+    for i in range(len(profile.x)):
+        if profile.labels[i] != "regular_vanishing":
+            continue
+        sp = profile.s_prime[i]
+        if not np.isfinite(sp) or sp <= S_PRIME_FLOOR:
+            continue
+        row = int(np.searchsorted(field.t, profile.s[i], side="left"))
+        if row >= len(field.t):
+            continue
+        slope = reference_one_sided_slope(field, row, frontier.value_at(field.t[row]))
+        if not np.isfinite(slope):
+            continue
+        preds.append(1.0 / sp)
+        meas.append(0.5 * profile.alpha * slope)
+    preds = np.asarray(preds)
+    meas = np.asarray(meas)
+    rel = np.abs(preds - meas) / np.where(preds != 0, preds, 1.0)
+    med = float(np.median(rel)) if len(rel) else np.nan
+    return SpeedReport(median_rel_err=med, n_points=len(rel))
+
+
+def reference_one_sided_slope(field, row, lam_row):
+    """du/dx at the frontier from the liquid side, quadratic through zero."""
+    i0 = int(np.searchsorted(field.x, lam_row + 1e-12, side="right"))
+    if i0 + 1 >= len(field.x):
+        return np.nan
+    d1 = field.x[i0] - lam_row
+    d2 = field.x[i0 + 1] - lam_row
+    if d1 <= 0 or d2 <= d1:
+        return np.nan
+    u1 = field.values[row, i0]
+    u2 = field.values[row, i0 + 1]
+    return float((u1 * d2 ** 2 - u2 * d1 ** 2) / (d1 * d2 * (d2 - d1)))
+
+
+@pytest.fixture(scope="module", params=sorted(PIN_CONFIGS))
+def pin_routes(request):
+    """(name, level, method, frontier, field, threshold) of every route of
+    every level of a pin config; the particle route is read against the
+    level's grid field."""
+    cfg = scenario_from_dict({**PIN_CONFIGS[request.param], "outdir": "unused"})
+    routes = []
+    for res in run_scenario(cfg, write=False).levels:
+        for method, frontier in (("grid", res.frontier), ("particle", res.p_frontier)):
+            if frontier is not None:
+                routes.append((request.param, res.level, method, frontier, res.field,
+                               jump_threshold(cfg, method, res.level)))
+    return routes
+
+
+def test_array_passes_match_the_loops_on_every_pin_level(pin_routes):
+    """s', the jumps, the unresolved share, the speed report, the constancy
+    runs and the masses equal the per-point loops' bit for bit."""
+    n_jumps = 0
+    for name, level, method, frontier, fld, thr in pin_routes:
+        where = f"{name} L{level} {method}"
+        prof = freezing_time(frontier, fld.x)
+        assert same_bits(prof.s_prime, reference_s_prime(prof.x, prof.s)), where
+        jumps = detect_jumps(frontier, thr)
+        assert repr(jumps) == repr(reference_detect_jumps(frontier, thr)), where
+        prof = classify_points(prof, fld, jumps)
+        assert repr(prof.fraction_unresolved()) == \
+            repr(reference_fraction_unresolved(prof)), where
+        rep = speed_formula_check(prof, fld, frontier)
+        assert repr(rep) == repr(reference_speed(prof, fld, frontier)), where
+        fin = np.isfinite(prof.s)
+        assert constancy_runs(prof.x[fin], prof.s[fin]) == \
+            reference_constancy_runs(prof.x[fin], prof.s[fin]), where
+        masses = fld.values.sum(axis=1) * fld.dx
+        assert same_bits(masses, [fld.mass_at(k) for k in range(len(fld.t))]), where
+        n_jumps += len(jumps)
+        assert rep.n_points > 0, where
+    # every level but the README demo grid's has a jump to compare
+    assert n_jumps > 0 or name == "readme-demo-grid"
 
 
 def reference_classify(profile, field, jumps, eps_u=None, endpoint_band=None):

@@ -1219,6 +1219,16 @@ class TestCli:
         assert "['n'] must be numbers, not booleans" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_density_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 1e12 power_gap steps would take 7.28 TiB: numpy refuses the
+        # allocation at once, and the profile is refused like a bad value
+        cfg_path = self.write_config(tmp_path, density=POWER_GAP)
+        assert main(["verify", str(cfg_path), "--no-write",
+                     "--set", "density.steps=1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: density must be a valid 'power_gap'")
+        assert "Unable to allocate" in err
+
     def test_snapshots_of_one_cell_exit_2(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         assert main(["simulate", str(cfg_path), "--set", "method=particle",

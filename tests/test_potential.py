@@ -13,9 +13,8 @@ from stefanlab.potential import (SCAN_ROWS, W_ROWS, PotentialField,
                                  bound_suite, compute_w, default_eps_w,
                                  obstacle_residual, residual_l1_window,
                                  scan_first_positive, scan_first_zero, w_rows)
-from stefanlab.synthetic import (caloric_polynomial_field,
-                                 critical_profile_potential,
-                                 vanishing_profile_potential)
+from synthetic import (caloric_polynomial_field, critical_profile_potential,
+                       traveling_wave_field, vanishing_profile_potential)
 from test_boundary import resting_frontier
 
 
@@ -189,7 +188,6 @@ class TestBoundSuite:
     def test_pad_splits_core_from_frontier_band(self):
         # traveling profile: curvature is bounded in the core but the band
         # next to the frontier still reports its own unsigned maximum
-        from stefanlab.synthetic import traveling_wave_field
         path, f = traveling_wave_field(alpha=1.0, speed=0.5, x_max=1.0,
                                        t_end=1.0, dx=0.01, dt=0.01)
         rep = bound_suite(f, path, None, window=(0.0, 1.0, 0.2, 0.8), pad=0.05)
