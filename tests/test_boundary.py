@@ -1,11 +1,13 @@
 """Tests for freezing-time profiles, jump recovery and classification."""
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stefanlab.boundary import (N_EXTRAP, S_PRIME_FLOOR, FreezingProfile,
-                                SpeedReport, _runs, classify_points, detect_jumps, freezing_time,
+                                SpeedReport, _runs, classify_points,
+                                detect_jumps, freezing_time,
                                 nondegeneracy_constant, oscillation_count,
                                 speed_formula_check)
 from stefanlab.densities import piecewise_constant
@@ -70,7 +72,6 @@ class TestFreezingTime:
         assert np.all(np.isfinite(prof.s))
         assert np.allclose(prof.s, 2.0 * xs, atol=0.003)
         assert np.allclose(prof.s_prime[1:-1], 2.0, rtol=0.02)
-
 
     @pytest.mark.parametrize("xs, nan_at", [
         # finite runs at both ends around an infinite point, and an isolated
@@ -407,7 +408,6 @@ class TestSpeedFormula:
         assert rep.n_points >= 20
         assert rep.median_rel_err < 0.02
 
-
     def test_skips_like_the_reference(self):
         # one sample row per s; the frontier's place on each row selects a
         # node pair: two liquid nodes (rows 0, 2 and the last, 4), a
@@ -427,7 +427,7 @@ class TestSpeedFormula:
         assert repr(rep) == repr(reference_speed(prof, field, path))
         assert rep.n_points == 3
         # no point checked: NaN, as the reference
-        none = FreezingProfile(**{**prof.__dict__, "labels": ["unresolved"] * len(s)})
+        none = replace(prof, labels=["unresolved"] * len(s))
         rep = speed_formula_check(none, field, path)
         assert repr(rep) == repr(reference_speed(none, field, path))
         assert rep.n_points == 0 and np.isnan(rep.median_rel_err)
@@ -508,7 +508,7 @@ def test_array_passes_match_the_loops_on_every_pin_level(pin_routes):
         assert same_bits(masses, [fld.mass_at(k) for k in range(len(fld.t))]), where
         n_jumps += len(jumps)
         assert rep.n_points > 0, where
-    # every level but the README demo grid's has a jump to compare
+    # every config but readme-demo-grid has jumps to compare
     assert n_jumps > 0 or name == "readme-demo-grid"
 
 

@@ -1220,11 +1220,13 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_density_too_large_to_allocate_exits_2(self, tmp_path, capsys):
-        # 1e12 power_gap steps would take 7.28 TiB: numpy refuses the
-        # allocation at once, and the profile is refused like a bad value
+        # 1e17 power_gap steps would take 711 PiB, more than a 64-bit
+        # address space holds, so the allocation fails at once even where
+        # the system overcommits memory; the profile is refused like a bad
+        # value
         cfg_path = self.write_config(tmp_path, density=POWER_GAP)
         assert main(["verify", str(cfg_path), "--no-write",
-                     "--set", "density.steps=1000000000000"]) == 2
+                     "--set", f"density.steps={10 ** 17}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: density must be a valid 'power_gap'")
         assert "Unable to allocate" in err
