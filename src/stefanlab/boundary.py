@@ -68,10 +68,8 @@ def freezing_time(frontier: FrontierPath, x_grid) -> FreezingProfile:
     n = len(x)
     sp = np.full(n, np.nan)
     fin = np.isfinite(s)
-    left = np.zeros(n, dtype=bool)
-    left[1:] = fin[:-1]
-    right = np.zeros(n, dtype=bool)
-    right[:-1] = fin[1:]
+    padded = np.pad(fin, 1)                     # no neighbour past either end
+    left, right = padded[:-2], padded[2:]
     # differences are taken only between finite values
     i = np.flatnonzero(fin & left & right)
     sp[i] = (s[i + 1] - s[i - 1]) / (x[i + 1] - x[i - 1])
@@ -85,7 +83,7 @@ def freezing_time(frontier: FrontierPath, x_grid) -> FreezingProfile:
 
 def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each run of True in flags, and one past its last."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], flags, [False]))))
+    edges = np.flatnonzero(np.diff(np.pad(flags, 1)))
     return edges[::2], edges[1::2]
 
 
