@@ -1,5 +1,5 @@
 """Pinned outputs of three small grid runs and one run of both methods,
-the written files of six simulate runs, and pinned verify ledgers of four
+the written files of eight simulate runs, and pinned verify ledgers of four
 configs.
 
 Each level's frontier, field, weight, potential w, freezing profile and
@@ -8,7 +8,8 @@ and detected jumps too; so is verify_suite's ledger, every verdict and
 detail, as sorted JSON.  Of the simulate runs (two particle-only runs
 that bin their snapshots into their own field, and the power_gap and
 oscillatory families with both methods and with particle snapshots), the
-bytes of every file written but meta.json are hashed.  The digests were
+bytes of every file written but meta.json are hashed; so are those of
+two runs of CI's smoke config that keep every third step.  The digests were
 recorded once and must not change under a refactor that claims identical
 output.  Floating-point results may differ across numpy and scipy builds,
 so the pin applies only to the versions it was recorded with, which CI
@@ -214,6 +215,11 @@ WRITTEN_CONFIGS = {
        for family, density in FAMILIES.items()
        for suffix, extra in (("", {}), ("-snapshots", {"method": "particle",
                                                        "snapshot_every": 5}))},
+    # CI's smoke config (50 steps) keeping every third step, with the grid
+    # and particle-only with a snapshot every fourth: the last step is on
+    # neither period, and 3 does not divide 4
+    **{f"smoke-{method}-sampled": {**SMOKE, "method": method, "sample_every": 3, **extra}
+       for method, extra in (("grid", {}), ("particle", {"snapshot_every": 4}))},
 }
 
 WRITTEN_DIGESTS = {
@@ -264,6 +270,30 @@ WRITTEN_DIGESTS = {
         "frontier.csv": "bf9783e94550fed413c9f00406b4b0dce06b736402bed8ff62d5b3cf70907ec9",
         "jumps.json": "dfc9fb60abb945ee77c1729a1f5bf689b1c09328a913c3403d18060a147a02e2",
         "summary.json": "22c299150a908ec826153efc13f6a82900bf92152e229ee4187bbb7f671bfa4e",
+    },
+    "smoke-grid-sampled": {
+        "L0/field.npy": "815e1cc515507cbea27c349619b8975e93505e316659b02841f96c2e8de3101e",
+        "L0/frontier.csv": "eaa760489044017f214d394661796e6559fae226f5f883328a5fe498a137aec5",
+        "L0/jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "L0/nu.npy": "07f911527a403ad7501ccbe617399f1eb4a1030b9431957d5c1b2bbe380e6e86",
+        "L0/profile.csv": "c01afe48f8334abc54e6b339a92ec0a713cb11e545670c16b9ed69f1b1f33643",
+        "L0/w.npy": "359ac47a480ea42e931f8fa19b3024233feea696e2c6fff6344f94f66771c5d6",
+        "field.npy": "815e1cc515507cbea27c349619b8975e93505e316659b02841f96c2e8de3101e",
+        "frontier.csv": "eaa760489044017f214d394661796e6559fae226f5f883328a5fe498a137aec5",
+        "jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "nu.npy": "07f911527a403ad7501ccbe617399f1eb4a1030b9431957d5c1b2bbe380e6e86",
+        "profile.csv": "c01afe48f8334abc54e6b339a92ec0a713cb11e545670c16b9ed69f1b1f33643",
+        "summary.json": "0f3216948a7a66f8c0e19390583edb18d307ebfdf034633fb9a8639d93372f60",
+        "w.npy": "359ac47a480ea42e931f8fa19b3024233feea696e2c6fff6344f94f66771c5d6",
+    },
+    "smoke-particle-sampled": {
+        "L0/field.npy": "a8ef69ac5c5fa67715630cba5191e5260f97687178f4da83d1559cb91b322a14",
+        "L0/frontier.csv": "266740ccfcd3adb5d1ccebcd4af40e441a468d57c26f72dfb5584351476e0853",
+        "L0/jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "field.npy": "a8ef69ac5c5fa67715630cba5191e5260f97687178f4da83d1559cb91b322a14",
+        "frontier.csv": "266740ccfcd3adb5d1ccebcd4af40e441a468d57c26f72dfb5584351476e0853",
+        "jumps.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "summary.json": "2acdefe57dac835dadeae21a13726663b94b17b3a4e49bd3a79b8dda28c4f75d",
     },
     "snapshot-stratified": {
         "L0/field.npy": "d87aca656991ec856af3b214be95c00d57550bf2abf79793b79907e832a91df7",
@@ -390,6 +420,12 @@ def test_particle_snapshot_files_match_the_pin(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(f"{family}{suffix}" for family in FAMILIES
                                         for suffix in ("", "-snapshots")))
 def test_family_run_files_match_the_pin(name, tmp_path):
+    assert written_digests(name, tmp_path) == WRITTEN_DIGESTS[name]
+
+
+@pinned
+@pytest.mark.parametrize("name", ["smoke-grid-sampled", "smoke-particle-sampled"])
+def test_sampled_run_files_match_the_pin(name, tmp_path):
     assert written_digests(name, tmp_path) == WRITTEN_DIGESTS[name]
 
 
