@@ -201,7 +201,7 @@ def oscillation_count(field: Field, frontier: FrontierPath, t: float,
 
 
 def nondegeneracy_constant(field: Field, frontier: FrontierPath,
-                           window: tuple, r: float = 0.5,
+                           window: tuple, r: float,
                            offset_min: float | None = None) -> float:
     """Smallest ratio u / (x - frontier) over a positive-time window.
 

@@ -152,8 +152,7 @@ def power_gap_density(alpha: float, c: float, n: int, delta: float, steps: int =
     xs = np.linspace(0.0, delta, steps + 1)
     vals = 1.0 / alpha - c * xs[1:] ** n
     raw_mass = float(np.sum(vals * np.diff(xs)))
-    return _with_tail(list(xs), list(vals), raw_mass, delta,
-                      tail_breaks, tail_values, tail_hi)
+    return _with_tail(xs, vals, raw_mass, delta, tail_breaks, tail_values, tail_hi)
 
 
 def oscillatory_density(alpha1: float, alpha2: float, a1: float, p: float, q: float,
@@ -201,7 +200,7 @@ def _oscillatory_raw_mass(alpha1: float, alpha2: float, a1: float, p: float, q: 
     return mass
 
 
-def _with_tail(breaks: list, values: list, raw_mass: float, lo: float,
+def _with_tail(breaks, values, raw_mass: float, lo: float,
                tail_breaks, tail_values, tail_hi) -> Density:
     """A family's steps on (0, lo), of mass raw_mass, completed to a Density.
 
@@ -229,9 +228,6 @@ def _with_tail(breaks: list, values: list, raw_mass: float, lo: float,
         raise ConfigError("tail_breaks must be a nonempty list")
     if tb[0] < lo - 1e-12:
         raise ConfigError(f"tail overlaps the profile on (0, {lo})")
-    if tb[0] > lo + 1e-12:
-        breaks.append(float(tb[0]))
-        values.append(0.0)
-    breaks.extend(float(b) for b in tb[1:])
-    values.extend(float(v) for v in tv)
-    return piecewise_constant(breaks, values)
+    gap = tb[:1] if tb[0] > lo + 1e-12 else tb[:0]
+    return piecewise_constant(np.concatenate((breaks, gap, tb[1:])),
+                              np.concatenate((values, np.zeros(len(gap)), tv)))

@@ -9,8 +9,25 @@ field's rows reads frontier.value_at(field.t).
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 import numpy as np
+
+
+def kept_steps(n_steps: int, *every: int) -> int:
+    """How many of the steps 0..n_steps a run keeps.
+
+    A run keeps step 0, the last step and each multiple of a period in
+    every; a zero period keeps none.  The multiples are counted by
+    inclusion and exclusion over the lcm of each group of periods.
+    """
+    periods = [p for p in every if p]
+    count = 1 + (n_steps > 0 and all(n_steps % p for p in periods))
+    for size in range(1, len(periods) + 1):
+        for group in itertools.combinations(periods, size):
+            count -= (-1) ** size * (n_steps // math.lcm(*group))
+    return count
 
 
 @dataclass(frozen=True)

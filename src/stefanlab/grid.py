@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from stefanlab.errors import ConfigError, NumericalAbort, TruncationError
-from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField
+from stefanlab.fields import Field, FrontierPath, JumpRecord, WeightField, kept_steps
 from stefanlab.jump_rule import JumpResult, continuum_jump, density_knots, tie_guard
 
 # Ceiling on the mass allowed in the cell adjacent to the right wall;
@@ -251,11 +251,13 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
     """Full grid simulation from a Density.
 
     The t=0 jump is solved exactly against the density CDF, with its breaks
-    as knots, before any diffusion; afterwards each step is diffuse_step
-    followed by advance_front.  The run aborts with TruncationError when the
-    mass in the wall cell reaches WALL_GUARD (the truncated domain stopped
-    being a faithful picture of the half-line).  Returns the frontier path,
-    the sampled temperature field, and the recorded stopped-mass weight.
+    as knots, before any diffusion.  Step 0 then settles it by advance_front,
+    and each later step is diffuse_step followed by advance_front.  Samples
+    land at step 0, every sample_every steps and at the last step.  The run
+    aborts with TruncationError when the mass in the wall cell reaches
+    WALL_GUARD after a step (the truncated domain stopped being a faithful
+    picture of the half-line).  Returns the frontier path, the sampled
+    temperature field, and the recorded stopped-mass weight.
     """
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
@@ -265,6 +267,9 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
         raise ConfigError(f"x_max must cover alpha + support = {alpha + d.support_max}")
     if sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ConfigError("t_end shorter than one step")
 
     n = int(round(x_max / dx))
     if abs(n * dx - x_max) > 1e-9 * max(1.0, x_max):
@@ -286,37 +291,27 @@ def run_grid(d, alpha: float, t_end: float, dt: float, dx: float, x_max: float,
                 # steps are right-continuous: the value on the first piece
                 jumps.append(JumpRecord(0.0, 0.0, state.lam, mass=removed,
                                         pre_jump_boundary_value=float(d.value_at(0.0))))
-    # settle any residual smooth advance from discretization of the jump
-    jumps.extend(advance_front(state, jump_threshold=jump_threshold))
 
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise ConfigError("t_end shorter than one step")
-    # t = 0, every sample_every-th step and the last step
-    n_rows = 1 + n_steps // sample_every + (n_steps % sample_every != 0)
-    rows = np.empty((n_rows, n))
-    times: list[float] = []
-    lams: list[float] = []
-
-    def sample() -> None:
-        rows[len(times)] = state.u
-        times.append(state.t)
-        lams.append(state.lam)
-
-    sample()
-    for k in range(1, n_steps + 1):
-        diffuse_step(state, dt)
+    n_kept = kept_steps(n_steps, sample_every)
+    rows = np.empty((n_kept, n))
+    times, lams = np.empty(n_kept), np.empty(n_kept)
+    kept = 0
+    for k in range(n_steps + 1):
+        # step 0 settles any residual smooth advance from discretization
+        # of the jump
+        if k:
+            diffuse_step(state, dt)
         jumps.extend(advance_front(state, jump_threshold=jump_threshold))
-        if state.wall_cell_mass() >= WALL_GUARD:
+        if k and state.wall_cell_mass() >= WALL_GUARD:
             raise TruncationError(
                 f"mass {state.wall_cell_mass():.3e} in the wall cell at t={state.t:.4f} "
                 f"exceeds the guard {WALL_GUARD:.1e}; enlarge x_max")
         if k % sample_every == 0 or k == n_steps:
-            sample()
+            rows[kept], times[kept], lams[kept] = state.u, state.t, state.lam
+            kept += 1
 
-    path = FrontierPath(times=np.array(times), lam=np.array(lams), alpha=alpha,
-                        jumps=jumps)
-    fld = Field(x=x, t=np.array(times), values=rows, alpha=alpha)
+    path = FrontierPath(times=times, lam=lams, alpha=alpha, jumps=jumps)
+    fld = Field(x=x, t=times.copy(), values=rows, alpha=alpha)
     weights = WeightField(x=x, nu=state.nu, alpha=alpha,
                           recorded=np.arange(n) < state.j)
     return path, fld, weights

@@ -38,7 +38,7 @@ from stefanlab.errors import ConfigError
 from stefanlab.exporters import (jsonify, read_json, write_field_artifacts,
                                  write_frontier_csv, write_json,
                                  write_jumps_json)
-from stefanlab.fields import Field, FrontierPath, WeightField
+from stefanlab.fields import Field, FrontierPath, WeightField, kept_steps
 from stefanlab.grid import run_grid
 from stefanlab.jump_rule import cascade_jump, continuum_jump, density_knots
 from stefanlab.potential import (compute_w, default_eps_w, obstacle_residual,
@@ -220,7 +220,8 @@ class ScenarioConfig:
         of a particle-only run, which are binned as they are taken, so their
         rows are all that snapshots keep), the grid's w (rows x cells), the
         frontier samples (a particle-only run also samples at every
-        snapshot step) and one array per particle.  No level keeps a w:
+        snapshot step) and one array per particle, the kept steps counted
+        by kept_steps, as the solvers allocate them.  No level keeps a w:
         the writer and verify's potential invariants read it in row blocks
         from its recurrence.  w is still counted because the obstacle
         report builds a whole w on the leading columns it reads, and on the
@@ -232,23 +233,20 @@ class ScenarioConfig:
         memory = _physical_memory()
         if memory is None:
             return
-        rows = 1 + -(-n_steps // self.sample_every)
         values, parts = 0, []
         if self.method in ("grid", "both"):
+            rows = kept_steps(n_steps, self.sample_every)
             values += rows * (2 * n_cells + 3)
             parts.append(f"{_approx(rows)} x {_approx(n_cells)} grid field and its w")
         if self.method in ("particle", "both"):
             particles = self.n_particles * 4 ** (self.refinement_levels - 1)
-            samples = rows
+            every = self.snapshot_every if self.method == "particle" else 0
             parts.append(f"{_approx(particles)} particles")
-            if self.method == "particle" and self.snapshot_every:
-                a, b = self.sample_every, self.snapshot_every
-                samples = (1 + n_steps // a + n_steps // b - n_steps // math.lcm(a, b)
-                           + (n_steps % a != 0 and n_steps % b != 0))
-                snaps = 1 + -(-n_steps // b)
+            if every:
+                snaps = kept_steps(n_steps, every)
                 values += snaps * n_cells
                 parts.append(f"{_approx(snaps)} x {_approx(n_cells)} snapshot field")
-            values += 3 * samples + particles
+            values += 3 * kept_steps(n_steps, self.sample_every, every) + particles
         if 8 * values > memory:
             raise ConfigError(f"the finest level keeps at least {_approx(8 * values)}"
                               f" bytes ({', '.join(parts)}), more than the"

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from stefanlab.errors import ConfigError
-from stefanlab.fields import Field, FrontierPath, JumpRecord
+from stefanlab.fields import Field, FrontierPath, JumpRecord, kept_steps
 from stefanlab.jump_rule import cascade_jump
 
 # Stream tags of the steps' Gaussian increments and of the initial uniform
@@ -291,14 +291,15 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
         x_grid: np.ndarray | None = None) -> tuple[FrontierPath, Field | None]:
     """Drive an ensemble to t_end in place, recording the frontier and its jumps.
 
-    The t=0 jump is resolved first through the cascade seeded by the
-    particles at or below zero (for data supported in (0, inf) that seed is
-    empty and the macroscopic initial jump instead emerges over the first few
-    diffusion steps).  A frontier increment above max(5*alpha/N, threshold)
-    within a single step enters the jump registry.  Samples land every
+    Step 0 of a fresh ensemble resolves the t=0 jump through the cascade
+    seeded by the particles at or below zero (for data supported in (0, inf)
+    that seed is empty and the macroscopic initial jump instead emerges over
+    the first few diffusion steps); a continued ensemble's step 0 moves
+    nothing.  A frontier increment above max(5*alpha/N, threshold) within a
+    single step enters the jump registry.  Samples land at step 0, every
     sample_every steps, at each snapshot step and at the last step.  With
     snapshot_every = k > 0 the living positions are binned on the cells
-    centred at x_grid at t = 0, every k-th step and the last step, each
+    centred at x_grid at step 0, every k-th step and the last step, each
     realizing every tier, into the rows of the returned Field (None without
     snapshots); a row integrates to the living fraction.  A continued run's
     first row shows sleeping tiers where they were last realized.
@@ -312,51 +313,29 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ConfigError("t_end shorter than one step")
-    rows = None
     if snapshot_every:
         if x_grid is None or len(x_grid) < 2:
             raise ConfigError("snapshot_every > 0 needs an x_grid of at least two nodes")
         x_grid = np.asarray(x_grid, dtype=float)
         dx = float(x_grid[1] - x_grid[0])
         edges = np.concatenate([x_grid - 0.5 * dx, [x_grid[-1] + 0.5 * dx]])
-        # t = 0, every snapshot_every-th step and the last step
-        rows = np.empty((1 + -(-n_steps // snapshot_every), len(x_grid)))
-        row_t = []
+        rows = np.empty((kept_steps(n_steps, snapshot_every), len(x_grid)))
+        row_t = np.empty(len(rows))
+    n_kept = kept_steps(n_steps, sample_every, snapshot_every)
+    times, lams = np.empty(n_kept), np.empty(n_kept)
+    dead = np.empty(n_kept, dtype=np.int64)
 
-    def snapshot(x: np.ndarray) -> None:
-        # x ascending: the counts np.histogram takes after sorting, its
-        # last cell closed
-        cum = np.concatenate((x.searchsorted(edges[:-1], side="left"),
-                              x.searchsorted(edges[-1:], side="right")))
-        rows[len(row_t)] = np.diff(cum) / (e.n_total * dx)
-        row_t.append(e.t)
-
-    registry_floor = 5.0 * e.alpha / e.n_total
-    threshold = max(registry_floor, jump_threshold or 0.0)
-
+    threshold = max(5.0 * e.alpha / e.n_total, jump_threshold or 0.0)
     jumps: list[JumpRecord] = []
-    lam_before = e.frontier
-    fresh = e.step_index == 0 and e.t == 0.0
-    if fresh:
-        _absorb(e, e.tiers[0].copy(), lam_before, dt)
-    if e.frontier - lam_before > threshold:
-        jumps.append(JumpRecord(0.0, lam_before, e.frontier,
-                                mass=(e.frontier - lam_before) / e.alpha if e.alpha else 0.0))
-
     lam = e.frontier
-    times = [e.t]
-    lams = [lam]
-    dead = [e.n_dead]
-    # each tier is ascending, and after _absorb or a step that realizes
-    # every tier the tiers are consecutive slices of one sorted array; a
-    # continued run's first row shows tiers last realized at other steps
-    if snapshot_every:
-        snapshot(e.positions if fresh else np.sort(e.positions))
-
-    for k in range(1, n_steps + 1):
+    kept = snapped = 0
+    for k in range(n_steps + 1):
         before = lam
         snap = snapshot_every and (k % snapshot_every == 0 or k == n_steps)
-        if snap:
+        if k == 0:
+            if e.step_index == 0 and e.t == 0.0:      # a fresh ensemble
+                _absorb(e, e.tiers[0].copy(), before, dt)
+        elif snap:
             step(e, dt, realize_all=True)
         else:
             step(e, dt)
@@ -365,16 +344,23 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
             jumps.append(JumpRecord(e.t, before, lam,
                                     mass=(lam - before) / e.alpha if e.alpha else 0.0))
         if snap or k % sample_every == 0 or k == n_steps:
-            times.append(e.t)
-            lams.append(lam)
-            dead.append(e.n_dead)
+            times[kept], lams[kept], dead[kept] = e.t, lam, e.n_dead
+            kept += 1
         if snap:
-            snapshot(e.positions)
+            # each tier is ascending, and after _absorb or a step that
+            # realizes every tier the tiers are consecutive slices of one
+            # sorted array; a continued run's tiers at its step 0 are not
+            x = e.positions
+            if k == 0:
+                x.sort()
+            # the counts np.histogram takes after sorting, its last cell closed
+            cum = np.concatenate((x.searchsorted(edges[:-1], side="left"),
+                                  x.searchsorted(edges[-1:], side="right")))
+            rows[snapped] = np.diff(cum) / (e.n_total * dx)
+            row_t[snapped] = e.t
+            snapped += 1
 
-    path = FrontierPath(
-        times=np.array(times), lam=np.array(lams), alpha=e.alpha, jumps=jumps,
-        n_total=e.n_total, dead_count=np.array(dead, dtype=np.int64),
-    )
-    if rows is None:
-        return path, None
-    return path, Field(x=x_grid, t=np.array(row_t), values=rows, alpha=e.alpha)
+    path = FrontierPath(times=times, lam=lams, alpha=e.alpha, jumps=jumps,
+                        n_total=e.n_total, dead_count=dead)
+    return path, (Field(x=x_grid, t=row_t, values=rows, alpha=e.alpha)
+                  if snapshot_every else None)

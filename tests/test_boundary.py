@@ -336,9 +336,9 @@ class TestNondegeneracy:
         path, field = traveling_wave_field(alpha=1.0, speed=0.5, x_max=1.0,
                                            t_end=1.0, dx=0.02, dt=0.01)
         with pytest.raises(ConfigError):
-            nondegeneracy_constant(field, path, window=(0.0, 1.0))
+            nondegeneracy_constant(field, path, window=(0.0, 1.0), r=0.5)
         with pytest.raises(ConfigError):
-            nondegeneracy_constant(field, path, window=(0.5, 0.2))
+            nondegeneracy_constant(field, path, window=(0.5, 0.2), r=0.5)
 
     @pytest.fixture(scope="class")
     def jumping_run(self):

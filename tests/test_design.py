@@ -16,7 +16,7 @@ from pathlib import Path
 
 import stefanlab
 
-SETTABLE_VALUES = 68
+SETTABLE_VALUES = 67
 SRC = Path(stefanlab.__file__).parent
 
 

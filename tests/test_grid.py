@@ -14,6 +14,7 @@ import stefanlab
 from stefanlab import grid
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError, TruncationError
+from stefanlab.fields import kept_steps
 from stefanlab.grid import (GridState, _cell_cdf_jump, advance_front, diffuse_step,
                             run_grid)
 from stefanlab.jump_rule import TIE_GUARD, continuum_jump
@@ -379,18 +380,47 @@ def test_run_grid_wall_guard_trips():
 
 def test_run_grid_samples_every_kth_step_and_the_last():
     # a coarser schedule keeps exactly the rows of the every-step run at the
-    # kept steps, the final step included
+    # kept steps, the final step included, and fills each row kept_steps
+    # counts; the field keeps its own copy of the sample times
     d = piecewise_constant([0.0, 1.0], [1.0])
     kw = dict(alpha=0.8, t_end=0.5, dt=0.05, dx=0.05, x_max=5.0)
     full_path, full, _ = run_grid(d, sample_every=1, **kw)
-    path, fld, _ = run_grid(d, sample_every=3, **kw)
     last = len(full.t) - 1
-    keep = sorted({*range(0, last + 1, 3), last})
     assert last == 10
-    assert np.array_equal(fld.t, full.t[keep])
-    assert np.array_equal(fld.values, full.values[keep])
-    assert np.array_equal(path.times, fld.t)
-    assert np.array_equal(path.lam, full_path.lam[keep])
+    for every in (2, 3, 5, 10, 11):
+        path, fld, _ = run_grid(d, sample_every=every, **kw)
+        keep = sorted({*range(0, last + 1, every), last})
+        assert len(keep) == kept_steps(last, every) == len(fld.values)
+        assert np.array_equal(fld.t, full.t[keep])
+        assert np.array_equal(fld.values, full.values[keep])
+        assert np.array_equal(path.times, fld.t)
+        assert not np.shares_memory(path.times, fld.t)
+        assert np.array_equal(path.lam, full_path.lam[keep])
+
+
+def brute_force_kept(n_steps, *every):
+    """Step 0, the last step and each multiple of a nonzero period, one by one."""
+    return sum(k == 0 or k == n_steps or any(p and k % p == 0 for p in every)
+               for k in range(n_steps + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 400), st.lists(st.integers(0, 40), max_size=3))
+@example(50, [0, 0])        # zero periods keep no multiple
+@example(60, [5, 10])       # one period divides the other
+@example(60, [7, 7])
+@example(97, [4, 6])        # a shared multiple, and a last step off both
+@example(1000, [3, 5])      # co-prime
+def test_kept_steps_matches_a_brute_force_count(n_steps, every):
+    assert kept_steps(n_steps, *every) == brute_force_kept(n_steps, *every)
+
+
+@pytest.mark.parametrize("n_steps, every, kept", [
+    # the memory guard's counts: samples every 3rd or 4th step beside a
+    # snapshot every 5th or 6th
+    (100, (3, 5), 48), (97, (4, 6), 34), (1000, (3, 5), 468)])
+def test_kept_steps_counts(n_steps, every, kept):
+    assert kept_steps(n_steps, *every) == kept
 
 
 @pytest.mark.parametrize("d, alpha, x_max, jumps_in_prefix", [

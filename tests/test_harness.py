@@ -1457,6 +1457,21 @@ def test_config_fuzz_validates_or_raises_config_error(tmp_path_factory, case):
     assert code in ((2,) if cfg is None else (0, 2, 3))
 
 
+def test_registry_ids_equal_the_benchmark_invariant_names():
+    # BENCHMARK.json declares one per-layer metric, harness.invariant.<id>_s,
+    # for each registry entry, and the benchmark compares runs on exactly
+    # those names; this reads the file and changes nothing
+    bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+                       .read_text(encoding="utf-8"))
+    prefix, suffix = "harness.invariant.", "_s"
+    declared = sorted(m["name"][len(prefix):-len(suffix)] for m in bench["per_layer"]
+                      if m["name"].startswith(prefix))
+    assert declared == sorted(name for name, _ in INVARIANT_REGISTRY), (
+        "INVARIANT_REGISTRY and BENCHMARK.json's harness.invariant.<id>_s metrics"
+        " differ: adding, renaming or deleting an invariant needs a benchmark"
+        " change to BENCHMARK.json first")
+
+
 def test_traced_names_resolve():
     # perfbench/spans.py wraps these module attributes in a traced run; a
     # renamed or deleted one would otherwise surface only in the benchmark's

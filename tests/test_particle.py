@@ -13,6 +13,7 @@ from scipy import stats
 import stefanlab.particle as particle_mod
 from stefanlab.densities import piecewise_constant
 from stefanlab.errors import ConfigError
+from stefanlab.fields import kept_steps
 from stefanlab.jump_rule import JumpResult, cascade_jump, verify_cascade_minimality
 from stefanlab.particle import (
     Ensemble,
@@ -659,6 +660,48 @@ def test_snapshots_keep_no_positions():
         tracemalloc.stop()
     assert fld.values.shape == (n_steps + 1, len(x))
     assert peak < (n_steps + 1) * n * 8 / 5
+
+
+def test_frontier_samples_are_preallocated():
+    # times, frontier and dead count go into three arrays allocated once,
+    # 24 B a kept step; Python lists of their floats and ints took 98 B
+    n_steps = 5000
+    e = init_ensemble(uniform02(), 200, seed=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        path, _ = run(e, t_end=n_steps * 1e-3, dt=1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(path.lam) == n_steps + 1
+    assert peak < 32 * (n_steps + 1)
+
+
+@pytest.mark.parametrize("sample_every, snapshot_every", [
+    (1, 0), (3, 0), (30, 0), (3, 4), (4, 6), (5, 10), (10, 5), (7, 7), (30, 30)])
+def test_run_keeps_the_steps_kept_steps_counts(sample_every, snapshot_every):
+    # of 23 steps a run keeps step 0, the last and each multiple of either
+    # period, with the frontier and dead count that the same run sampled
+    # every step holds there; each snapshot step is one of them
+    d = piecewise_constant([0.0, 0.3, 1.0, 1.5], [2.0, 0.0, 0.8])
+    kw = dict(t_end=0.023, dt=1e-3, snapshot_every=snapshot_every,
+              x_grid=np.linspace(0, 3, 121))
+    ref, ref_fld = run(init_ensemble(d, 2000, seed=8), sample_every=1, **kw)
+    path, fld = run(init_ensemble(d, 2000, seed=8), sample_every=sample_every, **kw)
+    keep = [k for k in range(24) if k in (0, 23) or k % sample_every == 0
+            or snapshot_every and k % snapshot_every == 0]
+    assert len(keep) == kept_steps(23, sample_every, snapshot_every) == len(path.lam)
+    assert np.array_equal(path.times, ref.times[keep])
+    assert np.array_equal(path.lam, ref.lam[keep])
+    assert np.array_equal(path.dead_count, ref.dead_count[keep])
+    if snapshot_every:
+        snaps = [k for k in range(24) if k in (0, 23) or k % snapshot_every == 0]
+        assert len(snaps) == kept_steps(23, snapshot_every) == len(fld.values)
+        assert np.array_equal(fld.t, ref.times[snaps])
+        assert np.array_equal(fld.values, ref_fld.values)
+    else:
+        assert fld is None
 
 
 def test_value_at_right_continuous_steps():
