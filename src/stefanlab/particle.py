@@ -34,15 +34,20 @@ tiers the step wakes early, in the order they wake; each tier is ascending,
 so within a tier they go to the particles from the lowest up.  Replays are
 bit-identical for a fixed (seed, dt, N) and history of steps, a run split
 into continued runs equals one run, and the generator travels with the
-ensemble, so a deep copy steps like the original.  run bins the living
-positions into the Field it returns at each snapshot step, which realizes
-every tier, so a run with snapshots differs from one without in its
-realization, not in its law.
+ensemble, so a deep copy steps like the original.  While run steps an
+ensemble of at least DRAW_AHEAD_MIN living particles, a second thread draws
+the normals from that generator one slot ahead (_Feed); the steps read them
+in the same order, and run ends with the generator where the steps' own
+draws would have left it, so nothing above depends on the thread, the
+number of cores or the schedule.  run bins the living positions into the
+Field it returns at each snapshot step, which realizes every tier, so a run
+with snapshots differs from one without in its realization, not in its law.
 """
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +76,20 @@ TIER_CAP = 6
 # than stepping every particle; 1/16 to 3/8 drew 7.4-8.1 M, 1/2 8.8 M, 1
 # 10.7 M and 2 14.9 M.  1/4 (7.7 M) sits mid-way along the flat floor.
 GUARD = 0.25
+# run draws the normals ahead on a second thread (_Feed) for an ensemble of
+# at least DRAW_AHEAD_MIN living particles, into SLOTS slots of
+# min(SLOT_NORMALS, living) normals each: 1 MiB at N = 1e5, 256 KiB at the
+# threshold.  A draw through the feed is a Python call, and a slot handed
+# over costs a lock and GIL hand-offs, so small ensembles lose.  On a 2-core
+# x86 VM (medians of alternating runs), the band of the benchmark's
+# particle-band run (2000 steps) took 0.072 s serially and 0.100 s drawing
+# ahead at N = 4096, the same at 1e4, 0.077 and 0.061 s at 16384 and 0.275
+# and 0.178 s at 1e5; the README demo (1000 steps) lost 5-15 % at 1e4 and
+# went from 0.086 to 0.064 s at 16384.  Two slots of 64 Ki normals ran as
+# fast as three of 32 Ki or four of 16 Ki.
+DRAW_AHEAD_MIN = 16384
+SLOTS = 2
+SLOT_NORMALS = 65536
 
 _EMPTY = np.empty(0)
 
@@ -120,7 +139,8 @@ class Ensemble:
     step.  frontier is always alpha * n_dead / n_total.  _rng is the
     ensemble's own generator, made from (seed, STEP_STREAM) at construction
     and drawn from by every step, so ensembles stepped in turn never share
-    one and a deep copy steps like the original.
+    one and a deep copy steps like the original; while run draws ahead it
+    is the _Feed that hands out that generator's normals.
     """
 
     tiers: list[np.ndarray]
@@ -286,6 +306,112 @@ def step(e: Ensemble, dt: float, realize_all: bool = False) -> Ensemble:
     return e
 
 
+class _Feed:
+    """A generator's normals, drawn ahead into SLOTS slots by a producer thread.
+
+    Each slot is filled with standard_normal(out=slot), which releases the
+    GIL, after the generator's state is noted; standard_normal(n) hands out
+    the next n normals in order.  Normals drawn in pieces are the normals of
+    one draw, so what is handed out is what drawing on one thread would
+    give, bit for bit.  A slot the reader reaches before the producer has
+    begun it, the reader fills itself, so a producer that gets no core (one
+    core, a busy host) holds the reader up only for a fill it has begun.
+    close() stops and joins the producer, then rewinds the generator to the
+    state of the slot being read and redraws the part already read, which
+    leaves it where drawing only the normals handed out would have.  An
+    exception raised by the producer's fill is raised by standard_normal.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self._rng = rng
+        self._slots = [np.empty(size) for _ in range(SLOTS)]
+        self._states = [None] * SLOTS
+        # guards the fields below; a fill runs outside it, one at a time, by
+        # whichever thread claimed it, so fills happen in the order claimed
+        self._cond = threading.Condition(threading.Lock())
+        self._filling = False
+        self._stop = False
+        self._error: BaseException | None = None
+        self._begun = 0     # fills claimed, slot j % SLOTS holding the j-th
+        self._filled = 0    # fills done
+        self._slot = 0      # the slot being read, in the order filled
+        self._used = 0      # normals read from it
+        self._thread = threading.Thread(target=self._produce, daemon=True)
+        self._thread.start()
+
+    def _claim(self) -> int:
+        """Note the generator's state and claim the next fill, holding _cond."""
+        j = self._begun % SLOTS
+        self._states[j] = self._rng.bit_generator.state
+        self._begun += 1
+        self._filling = True
+        return j
+
+    def _fill(self, j: int) -> None:
+        self._rng.standard_normal(out=self._slots[j])
+        with self._cond:
+            self._filled += 1
+            self._filling = False
+            self._cond.notify_all()
+
+    def _produce(self) -> None:
+        try:
+            while True:
+                with self._cond:
+                    while not self._stop and (
+                            self._filling or self._filled == self._slot + SLOTS):
+                        self._cond.wait()
+                    if self._stop:
+                        return
+                    j = self._claim()
+                self._fill(j)
+        except BaseException as exc:    # the reader's standard_normal raises it
+            with self._cond:
+                self._error, self._filling = exc, False
+                self._cond.notify_all()
+
+    def _await(self) -> None:
+        """Wait for the slot being read to be filled, or fill it unclaimed."""
+        with self._cond:
+            while self._filling and self._filled == self._slot:
+                self._cond.wait()
+            if self._filled > self._slot:
+                return
+            if self._error is not None:
+                raise self._error
+            j = self._claim()
+        self._fill(j)
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        out = np.empty(n)
+        a = 0
+        while a < n:
+            if self._filled == self._slot:
+                self._await()
+            slot = self._slots[self._slot % SLOTS]
+            m = min(n - a, len(slot) - self._used)
+            out[a:a + m] = slot[self._used:self._used + m]
+            a += m
+            self._used += m
+            if self._used == len(slot):
+                with self._cond:
+                    self._slot, self._used = self._slot + 1, 0
+                    self._cond.notify_all()
+        return out
+
+    def close(self) -> None:
+        with self._cond:
+            self._stop = True
+            self._cond.notify_all()
+        self._thread.join()
+        # no fill was claimed past the slot after the one being read, so
+        # that one's state is still noted
+        if self._begun > self._slot:
+            j = self._slot % SLOTS
+            self._rng.bit_generator.state = self._states[j]
+            self._rng.standard_normal(out=self._slots[j][:self._used])
+
+
 def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
         jump_threshold: float | None = None, snapshot_every: int = 0,
         x_grid: np.ndarray | None = None) -> tuple[FrontierPath, Field | None]:
@@ -302,7 +428,11 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     centred at x_grid at step 0, every k-th step and the last step, each
     realizing every tier, into the rows of the returned Field (None without
     snapshots); a row integrates to the living fraction.  A continued run's
-    first row shows sleeping tiers where they were last realized.
+    first row shows sleeping tiers where they were last realized.  For an
+    ensemble of at least DRAW_AHEAD_MIN living particles a second thread
+    draws the steps' normals one slot ahead; it is stopped and joined when
+    the run ends or raises (an exception it raised is raised here), and the
+    ensemble's generator is left where a loop of step calls would leave it.
     """
     if t_end <= 0 or dt <= 0:
         raise ConfigError("t_end and dt must be positive")
@@ -329,36 +459,44 @@ def run(e: Ensemble, t_end: float, dt: float, sample_every: int = 1,
     jumps: list[JumpRecord] = []
     lam = e.frontier
     kept = snapped = 0
-    for k in range(n_steps + 1):
-        before = lam
-        snap = snapshot_every and (k % snapshot_every == 0 or k == n_steps)
-        if k == 0:
-            if e.step_index == 0 and e.t == 0.0:      # a fresh ensemble
-                _absorb(e, e.tiers[0].copy(), before, dt)
-        elif snap:
-            step(e, dt, realize_all=True)
-        else:
-            step(e, dt)
-        lam = e.frontier
-        if lam - before > threshold:
-            jumps.append(JumpRecord(e.t, before, lam,
-                                    mass=(lam - before) / e.alpha if e.alpha else 0.0))
-        if snap or k % sample_every == 0 or k == n_steps:
-            times[kept], lams[kept], dead[kept] = e.t, lam, e.n_dead
-            kept += 1
-        if snap:
-            # each tier is ascending, and after _absorb or a step that
-            # realizes every tier the tiers are consecutive slices of one
-            # sorted array; a continued run's tiers at its step 0 are not
-            x = e.positions
+    rng = e._rng
+    if e.n_alive >= DRAW_AHEAD_MIN:
+        e._rng = _Feed(rng, min(SLOT_NORMALS, e.n_alive))
+    try:
+        for k in range(n_steps + 1):
+            before = lam
+            snap = snapshot_every and (k % snapshot_every == 0 or k == n_steps)
             if k == 0:
-                x.sort()
-            # the counts np.histogram takes after sorting, its last cell closed
-            cum = np.concatenate((x.searchsorted(edges[:-1], side="left"),
-                                  x.searchsorted(edges[-1:], side="right")))
-            rows[snapped] = np.diff(cum) / (e.n_total * dx)
-            row_t[snapped] = e.t
-            snapped += 1
+                if e.step_index == 0 and e.t == 0.0:      # a fresh ensemble
+                    _absorb(e, e.tiers[0].copy(), before, dt)
+            elif snap:
+                step(e, dt, realize_all=True)
+            else:
+                step(e, dt)
+            lam = e.frontier
+            if lam - before > threshold:
+                jumps.append(JumpRecord(e.t, before, lam,
+                                        mass=(lam - before) / e.alpha if e.alpha else 0.0))
+            if snap or k % sample_every == 0 or k == n_steps:
+                times[kept], lams[kept], dead[kept] = e.t, lam, e.n_dead
+                kept += 1
+            if snap:
+                # each tier is ascending, and after _absorb or a step that
+                # realizes every tier the tiers are consecutive slices of one
+                # sorted array; a continued run's tiers at its step 0 are not
+                x = e.positions
+                if k == 0:
+                    x.sort()
+                # the counts np.histogram takes after sorting, its last cell closed
+                cum = np.concatenate((x.searchsorted(edges[:-1], side="left"),
+                                      x.searchsorted(edges[-1:], side="right")))
+                rows[snapped] = np.diff(cum) / (e.n_total * dx)
+                row_t[snapped] = e.t
+                snapped += 1
+    finally:
+        if e._rng is not rng:
+            feed, e._rng = e._rng, rng
+            feed.close()
 
     path = FrontierPath(times=times, lam=lams, alpha=e.alpha, jumps=jumps,
                         n_total=e.n_total, dead_count=dead)

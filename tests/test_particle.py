@@ -1,5 +1,6 @@
 """Interacting-particle solver: sampling, reproducibility, mass identity."""
 import copy
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -473,31 +474,112 @@ def test_cascade_is_least_fixed_point(e):
     assert np.array_equal(e.positions, np.sort(before[before > e.frontier]))
 
 
+class _FillFails:
+    """A generator whose k-th standard_normal call raises."""
+
+    def __init__(self, rng, k):
+        self.bit_generator, self._rng, self._k = rng.bit_generator, rng, k
+
+    def standard_normal(self, *args, **kwargs):
+        self._k -= 1
+        if self._k == 0:
+            raise RuntimeError("fill failed")
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_feed_hands_out_the_serial_normals_under_fast_switching():
+    # three feeds with slots of 7 normals, each read by its own thread in
+    # pieces of 0 to 20, with the interpreter switching threads every
+    # microsecond: each hands out its generator's serial normals, and close
+    # leaves the generator where those draws would
+    def read(seed, out):
+        rng = np.random.Generator(np.random.SFC64(seed))
+        feed = particle_mod._Feed(rng, 7)
+        try:
+            sizes = np.random.default_rng(seed).integers(0, 21, 400)
+            out[seed] = (np.concatenate([feed.standard_normal(m) for m in sizes]), rng)
+        finally:
+            feed.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = {}
+        readers = [threading.Thread(target=read, args=(seed, out)) for seed in range(3)]
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in readers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(out) == [0, 1, 2]
+    for seed, (z, rng) in out.items():
+        serial = np.random.Generator(np.random.SFC64(seed))
+        assert np.array_equal(z, serial.standard_normal(len(z)))
+        assert np.array_equal(rng.standard_normal(9), serial.standard_normal(9))
+
+
 @pytest.mark.parametrize("segments", [2, 5])
 def test_run_matches_serial_step_loop_and_releases_threads(segments):
-    # 80 steps run as `segments` continued runs must equal a plain loop of
-    # step() calls, and call step through the module once per step (the name
-    # perfbench/spans.py wraps); the band's cascade happens within them. run
-    # starts no thread that outlives it, also when a step raises.
-    n = 16384
+    # 80 steps run as three one-step runs and `segments` more continued runs
+    # must equal a plain loop of step() calls, and call step through the
+    # module once per step (the name perfbench/spans.py wraps); the band's
+    # cascade happens within them.  The ensemble starts above the size at
+    # which run draws its normals ahead on a second thread, and its runs
+    # end inside their first slot, at a slot's edge and after several
+    # slots: after each, the generator's next draws are the serial loop's,
+    # and a deep copy steps like the serial loop's ensemble.  run starts no
+    # thread that outlives it, also when a step or a fill raises, and a
+    # fill that raises is raised by run, not waited on.
+    n = 2 * particle_mod.DRAW_AHEAD_MIN
     d = piecewise_constant([0.2, 0.6, 3.2667], [1.5, 0.15])
     dt = 5e-4
+    lengths = [1, 1, 1, *map(len, np.array_split(np.arange(77), segments))]
+    ends = np.cumsum(lengths)
     ref = init_ensemble(d, n, seed=11, alpha=2.0)
-    ref_lam, ref_dead = [], []
-    for _ in range(80):
-        step(ref, dt)
-        ref_lam.append(ref.frontier)
-        ref_dead.append(ref.n_dead)
+    ref_lam, ref_dead, drawn, at_end = [], [], [0], {}
+    realize = particle_mod._realize
+
+    def counted(e, which, dt):
+        z = realize(e, which, dt)
+        drawn[-1] += len(z)
+        return z
+
+    with mock.patch.object(particle_mod, "_realize", counted):
+        for k in range(1, 81):
+            step(ref, dt)
+            ref_lam.append(ref.frontier)
+            ref_dead.append(ref.n_dead)
+            drawn.append(drawn[-1])
+            if k in ends:
+                at_end[k] = copy.deepcopy(ref)
     assert ref_dead[-1] > 0.5 * n
 
     threads_before = threading.active_count()
     e = init_ensemble(d, n, seed=11, alpha=2.0)
-    paths = []
+    paths, kinds = [], set()
     with mock.patch.object(particle_mod, "step", wraps=particle_mod.step) as spy:
-        for chunk in np.array_split(np.arange(80), segments):
-            path, _ = run(e, t_end=len(chunk) * dt, dt=dt)
+        for end, steps in zip(ends, lengths):
+            if e.n_alive >= particle_mod.DRAW_AHEAD_MIN:
+                slot = min(particle_mod.SLOT_NORMALS, e.n_alive)
+                used = drawn[end] - drawn[end - steps]
+                kinds.update({"inside the first slot"} if used < slot else set(),
+                             {"at a slot edge"} if used % slot == 0 else set(),
+                             {"after several slots"} if used >= 2 * slot else set())
+            path, _ = run(e, t_end=steps * dt, dt=dt)
             paths.append(path)
             assert threading.active_count() == threads_before
+            serial = at_end[end]
+            assert np.array_equal(copy.deepcopy(e._rng).standard_normal(5),
+                                  copy.deepcopy(serial._rng).standard_normal(5))
+            twin = copy.deepcopy(e)
+            for _ in range(2):
+                step(twin, dt)
+                step(serial, dt)
+                assert twin.frontier == serial.frontier
+            assert np.array_equal(twin.positions, serial.positions)
+    assert kinds == {"inside the first slot", "at a slot edge", "after several slots"}
     assert spy.call_count == 80
     assert np.array_equal(np.concatenate([p.lam[1:] for p in paths]), ref_lam)
     assert np.array_equal(np.concatenate([p.dead_count[1:] for p in paths]), ref_dead)
@@ -514,6 +596,25 @@ def test_run_matches_serial_step_loop_and_releases_threads(segments):
         with pytest.raises(RuntimeError, match="step failed"):
             run(init_ensemble(d, n, seed=11, alpha=2.0), t_end=50 * dt, dt=dt)
     assert threading.active_count() == threads_before
+
+    for k in (1, 3):
+        e = init_ensemble(d, n, seed=11, alpha=2.0)
+        rng = e._rng = _FillFails(e._rng, k)
+        raised = []
+
+        def target():
+            try:
+                run(e, t_end=50 * dt, dt=dt)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert raised == ["fill failed"]
+        assert e._rng is rng
+        assert threading.active_count() == threads_before
 
 
 @settings(max_examples=40, deadline=None)
